@@ -136,22 +136,21 @@ type server struct {
 const ingestBatchSize = 8192
 
 // ingestBuffers is the per-request scratch the decode paths borrow from
-// ingestPool instead of allocating: the InsertBatch staging slice, the
-// binary path's buffered reader, and the NDJSON scanner's line buffer.
-// With it, steady-state ingest allocates nothing per item (the engine's
-// dispatch layer is pooled too — internal/shard); what remains is a few
-// fixed allocations per request (scanner struct, response encoding).
+// ingestPool instead of allocating: the InsertBatch staging slice and a
+// 64 KiB read buffer (the binary path's raw body bytes, the NDJSON
+// scanner's line buffer). With it, steady-state ingest allocates nothing
+// per item (the engine's dispatch layer is pooled too — internal/shard);
+// what remains is a few fixed allocations per request (scanner struct,
+// response encoding).
 type ingestBuffers struct {
 	batch []l1hh.Item
-	br    *bufio.Reader
-	line  []byte
+	buf   []byte
 }
 
 var ingestPool = sync.Pool{New: func() any {
 	return &ingestBuffers{
 		batch: make([]l1hh.Item, 0, ingestBatchSize),
-		br:    bufio.NewReaderSize(nil, 1<<16),
-		line:  make([]byte, 0, 1<<16),
+		buf:   make([]byte, 1<<16),
 	}
 }}
 
@@ -713,28 +712,33 @@ func (s *server) serveIngest(w http.ResponseWriter, r *http.Request, insert func
 func ingestBinary(insert func([]l1hh.Item) error, body io.Reader) (uint64, error) {
 	bufs := ingestPool.Get().(*ingestBuffers)
 	defer ingestPool.Put(bufs)
-	br := bufs.br
-	br.Reset(body)
-	defer br.Reset(nil) // don't pin the request body in the pool
-	batch := bufs.batch[:0]
+	buf, batch := bufs.buf, bufs.batch[:0]
 	var accepted uint64
-	var word [8]byte
+	torn := 0 // bytes of a word split across reads, moved to the front of buf
 	for {
-		_, err := io.ReadFull(br, word[:])
+		n, err := body.Read(buf[torn:])
+		n += torn
+		whole := n &^ 7
+		for off := 0; off < whole; off += 8 {
+			batch = append(batch, binary.LittleEndian.Uint64(buf[off:]))
+			if len(batch) == cap(batch) {
+				if err := insert(batch); err != nil {
+					return accepted, err
+				}
+				accepted += uint64(len(batch))
+				batch = batch[:0]
+			}
+		}
+		torn = copy(buf, buf[whole:n])
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return accepted, fmt.Errorf("binary body length not a multiple of 8: %w", err)
+			return accepted, fmt.Errorf("reading binary body: %w", err)
 		}
-		batch = append(batch, binary.LittleEndian.Uint64(word[:]))
-		if len(batch) == cap(batch) {
-			if err := insert(batch); err != nil {
-				return accepted, err
-			}
-			accepted += uint64(len(batch))
-			batch = batch[:0]
-		}
+	}
+	if torn > 0 {
+		return accepted, errors.New("binary body length not a multiple of 8")
 	}
 	// An empty tail is not inserted: on the tenant routes an insert is a
 	// touch that creates (or revives) the engine, and a zero-item body
@@ -759,7 +763,7 @@ func ingestNDJSON(insert func([]l1hh.Item) error, body io.Reader) (uint64, error
 	bufs := ingestPool.Get().(*ingestBuffers)
 	defer ingestPool.Put(bufs)
 	sc := bufio.NewScanner(body)
-	sc.Buffer(bufs.line[:0], 1<<20)
+	sc.Buffer(bufs.buf[:0], 1<<20)
 	batch := bufs.batch[:0]
 	var accepted uint64
 	flush := func() error {

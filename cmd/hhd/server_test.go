@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	l1hh "repro"
 )
@@ -142,6 +146,52 @@ func TestIngestErrors(t *testing.T) {
 	}
 	if w := do(t, s, "GET", "/ingest", "", nil); w.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /ingest: status %d, want 405", w.Code)
+	}
+}
+
+// TestIngestBinaryTornTailPastOneChunk: a torn tail after a full
+// InsertBatch chunk answers 400 naming only the applied chunk, and the
+// whole items decoded after that chunk are not applied either.
+func TestIngestBinaryTornTailPastOneChunk(t *testing.T) {
+	s := newTestServer(t, 100_000)
+	items := make([]uint64, ingestBatchSize+5)
+	for i := range items {
+		items[i] = uint64(i)
+	}
+	body := append(binaryBody(items), 1, 2, 3)
+	w := do(t, s, "POST", "/ingest", "application/octet-stream", body)
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), fmt.Sprintf("after %d items", ingestBatchSize)) {
+		t.Fatalf("torn tail: status %d (%s), want 400 after %d items", w.Code, w.Body, ingestBatchSize)
+	}
+	if got := s.engine().Len(); got != ingestBatchSize {
+		t.Fatalf("engine Len = %d, want the one applied chunk of %d", got, ingestBatchSize)
+	}
+}
+
+// TestIngestBinarySplitReads: words torn across reads of any size decode
+// to the items sent, and a read error names only the applied chunks.
+func TestIngestBinarySplitReads(t *testing.T) {
+	items := make([]uint64, 2*ingestBatchSize+3)
+	for i := range items {
+		items[i] = uint64(i)*0x9E3779B97F4A7C15 + 1
+	}
+	body := binaryBody(items)
+	for name, r := range map[string]io.Reader{
+		"one byte": iotest.OneByteReader(bytes.NewReader(body)),
+		"halves":   iotest.HalfReader(bytes.NewReader(body)),
+		"data+EOF": iotest.DataErrReader(bytes.NewReader(body)),
+	} {
+		var got []uint64
+		n, err := ingestBinary(func(b []l1hh.Item) error { got = append(got, b...); return nil }, r)
+		if err != nil || n != uint64(len(items)) || !slices.Equal(got, items) {
+			t.Fatalf("%s: accepted %d, err %v, items equal %v", name, n, err, slices.Equal(got, items))
+		}
+	}
+	broken := errors.New("connection reset")
+	r := io.MultiReader(bytes.NewReader(body[:8*ingestBatchSize+13]), iotest.ErrReader(broken))
+	n, err := ingestBinary(func([]l1hh.Item) error { return nil }, r)
+	if !errors.Is(err, broken) || n != ingestBatchSize {
+		t.Fatalf("read error: accepted %d, err %v; want %d, %v", n, err, ingestBatchSize, broken)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -72,7 +73,9 @@ type Option func(*Client)
 // the transport — handy for fault injection in tests).
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
-// WithBatchSize sets how many items a flush carries at most.
+// WithBatchSize sets how many items a flush carries at most. A batch
+// never exceeds the queue: past WithQueueSize, a full queue is a full
+// batch.
 func WithBatchSize(n int) Option {
 	return func(c *Client) {
 		if n > 0 {
@@ -149,6 +152,10 @@ func WithMetrics(reg *obs.Registry) Option { return func(c *Client) { c.reg = re
 // Client streams items to one hhd daemon. Create with New; it is safe
 // for concurrent use. Add/AddBatch never block — a full queue is the
 // caller's backpressure signal.
+//
+// The queue is a fixed ring under one mutex, so an AddBatch costs one
+// lock and one copy however many items it carries. A background worker
+// copies batches out and encodes and sends them without the lock.
 type Client struct {
 	baseURL string
 	// pathPrefix is "/t/{tenant}" under WithTenant, empty otherwise.
@@ -163,7 +170,15 @@ type Client struct {
 	seed int64
 	reg  *obs.Registry
 
-	queue   chan uint64
+	// mu guards the ring and closed. The n queued items sit at
+	// ring[head], ring[head+1], … (wrapping), oldest first.
+	mu      sync.Mutex
+	ring    []uint64
+	head, n int
+	closed  bool
+	// kick (one slot) wakes the worker when the queue reaches a full
+	// batch.
+	kick    chan struct{}
 	flushCh chan chan struct{}
 
 	enqueued, acked, retried, retriedItems, dropped atomic.Uint64
@@ -175,7 +190,6 @@ type Client struct {
 	// schedules without real sleeps.
 	sleep func(ctx context.Context, d time.Duration) error
 
-	closed     atomic.Bool
 	ctx        context.Context
 	cancel     context.CancelFunc
 	workerDone chan struct{}
@@ -204,8 +218,10 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	for _, o := range opts {
 		o(c)
 	}
+	c.batchSize = min(c.batchSize, c.queueSize)
 	c.rng = rand.New(rand.NewSource(c.seed))
-	c.queue = make(chan uint64, c.queueSize)
+	c.ring = make([]uint64, c.queueSize)
+	c.kick = make(chan struct{}, 1)
 	c.flushCh = make(chan chan struct{})
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.workerDone = make(chan struct{})
@@ -230,45 +246,54 @@ func (c *Client) register(reg *obs.Registry) {
 		nil, func() float64 { return float64(c.Stats().Queued) })
 }
 
-// Add enqueues one item for asynchronous delivery. It never blocks:
+// Add enqueues one item for asynchronous delivery; it is AddBatch of
+// one item, and AddBatch is the faster path for many. It never blocks:
 // ErrQueueFull means the queue is at capacity and the item was NOT
 // taken; ErrClosed means the client is shut down.
 func (c *Client) Add(item uint64) error {
-	if c.closed.Load() {
-		return ErrClosed
-	}
-	select {
-	case c.queue <- item:
-		c.enqueued.Add(1)
-		return nil
-	default:
-		return ErrQueueFull
-	}
+	_, err := c.AddBatch([]uint64{item})
+	return err
 }
 
 // AddBatch enqueues as many leading items as fit, returning how many
 // were taken. A short count comes with ErrQueueFull; the caller owns
-// the remainder items[n:].
+// the remainder items[n:]. The whole call takes the queue lock once.
 func (c *Client) AddBatch(items []uint64) (int, error) {
-	if c.closed.Load() {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
 		return 0, ErrClosed
 	}
-	for i, it := range items {
-		select {
-		case c.queue <- it:
-		default:
-			c.enqueued.Add(uint64(i))
-			return i, ErrQueueFull
-		}
+	before := c.n
+	k := min(len(items), len(c.ring)-before)
+	tail := c.head + before
+	if tail >= len(c.ring) {
+		tail -= len(c.ring)
 	}
-	c.enqueued.Add(uint64(len(items)))
-	return len(items), nil
+	copied := copy(c.ring[tail:], items[:k])
+	copy(c.ring, items[copied:k])
+	c.n += k
+	c.enqueued.Add(uint64(k))
+	c.mu.Unlock()
+	// Wake the worker when this call completes a batch. Only a crossing
+	// needs a kick: the worker re-arms the kick itself while a full batch
+	// remains, so above the line one is already pending or being served.
+	if before < c.batchSize && before+k >= c.batchSize {
+		c.wake()
+	}
+	if k < len(items) {
+		return k, ErrQueueFull
+	}
+	return k, nil
 }
 
 // Flush sends everything enqueued before the call and waits until the
 // daemon has acknowledged (or the retry budget dropped) each item.
 func (c *Client) Flush(ctx context.Context) error {
-	if c.closed.Load() {
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
 	return c.flush(ctx)
@@ -295,7 +320,13 @@ func (c *Client) flush(ctx context.Context) error {
 // every later Add fail with ErrClosed. The context bounds how long the
 // final flush may take; on expiry, unsent items are dropped.
 func (c *Client) Close(ctx context.Context) error {
-	if !c.closed.CompareAndSwap(false, true) {
+	// Set under the queue lock: every AddBatch either appended before
+	// this point, and the final flush sends its items, or sees closed.
+	c.mu.Lock()
+	closed := c.closed
+	c.closed = true
+	c.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
 	err := c.flush(ctx)
@@ -334,66 +365,88 @@ func (c *Client) LastError() error {
 	return nil
 }
 
-// worker is the background flusher: it accumulates a batch from the
-// queue and sends it when full (size flush), when flushEvery elapses
-// (age flush), or when a Flush barrier arrives.
+// worker is the background flusher: it sends a batch when a full one is
+// queued (size flush), when flushEvery elapses (age flush), or when a
+// Flush barrier arrives.
 func (c *Client) worker() {
 	defer close(c.workerDone)
-	batch := make([]uint64, 0, c.batchSize)
+	batch := make([]uint64, c.batchSize)
 	timer := time.NewTimer(c.flushEvery)
 	defer timer.Stop()
 	for {
 		select {
 		case <-c.ctx.Done():
-			// Shutdown: whatever is still owned by the client is dropped,
-			// keeping the Stats identity intact.
-			n := uint64(len(batch))
-			for {
-				select {
-				case <-c.queue:
-					n++
-					continue
-				default:
-				}
-				break
-			}
-			if n > 0 {
-				c.dropped.Add(n)
-			}
+			// Shutdown: whatever is still queued is dropped, under the lock
+			// AddBatch appends under, keeping the Stats identity intact.
+			c.mu.Lock()
+			c.dropped.Add(uint64(c.n))
+			c.n = 0
+			c.mu.Unlock()
 			return
-		case it := <-c.queue:
-			batch = append(batch, it)
-			if len(batch) >= c.batchSize {
-				c.send(batch)
-				batch = batch[:0]
+		case <-c.kick:
+			// One batch per wake, so that a Flush barrier, the timer and
+			// shutdown still get their turn while producers keep the queue
+			// full.
+			b, left := c.take(batch, c.batchSize)
+			if len(b) > 0 {
+				c.send(b)
+			}
+			if left >= c.batchSize {
+				c.wake()
 			}
 		case <-timer.C:
-			if len(batch) > 0 {
-				c.send(batch)
-				batch = batch[:0]
-			}
+			c.sendQueued(batch)
 			timer.Reset(c.flushEvery)
 		case ack := <-c.flushCh:
-			// Drain everything already enqueued, then send the remainder.
-		drain:
-			for {
-				select {
-				case it := <-c.queue:
-					batch = append(batch, it)
-					if len(batch) >= c.batchSize {
-						c.send(batch)
-						batch = batch[:0]
-					}
-				default:
-					break drain
-				}
-			}
-			if len(batch) > 0 {
-				c.send(batch)
-				batch = batch[:0]
-			}
+			c.sendQueued(batch)
 			close(ack)
 		}
+	}
+}
+
+// sendQueued sends the items queued now, oldest first, in batches of at
+// most batchSize. Items that arrive meanwhile wait for the next flush,
+// so a steady producer cannot hold up an age flush or a barrier.
+func (c *Client) sendQueued(batch []uint64) {
+	c.mu.Lock()
+	owed := c.n
+	c.mu.Unlock()
+	for owed > 0 {
+		b, _ := c.take(batch[:min(owed, len(batch))], 1)
+		if len(b) == 0 {
+			return
+		}
+		c.send(b)
+		owed -= len(b)
+	}
+}
+
+// take moves up to len(dst) of the oldest queued items into dst,
+// provided at least least items are queued, and returns them with the
+// count left queued. Once the client is shutting down it takes nothing:
+// the worker's final drop owns what is left.
+func (c *Client) take(dst []uint64, least int) (batch []uint64, left int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.n < least || c.ctx.Err() != nil {
+		return dst[:0], 0
+	}
+	k := min(c.n, len(dst))
+	copied := copy(dst[:k], c.ring[c.head:])
+	copy(dst[copied:k], c.ring)
+	c.head += k
+	if c.head >= len(c.ring) {
+		c.head -= len(c.ring)
+	}
+	c.n -= k
+	return dst[:k], c.n
+}
+
+// wake kicks the worker unless a kick is already pending.
+func (c *Client) wake() {
+	select {
+	case c.kick <- struct{}{}:
+	default:
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -295,6 +296,174 @@ func TestQueueBoundAndPartialAddBatch(t *testing.T) {
 	}
 	if st := c.Stats(); st.Enqueued != 5 || st.Queued != 5 {
 		t.Fatalf("stats with full queue: %+v", st)
+	}
+}
+
+// TestConcurrentProducersKeepOrderAcrossRingWraps: four producers whose
+// chunk sizes wrap the ring at different offsets. Each producer's items
+// arrive once each and in order, and no POST exceeds the batch size.
+func TestConcurrentProducersKeepOrderAcrossRingWraps(t *testing.T) {
+	const (
+		perProducer = 5000
+		batch       = 32
+	)
+	ft := &faultTransport{}
+	c, _ := newTestClient(t, ft, WithQueueSize(100), WithBatchSize(batch))
+	chunks := []int{7, 13, 29, 61}
+	var wg sync.WaitGroup
+	for p, chunk := range chunks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			items := make([]uint64, perProducer)
+			for i := range items {
+				items[i] = uint64(p)<<32 | uint64(i)
+			}
+			for len(items) > 0 {
+				n, err := c.AddBatch(items[:min(chunk, len(items))])
+				if err != nil && !errors.Is(err, ErrQueueFull) {
+					t.Errorf("producer %d: AddBatch: %v", p, err)
+					return
+				}
+				items = items[n:]
+				if err != nil {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	flush(t, c)
+	next := make([]uint64, len(chunks))
+	for _, req := range ft.sent() {
+		if len(req) > batch {
+			t.Fatalf("a POST carried %d items past the batch size of %d", len(req), batch)
+		}
+		for _, it := range req {
+			p, seq := it>>32, it&(1<<32-1)
+			if p >= uint64(len(chunks)) || seq != next[p] {
+				t.Fatalf("producer %d: got item %d, want %d next", p, seq, next[p])
+			}
+			next[p]++
+		}
+	}
+	for p, n := range next {
+		if n != perProducer {
+			t.Fatalf("producer %d: %d of %d items arrived", p, n, perProducer)
+		}
+	}
+	st := c.Stats()
+	if total := uint64(len(chunks) * perProducer); st.Enqueued != total || st.Acked != total || st.Queued != 0 || st.Dropped != 0 {
+		t.Fatalf("stats after concurrent producers: %+v", st)
+	}
+}
+
+// TestQueueFullRingSendsWithoutAgeFlush: with a batch larger than the
+// queue, a full queue is a full batch and goes out at once, not after
+// the (hour-long) flush interval.
+func TestQueueFullRingSendsWithoutAgeFlush(t *testing.T) {
+	ft := &faultTransport{}
+	c, _ := newTestClient(t, ft, WithBatchSize(64), WithQueueSize(16))
+	items := make([]uint64, 16)
+	for i := range items {
+		items[i] = uint64(i)
+	}
+	if n, err := c.AddBatch(items[:15]); n != 15 || err != nil {
+		t.Fatalf("AddBatch = (%d, %v)", n, err)
+	}
+	if err := c.Add(items[15]); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats().Acked < 16 {
+		if time.Now().After(deadline) {
+			t.Fatal("a full queue was never sent")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if reqs := ft.sent(); len(reqs) != 1 || len(reqs[0]) != 16 || reqs[0][15] != 15 {
+		t.Fatalf("sent %v, want the 16 queued items in one POST", reqs)
+	}
+}
+
+// slowTransport delays every request, so that a producer refills the
+// queue while a batch is in flight.
+type slowTransport struct {
+	http.RoundTripper
+	delay time.Duration
+}
+
+func (s slowTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	time.Sleep(s.delay)
+	return s.RoundTripper.RoundTrip(req)
+}
+
+// TestFlushWithConcurrentProducer: a producer that keeps the queue above
+// a batch does not hold up a Flush barrier from another goroutine.
+func TestFlushWithConcurrentProducer(t *testing.T) {
+	ft := &faultTransport{}
+	c, _ := newTestClient(t, ft, WithQueueSize(256), WithBatchSize(16),
+		WithHTTPClient(&http.Client{Transport: slowTransport{ft, 100 * time.Microsecond}}))
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		chunk := make([]uint64, 16)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				c.AddBatch(chunk)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	for range 5 {
+		flush(t, c)
+	}
+}
+
+// TestCloseRacingAddBatchStrandsNothing: producers keep calling AddBatch
+// while Close runs. Once Close returns, nothing is left queued, every
+// enqueued item was delivered, and no later call enqueues.
+func TestCloseRacingAddBatchStrandsNothing(t *testing.T) {
+	ft := &faultTransport{}
+	c, _ := newTestClient(t, ft, WithQueueSize(64), WithBatchSize(8))
+	var wg sync.WaitGroup
+	running := make(chan struct{}, 4)
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			chunk := []uint64{1, 2, 3, 4, 5}
+			for first := true; ; first = false {
+				if _, err := c.AddBatch(chunk); errors.Is(err, ErrClosed) {
+					return
+				}
+				if first {
+					running <- struct{}{}
+				}
+			}
+		}()
+	}
+	for range 4 {
+		<-running
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	st := c.Stats()
+	if st.Queued != 0 || st.Enqueued != st.Acked+st.Dropped || st.Dropped != 0 {
+		t.Fatalf("stats once Close returned: %+v", st)
+	}
+	wg.Wait()
+	if after := c.Stats(); after != st {
+		t.Fatalf("stats moved after Close returned: %+v, then %+v", st, after)
 	}
 }
 
