@@ -47,7 +47,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	for i := uint64(0); i < depth; i++ {
 		out.hashes[i] = hash.DecodeFunc(r)
 		out.rows[i] = r.U64s()
-		if r.Err() != nil || uint64(len(out.rows[i])) != width {
+		// The hash indexes the row directly: its range must be the width.
+		if r.Err() != nil || uint64(len(out.rows[i])) != width ||
+			!out.hashes[i].Valid() || out.hashes[i].Range() != width {
 			return fmt.Errorf("cms: %w", wire.ErrCorrupt)
 		}
 	}

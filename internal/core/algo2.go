@@ -31,14 +31,24 @@ const minEpochBase = 16
 // contributes unbiasedly to the estimate with variance O(ε⁻²) total —
 // O(ε⁻¹) additive error per repetition, driven to failure probability
 // O(ϕ) by the median over repetitions.
+//
+// The per-sample work hashes all R buckets in one batch before the
+// coin/T2/epoch/T3 loop, T1 is a flat open-addressing table, and T3
+// holds only its non-empty rows. None of that layout changes a random
+// draw or a table value, so checkpoints, reports and ModelBits do not
+// depend on it (DESIGN.md §2).
 type Optimal struct {
 	cfg     Config
 	sampler *sample.Skip
 	t1      *mg.Summary
 	hashes  []hash.Func
-	t2      [][]uint32   // [rep][bucket] subsampled running counts
-	t3      [][][]uint32 // [rep][bucket][epoch] accelerated counters
-	u       uint64       // buckets per repetition
+	t2      [][]uint32 // [rep][bucket] subsampled running counts
+	// t3 maps rep·u + bucket to that bucket's accelerated counters, one
+	// per epoch. Only non-empty rows are present: most buckets never
+	// reach epoch 0.
+	t3      map[uint64][]uint32
+	buckets []uint64 // the current sample's bucket per rep, reused
+	u       uint64   // buckets per repetition
 	reps    int
 	epsK    uint    // ε rounded down to 2^−epsK (Lemma 1 coin)
 	epsEff  float64 // 2^−epsK
@@ -92,7 +102,8 @@ func NewOptimal(src *rng.Source, cfg Config) (*Optimal, error) {
 		t1:      mg.New(k, cfg.N),
 		hashes:  make([]hash.Func, reps),
 		t2:      make([][]uint32, reps),
-		t3:      make([][][]uint32, reps),
+		t3:      make(map[uint64][]uint32),
+		buckets: make([]uint64, reps),
 		u:       u,
 		reps:    reps,
 		epsK:    epsK,
@@ -103,7 +114,6 @@ func NewOptimal(src *rng.Source, cfg Config) (*Optimal, error) {
 	for j := 0; j < reps; j++ {
 		o.hashes[j] = hash.NewFunc(src, u)
 		o.t2[j] = make([]uint32, u)
-		o.t3[j] = make([][]uint32, u)
 	}
 	o.initEpochs()
 	return o, nil
@@ -188,13 +198,14 @@ func (o *Optimal) Insert(x uint64) {
 }
 
 // processSample performs the per-sample work: the T1 Misra-Gries update
-// and one accelerated-counter step per repetition.
+// and one accelerated-counter step per repetition, after hashing x into
+// all R buckets at once.
 func (o *Optimal) processSample(x uint64) {
 	o.s++
 	o.t1.Insert(x)
+	hash.HashAll(o.hashes, x, o.buckets)
 	mask := (uint64(1) << o.epsK) - 1
-	for j := 0; j < o.reps; j++ {
-		i := o.hashes[j].Hash(x)
+	for j, i := range o.buckets {
 		if o.src.Uint64()&mask == 0 { // probability ε (power-of-two)
 			o.t2[j][i]++
 		}
@@ -212,12 +223,13 @@ func (o *Optimal) processSample(x uint64) {
 		if !ok {
 			continue
 		}
-		row := o.t3[j][i]
-		for len(row) <= t {
-			row = append(row, 0)
+		key := uint64(j)*o.u + i
+		row := o.t3[key]
+		if len(row) <= t {
+			row = append(row, make([]uint32, t+1-len(row))...)
+			o.t3[key] = row
 		}
 		row[t]++
-		o.t3[j][i] = row
 		if t > o.maxEpoch {
 			o.maxEpoch = t
 		}
@@ -233,7 +245,7 @@ func (o *Optimal) processSample(x uint64) {
 func (o *Optimal) estimate(j int, x uint64) float64 {
 	i := o.hashes[j].Hash(x)
 	var f float64
-	for t, c := range o.t3[j][i] {
+	for t, c := range o.t3[uint64(j)*o.u+i] {
 		if c == 0 {
 			continue
 		}
@@ -319,17 +331,17 @@ func (o *Optimal) ModelBits() int64 {
 		for _, v := range o.t2[j] {
 			b += cellBits(uint64(v))
 		}
-		for _, row := range o.t3[j] {
-			for _, v := range row {
-				b += cellBits(uint64(v))
-			}
-		}
 		if o.pre != nil && o.pre[j] != nil {
 			for _, v := range o.pre[j] {
 				b += cellBits(uint64(v))
 			}
 		}
 		b += o.hashes[j].ModelBits()
+	}
+	for _, row := range o.t3 {
+		for _, v := range row {
+			b += cellBits(uint64(v))
+		}
 	}
 	b += samplerModelBits(o.offered)
 	return b

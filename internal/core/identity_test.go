@@ -1,0 +1,161 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"testing"
+
+	"repro/internal/rng"
+	"repro/internal/stream"
+)
+
+// The digests below pin Algorithm 2's observable behaviour: every random
+// draw, table cell and report value. They were recorded on the dense
+// reference layout (a map-based T1, a DIV per bucket hash, one T3 row per
+// bucket), so any layout of the per-sample work must reproduce them bit
+// for bit.
+
+// identityStream is a Zipf(1.1) stream over 2²⁰ ranks, scattered over
+// 2³⁰ ids by a fixed bijection so hot items do not cluster.
+func identityStream(seed uint64, n int) []uint64 {
+	z := stream.NewZipf(rng.New(seed), 1<<20, 1.1)
+	xs := make([]uint64, n)
+	for i := range xs {
+		xs[i] = (z.Next()*0x2545F491 + 0x1B873593) & (1<<30 - 1)
+	}
+	return xs
+}
+
+// identityDigests returns the SHA-256 of o's checkpoint and of its report
+// (item and float64 bits per entry, in report order).
+func identityDigests(t *testing.T, o *Optimal) (ckpt, report string) {
+	t.Helper()
+	blob, err := o.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sha256.Sum256(blob)
+	var rep []byte
+	for _, e := range o.Report() {
+		rep = binary.LittleEndian.AppendUint64(rep, e.Item)
+		rep = binary.LittleEndian.AppendUint64(rep, math.Float64bits(e.F))
+	}
+	r := sha256.Sum256(rep)
+	return hex.EncodeToString(c[:]), hex.EncodeToString(r[:])
+}
+
+func TestOptimalIdentityDigests(t *testing.T) {
+	sampled := Config{Eps: 0.002, Phi: 0.02, Delta: 0.1, M: 1 << 21, N: 1 << 30}
+	skip := Config{Eps: 0.01, Phi: 0.05, Delta: 0.1, M: 1 << 28, N: 1 << 30}
+	newOpt := func(t *testing.T, cfg Config, seed uint64) *Optimal {
+		o, err := NewOptimal(rng.New(seed), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	cases := []struct {
+		name         string
+		build        func(t *testing.T) *Optimal
+		ckpt, report string
+	}{
+		{
+			name: "sampled p=1",
+			build: func(t *testing.T) *Optimal {
+				o := newOpt(t, sampled, 7)
+				for _, x := range identityStream(45, 1<<21) {
+					o.Insert(x)
+				}
+				return o
+			},
+			ckpt:   "27ab9379157f20633b68c6efbdb19a95aa7d469a0ae69ed6b38767971ad4f58c",
+			report: "9bef8e91fe99d6eb8c99c9958c717d892901b3203ec7541c63b732ed5ba1fdc8",
+		},
+		{
+			name: "skip path",
+			build: func(t *testing.T) *Optimal {
+				o := newOpt(t, skip, 8)
+				for _, x := range identityStream(46, 1<<22) {
+					o.Insert(x)
+				}
+				return o
+			},
+			ckpt:   "c82a917317bf1e3c30937c2d9e991313067800f651c4a1c72f3328be98bd659f",
+			report: "5c484b0a4c533d183085b287fd42380e9d1d0dae06232b74e9f590c87b3092cd",
+		},
+		{
+			name: "two-instance merge",
+			build: func(t *testing.T) *Optimal {
+				a, b := newOpt(t, sampled, 9), newOpt(t, sampled, 9)
+				xs := identityStream(47, 1<<20)
+				for _, x := range xs[:len(xs)/2] {
+					a.Insert(x)
+				}
+				for _, x := range xs[len(xs)/2:] {
+					b.Insert(x)
+				}
+				if err := a.Merge(b); err != nil {
+					t.Fatal(err)
+				}
+				return a
+			},
+			ckpt:   "72d9569dae1135d274845e64ad4a9e5d402617896cded7033d3e8571ef5f12ae",
+			report: "0186953154d92d430e38157ee3c04c2f82323b1749cae481c87b34a42374f198",
+		},
+		{
+			name: "paced perInsert=1",
+			build: func(t *testing.T) *Optimal {
+				o := newOpt(t, sampled, 10)
+				p := NewPaced(o, 1)
+				for _, x := range identityStream(48, 1<<20) {
+					p.Insert(x)
+				}
+				p.Flush()
+				return o
+			},
+			ckpt:   "70f15370605fc51faacaec66635c8b022d1e9367338415e444c76682bf4dec3e",
+			report: "357ae9e962772a6acea3986e2c67a9813cf304a766373e5a313683b7a41399c1",
+		},
+		{
+			name: "restore then keep inserting",
+			build: func(t *testing.T) *Optimal {
+				o := newOpt(t, sampled, 11)
+				xs := identityStream(49, 1<<20)
+				for _, x := range xs[:len(xs)/2] {
+					o.Insert(x)
+				}
+				blob, err := o.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var r Optimal
+				if err := r.UnmarshalBinary(blob); err != nil {
+					t.Fatal(err)
+				}
+				for _, x := range xs[len(xs)/2:] {
+					r.Insert(x)
+				}
+				return &r
+			},
+			ckpt:   "8f17b89aa60fdd05d1fdef383b977fc58828a50d8d92c7f2d1d7a696d6eb298b",
+			report: "29e3e941439cf74e729eb93738498c83fb41c33023118891f5f5b4cba819701d",
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o := c.build(t)
+			if len(o.Report()) == 0 {
+				t.Fatal("empty report: the case pins nothing")
+			}
+			ckpt, report := identityDigests(t, o)
+			if ckpt != c.ckpt {
+				t.Errorf("checkpoint digest %s, want %s", ckpt, c.ckpt)
+			}
+			if report != c.report {
+				t.Errorf("report digest %s, want %s", report, c.report)
+			}
+		})
+	}
+}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/hash"
 	"repro/internal/mg"
@@ -92,7 +94,7 @@ func (a *SimpleList) UnmarshalBinary(data []byte) error {
 	offered := r.U64()
 	hashRange := r.U64()
 	if r.Err() != nil || !r.Done() || sampler == nil ||
-		hashRange < 2 || h.Range() != hashRange {
+		hashRange < 2 || !h.Valid() || h.Range() != hashRange {
 		return fmt.Errorf("core: %w", wire.ErrCorrupt)
 	}
 	*a = SimpleList{
@@ -143,7 +145,7 @@ func (a *Maximum) UnmarshalBinary(data []byte) error {
 	// wrapper's universe bound and error bars, so hostile values must not
 	// restore.
 	if r.Err() != nil || !r.Done() || sampler == nil ||
-		hashRng < 2 || h.Range() != hashRng ||
+		hashRng < 2 || !h.Valid() || h.Range() != hashRng ||
 		cfg.Eps <= 0 || cfg.Eps >= 1 || cfg.Delta <= 0 || cfg.Delta >= 1 ||
 		cfg.M == 0 || cfg.N == 0 {
 		return fmt.Errorf("core: %w", wire.ErrCorrupt)
@@ -168,12 +170,20 @@ func (o *Optimal) MarshalBinary() ([]byte, error) {
 	o.t1.Encode(w)
 	w.U64(uint64(o.reps))
 	w.U64(o.u)
+	// T3 goes out densely, every bucket's row in (rep, bucket) order:
+	// walking the sorted keys, each run of absent rows between two
+	// present ones is written as that many empty rows at once.
+	keys := slices.Sorted(maps.Keys(o.t3))
 	for j := 0; j < o.reps; j++ {
 		o.hashes[j].Encode(w)
 		w.U32s(o.t2[j])
-		for _, row := range o.t3[j] {
-			w.U32s(row)
+		next, end := uint64(j)*o.u, uint64(j+1)*o.u
+		for ; len(keys) > 0 && keys[0] < end; keys = keys[1:] {
+			w.EmptySlices(int(keys[0] - next))
+			w.U32s(o.t3[keys[0]])
+			next = keys[0] + 1
 		}
+		w.EmptySlices(int(end - next))
 		encodeSparseU32(w, preRow(o.pre, j))
 	}
 	w.U64(uint64(o.epsK))
@@ -208,21 +218,19 @@ func (o *Optimal) UnmarshalBinary(data []byte) error {
 	}
 	hashes := make([]hash.Func, reps)
 	t2 := make([][]uint32, reps)
-	t3 := make([][][]uint32, reps)
+	t3 := make(map[uint64][]uint32)
 	var pre [][]uint32
 	for j := uint64(0); j < reps; j++ {
 		hashes[j] = hash.DecodeFunc(r)
 		t2[j] = r.U32s()
-		// The bucket hash indexes the T2/T3 arrays directly, so its range
-		// must be exactly u (a range of 0 would even panic Hash).
-		if r.Err() != nil || uint64(len(t2[j])) != u || hashes[j].Range() != u {
+		// The bucket hash indexes the T2 rows and keys T3 directly, so it
+		// must be a member of the family with range exactly u.
+		if r.Err() != nil || uint64(len(t2[j])) != u || !hashes[j].Valid() || hashes[j].Range() != u {
 			return fmt.Errorf("core: %w", wire.ErrCorrupt)
 		}
-		t3[j] = make([][]uint32, u)
 		for i := uint64(0); i < u; i++ {
-			row := r.U32s()
-			if len(row) > 0 {
-				t3[j][i] = row
+			if row := r.U32s(); len(row) > 0 {
+				t3[j*u+i] = row
 			}
 		}
 		if version >= 2 { // v1 predates the pre-credit rows
@@ -258,7 +266,7 @@ func (o *Optimal) UnmarshalBinary(data []byte) error {
 	}
 	*o = Optimal{
 		cfg: cfg, sampler: sampler, t1: t1, hashes: hashes,
-		t2: t2, t3: t3, u: u, reps: int(reps),
+		t2: t2, t3: t3, buckets: make([]uint64, reps), u: u, reps: int(reps),
 		epsK: uint(epsK), epsEff: epsEff, base: base,
 		src: rng.FromState(srcState), s: s, offered: offered,
 		maxEpoch: int(maxEpoch), pre: pre,

@@ -129,8 +129,8 @@ func marshalOptimalV1(o *Optimal) []byte {
 	for j := 0; j < o.reps; j++ {
 		o.hashes[j].Encode(w)
 		w.U32s(o.t2[j])
-		for _, row := range o.t3[j] {
-			w.U32s(row)
+		for i := uint64(0); i < o.u; i++ {
+			w.U32s(o.t3[uint64(j)*o.u+i])
 		}
 	}
 	w.U64(uint64(o.epsK))

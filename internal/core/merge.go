@@ -150,19 +150,20 @@ func (o *Optimal) Merge(other *Optimal) error {
 				math.Min(float64(sum), o.base)
 			credit := satAdd32(other.preAt(j, i), uint32(surplus+0.5))
 			o.addPre(j, i, credit)
-
-			ra, rb := o.t3[j][i], other.t3[j][i]
-			if len(rb) > len(ra) {
-				grown := make([]uint32, len(rb))
-				copy(grown, ra)
-				ra = grown
-			}
-			for t, v := range rb {
-				ra[t] = satAdd32(ra[t], v)
-			}
-			if len(ra) > 0 {
-				o.t3[j][i] = ra
-			}
+		}
+	}
+	// T3 rows add cell-wise; other holds only non-empty rows, and a row
+	// that grows is copied so o never aliases other's.
+	for key, rb := range other.t3 {
+		ra := o.t3[key]
+		if len(rb) > len(ra) {
+			grown := make([]uint32, len(rb))
+			copy(grown, ra)
+			ra = grown
+			o.t3[key] = ra
+		}
+		for t, v := range rb {
+			ra[t] = satAdd32(ra[t], v)
 		}
 	}
 	o.s += other.s

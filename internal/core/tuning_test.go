@@ -112,7 +112,7 @@ func TestOptimalT3EpochsMonotone(t *testing.T) {
 	}
 	for j := 0; j < a.reps; j++ {
 		for i := uint64(0); i < a.u; i++ {
-			row := a.t3[j][i]
+			row := a.t3[uint64(j)*a.u+i]
 			if len(row) == 0 {
 				continue
 			}

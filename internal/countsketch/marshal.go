@@ -50,7 +50,10 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		out.buckets[i] = hash.DecodeFunc(r)
 		out.signs[i] = hash.DecodeSign(r)
 		n := r.U64()
-		if r.Err() != nil || n != width {
+		// The bucket hash indexes the row directly: its range must be the
+		// width.
+		if r.Err() != nil || n != width || !out.buckets[i].Valid() ||
+			out.buckets[i].Range() != width || !out.signs[i].Valid() {
 			return fmt.Errorf("countsketch: %w", wire.ErrCorrupt)
 		}
 		out.rows[i] = make([]int64, n)

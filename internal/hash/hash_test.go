@@ -122,7 +122,8 @@ func TestMulAddMatchesBigArithmetic(t *testing.T) {
 	err := quick.Check(func(aRaw, x, bRaw uint64) bool {
 		a := aRaw % Mersenne61
 		b := bRaw % Mersenne61
-		got := mulAddMod61(a, x, b)
+		f := Func{a: a, b: b}
+		got := f.affine(modMersenne61(x))
 		// Reference: compute a*x mod p by repeated doubling (O(64) but safe).
 		want := addMod(mulModRef(a, x%Mersenne61), b)
 		return got == want

@@ -9,9 +9,11 @@ func (f Func) Encode(w *wire.Writer) {
 	w.U64(f.r)
 }
 
-// DecodeFunc reads a function written by Encode.
+// DecodeFunc reads a function written by Encode. Callers must check Valid
+// (and the range they expect) before hashing with it.
 func DecodeFunc(r *wire.Reader) Func {
-	return Func{a: r.U64(), b: r.U64(), r: r.U64()}
+	a, b, rng := r.U64(), r.U64(), r.U64()
+	return newFunc(a, b, rng)
 }
 
 // Encode appends the sign function's parameters to w.

@@ -1,7 +1,11 @@
 package mg
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/rand/v2"
+	"slices"
 
 	"repro/internal/merge"
 	"repro/internal/wire"
@@ -30,16 +34,24 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// Encode appends the summary to w.
+// Encode appends the summary to w. The counters go out as wire.Writer.Map
+// writes them, ascending by id.
 func (s *Summary) Encode(w *wire.Writer) {
 	w.U64(marshalVersion)
 	w.U64(uint64(s.k))
 	w.U64(s.universe)
 	w.U64(s.m)
-	w.Map(s.counters)
+	cs := s.stored()
+	slices.SortFunc(cs, func(a, b slot) int { return cmp.Compare(a.id, b.id) })
+	w.U64(uint64(len(cs)))
+	for _, sl := range cs {
+		w.U64(sl.id)
+		w.U64(sl.c)
+	}
 }
 
-// DecodeSummary reads a summary written by Encode; nil on corrupt input.
+// DecodeSummary reads a summary written by Encode; nil on corrupt input,
+// including a zero counter, which no summary stores.
 func DecodeSummary(r *wire.Reader) *Summary {
 	if r.U64() != marshalVersion {
 		return nil
@@ -48,10 +60,40 @@ func DecodeSummary(r *wire.Reader) *Summary {
 	universe := r.U64()
 	m := r.U64()
 	counters := r.Map()
-	if r.Err() != nil || k == 0 || uint64(len(counters)) > k {
+	if r.Err() != nil || k == 0 || k > math.MaxInt || uint64(len(counters)) > k {
 		return nil
 	}
-	return &Summary{k: int(k), universe: universe, m: m, counters: counters}
+	for _, c := range counters {
+		if c == 0 {
+			return nil
+		}
+	}
+	s := &Summary{k: int(k), universe: universe, m: m, mul: rand.Uint64() | 1}
+	s.fill(counters)
+	return s
+}
+
+// fill replaces the table by one holding counters' entries. A zero entry
+// (a merged sum that wrapped past 2⁶⁴) is dropped: zero marks an empty
+// slot.
+func (s *Summary) fill(counters map[uint64]uint64) {
+	s.resize(2 * min(s.k, max(len(counters), initialSlots/2)))
+	for x, c := range counters {
+		if c != 0 {
+			s.place(x, c)
+		}
+	}
+}
+
+// counterMap returns the stored counters as a map.
+func (s *Summary) counterMap() map[uint64]uint64 {
+	out := make(map[uint64]uint64, s.n)
+	for _, sl := range s.slots {
+		if sl.c != 0 {
+			out[sl.id] = sl.c
+		}
+	}
+	return out
 }
 
 // Merge folds other into s: the result summarizes the concatenation of
@@ -64,11 +106,15 @@ func (s *Summary) Merge(other *Summary) error {
 	if s.k != other.k {
 		return merge.Incompatiblef("mg: cannot merge summaries with k=%d and k=%d", s.k, other.k)
 	}
-	for x, c := range other.counters {
-		s.counters[x] += c
+	counters := s.counterMap()
+	for _, sl := range other.slots {
+		if sl.c != 0 {
+			counters[sl.id] += sl.c
+		}
 	}
 	s.m += other.m
-	ReduceTopK(s.counters, s.k)
+	ReduceTopK(counters, s.k)
+	s.fill(counters)
 	return nil
 }
 

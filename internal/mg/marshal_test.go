@@ -1,11 +1,14 @@
 package mg
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/exact"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/wire"
 )
 
 func TestMarshalRoundTrip(t *testing.T) {
@@ -106,8 +109,8 @@ func TestMergeGuarantee(t *testing.T) {
 			t.Fatalf("merged summary undercounts item %d: %d vs %d (bound %d)", x, est, f, maxErr)
 		}
 	}
-	if len(a.counters) > k {
-		t.Fatalf("merged summary holds %d > k entries", len(a.counters))
+	if a.n > k {
+		t.Fatalf("merged summary holds %d > k entries", a.n)
 	}
 }
 
@@ -138,5 +141,37 @@ func TestQuickselectDesc(t *testing.T) {
 	}
 	if got := quickselectDesc(append([]uint64{}, vs...), 4); got != 1 {
 		t.Fatalf("rank 4 = %d", got)
+	}
+}
+
+// TestDecodeRejectsImpossibleCounters: a zero counter or a k beyond int
+// is no summary's encoding; a huge but representable k decodes with a
+// table sized by its entries, not by k.
+func TestDecodeRejectsImpossibleCounters(t *testing.T) {
+	blob := func(k uint64, counters map[uint64]uint64) []byte {
+		w := wire.NewWriter()
+		w.U64(marshalVersion)
+		w.U64(k)
+		w.U64(100)
+		w.U64(10)
+		w.Map(counters)
+		return w.Bytes()
+	}
+	var s Summary
+	if err := s.UnmarshalBinary(blob(5, map[uint64]uint64{1: 3, 2: 0})); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("zero counter: err = %v, want ErrCorrupt", err)
+	}
+	if err := s.UnmarshalBinary(blob(1<<63, map[uint64]uint64{1: 3})); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("k = 2⁶³: err = %v, want ErrCorrupt", err)
+	}
+	if err := s.UnmarshalBinary(blob(math.MaxInt, map[uint64]uint64{1: 3, 2: 4})); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.slots) > initialSlots || s.Estimate(2) != 4 {
+		t.Fatalf("k = MaxInt: %d slots, Estimate(2) = %d", len(s.slots), s.Estimate(2))
+	}
+	s.Insert(5)
+	if s.Estimate(5) != 1 {
+		t.Fatal("insert after decode lost the item")
 	}
 }

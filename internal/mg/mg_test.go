@@ -138,7 +138,7 @@ func TestTableNeverExceedsK(t *testing.T) {
 		s := New(4, 0)
 		for _, x := range xs {
 			s.Insert(x % 64)
-			if len(s.counters) > 4 {
+			if s.n > 4 {
 				return false
 			}
 		}
