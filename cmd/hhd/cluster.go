@@ -27,7 +27,7 @@ import (
 // aggregate runs the pull loop until ctx is cancelled: one pull-and-merge
 // sweep immediately, then one per interval. Failures (a peer down, a
 // mismatched configuration) leave the previous merged state serving and
-// are retried next cycle; hhd.merge_staleness_seconds exposes how old the
+// are retried next cycle; hhd_merge_staleness_seconds exposes how old the
 // serving state is.
 func (s *server) aggregate(ctx context.Context, interval time.Duration) {
 	// The per-request timeout tracks the pull interval but keeps a floor:
@@ -77,7 +77,7 @@ func (s *server) pullAndMerge(ctx context.Context, client *http.Client) error {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			s.mergeErrors.Add(1)
+			s.obs.mergeErrors.Inc()
 			return fmt.Errorf("peer %s: %w", s.peers[i], err)
 		}
 	}
@@ -94,20 +94,12 @@ func (s *server) pullAndMerge(ctx context.Context, client *http.Client) error {
 	}
 	for i, blob := range blobs {
 		if err := merger.Merge(blob); err != nil {
-			s.mergeErrors.Add(1)
+			s.obs.mergeErrors.Inc()
 			fresh.Close()
 			return fmt.Errorf("peer %s: %w", s.peers[i], err)
 		}
 	}
-	st := fresh.Stats()
-	s.mu.Lock()
-	old := s.eng
-	s.eng = fresh
-	s.mu.Unlock()
-	old.Close()
-	// Reset the rate baseline as /restore does: the swapped-in counter
-	// restarts from the merged total.
-	s.resetRate(st.Items)
+	s.swap(fresh)
 	s.recordMerge(time.Since(start))
 	return nil
 }

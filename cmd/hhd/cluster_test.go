@@ -103,8 +103,8 @@ func TestClusterMergeRejects(t *testing.T) {
 	if w := do(t, agg, "POST", "/merge", "application/octet-stream", cp.Body.Bytes()); w.Code != http.StatusConflict {
 		t.Fatalf("mismatched merge: status %d, want 409", w.Code)
 	}
-	if agg.mergeErrors.Load() < 2 {
-		t.Fatalf("merge error counter = %d, want ≥ 2", agg.mergeErrors.Load())
+	if agg.obs.mergeErrors.Value() < 2 {
+		t.Fatalf("merge error counter = %d, want ≥ 2", agg.obs.mergeErrors.Value())
 	}
 
 	// The engine is untouched and still serving.
@@ -168,16 +168,16 @@ func TestClusterAggregatorLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	var merges uint64
-	if err := json.Unmarshal(vars["hhd.merges_total"], &merges); err != nil || merges == 0 {
-		t.Fatalf("hhd.merges_total = %s (err %v), want > 0", vars["hhd.merges_total"], err)
+	if err := json.Unmarshal(vars["hhd_merges_total"], &merges); err != nil || merges == 0 {
+		t.Fatalf("hhd_merges_total = %s (err %v), want > 0", vars["hhd_merges_total"], err)
 	}
 	var staleness float64
-	if err := json.Unmarshal(vars["hhd.merge_staleness_seconds"], &staleness); err != nil || staleness < 0 {
-		t.Fatalf("hhd.merge_staleness_seconds = %s (err %v), want ≥ 0", vars["hhd.merge_staleness_seconds"], err)
+	if err := json.Unmarshal(vars["hhd_merge_staleness_seconds"], &staleness); err != nil || staleness < 0 {
+		t.Fatalf("hhd_merge_staleness_seconds = %s (err %v), want ≥ 0", vars["hhd_merge_staleness_seconds"], err)
 	}
 	var npeers int
-	if err := json.Unmarshal(vars["hhd.peers"], &npeers); err != nil || npeers != 2 {
-		t.Fatalf("hhd.peers = %s (err %v), want 2", vars["hhd.peers"], err)
+	if err := json.Unmarshal(vars["hhd_peers"], &npeers); err != nil || npeers != 2 {
+		t.Fatalf("hhd_peers = %s (err %v), want 2", vars["hhd_peers"], err)
 	}
 }
 
@@ -236,7 +236,7 @@ func TestClusterAggregatorPeerDown(t *testing.T) {
 	if got := agg.engine().Len(); got != m/2 {
 		t.Fatalf("failed pull disturbed serving state: Len = %d, want %d", got, m/2)
 	}
-	if agg.mergeErrors.Load() == 0 {
+	if agg.obs.mergeErrors.Value() == 0 {
 		t.Fatal("merge error counter did not move")
 	}
 }

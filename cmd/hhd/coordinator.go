@@ -17,8 +17,8 @@ import (
 
 // coordinator owns the snapshot schedule. It is a single goroutine
 // (run), so seq and lastItems need no locking; the hhd_checkpoint_*
-// metrics it feeds live on the server as atomics because the metrics
-// registry is built before the coordinator exists.
+// metrics it feeds live in the server's registry, which is built before
+// the coordinator exists.
 type coordinator struct {
 	srv   *server
 	sink  ckpt.Sink
@@ -116,21 +116,21 @@ func (co *coordinator) encodeAndStore(marshal func() ([]byte, error), items uint
 	blob, err := marshal()
 	co.srv.obs.ckptEncode.ObserveDuration(time.Since(start))
 	if err != nil {
-		co.srv.ckptErrors.Add(1)
+		co.srv.obs.ckptErrors.Inc()
 		slog.Warn("checkpoint encode failed", "err", err)
 		return
 	}
 	seq := co.seq + 1
 	if err := co.sink.Store(seq, blob); err != nil {
-		co.srv.ckptErrors.Add(1)
+		co.srv.obs.ckptErrors.Inc()
 		slog.Warn("checkpoint store failed", "seq", seq, "err", err)
 		return
 	}
 	co.seq = seq
 	co.lastItems = items
-	co.srv.ckptTotal.Add(1)
-	co.srv.ckptLastBytes.Store(uint64(len(blob)))
-	co.srv.ckptLastSeq.Store(seq)
+	co.srv.obs.ckpt.Inc()
+	co.srv.obs.ckptLastBytes.Set(float64(len(blob)))
+	co.srv.obs.ckptLastSeq.Set(float64(seq))
 	co.srv.ckptLastUnix.Store(time.Now().UnixNano())
 	slog.Debug("checkpoint stored", "seq", seq, "bytes", len(blob), "items", items)
 }

@@ -41,11 +41,11 @@ func TestCoordinatorSnapshotSkipResume(t *testing.T) {
 
 	ingestN(t, s, 0, 500)
 	co.snapshot(false)
-	if sink.Len() != 1 || s.ckptTotal.Load() != 1 {
-		t.Fatalf("after first snapshot: %d frames, ckptTotal %d", sink.Len(), s.ckptTotal.Load())
+	if sink.Len() != 1 || s.obs.ckpt.Value() != 1 {
+		t.Fatalf("after first snapshot: %d frames, ckptTotal %d", sink.Len(), s.obs.ckpt.Value())
 	}
-	if s.ckptLastSeq.Load() != 1 || s.ckptLastBytes.Load() == 0 {
-		t.Fatalf("checkpoint metrics: seq %d, bytes %d", s.ckptLastSeq.Load(), s.ckptLastBytes.Load())
+	if uint64(s.obs.ckptLastSeq.Value()) != 1 || uint64(s.obs.ckptLastBytes.Value()) == 0 {
+		t.Fatalf("checkpoint metrics: seq %d, bytes %d", uint64(s.obs.ckptLastSeq.Value()), uint64(s.obs.ckptLastBytes.Value()))
 	}
 
 	// No new items → skip; force (the shutdown path) writes anyway.
@@ -54,8 +54,8 @@ func TestCoordinatorSnapshotSkipResume(t *testing.T) {
 		t.Fatal("no-op snapshot was not skipped")
 	}
 	co.snapshot(true)
-	if sink.Len() != 2 || s.ckptLastSeq.Load() != 2 {
-		t.Fatalf("forced snapshot: %d frames, last seq %d", sink.Len(), s.ckptLastSeq.Load())
+	if sink.Len() != 2 || uint64(s.obs.ckptLastSeq.Value()) != 2 {
+		t.Fatalf("forced snapshot: %d frames, last seq %d", sink.Len(), uint64(s.obs.ckptLastSeq.Value()))
 	}
 
 	// Resume: newest snapshot restores to an engine with the same count,
@@ -75,8 +75,8 @@ func TestCoordinatorSnapshotSkipResume(t *testing.T) {
 	co2 := newCoordinator(restored, sink, time.Hour, seq)
 	ingestN(t, restored, 500, 100)
 	co2.snapshot(false)
-	if restored.ckptLastSeq.Load() != seq+1 {
-		t.Fatalf("resumed coordinator wrote seq %d, want %d", restored.ckptLastSeq.Load(), seq+1)
+	if uint64(restored.obs.ckptLastSeq.Value()) != seq+1 {
+		t.Fatalf("resumed coordinator wrote seq %d, want %d", uint64(restored.obs.ckptLastSeq.Value()), seq+1)
 	}
 }
 
@@ -124,14 +124,14 @@ func TestCoordinatorStoreFailureIsCountedNotFatal(t *testing.T) {
 
 	sink.FailStore = errors.New("disk full")
 	co.snapshot(false)
-	if s.ckptErrors.Load() != 1 || s.ckptTotal.Load() != 0 {
-		t.Fatalf("after failed store: errors %d, total %d", s.ckptErrors.Load(), s.ckptTotal.Load())
+	if s.obs.ckptErrors.Value() != 1 || s.obs.ckpt.Value() != 0 {
+		t.Fatalf("after failed store: errors %d, total %d", s.obs.ckptErrors.Value(), s.obs.ckpt.Value())
 	}
 	// The failed sequence number is not burned: the next success is 1.
 	sink.FailStore = nil
 	co.snapshot(false)
-	if s.ckptLastSeq.Load() != 1 || sink.Len() != 1 {
-		t.Fatalf("after recovery: seq %d, frames %d", s.ckptLastSeq.Load(), sink.Len())
+	if uint64(s.obs.ckptLastSeq.Value()) != 1 || sink.Len() != 1 {
+		t.Fatalf("after recovery: seq %d, frames %d", uint64(s.obs.ckptLastSeq.Value()), sink.Len())
 	}
 }
 

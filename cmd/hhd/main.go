@@ -29,42 +29,25 @@
 //	                  (-problem minfreq|maxfreq) with its ε·m error bar
 //	GET  /point?item=N  the item's frequency estimate with the §3
 //	                  additive ε·m bound (known-length heavy hitters)
+//	GET  /stats       the engine's operational snapshot (items, len,
+//	                  eps, phi, model bits, sentinel audit)
 //	GET  /healthz     liveness: 200 whenever the process can answer
 //	GET  /readyz      readiness: 503 while draining, and on an
 //	                  aggregator until the first complete peer pull
-//	GET  /metrics     expvar: hhd.items_total, hhd.items_per_sec,
-//	                  hhd.queue_depths, hhd.model_bits, hhd.shards,
-//	                  hhd.peers, hhd.merges_total, hhd.merge_errors_total,
-//	                  hhd.merge_latency_seconds, hhd.merge_staleness_seconds,
-//	                  hhd.ingest_shed_total, hhd.votes_total,
-//	                  hhd.checkpoints_total, hhd.checkpoint_errors_total;
-//	                  with a window: hhd.window {covered, covered_min,
-//	                  covered_max, share_skew, extrapolated,
-//	                  retired_total, buckets, span_seconds}; with
-//	                  -sentinel: hhd.sentinel {sample_rate, seen_total,
-//	                  sampled_total, keys, dropped_total, checks_total,
-//	                  violations_total, observed_eps, max_observed_eps,
-//	                  incoherent}
-//	GET  /metrics?format=prometheus
-//	                  the same series in Prometheus text exposition
-//	                  format v0.0.4, plus hhd_stage_duration_seconds
-//	                  {stage=ingest_decode|enqueue_wait|batch_apply|
-//	                  report|merge|checkpoint_encode|checkpoint_decode}
-//	                  latency histograms (DESIGN.md §10), and the
-//	                  coordinator gauges hhd_checkpoint_last_bytes,
-//	                  hhd_checkpoint_last_seq, hhd_checkpoint_age_seconds
+//	GET  /metrics     every hhd_* metric family as one JSON object
+//	                  keyed by family name (README.md lists them);
+//	                  ?format=prometheus renders the same registry in
+//	                  Prometheus text exposition format v0.0.4
 //
-// Multi-tenant mode: -tenants adds a tenant-keyed engine pool behind
-// the /t/{tenant}/... route family (tenant names are URL path segments,
-// percent-escaped as needed, at most 512 bytes decoded):
-//
-//	POST /t/{tenant}/ingest      same bodies and backpressure as /ingest;
-//	                             the tenant's engine is created on first
-//	                             touch from the problem flags (serial —
-//	                             -shards does not apply per tenant)
-//	GET  /t/{tenant}/report      the tenant's heavy hitters (404 unknown)
-//	POST /t/{tenant}/checkpoint  the tenant's engine state, exportable
-//	GET  /t/{tenant}/stats       the tenant engine's operational snapshot
+// Multi-tenant mode: -tenants adds a tenant-keyed engine pool and
+// serves every engine endpoint above — ingest, report, checkpoint,
+// stats, vote, winner, extremes, point — a second time under
+// /t/{tenant}/, through the same handlers (tenant names are URL path
+// segments, percent-escaped as needed, at most 512 bytes decoded). A
+// write creates the tenant's engine on first touch from the problem
+// flags (serial — -shards does not apply per tenant); a read never
+// does, and answers 404 for an unknown tenant. A tenant checkpoint is
+// exportable through l1hh.Unmarshal.
 //
 // -tenant-budget-bits caps the summed model bits of resident engines;
 // past it the pool checkpoints least-recently-used tenants out to the
@@ -72,8 +55,8 @@
 // on their next touch. -sentinel-tenant NAME pins one tenant with an
 // accuracy sentinel at the -sentinel rate. With -checkpoint or
 // -checkpoint-dir the snapshots cover the whole pool (every
-// serializable tenant); the metrics gain hhd.pool / hhd_pool{field=...}
-// and the pool_spill / pool_revive stage histograms. -peers is
+// serializable tenant); the metrics gain hhd_pool{field=...} and the
+// pool_spill / pool_revive stage histograms. -peers is
 // incompatible: pool states are per-node and do not merge.
 //
 // Observability: -log-format text|json and -log-level pick the slog
@@ -99,9 +82,9 @@
 // -peers works for borda too). Checkpoints carry the problem (tags
 // 7–10) and /restore refuses a blob answering a different problem
 // family than the daemon was started for. With -tenants, every tenant
-// engine solves the chosen problem and the /t/{tenant}/vote, winner,
-// extremes and point twins apply; voting tenants spill and revive
-// under the shared budget like any other (DESIGN.md §14).
+// engine solves the chosen problem and /t/{tenant}/vote, winner,
+// extremes and point apply; voting tenants spill and revive under the
+// shared budget like any other (DESIGN.md §14).
 //
 // Sliding windows: -window N answers for (at least) the last N items,
 // -window-duration D for the last D of wall time (then -m is the
@@ -187,7 +170,7 @@ var (
 	ckptEveryFlag  = flag.Duration("checkpoint-every", 30*time.Second, "checkpoint coordinator snapshot interval (with -checkpoint-dir)")
 	ckptRetainFlag = flag.Int("checkpoint-retain", 4, "how many snapshots -checkpoint-dir keeps; older ones are pruned")
 	shedWaitFlag   = flag.Duration("shed-wait", 100*time.Millisecond, "how long /ingest may wait on saturated shard queues before shedding with 429 + Retry-After (0 = block indefinitely, the pre-shedding behavior)")
-	maxBodyFlag    = flag.Int64("max-ingest-bytes", 0, "largest /ingest request body in bytes; bigger requests answer 413 (0 = unlimited)")
+	maxBodyFlag    = flag.Int64("max-ingest-bytes", 0, "largest /ingest or /vote request body in bytes; bigger requests answer 413 (0 = unlimited)")
 	windowFlag     = flag.Uint64("window", 0, "count-based sliding window: report the heavy hitters of (at least) the last N items (0 = whole stream)")
 	windowDurFlag  = flag.Duration("window-duration", 0, "time-based sliding window: report the heavy hitters of (at least) the last D of wall time; -m becomes the expected items per window")
 	windowBktFlag  = flag.Int("window-buckets", 0, "window epoch granularity: the report overshoots the window by at most one epoch (0 = default 8)")
@@ -722,7 +705,7 @@ func run() error {
 		coord.wait()
 		coord.finalSnapshot()
 		slog.Info("wrote final checkpoint",
-			"dir", *ckptDirFlag, "seq", srv.ckptLastSeq.Load(), "items", finalItems())
+			"dir", *ckptDirFlag, "seq", coord.seq, "items", finalItems())
 	}
 	if *checkpointFlag != "" {
 		marshal := srv.marshalEngine

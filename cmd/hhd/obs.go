@@ -1,11 +1,11 @@
 package main
 
-// obs.go — the daemon's Prometheus-facing metrics: a per-server
-// obs.Registry carrying stage-latency histograms and scrape-time twins
-// of every hhd.* expvar gauge. The registry is per-server (unlike the
-// process-global expvar set) so tests that build several servers do not
-// collide; GET /metrics?format=prometheus serves it in text exposition
-// format v0.0.4.
+// obs.go — the daemon's metrics: one per-server obs.Registry holding
+// every hhd_* family, each registered once in newServerObs. GET
+// /metrics renders it as JSON, and ?format=prometheus as text
+// exposition format v0.0.4; both views read the same series under the
+// same names. The registry is per-server so tests that build several
+// servers do not collide.
 
 import (
 	"fmt"
@@ -46,11 +46,23 @@ type serverObs struct {
 	poolRevive   *obs.Histogram
 
 	observedEps *obs.Histogram
+
+	// Event counts and last-value gauges the handlers, the aggregator
+	// loop and the checkpoint coordinator write directly.
+	shed          *obs.Counter
+	votes         *obs.Counter
+	ckpt          *obs.Counter
+	ckptErrors    *obs.Counter
+	ckptLastBytes *obs.Gauge
+	ckptLastSeq   *obs.Gauge
+	merges        *obs.Counter
+	mergeErrors   *obs.Counter
+	mergeLatency  *obs.Gauge
 }
 
-// newServerObs builds the registry for s. Every gauge reads through
-// s.scrapeStats, so one Prometheus scrape costs at most one engine
-// barrier (shared with the expvar handler via the statsTTL cache).
+// newServerObs builds the registry for s. Every engine gauge reads
+// through s.scrapeStats, so one scrape costs at most one engine barrier
+// (the statsTTL cache).
 func newServerObs(s *server) *serverObs {
 	reg := obs.NewRegistry()
 	o := &serverObs{reg: reg}
@@ -87,24 +99,13 @@ func newServerObs(s *server) *serverObs {
 	reg.GaugeFunc("hhd_peers", "Configured aggregator peers (0 on workers).",
 		nil, func() float64 { return float64(len(s.peers)) })
 	reg.GaugeFunc("hhd_ready", "1 when /readyz answers 200, else 0.",
-		nil, func() float64 {
-			if s.isReady() {
-				return 1
-			}
-			return 0
-		})
-	reg.CounterFunc("hhd_ingest_shed_total", "Ingest requests shed with 429 on saturated shard queues (with -shed-wait).",
-		nil, func() float64 { return float64(s.shedTotal.Load()) })
-	reg.CounterFunc("hhd_votes_total", "Ballots accepted by /vote and /t/{tenant}/vote (with -problem borda|maximin).",
-		nil, func() float64 { return float64(s.votesTotal.Load()) })
-	reg.CounterFunc("hhd_checkpoint_total", "Snapshots the checkpoint coordinator stored (with -checkpoint-dir).",
-		nil, func() float64 { return float64(s.ckptTotal.Load()) })
-	reg.CounterFunc("hhd_checkpoint_errors_total", "Snapshot encodes or stores that failed.",
-		nil, func() float64 { return float64(s.ckptErrors.Load()) })
-	reg.GaugeFunc("hhd_checkpoint_last_bytes", "Size of the last stored snapshot.",
-		nil, func() float64 { return float64(s.ckptLastBytes.Load()) })
-	reg.GaugeFunc("hhd_checkpoint_last_seq", "Sequence number of the last stored snapshot.",
-		nil, func() float64 { return float64(s.ckptLastSeq.Load()) })
+		nil, func() float64 { return bit(s.isReady()) })
+	o.shed = reg.Counter("hhd_ingest_shed_total", "Ingest requests shed with 429 on saturated shard queues (with -shed-wait).", nil)
+	o.votes = reg.Counter("hhd_votes_total", "Ballots accepted by /vote and /t/{tenant}/vote (with -problem borda|maximin).", nil)
+	o.ckpt = reg.Counter("hhd_checkpoint_total", "Snapshots the checkpoint coordinator stored (with -checkpoint-dir).", nil)
+	o.ckptErrors = reg.Counter("hhd_checkpoint_errors_total", "Snapshot encodes or stores that failed.", nil)
+	o.ckptLastBytes = reg.Gauge("hhd_checkpoint_last_bytes", "Size of the last stored snapshot.", nil)
+	o.ckptLastSeq = reg.Gauge("hhd_checkpoint_last_seq", "Sequence number of the last stored snapshot.", nil)
 	reg.GaugeFunc("hhd_checkpoint_age_seconds", "Age of the last stored snapshot; -1 = never.",
 		nil, func() float64 {
 			if last := s.ckptLastUnix.Load(); last > 0 {
@@ -112,12 +113,9 @@ func newServerObs(s *server) *serverObs {
 			}
 			return -1
 		})
-	reg.CounterFunc("hhd_merges_total", "Successful checkpoint merges.",
-		nil, func() float64 { return float64(s.mergesTotal.Load()) })
-	reg.CounterFunc("hhd_merge_errors_total", "Failed checkpoint merges or pulls.",
-		nil, func() float64 { return float64(s.mergeErrors.Load()) })
-	reg.GaugeFunc("hhd_merge_latency_seconds", "Wall time of the last successful merge.",
-		nil, func() float64 { return time.Duration(s.mergeLastNano.Load()).Seconds() })
+	o.merges = reg.Counter("hhd_merges_total", "Successful checkpoint merges.", nil)
+	o.mergeErrors = reg.Counter("hhd_merge_errors_total", "Failed checkpoint merges or pulls.", nil)
+	o.mergeLatency = reg.Gauge("hhd_merge_latency_seconds", "Wall time of the last successful merge.", nil)
 	reg.GaugeFunc("hhd_merge_staleness_seconds", "Age of the last successful merge; -1 = never.",
 		nil, func() float64 {
 			if last := s.mergeLastUnix.Load(); last > 0 {
@@ -137,31 +135,28 @@ func newServerObs(s *server) *serverObs {
 		})
 
 	// The window and sentinel families only exist when the subsystem is
-	// live: SeriesFunc returning nil omits them, headers included.
+	// live: SeriesFunc returning nil omits them, headers included. Each
+	// is one family out of the shared Stats snapshot — separate barriers
+	// per field would each pay a full all-shards round trip.
+	// covered_min/covered_max/share_skew make the DESIGN.md §8 caveats
+	// observable (a stuck covered_min is a stale shard, a large
+	// share_skew a dominant item), and extrapolated says whether the
+	// report fold corrects for them.
 	reg.SeriesFunc("hhd_window", "Sliding-window coverage, labeled by field (with -window/-window-duration).",
 		obs.TypeGauge, func() []obs.Sample {
 			w := s.scrapeStats().Window
 			if w == nil {
 				return nil
 			}
-			b := func(v bool) float64 {
-				if v {
-					return 1
-				}
-				return 0
-			}
-			f := func(field string, v float64) obs.Sample {
-				return obs.Sample{Labels: obs.L("field", field), Value: v}
-			}
 			return []obs.Sample{
-				f("covered", float64(w.Covered)),
-				f("covered_min", float64(w.CoveredMin)),
-				f("covered_max", float64(w.CoveredMax)),
-				f("share_skew", w.ShareSkew),
-				f("extrapolated", b(w.Extrapolated)),
-				f("retired_total", float64(w.Retired)),
-				f("buckets", float64(w.Buckets)),
-				f("span_seconds", w.Span.Seconds()),
+				field("covered", float64(w.Covered)),
+				field("covered_min", float64(w.CoveredMin)),
+				field("covered_max", float64(w.CoveredMax)),
+				field("share_skew", w.ShareSkew),
+				field("extrapolated", bit(w.Extrapolated)),
+				field("retired_total", float64(w.Retired)),
+				field("buckets", float64(w.Buckets)),
+				field("span_seconds", w.Span.Seconds()),
 			}
 		})
 	reg.SeriesFunc("hhd_sentinel", "Accuracy sentinel audit state, labeled by field (with -sentinel).",
@@ -170,26 +165,17 @@ func newServerObs(s *server) *serverObs {
 			if sen == nil {
 				return nil
 			}
-			b := func(v bool) float64 {
-				if v {
-					return 1
-				}
-				return 0
-			}
-			f := func(field string, v float64) obs.Sample {
-				return obs.Sample{Labels: obs.L("field", field), Value: v}
-			}
 			return []obs.Sample{
-				f("sample_rate", sen.SampleRate),
-				f("seen_total", float64(sen.TotalSeen)),
-				f("sampled_total", float64(sen.Sampled)),
-				f("keys", float64(sen.Keys)),
-				f("dropped_total", float64(sen.Dropped)),
-				f("checks_total", float64(sen.Checks)),
-				f("violations_total", float64(sen.Violations)),
-				f("observed_eps", sen.ObservedEps),
-				f("max_observed_eps", sen.MaxObservedEps),
-				f("incoherent", b(sen.Incoherent)),
+				field("sample_rate", sen.SampleRate),
+				field("seen_total", float64(sen.TotalSeen)),
+				field("sampled_total", float64(sen.Sampled)),
+				field("keys", float64(sen.Keys)),
+				field("dropped_total", float64(sen.Dropped)),
+				field("checks_total", float64(sen.Checks)),
+				field("violations_total", float64(sen.Violations)),
+				field("observed_eps", sen.ObservedEps),
+				field("max_observed_eps", sen.MaxObservedEps),
+				field("incoherent", bit(sen.Incoherent)),
 			}
 		})
 	// The multi-tenant pool's occupancy (with -tenants): nil without a
@@ -202,21 +188,18 @@ func newServerObs(s *server) *serverObs {
 				return nil
 			}
 			st := p.Stats()
-			f := func(field string, v float64) obs.Sample {
-				return obs.Sample{Labels: obs.L("field", field), Value: v}
-			}
 			return []obs.Sample{
-				f("tenants_live", float64(st.TenantsLive)),
-				f("tenants_spilled", float64(st.TenantsSpilled)),
-				f("tenants_pinned", float64(st.TenantsPinned)),
-				f("model_bits_in_use", float64(st.ModelBitsInUse)),
-				f("budget_bits", float64(st.BudgetBits)),
-				f("evictions_total", float64(st.Evictions)),
-				f("revives_total", float64(st.Revives)),
-				f("spill_errors_total", float64(st.SpillErrors)),
-				f("tenants_created_total", float64(st.TenantsCreated)),
-				f("spilled_bytes", float64(st.SpilledBytes)),
-				f("items_total", float64(st.Items)),
+				field("tenants_live", float64(st.TenantsLive)),
+				field("tenants_spilled", float64(st.TenantsSpilled)),
+				field("tenants_pinned", float64(st.TenantsPinned)),
+				field("model_bits_in_use", float64(st.ModelBitsInUse)),
+				field("budget_bits", float64(st.BudgetBits)),
+				field("evictions_total", float64(st.Evictions)),
+				field("revives_total", float64(st.Revives)),
+				field("spill_errors_total", float64(st.SpillErrors)),
+				field("tenants_created_total", float64(st.TenantsCreated)),
+				field("spilled_bytes", float64(st.SpilledBytes)),
+				field("items_total", float64(st.Items)),
 			}
 		})
 	reg.CounterFunc("hhd_guarantee_violations_total",
@@ -229,6 +212,20 @@ func newServerObs(s *server) *serverObs {
 		})
 
 	return o
+}
+
+// field is one series of a family labeled by field (hhd_window,
+// hhd_sentinel, hhd_pool).
+func field(name string, v float64) obs.Sample {
+	return obs.Sample{Labels: obs.L("field", name), Value: v}
+}
+
+// bit renders a boolean as a 0/1 sample value.
+func bit(v bool) float64 {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // ingestTimings are the engine-level stage hooks this registry feeds;
@@ -259,18 +256,16 @@ func (o *serverObs) observeSentinel(st l1hh.Stats) {
 	}
 }
 
-// handleMetrics serves GET /metrics: the expvar JSON view by default,
-// Prometheus text exposition format with ?format=prometheus.
-func (s *server) handleMetrics(expvarHandler http.Handler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") != "prometheus" {
-			expvarHandler.ServeHTTP(w, r)
-			return
-		}
+// handleMetrics serves GET /metrics from the server's registry: JSON
+// by default, Prometheus text exposition format with
+// ?format=prometheus. A failed write means the client is gone; there is
+// nothing useful left to send.
+func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Query().Get("format") == "prometheus" {
 		w.Header().Set("Content-Type", obs.ContentType)
-		if err := s.obs.reg.WritePrometheus(w); err != nil {
-			// The connection is gone; nothing useful to send.
-			return
-		}
+		s.obs.reg.WritePrometheus(w)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	s.obs.reg.WriteJSON(w)
 }

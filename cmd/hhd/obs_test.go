@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -212,47 +215,63 @@ func TestPrometheusOmitsDormantFamilies(t *testing.T) {
 	}
 }
 
-// TestPrometheusTwinsExpvar pins the mapping between the expvar JSON
-// view and the Prometheus families: every hhd.* key a dashboard might
-// already graph has a prometheus counterpart.
-func TestPrometheusTwinsExpvar(t *testing.T) {
+// TestMetricsViewsAgree: the JSON view of /metrics and the Prometheus
+// exposition render one registry, so every family appears under the
+// same name in both, and both carry the same values.
+func TestMetricsViewsAgree(t *testing.T) {
 	const m = 20_000
 	s, err := newServer(sentinelSpec(m, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.engine().Close() })
+	p, err := l1hh.NewPool(tenantDefaults(), l1hh.WithPoolObserver(s.obs.poolTimings()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.enablePool(p)
+	t.Cleanup(func() {
+		p.Close()
+		s.engine().Close()
+	})
 	do(t, s, "POST", "/ingest", "application/octet-stream", binaryBody(plantedStream(m)))
 	do(t, s, "GET", "/report", "", nil)
+	feedTenantHTTP(t, s, "alice", 42)
 
 	w := do(t, s, "GET", "/metrics", "", nil)
 	if w.Code != http.StatusOK {
-		t.Fatalf("expvar scrape status %d", w.Code)
+		t.Fatalf("JSON scrape status %d", w.Code)
 	}
-	expvarBody := w.Body.String()
+	var view map[string]json.RawMessage
+	if err := json.Unmarshal(w.Body.Bytes(), &view); err != nil {
+		t.Fatalf("JSON view does not parse: %v\n%s", err, w.Body)
+	}
 	sc := scrapePrometheus(t, s)
-
-	twins := map[string]string{
-		"hhd.items_total":             "hhd_items_total",
-		"hhd.items_per_sec":           "hhd_items_per_sec",
-		"hhd.queue_depths":            "hhd_queue_depth",
-		"hhd.model_bits":              "hhd_model_bits",
-		"hhd.shards":                  "hhd_shards",
-		"hhd.uptime_seconds":          "hhd_uptime_seconds",
-		"hhd.peers":                   "hhd_peers",
-		"hhd.merges_total":            "hhd_merges_total",
-		"hhd.merge_errors_total":      "hhd_merge_errors_total",
-		"hhd.merge_latency_seconds":   "hhd_merge_latency_seconds",
-		"hhd.merge_staleness_seconds": "hhd_merge_staleness_seconds",
-		"hhd.sentinel":                "hhd_sentinel",
+	jsonFamilies := slices.Sorted(maps.Keys(view))
+	if promFamilies := sc.families(); !slices.Equal(jsonFamilies, promFamilies) {
+		t.Fatalf("family sets differ:\njson       %v\nprometheus %v", jsonFamilies, promFamilies)
 	}
-	for expvarKey, family := range twins {
-		if !strings.Contains(expvarBody, `"`+expvarKey+`"`) {
-			t.Errorf("expvar view lost %q", expvarKey)
+	for _, f := range []string{"hhd_sentinel", "hhd_pool", "hhd_queue_depth", "hhd_stage_duration_seconds"} {
+		if _, ok := view[f]; !ok {
+			t.Errorf("scenario did not exercise %s", f)
 		}
-		if _, ok := sc.types[family]; !ok {
-			t.Errorf("expvar %q has no prometheus twin %q", expvarKey, family)
-		}
+	}
+
+	// Values the scrapes cannot move between the two reads agree too.
+	var scalar struct {
+		Items  float64 `json:"hhd_items_total"`
+		Bits   float64 `json:"hhd_model_bits"`
+		Shards float64 `json:"hhd_shards"`
+	}
+	json.Unmarshal(w.Body.Bytes(), &scalar)
+	if scalar.Items != sc.samples["hhd_items_total"] || scalar.Bits != sc.samples["hhd_model_bits"] ||
+		scalar.Shards != sc.samples["hhd_shards"] {
+		t.Errorf("scalar values differ: json %+v, prometheus items %v bits %v shards %v", scalar,
+			sc.samples["hhd_items_total"], sc.samples["hhd_model_bits"], sc.samples["hhd_shards"])
+	}
+	var stages map[string]struct{ Count float64 }
+	json.Unmarshal(view["hhd_stage_duration_seconds"], &stages)
+	if got, want := stages["report"].Count, sc.samples[`hhd_stage_duration_seconds_count{stage="report"}`]; got != want || got < 1 {
+		t.Errorf("report stage count: json %v, prometheus %v", got, want)
 	}
 }
 

@@ -147,7 +147,7 @@ func TestTenantRoutes(t *testing.T) {
 	}
 	eng.Close()
 
-	var st tenantStatsResponse
+	var st statsResponse
 	w = do(t, s, "GET", "/t/alice/stats", "", nil)
 	if w.Code != http.StatusOK {
 		t.Fatalf("tenant stats: %d: %s", w.Code, w.Body)
@@ -191,7 +191,7 @@ func TestPoolE2EManyTenants(t *testing.T) {
 	// Probe one tenant's footprint to size the budget in model bits.
 	probe := newTestPoolServer(t)
 	feedTenantHTTP(t, probe, "probe", 1)
-	var pst tenantStatsResponse
+	var pst statsResponse
 	if err := json.Unmarshal(do(t, probe, "GET", "/t/probe/stats", "", nil).Body.Bytes(), &pst); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestPoolE2EManyTenants(t *testing.T) {
 
 	// The sentinel tenant stayed pinned and audited cleanly.
 	decodeReport(t, do(t, s, "GET", "/t/audit/report", "", nil))
-	var ast tenantStatsResponse
+	var ast statsResponse
 	if err := json.Unmarshal(do(t, s, "GET", "/t/audit/stats", "", nil).Body.Bytes(), &ast); err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +252,11 @@ func TestPoolE2EManyTenants(t *testing.T) {
 		t.Fatalf("metrics not JSON: %v", err)
 	}
 	var poolVars map[string]float64
-	if err := json.Unmarshal(vars["hhd.pool"], &poolVars); err != nil {
-		t.Fatalf("hhd.pool = %s (err %v)", vars["hhd.pool"], err)
+	if err := json.Unmarshal(vars["hhd_pool"], &poolVars); err != nil {
+		t.Fatalf("hhd_pool = %s (err %v)", vars["hhd_pool"], err)
 	}
 	if poolVars["evictions_total"] == 0 || poolVars["revives_total"] == 0 {
-		t.Fatalf("hhd.pool lifecycle counters flat: %v", poolVars)
+		t.Fatalf("hhd_pool lifecycle counters flat: %v", poolVars)
 	}
 	prom := do(t, s, "GET", "/metrics?format=prometheus", "", nil).Body.String()
 	for _, want := range []string{
@@ -287,12 +287,12 @@ func TestPoolCoordinatorResume(t *testing.T) {
 	}
 	co := newCoordinator(s, sink, 0, 0)
 	co.snapshot(true)
-	if got := s.ckptTotal.Load(); got != 1 {
+	if got := s.obs.ckpt.Value(); got != 1 {
 		t.Fatalf("snapshot not stored: total = %d", got)
 	}
 	// No new items: the next periodic snapshot is skipped.
 	co.snapshot(false)
-	if got := s.ckptTotal.Load(); got != 1 {
+	if got := s.obs.ckpt.Value(); got != 1 {
 		t.Fatalf("idle pool snapshot not skipped: total = %d", got)
 	}
 

@@ -78,7 +78,7 @@ func TestVoteAndWinner(t *testing.T) {
 	}
 
 	// The ballot counter feeds the metrics.
-	if got := s.votesTotal.Load(); got != 45 {
+	if got := s.obs.votes.Value(); got != 45 {
 		t.Fatalf("votesTotal = %d, want 45", got)
 	}
 }

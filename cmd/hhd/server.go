@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -59,8 +58,8 @@ type server struct {
 
 	start time.Time
 
-	// obs is the per-server Prometheus registry and its stage-latency
-	// histograms; the engine spec's ingest observer feeds it.
+	// obs is the per-server metrics registry and the handles the
+	// handlers write; the engine spec's ingest observer feeds it too.
 	obs *serverObs
 
 	// ready gates /readyz: true once the server can answer meaningful
@@ -82,9 +81,9 @@ type server struct {
 	lastRate   float64
 
 	// One engine Stats barrier serves every gauge of a metrics scrape:
-	// the expvar handler reads each published Func independently, so
-	// without the cache a single GET /metrics would pay one all-shards
-	// barrier per gauge.
+	// the registry reads each GaugeFunc independently, so without the
+	// cache a single GET /metrics would pay one all-shards barrier per
+	// gauge.
 	statsMu    sync.Mutex
 	statsAt    time.Time
 	statsCache l1hh.Stats
@@ -99,37 +98,20 @@ type server struct {
 	// enablePool before the server starts serving, never swapped.
 	pool *l1hh.Pool
 
-	// Cluster-merge metrics: counts cover both POST /merge and the
-	// aggregator loop; latency is the last successful merge's wall time;
-	// staleness derives from the last success timestamp.
-	mergesTotal   atomic.Uint64
-	mergeErrors   atomic.Uint64
-	mergeLastNano atomic.Int64 // duration of the last successful merge
-	mergeLastUnix atomic.Int64 // UnixNano of the last successful merge; 0 = never
-
-	// votesTotal counts ballots accepted by /vote and /t/{tenant}/vote
-	// (hhd.votes_total / hhd_votes_total).
-	votesTotal atomic.Uint64
-
 	// Load shedding (-shed-wait): how long an ingest request may wait on
-	// saturated shard queues before answering 429, and how often that
-	// happened. Zero keeps the legacy blocking backpressure.
-	shedWait  time.Duration
-	shedTotal atomic.Uint64
+	// saturated shard queues before answering 429. Zero keeps the legacy
+	// blocking backpressure.
+	shedWait time.Duration
 
-	// maxIngestBytes bounds one /ingest body (0 = unlimited); oversized
-	// requests answer 413 instead of streaming forever.
+	// maxIngestBytes bounds one /ingest or /vote body (0 = unlimited);
+	// oversized requests answer 413 instead of streaming forever.
 	maxIngestBytes int64
 
-	// Checkpoint-coordinator metrics (-checkpoint-dir): written by the
-	// coordinator goroutine, read by the hhd_checkpoint_* gauges. They
-	// live on the server (not the coordinator) because the registry is
-	// built before the coordinator exists.
-	ckptTotal     atomic.Uint64
-	ckptErrors    atomic.Uint64
-	ckptLastBytes atomic.Uint64
-	ckptLastSeq   atomic.Uint64
-	ckptLastUnix  atomic.Int64 // UnixNano of the last stored snapshot; 0 = never
+	// When the last merge succeeded and the last snapshot was stored
+	// (UnixNano; 0 = never): the age gauges derive from them at scrape
+	// time. The counts themselves live in obs.
+	mergeLastUnix atomic.Int64
+	ckptLastUnix  atomic.Int64
 }
 
 // ingestBatchSize is how many items ingest hands to InsertBatch at once.
@@ -162,179 +144,8 @@ const maxSnapshotBody = 1 << 30
 const maxLineCount = 1 << 24
 
 // statsTTL is how long a metrics-scrape Stats snapshot is reused; it
-// spans one expvar handler pass without making dashboards visibly stale.
+// spans one registry pass without making dashboards visibly stale.
 const statsTTL = 250 * time.Millisecond
-
-// activeServer lets the process-wide expvar funcs (expvar registration
-// is global and permanent) follow the live server, including across
-// tests that build several servers.
-var activeServer atomic.Pointer[server]
-
-var publishOnce sync.Once
-
-func publishMetrics() {
-	get := func() *server { return activeServer.Load() }
-	expvar.Publish("hhd.items_total", expvar.Func(func() any {
-		if s := get(); s != nil {
-			return s.scrapeStats().Items
-		}
-		return 0
-	}))
-	expvar.Publish("hhd.items_per_sec", expvar.Func(func() any {
-		if s := get(); s != nil {
-			return s.itemsPerSec()
-		}
-		return 0.0
-	}))
-	expvar.Publish("hhd.queue_depths", expvar.Func(func() any {
-		if s := get(); s != nil {
-			if d := s.scrapeStats().QueueDepths; d != nil {
-				return d
-			}
-		}
-		return []int{}
-	}))
-	expvar.Publish("hhd.model_bits", expvar.Func(func() any {
-		if s := get(); s != nil {
-			return s.scrapeStats().ModelBits
-		}
-		return 0
-	}))
-	expvar.Publish("hhd.shards", expvar.Func(func() any {
-		if s := get(); s != nil {
-			return s.scrapeStats().Shards
-		}
-		return 0
-	}))
-	expvar.Publish("hhd.uptime_seconds", expvar.Func(func() any {
-		if s := get(); s != nil {
-			return time.Since(s.start).Seconds()
-		}
-		return 0.0
-	}))
-	expvar.Publish("hhd.peers", expvar.Func(func() any {
-		if s := get(); s != nil {
-			return len(s.peers)
-		}
-		return 0
-	}))
-	expvar.Publish("hhd.votes_total", expvar.Func(func() any {
-		if s := get(); s != nil {
-			return s.votesTotal.Load()
-		}
-		return 0
-	}))
-	expvar.Publish("hhd.ingest_shed_total", expvar.Func(func() any {
-		if s := get(); s != nil {
-			return s.shedTotal.Load()
-		}
-		return 0
-	}))
-	expvar.Publish("hhd.checkpoints_total", expvar.Func(func() any {
-		if s := get(); s != nil {
-			return s.ckptTotal.Load()
-		}
-		return 0
-	}))
-	expvar.Publish("hhd.checkpoint_errors_total", expvar.Func(func() any {
-		if s := get(); s != nil {
-			return s.ckptErrors.Load()
-		}
-		return 0
-	}))
-	expvar.Publish("hhd.merges_total", expvar.Func(func() any {
-		if s := get(); s != nil {
-			return s.mergesTotal.Load()
-		}
-		return 0
-	}))
-	expvar.Publish("hhd.merge_errors_total", expvar.Func(func() any {
-		if s := get(); s != nil {
-			return s.mergeErrors.Load()
-		}
-		return 0
-	}))
-	expvar.Publish("hhd.merge_latency_seconds", expvar.Func(func() any {
-		if s := get(); s != nil {
-			return time.Duration(s.mergeLastNano.Load()).Seconds()
-		}
-		return 0.0
-	}))
-	expvar.Publish("hhd.merge_staleness_seconds", expvar.Func(func() any {
-		if s := get(); s != nil {
-			if last := s.mergeLastUnix.Load(); last > 0 {
-				return time.Since(time.Unix(0, last)).Seconds()
-			}
-		}
-		return -1.0
-	}))
-	// One composite gauge out of the shared Stats snapshot — separate
-	// barriers per field would each pay a full all-shards round-trip.
-	// covered_min/covered_max/share_skew make the DESIGN.md §8 caveats
-	// observable (a stuck covered_min is a stale shard, a large
-	// share_skew a dominant item), and extrapolated says whether the
-	// report fold corrects for them.
-	expvar.Publish("hhd.window", expvar.Func(func() any {
-		if s := get(); s != nil {
-			if st := s.scrapeStats().Window; st != nil {
-				return map[string]any{
-					"covered":       st.Covered,
-					"covered_min":   st.CoveredMin,
-					"covered_max":   st.CoveredMax,
-					"share_skew":    st.ShareSkew,
-					"extrapolated":  st.Extrapolated,
-					"retired_total": st.Retired,
-					"buckets":       st.Buckets,
-					"span_seconds":  st.Span.Seconds(),
-				}
-			}
-		}
-		return nil
-	}))
-	// The multi-tenant pool's occupancy (with -tenants): null without a
-	// pool, one composite gauge otherwise — pool.Stats is cheap (a mutex,
-	// no engine barrier), so it takes no part in the statsTTL cache.
-	expvar.Publish("hhd.pool", expvar.Func(func() any {
-		if s := get(); s != nil && s.pool != nil {
-			st := s.pool.Stats()
-			return map[string]any{
-				"tenants_live":          st.TenantsLive,
-				"tenants_spilled":       st.TenantsSpilled,
-				"tenants_pinned":        st.TenantsPinned,
-				"model_bits_in_use":     st.ModelBitsInUse,
-				"budget_bits":           st.BudgetBits,
-				"evictions_total":       st.Evictions,
-				"revives_total":         st.Revives,
-				"spill_errors_total":    st.SpillErrors,
-				"tenants_created_total": st.TenantsCreated,
-				"spilled_bytes":         st.SpilledBytes,
-				"items_total":           st.Items,
-			}
-		}
-		return nil
-	}))
-	// The accuracy sentinel's audit state (with -sentinel), the same
-	// composite-out-of-one-barrier shape as hhd.window.
-	expvar.Publish("hhd.sentinel", expvar.Func(func() any {
-		if s := get(); s != nil {
-			if sen := s.scrapeStats().Sentinel; sen != nil {
-				return map[string]any{
-					"sample_rate":      sen.SampleRate,
-					"seen_total":       sen.TotalSeen,
-					"sampled_total":    sen.Sampled,
-					"keys":             sen.Keys,
-					"dropped_total":    sen.Dropped,
-					"checks_total":     sen.Checks,
-					"violations_total": sen.Violations,
-					"observed_eps":     sen.ObservedEps,
-					"max_observed_eps": sen.MaxObservedEps,
-					"incoherent":       sen.Incoherent,
-				}
-			}
-		}
-		return nil
-	}))
-}
 
 // newServer builds the engine for spec and the routing table.
 func newServer(spec engineSpec) (*server, error) {
@@ -352,24 +163,61 @@ func newServer(spec engineSpec) (*server, error) {
 // the ingest observer) are re-applied to the restored container.
 func newServerFromCheckpoint(spec engineSpec, blob []byte) (*server, error) {
 	s := newShell(spec)
+	eng, err := s.unmarshal(blob)
+	if err != nil {
+		return nil, err
+	}
+	s.finish(eng)
+	return s, nil
+}
+
+// unmarshal decodes a checkpoint into an engine this daemon can serve —
+// the one restore gate, shared by startup and /restore. In problem mode
+// every engine access serializes anyway, so a single-owner engine is
+// fine as long as it answers the problem family the flags asked for;
+// the default daemon serves concurrent producers, so a checkpoint that
+// restores to a single-owner solver (a serial or un-sharded windowed
+// state) must not be served behind HTTP.
+func (s *server) unmarshal(blob []byte) (l1hh.HeavyHitters, error) {
+	start := time.Now()
 	eng, err := l1hh.Unmarshal(blob, s.spec.restore...)
 	if err != nil {
 		return nil, err
 	}
-	if spec.problem != l1hh.HeavyHittersProblem {
-		// Problem mode runs a single-owner engine anyway (handlers
-		// serialize); the blob just has to answer the same problem family
-		// the flags asked for.
-		if got, want := problemKind(eng), kindForProblem(spec.problem); got != want {
+	s.obs.ckptDecode.ObserveDuration(time.Since(start))
+	if s.spec.problem != l1hh.HeavyHittersProblem {
+		if got, want := problemKind(eng), kindForProblem(s.spec.problem); got != want {
 			eng.Close()
-			return nil, fmt.Errorf("checkpoint restores to a %s engine; -problem %s needs a %s engine", got, spec.problem, want)
+			return nil, fmt.Errorf("checkpoint restores to a %s engine; -problem %s needs a %s engine", got, s.spec.problem, want)
 		}
 	} else if _, ok := eng.(l1hh.Sharder); !ok {
 		eng.Close()
 		return nil, errors.New("checkpoint restores to a single-owner solver; hhd needs a sharded container")
 	}
-	s.finish(eng)
-	return s, nil
+	return eng, nil
+}
+
+// swap installs eng as the serving engine (/restore, the aggregator's
+// pull cycle) and closes the one it replaces. The write lock waits out
+// every withEngine call in flight — an ingest batch, a merge, a report
+// — so none of them runs on a closed engine. The items/sec baseline
+// and the stats snapshot restart from eng: the swapped-in counter may
+// be far below the old one, and a uint64 delta would wrap into an
+// absurd rate.
+func (s *server) swap(eng l1hh.HeavyHitters) l1hh.Stats {
+	st := eng.Stats()
+	s.mu.Lock()
+	old := s.eng
+	s.eng = eng
+	s.mu.Unlock()
+	old.Close()
+	s.rateMu.Lock()
+	s.lastItems, s.lastScrape, s.lastRate = st.Items, time.Now(), 0
+	s.rateMu.Unlock()
+	s.statsMu.Lock()
+	s.statsAt = time.Time{}
+	s.statsMu.Unlock()
+	return st
 }
 
 // problemKind classifies an engine by the capability it answers — the
@@ -425,21 +273,28 @@ func (s *server) finish(eng l1hh.HeavyHitters) {
 	s.serialEng = !sharded
 	s.lastScrape = s.start
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /ingest", s.handleIngest)
-	s.mux.HandleFunc("GET /report", s.handleReport)
-	s.mux.HandleFunc("POST /checkpoint", s.handleCheckpoint)
+	s.routeEngine("")
 	s.mux.HandleFunc("POST /merge", s.handleMerge)
 	s.mux.HandleFunc("POST /restore", s.handleRestore)
-	s.mux.HandleFunc("POST /vote", s.handleVote)
-	s.mux.HandleFunc("GET /winner", s.handleWinner)
-	s.mux.HandleFunc("GET /extremes", s.handleExtremes)
-	s.mux.HandleFunc("GET /point", s.handlePoint)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.Handle("GET /metrics", s.handleMetrics(expvar.Handler()))
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.ready.Store(true)
-	activeServer.Store(s)
-	publishOnce.Do(publishMetrics)
+}
+
+// routeEngine registers the engine endpoints under prefix: "" for the
+// default engine (finish), "/t/{tenant}" for the pool's tenants
+// (enablePool). Each handler resolves its engine through s.target, so
+// the two route families share one implementation.
+func (s *server) routeEngine(prefix string) {
+	s.mux.HandleFunc("POST "+prefix+"/ingest", s.handleIngest)
+	s.mux.HandleFunc("GET "+prefix+"/report", s.handleReport)
+	s.mux.HandleFunc("POST "+prefix+"/checkpoint", s.handleCheckpoint)
+	s.mux.HandleFunc("GET "+prefix+"/stats", s.handleStats)
+	s.mux.HandleFunc("POST "+prefix+"/vote", s.handleVote)
+	s.mux.HandleFunc("GET "+prefix+"/winner", s.handleWinner)
+	s.mux.HandleFunc("GET "+prefix+"/extremes", s.handleExtremes)
+	s.mux.HandleFunc("GET "+prefix+"/point", s.handlePoint)
 }
 
 // ServeHTTP wraps the routing table in the access log: every request
@@ -520,7 +375,7 @@ func (s *server) engineStats() l1hh.Stats {
 }
 
 // marshalEngine snapshots the live engine's serialized state under
-// withEngine's discipline (/checkpoint, the coordinator).
+// withEngine's discipline (the coordinator, the shutdown checkpoint).
 func (s *server) marshalEngine() ([]byte, error) {
 	var (
 		blob []byte
@@ -573,18 +428,6 @@ func (s *server) itemsPerSec() float64 {
 	return rate
 }
 
-// resetRate re-baselines the items/sec computation and drops the stats
-// snapshot after an engine swap: the swapped-in counter may be far below
-// the old one, and a uint64 delta would wrap into an absurd items/sec.
-func (s *server) resetRate(items uint64) {
-	s.rateMu.Lock()
-	s.lastItems, s.lastScrape, s.lastRate = items, time.Now(), 0
-	s.rateMu.Unlock()
-	s.statsMu.Lock()
-	s.statsAt = time.Time{}
-	s.statsMu.Unlock()
-}
-
 // shutdown stops accepting state changes and drains the engine so the
 // final report/checkpoint reflect every accepted item.
 func (s *server) shutdown() error {
@@ -602,6 +445,105 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// target is the engine one request addresses: the default engine on
+// the root routes, the named tenant's engine under /t/{tenant}. Its
+// operations take the engine under the discipline its owner needs —
+// withEngine for the default engine, the tenant's serialization inside
+// the pool — and never hand it out, so an engine swap or a spill can
+// never close an engine a handler still holds.
+type target struct {
+	s      *server
+	tenant string // "" on the root routes
+}
+
+func (s *server) target(r *http.Request) target {
+	return target{s: s, tenant: r.PathValue("tenant")}
+}
+
+// String names the target in error messages.
+func (t target) String() string {
+	if t.tenant == "" {
+		return "this engine"
+	}
+	return fmt.Sprintf("tenant %q", t.tenant)
+}
+
+// view runs f over the engine without ever creating one: a tenant never
+// written to answers ErrUnknownTenant, and a spilled one is revived.
+func (t target) view(f func(eng l1hh.HeavyHitters)) error {
+	if t.tenant == "" {
+		t.s.withEngine(f)
+		return nil
+	}
+	return t.s.pool.View(t.tenant, func(eng l1hh.HeavyHitters) error {
+		f(eng)
+		return nil
+	})
+}
+
+// insert applies one ingest batch, creating the tenant's engine on
+// first touch. With -shed-wait the wait is bounded: a saturated shard
+// queue answers ErrSaturated, a tenant engine that stays busy
+// ErrTenantBusy.
+func (t target) insert(batch []l1hh.Item) error {
+	s := t.s
+	if t.tenant != "" {
+		if s.shedWait > 0 {
+			return s.pool.InsertBatchBounded(t.tenant, batch, s.shedWait)
+		}
+		return s.pool.InsertBatch(t.tenant, batch)
+	}
+	var err error
+	s.withEngine(func(eng l1hh.HeavyHitters) {
+		if sh, ok := eng.(l1hh.Shedder); ok && s.shedWait > 0 {
+			err = sh.InsertBatchBounded(batch, s.shedWait)
+			return
+		}
+		err = eng.InsertBatch(batch)
+	})
+	return err
+}
+
+// vote counts one ballot, creating the tenant's engine on first touch;
+// ErrNotRankings when the engine does not aggregate ballots.
+func (t target) vote(rk l1hh.Ranking) error {
+	if t.tenant != "" {
+		return t.s.pool.Vote(t.tenant, rk)
+	}
+	err := l1hh.ErrNotRankings
+	t.s.withEngine(func(eng l1hh.HeavyHitters) {
+		if v, ok := eng.(l1hh.Voter); ok {
+			err = v.Vote(rk)
+		}
+	})
+	return err
+}
+
+// tenantError maps the pool tier's error vocabulary onto HTTP statuses
+// for a target that could not be resolved.
+func tenantError(w http.ResponseWriter, tenant string, err error) {
+	switch {
+	case errors.Is(err, l1hh.ErrUnknownTenant):
+		httpError(w, http.StatusNotFound, "unknown tenant %q", tenant)
+	case errors.Is(err, l1hh.ErrInvalidTenant):
+		httpError(w, http.StatusBadRequest,
+			"invalid tenant name (want 1..%d bytes)", l1hh.MaxTenantName)
+	case errors.Is(err, l1hh.ErrTenantBusy):
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusTooManyRequests, "tenant %q busy; retry", tenant)
+	default:
+		httpError(w, http.StatusInternalServerError, "tenant %q: %v", tenant, err)
+	}
+}
+
+// ingestBody is the request body under the -max-ingest-bytes limit.
+func (s *server) ingestBody(w http.ResponseWriter, r *http.Request) io.Reader {
+	if s.maxIngestBytes > 0 {
+		return http.MaxBytesReader(w, r.Body, s.maxIngestBytes)
+	}
+	return r.Body
+}
+
 // handleIngest accepts a batch of items. Two body formats:
 //
 //   - application/octet-stream: consecutive little-endian uint64 ids.
@@ -613,51 +555,16 @@ func writeJSON(w http.ResponseWriter, v any) {
 // zero keeps the legacy behavior (a full shard queue blocks the
 // request); positive bounds the wait, after which the request is shed
 // with 429 + Retry-After and an "accepted" count so a client can trim
-// its acknowledged prefix before retrying (DESIGN.md §12). Bodies over
-// -max-ingest-bytes answer 413.
+// its acknowledged prefix before retrying (DESIGN.md §12). A bounded
+// wait that expires surfaces as 429 whether the engine's shard queues
+// stayed saturated (ErrSaturated) or the tenant's engine stayed busy
+// (ErrTenantBusy). Bodies over -max-ingest-bytes answer 413.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.rejectOnAggregator(w) {
 		return
 	}
-	var insert func([]l1hh.Item) error
-	if s.serialEng {
-		// Single-owner engine: each batch takes the write lock. The
-		// Shedder capability still applies when the engine offers it.
-		insert = func(batch []l1hh.Item) error {
-			var err error
-			s.withEngine(func(eng l1hh.HeavyHitters) {
-				if sh, ok := eng.(l1hh.Shedder); ok && s.shedWait > 0 {
-					err = sh.InsertBatchBounded(batch, s.shedWait)
-					return
-				}
-				err = eng.InsertBatch(batch)
-			})
-			return err
-		}
-	} else {
-		eng := s.engine()
-		insert = eng.InsertBatch
-		if s.shedWait > 0 {
-			if sh, ok := eng.(l1hh.Shedder); ok {
-				wait := s.shedWait
-				insert = func(batch []l1hh.Item) error { return sh.InsertBatchBounded(batch, wait) }
-			}
-		}
-	}
-	s.serveIngest(w, r, insert)
-}
-
-// serveIngest decodes one ingest body and feeds it through insert,
-// sharing the format negotiation, body limit and error vocabulary
-// between the single-tenant route and the /t/{tenant} family. A bounded
-// wait that expires surfaces as 429 whether the engine's shard queues
-// stayed saturated (ErrSaturated) or the tenant's engine stayed busy
-// (ErrTenantBusy).
-func (s *server) serveIngest(w http.ResponseWriter, r *http.Request, insert func([]l1hh.Item) error) {
-	body := r.Body
-	if s.maxIngestBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxIngestBytes)
-	}
+	insert := s.target(r).insert
+	body := s.ingestBody(w, r)
 	ct := r.Header.Get("Content-Type")
 	var (
 		accepted uint64
@@ -684,7 +591,7 @@ func (s *server) serveIngest(w http.ResponseWriter, r *http.Request, insert func
 			// counts fully applied chunks — the saturated chunk may have
 			// partially enqueued, which is why delivery is at-least-once,
 			// not exactly-once, across a retry.
-			s.shedTotal.Add(1)
+			s.obs.shed.Inc()
 			w.Header().Set("Retry-After", "1")
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusTooManyRequests)
@@ -751,6 +658,59 @@ func ingestBinary(insert func([]l1hh.Item) error, body io.Reader) (uint64, error
 	return accepted + uint64(len(batch)), nil
 }
 
+// eachLine calls fn with every non-blank line of an NDJSON body,
+// trimmed, and prefixes fn's error with the line number; buf is the
+// scanner's initial buffer. A last line without a newline counts only
+// at a clean EOF. After a failed read — a body cut by -max-ingest-bytes
+// or a dropped connection — the unterminated tail is a fragment of
+// whatever the client sent, so eachLine stops with the read error
+// instead of handing the fragment to fn.
+func eachLine(body io.Reader, buf []byte, fn func(line string) error) error {
+	rd := &failedRead{r: body}
+	sc := bufio.NewScanner(rd)
+	sc.Buffer(buf[:0], 1<<20)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		// The scanner reports atEOF after any read error, not only io.EOF.
+		return bufio.ScanLines(data, atEOF && rd.err == nil)
+	})
+	for lineno := 1; sc.Scan(); lineno++ {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		if err := fn(line); err != nil {
+			return fmt.Errorf("line %d: %w", lineno, err)
+		}
+	}
+	return sc.Err()
+}
+
+// failedRead remembers the first read error other than io.EOF.
+type failedRead struct {
+	r   io.Reader
+	err error
+}
+
+func (f *failedRead) Read(p []byte) (int, error) {
+	n, err := f.r.Read(p)
+	if err != nil && err != io.EOF && f.err == nil {
+		f.err = err
+	}
+	return n, err
+}
+
+// lineCount resolves an NDJSON line's optional "count": absent means
+// once, and one line may not expand past maxLineCount.
+func lineCount(count *uint64) (uint64, error) {
+	switch {
+	case count == nil:
+		return 1, nil
+	case *count > maxLineCount:
+		return 0, fmt.Errorf("count %d exceeds limit %d", *count, maxLineCount)
+	}
+	return *count, nil
+}
+
 // ndjsonLine is the object form of an ingest line. Count is a pointer
 // so an explicit "count": 0 (a no-op record) is distinct from an absent
 // count (insert once).
@@ -762,8 +722,6 @@ type ndjsonLine struct {
 func ingestNDJSON(insert func([]l1hh.Item) error, body io.Reader) (uint64, error) {
 	bufs := ingestPool.Get().(*ingestBuffers)
 	defer ingestPool.Put(bufs)
-	sc := bufio.NewScanner(body)
-	sc.Buffer(bufs.buf[:0], 1<<20)
 	batch := bufs.batch[:0]
 	var accepted uint64
 	flush := func() error {
@@ -779,43 +737,31 @@ func ingestNDJSON(insert func([]l1hh.Item) error, body io.Reader) (uint64, error
 		batch = batch[:0]
 		return nil
 	}
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var id, count uint64 = 0, 1
+	err := eachLine(body, bufs.buf, func(line string) (err error) {
+		id, count := uint64(0), uint64(1)
 		if line[0] == '{' {
 			var l ndjsonLine
-			if err := json.Unmarshal([]byte(line), &l); err != nil {
-				return accepted, fmt.Errorf("line %d: %w", lineno, err)
+			if err = json.Unmarshal([]byte(line), &l); err != nil {
+				return err
 			}
 			id = l.Item
-			if l.Count != nil {
-				if *l.Count > maxLineCount {
-					return accepted, fmt.Errorf("line %d: count %d exceeds limit %d", lineno, *l.Count, maxLineCount)
-				}
-				count = *l.Count
+			if count, err = lineCount(l.Count); err != nil {
+				return err
 			}
-		} else {
-			v, err := strconv.ParseUint(line, 10, 64)
-			if err != nil {
-				return accepted, fmt.Errorf("line %d: %w", lineno, err)
-			}
-			id = v
+		} else if id, err = strconv.ParseUint(line, 10, 64); err != nil {
+			return err
 		}
 		for ; count > 0; count-- {
 			batch = append(batch, id)
 			if len(batch) == cap(batch) {
 				if err := flush(); err != nil {
-					return accepted, err
+					return err
 				}
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return accepted, err
 	}
 	return accepted, flush()
@@ -878,24 +824,31 @@ type reportedItem struct {
 	Estimate float64 `json:"estimate"`
 }
 
+// handleReport is GET /report: the heavy hitters, read from the same
+// engine visit as the Stats that describe them. A tenant report never
+// creates an engine (404 unknown) and revives a spilled one; the report
+// stage times Report alone, the revive lands in pool_revive.
 func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
+	t := s.target(r)
 	var (
 		rep    []l1hh.ItemEstimate
 		st     l1hh.Stats
 		winN   uint64
 		winDur time.Duration
-		hasWin bool
 	)
-	s.withEngine(func(eng l1hh.HeavyHitters) {
+	err := t.view(func(eng l1hh.HeavyHitters) {
 		start := time.Now()
 		rep = eng.Report()
 		s.obs.report.ObserveDuration(time.Since(start))
 		st = eng.Stats()
 		if win, ok := eng.(l1hh.Windower); ok {
 			winN, winDur, _ = win.Window()
-			hasWin = true
 		}
 	})
+	if err != nil {
+		tenantError(w, t.tenant, err)
+		return
+	}
 	s.obs.observeSentinel(st)
 	out := reportResponse{
 		Len:          st.Len,
@@ -908,22 +861,22 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	for i, it := range rep {
 		out.HeavyHitters[i] = reportedItem{Item: it.Item, Estimate: it.F}
 	}
-	if hasWin && st.Window != nil {
+	if ws := st.Window; ws != nil {
 		out.Window = &windowMeta{
 			Window:          winN,
 			DurationSeconds: winDur.Seconds(),
 			Shards:          st.Shards,
-			PerShardWindow:  st.Window.PerShardWindow,
-			Covered:         st.Window.Covered,
-			Total:           st.Window.Total,
-			Retired:         st.Window.Retired,
-			CoveredMin:      st.Window.CoveredMin,
-			CoveredMax:      st.Window.CoveredMax,
-			ShareSkew:       st.Window.ShareSkew,
-			Extrapolated:    st.Window.Extrapolated,
-			Buckets:         st.Window.Buckets,
-			OldestMass:      st.Window.OldestMass,
-			SpanSeconds:     st.Window.Span.Seconds(),
+			PerShardWindow:  ws.PerShardWindow,
+			Covered:         ws.Covered,
+			Total:           ws.Total,
+			Retired:         ws.Retired,
+			CoveredMin:      ws.CoveredMin,
+			CoveredMax:      ws.CoveredMax,
+			ShareSkew:       ws.ShareSkew,
+			Extrapolated:    ws.Extrapolated,
+			Buckets:         ws.Buckets,
+			OldestMass:      ws.OldestMass,
+			SpanSeconds:     ws.Span.Seconds(),
 		}
 	}
 	if len(s.peers) > 0 {
@@ -936,17 +889,81 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
+// handleCheckpoint is POST /checkpoint: the engine's serialized state.
+// A tenant's checkpoint is a plain solver frame — the bytes
+// l1hh.Unmarshal accepts — so one tenant can be exported out of the
+// pool.
 func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
+	t := s.target(r)
+	var (
+		blob []byte
+		merr error
+	)
 	start := time.Now()
-	blob, err := s.marshalEngine()
-	if err != nil {
-		httpError(w, http.StatusConflict, "checkpoint: %v", err)
+	if err := t.view(func(eng l1hh.HeavyHitters) { blob, merr = eng.MarshalBinary() }); err != nil {
+		tenantError(w, t.tenant, err)
+		return
+	}
+	if merr != nil {
+		httpError(w, http.StatusConflict, "checkpoint: %v", merr)
 		return
 	}
 	s.obs.ckptEncode.ObserveDuration(time.Since(start))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
 	w.Write(blob)
+}
+
+// statsResponse is the GET /stats body: the engine's operational
+// snapshot, with the accuracy-sentinel audit when one is attached
+// (-sentinel, -sentinel-tenant). Tenant is empty on the root route.
+type statsResponse struct {
+	Tenant    string        `json:"tenant"`
+	Items     uint64        `json:"items"`
+	Len       uint64        `json:"len"`
+	Eps       float64       `json:"eps"`
+	Phi       float64       `json:"phi"`
+	ModelBits int64         `json:"model_bits"`
+	Sentinel  *sentinelMeta `json:"sentinel,omitempty"`
+}
+
+// sentinelMeta is the audit subset of l1hh.SentinelStats a monitoring
+// client acts on.
+type sentinelMeta struct {
+	SampleRate     float64 `json:"sample_rate"`
+	Checks         uint64  `json:"checks_total"`
+	Violations     uint64  `json:"violations_total"`
+	ObservedEps    float64 `json:"observed_eps"`
+	MaxObservedEps float64 `json:"max_observed_eps"`
+	Incoherent     bool    `json:"incoherent"`
+}
+
+func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
+	t := s.target(r)
+	var st l1hh.Stats
+	if err := t.view(func(eng l1hh.HeavyHitters) { st = eng.Stats() }); err != nil {
+		tenantError(w, t.tenant, err)
+		return
+	}
+	out := statsResponse{
+		Tenant:    t.tenant,
+		Items:     st.Items,
+		Len:       st.Len,
+		Eps:       st.Eps,
+		Phi:       st.Phi,
+		ModelBits: st.ModelBits,
+	}
+	if sen := st.Sentinel; sen != nil {
+		out.Sentinel = &sentinelMeta{
+			SampleRate:     sen.SampleRate,
+			Checks:         sen.Checks,
+			Violations:     sen.Violations,
+			ObservedEps:    sen.ObservedEps,
+			MaxObservedEps: sen.MaxObservedEps,
+			Incoherent:     sen.Incoherent,
+		}
+	}
+	writeJSON(w, out)
 }
 
 // voteLine is the object form of a /vote NDJSON line. Count is a
@@ -957,102 +974,72 @@ type voteLine struct {
 	Count   *uint64  `json:"count"`
 }
 
-// serveVote decodes one /vote body and feeds each ballot through vote,
-// sharing the line format and error vocabulary between the
-// single-tenant route and the /t/{tenant} twin. The body is NDJSON:
-// one ballot per line, either a bare JSON array of candidate ids (most
-// preferred first) — "[2,0,1]" — or {"ranking": [...], "count": k} to
-// count a ballot k times. Responds {"accepted": n} ballots.
-func (s *server) serveVote(w http.ResponseWriter, r *http.Request, vote func(l1hh.Ranking) error) {
-	body := r.Body
-	if s.maxIngestBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxIngestBytes)
-	}
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	var accepted uint64
-	fail := func(code int, format string, args ...any) {
-		// Ballots before the failing point were already counted; report
-		// both, matching /ingest's partial-acceptance contract.
-		s.votesTotal.Add(accepted)
-		httpError(w, code, "after %d ballots: %s", accepted, fmt.Sprintf(format, args...))
-	}
-	start := time.Now()
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var (
-			rk    l1hh.Ranking
-			count uint64 = 1
-		)
-		if line[0] == '{' {
-			var l voteLine
-			if err := json.Unmarshal([]byte(line), &l); err != nil {
-				fail(http.StatusBadRequest, "line %d: %v", lineno, err)
-				return
-			}
-			rk = l1hh.Ranking(l.Ranking)
-			if l.Count != nil {
-				if *l.Count > maxLineCount {
-					fail(http.StatusBadRequest, "line %d: count %d exceeds limit %d", lineno, *l.Count, maxLineCount)
-					return
-				}
-				count = *l.Count
-			}
-		} else if err := json.Unmarshal([]byte(line), &rk); err != nil {
-			fail(http.StatusBadRequest, "line %d: %v", lineno, err)
-			return
-		}
-		for ; count > 0; count-- {
-			if err := vote(rk); err != nil {
-				switch {
-				case errors.Is(err, l1hh.ErrNotRankings):
-					fail(http.StatusConflict, "%v", err)
-				case errors.Is(err, l1hh.ErrUnknownTenant),
-					errors.Is(err, l1hh.ErrInvalidTenant),
-					errors.Is(err, l1hh.ErrTenantBusy):
-					s.votesTotal.Add(accepted)
-					tenantError(w, r.PathValue("tenant"), err)
-				default:
-					fail(http.StatusBadRequest, "line %d: %v", lineno, err)
-				}
-				return
-			}
-			accepted++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		fail(http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.obs.ingestDecode.ObserveDuration(time.Since(start))
-	s.votesTotal.Add(accepted)
-	writeJSON(w, map[string]uint64{"accepted": accepted})
-}
-
 // handleVote is POST /vote: ballot ingest for the voting problems
-// (-problem borda|maximin). A heavy hitters or extremes engine answers
-// 409 — the capability is discovered by assertion, never assumed.
+// (-problem borda|maximin). The body is NDJSON: one ballot per line,
+// either a bare JSON array of candidate ids (most preferred first) —
+// "[2,0,1]" — or {"ranking": [...], "count": k} to count a ballot k
+// times. Responds {"accepted": n} ballots; on an error, ballots before
+// the failing line were already counted, and the error reports how
+// many, matching /ingest's partial-acceptance contract. A heavy hitters
+// or extremes engine answers 409 — the capability is discovered by
+// assertion, never assumed. A voting tenant is created on first touch
+// and spills and revives under the shared budget like any other.
 func (s *server) handleVote(w http.ResponseWriter, r *http.Request) {
 	if s.rejectOnAggregator(w) {
 		return
 	}
-	s.serveVote(w, r, func(rk l1hh.Ranking) error {
-		var err error
-		s.withEngine(func(eng l1hh.HeavyHitters) {
-			v, ok := eng.(l1hh.Voter)
-			if !ok {
-				err = l1hh.ErrNotRankings
-				return
+	t := s.target(r)
+	start := time.Now()
+	accepted, err := decodeVotes(t.vote, s.ingestBody(w, r))
+	s.obs.votes.Add(accepted)
+	var mbe *http.MaxBytesError
+	switch {
+	case err == nil:
+		s.obs.ingestDecode.ObserveDuration(time.Since(start))
+		writeJSON(w, map[string]uint64{"accepted": accepted})
+	case errors.Is(err, l1hh.ErrUnknownTenant), errors.Is(err, l1hh.ErrInvalidTenant),
+		errors.Is(err, l1hh.ErrTenantBusy):
+		tenantError(w, t.tenant, err)
+	case errors.Is(err, l1hh.ErrNotRankings):
+		httpError(w, http.StatusConflict, "after %d ballots: %v", accepted, err)
+	case errors.As(err, &mbe):
+		httpError(w, http.StatusRequestEntityTooLarge,
+			"after %d ballots: body exceeds the %d-byte ingest limit", accepted, mbe.Limit)
+	default:
+		httpError(w, http.StatusBadRequest, "after %d ballots: %v", accepted, err)
+	}
+}
+
+// decodeVotes feeds every ballot of a /vote body through vote and
+// returns how many were counted.
+func decodeVotes(vote func(l1hh.Ranking) error, body io.Reader) (uint64, error) {
+	bufs := ingestPool.Get().(*ingestBuffers)
+	defer ingestPool.Put(bufs)
+	var accepted uint64
+	err := eachLine(body, bufs.buf, func(line string) (err error) {
+		var rk l1hh.Ranking
+		count := uint64(1)
+		if line[0] == '{' {
+			var l voteLine
+			if err = json.Unmarshal([]byte(line), &l); err != nil {
+				return err
 			}
-			err = v.Vote(rk)
-		})
-		return err
+			rk = l.Ranking
+			if count, err = lineCount(l.Count); err != nil {
+				return err
+			}
+		} else if err = json.Unmarshal([]byte(line), &rk); err != nil {
+			return err
+		}
+		for ; count > 0; count-- {
+			if err := vote(rk); err != nil {
+				return err
+			}
+			accepted++
+		}
+		return nil
 	})
+	return accepted, err
 }
 
 // winnerResponse is the GET /winner body: the current winner under the
@@ -1101,14 +1088,18 @@ func winnerFor(eng l1hh.HeavyHitters) (*winnerResponse, bool) {
 }
 
 func (s *server) handleWinner(w http.ResponseWriter, r *http.Request) {
+	t := s.target(r)
 	var (
 		out *winnerResponse
 		ok  bool
 	)
-	s.withEngine(func(eng l1hh.HeavyHitters) { out, ok = winnerFor(eng) })
+	if err := t.view(func(eng l1hh.HeavyHitters) { out, ok = winnerFor(eng) }); err != nil {
+		tenantError(w, t.tenant, err)
+		return
+	}
 	if !ok {
 		httpError(w, http.StatusConflict,
-			"winner: this engine does not aggregate ballots; start hhd with -problem borda or -problem maximin")
+			"winner: %v does not aggregate ballots; start hhd with -problem borda or -problem maximin", t)
 		return
 	}
 	writeJSON(w, out)
@@ -1152,18 +1143,22 @@ func extremesFor(eng l1hh.HeavyHitters) (out *extremesResponse, ok bool, err err
 }
 
 func (s *server) handleExtremes(w http.ResponseWriter, r *http.Request) {
+	t := s.target(r)
 	var (
-		out *extremesResponse
-		ok  bool
-		err error
+		out  *extremesResponse
+		ok   bool
+		qerr error
 	)
-	s.withEngine(func(eng l1hh.HeavyHitters) { out, ok, err = extremesFor(eng) })
+	if err := t.view(func(eng l1hh.HeavyHitters) { out, ok, qerr = extremesFor(eng) }); err != nil {
+		tenantError(w, t.tenant, err)
+		return
+	}
 	switch {
 	case !ok:
 		httpError(w, http.StatusConflict,
-			"extremes: this engine does not track a frequency extreme; start hhd with -problem minfreq or -problem maxfreq")
-	case err != nil:
-		httpError(w, http.StatusConflict, "extremes: %v", err)
+			"extremes: %v does not track a frequency extreme; start hhd with -problem minfreq or -problem maxfreq", t)
+	case qerr != nil:
+		httpError(w, http.StatusConflict, "extremes: %v", qerr)
 	default:
 		writeJSON(w, out)
 	}
@@ -1212,295 +1207,31 @@ func (s *server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "point: bad item %q: %v", item, err)
 		return
 	}
+	t := s.target(r)
 	var (
 		out *pointResponse
 		ok  bool
 	)
-	s.withEngine(func(eng l1hh.HeavyHitters) { out, ok = pointFor(eng, x, s.spec.m) })
+	if err := t.view(func(eng l1hh.HeavyHitters) { out, ok = pointFor(eng, x, s.spec.m) }); err != nil {
+		tenantError(w, t.tenant, err)
+		return
+	}
 	if !ok {
 		httpError(w, http.StatusConflict,
-			"point: this engine cannot bound a per-item estimate (unknown stream length, sliding window, or a non-frequency problem)")
+			"point: %v cannot bound a per-item estimate (unknown stream length, sliding window, or a non-frequency problem)", t)
 		return
 	}
 	writeJSON(w, out)
 }
 
-// enablePool installs the multi-tenant engine pool and its route
-// family (-tenants):
-//
-//	POST /t/{tenant}/ingest      same bodies and backpressure as /ingest
-//	GET  /t/{tenant}/report      the tenant's heavy hitters (404 unknown)
-//	POST /t/{tenant}/checkpoint  the tenant's engine state, exportable
-//	                             through l1hh.Unmarshal
-//	GET  /t/{tenant}/stats       the tenant engine's operational snapshot
-//	POST /t/{tenant}/vote        ballot ingest (voting-problem tenants)
-//	GET  /t/{tenant}/winner      the tenant's voting winner
-//	GET  /t/{tenant}/extremes    the tenant's frequency extreme
-//	GET  /t/{tenant}/point       the tenant's per-item estimate
-//
-// Must run after finish and before the server starts serving. The
+// enablePool installs the multi-tenant engine pool (-tenants) and
+// registers the engine endpoints a second time under /t/{tenant}: the
+// same handlers, resolving the tenant's engine instead of the default
+// one. Must run after finish and before the server starts serving. The
 // single-tenant routes keep working against the default engine.
 func (s *server) enablePool(p *l1hh.Pool) {
 	s.pool = p
-	s.mux.HandleFunc("POST /t/{tenant}/ingest", s.handleTenantIngest)
-	s.mux.HandleFunc("GET /t/{tenant}/report", s.handleTenantReport)
-	s.mux.HandleFunc("POST /t/{tenant}/checkpoint", s.handleTenantCheckpoint)
-	s.mux.HandleFunc("GET /t/{tenant}/stats", s.handleTenantStats)
-	s.mux.HandleFunc("POST /t/{tenant}/vote", s.handleTenantVote)
-	s.mux.HandleFunc("GET /t/{tenant}/winner", s.handleTenantWinner)
-	s.mux.HandleFunc("GET /t/{tenant}/extremes", s.handleTenantExtremes)
-	s.mux.HandleFunc("GET /t/{tenant}/point", s.handleTenantPoint)
-}
-
-// handleTenantVote is POST /t/{tenant}/vote: ballot ingest against the
-// tenant's engine, creating (or reviving) it on first touch — so a
-// voting tenant spills and revives under the shared budget exactly
-// like a heavy hitters tenant.
-func (s *server) handleTenantVote(w http.ResponseWriter, r *http.Request) {
-	tenant := r.PathValue("tenant")
-	s.serveVote(w, r, func(rk l1hh.Ranking) error {
-		return s.pool.Vote(tenant, rk)
-	})
-}
-
-// handleTenantWinner is GET /t/{tenant}/winner: the tenant's voting
-// winner, reviving the tenant if it was spilled (404 unknown).
-func (s *server) handleTenantWinner(w http.ResponseWriter, r *http.Request) {
-	tenant := r.PathValue("tenant")
-	var (
-		out *winnerResponse
-		ok  bool
-	)
-	err := s.pool.View(tenant, func(hh l1hh.HeavyHitters) error {
-		out, ok = winnerFor(hh)
-		return nil
-	})
-	switch {
-	case err != nil:
-		tenantError(w, tenant, err)
-	case !ok:
-		httpError(w, http.StatusConflict,
-			"winner: tenant %q does not aggregate ballots", tenant)
-	default:
-		writeJSON(w, out)
-	}
-}
-
-// handleTenantExtremes is GET /t/{tenant}/extremes: the tenant's
-// frequency extreme (404 unknown tenant, 409 wrong problem).
-func (s *server) handleTenantExtremes(w http.ResponseWriter, r *http.Request) {
-	tenant := r.PathValue("tenant")
-	var (
-		out  *extremesResponse
-		ok   bool
-		qerr error
-	)
-	err := s.pool.View(tenant, func(hh l1hh.HeavyHitters) error {
-		out, ok, qerr = extremesFor(hh)
-		return nil
-	})
-	switch {
-	case err != nil:
-		tenantError(w, tenant, err)
-	case !ok:
-		httpError(w, http.StatusConflict,
-			"extremes: tenant %q does not track a frequency extreme", tenant)
-	case qerr != nil:
-		httpError(w, http.StatusConflict, "extremes: tenant %q: %v", tenant, qerr)
-	default:
-		writeJSON(w, out)
-	}
-}
-
-// handleTenantPoint is GET /t/{tenant}/point?item=N: the tenant's
-// per-item frequency estimate (404 unknown tenant).
-func (s *server) handleTenantPoint(w http.ResponseWriter, r *http.Request) {
-	tenant := r.PathValue("tenant")
-	item := r.URL.Query().Get("item")
-	if item == "" {
-		httpError(w, http.StatusBadRequest, "point: missing ?item=N")
-		return
-	}
-	x, perr := strconv.ParseUint(item, 10, 64)
-	if perr != nil {
-		httpError(w, http.StatusBadRequest, "point: bad item %q: %v", item, perr)
-		return
-	}
-	var (
-		out *pointResponse
-		ok  bool
-	)
-	err := s.pool.View(tenant, func(hh l1hh.HeavyHitters) error {
-		out, ok = pointFor(hh, x, s.spec.m)
-		return nil
-	})
-	switch {
-	case err != nil:
-		tenantError(w, tenant, err)
-	case !ok:
-		httpError(w, http.StatusConflict,
-			"point: tenant %q cannot bound a per-item estimate", tenant)
-	default:
-		writeJSON(w, out)
-	}
-}
-
-// tenantError maps the pool tier's error vocabulary onto HTTP statuses
-// for the /t/{tenant} read routes.
-func tenantError(w http.ResponseWriter, tenant string, err error) {
-	switch {
-	case errors.Is(err, l1hh.ErrUnknownTenant):
-		httpError(w, http.StatusNotFound, "unknown tenant %q", tenant)
-	case errors.Is(err, l1hh.ErrInvalidTenant):
-		httpError(w, http.StatusBadRequest,
-			"invalid tenant name (want 1..%d bytes)", l1hh.MaxTenantName)
-	case errors.Is(err, l1hh.ErrTenantBusy):
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "tenant %q busy; retry", tenant)
-	default:
-		httpError(w, http.StatusInternalServerError, "tenant %q: %v", tenant, err)
-	}
-}
-
-// handleTenantIngest is POST /t/{tenant}/ingest: the tenant-keyed twin
-// of /ingest, creating (or reviving) the tenant's engine on first
-// touch. With -shed-wait, a tenant whose engine stays busy past the
-// bound sheds with 429 exactly like a saturated shard queue.
-func (s *server) handleTenantIngest(w http.ResponseWriter, r *http.Request) {
-	tenant := r.PathValue("tenant")
-	s.serveIngest(w, r, func(batch []l1hh.Item) error {
-		if s.shedWait > 0 {
-			return s.pool.InsertBatchBounded(tenant, batch, s.shedWait)
-		}
-		return s.pool.InsertBatch(tenant, batch)
-	})
-}
-
-// handleTenantReport is GET /t/{tenant}/report: the tenant engine's
-// heavy hitters in the same reportResponse shape as /report, reviving
-// the tenant if it was spilled. Unknown tenants answer 404 — a report
-// never creates an engine.
-func (s *server) handleTenantReport(w http.ResponseWriter, r *http.Request) {
-	tenant := r.PathValue("tenant")
-	start := time.Now()
-	rep, err := s.pool.Report(tenant)
-	if err != nil {
-		tenantError(w, tenant, err)
-		return
-	}
-	s.obs.report.ObserveDuration(time.Since(start))
-	st, err := s.pool.TenantStats(tenant)
-	if err != nil {
-		tenantError(w, tenant, err)
-		return
-	}
-	s.obs.observeSentinel(st)
-	out := reportResponse{
-		Len:          st.Len,
-		Eps:          st.Eps,
-		Phi:          st.Phi,
-		ModelBits:    st.ModelBits,
-		Shards:       st.Shards,
-		HeavyHitters: make([]reportedItem, len(rep)),
-	}
-	for i, it := range rep {
-		out.HeavyHitters[i] = reportedItem{Item: it.Item, Estimate: it.F}
-	}
-	// Tenant engines are single-owner, so the window meta omits the
-	// sharded-geometry fields; the coverage numbers come straight from
-	// the engine's Stats.
-	if ws := st.Window; ws != nil {
-		out.Window = &windowMeta{
-			Shards:       st.Shards,
-			Covered:      ws.Covered,
-			Total:        ws.Total,
-			Retired:      ws.Retired,
-			CoveredMin:   ws.CoveredMin,
-			CoveredMax:   ws.CoveredMax,
-			ShareSkew:    ws.ShareSkew,
-			Extrapolated: ws.Extrapolated,
-			Buckets:      ws.Buckets,
-			OldestMass:   ws.OldestMass,
-			SpanSeconds:  ws.Span.Seconds(),
-		}
-	}
-	writeJSON(w, out)
-}
-
-// handleTenantCheckpoint is POST /t/{tenant}/checkpoint: the tenant
-// engine's serialized state — the same bytes l1hh.Unmarshal accepts, so
-// one tenant can be exported out of the pool.
-func (s *server) handleTenantCheckpoint(w http.ResponseWriter, r *http.Request) {
-	tenant := r.PathValue("tenant")
-	start := time.Now()
-	blob, err := s.pool.Checkpoint(tenant)
-	switch {
-	case err == nil:
-	case errors.Is(err, l1hh.ErrUnknownTenant),
-		errors.Is(err, l1hh.ErrInvalidTenant),
-		errors.Is(err, l1hh.ErrTenantBusy):
-		tenantError(w, tenant, err)
-		return
-	default:
-		httpError(w, http.StatusConflict, "checkpoint %q: %v", tenant, err)
-		return
-	}
-	s.obs.ckptEncode.ObserveDuration(time.Since(start))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
-	w.Write(blob)
-}
-
-// tenantStatsResponse is the GET /t/{tenant}/stats body: the tenant
-// engine's operational snapshot, with the accuracy-sentinel audit when
-// one is attached (-sentinel-tenant).
-type tenantStatsResponse struct {
-	Tenant    string        `json:"tenant"`
-	Items     uint64        `json:"items"`
-	Len       uint64        `json:"len"`
-	Eps       float64       `json:"eps"`
-	Phi       float64       `json:"phi"`
-	ModelBits int64         `json:"model_bits"`
-	Sentinel  *sentinelMeta `json:"sentinel,omitempty"`
-}
-
-// sentinelMeta is the audit subset of l1hh.SentinelStats a monitoring
-// client acts on.
-type sentinelMeta struct {
-	SampleRate     float64 `json:"sample_rate"`
-	Checks         uint64  `json:"checks_total"`
-	Violations     uint64  `json:"violations_total"`
-	ObservedEps    float64 `json:"observed_eps"`
-	MaxObservedEps float64 `json:"max_observed_eps"`
-	Incoherent     bool    `json:"incoherent"`
-}
-
-func (s *server) handleTenantStats(w http.ResponseWriter, r *http.Request) {
-	tenant := r.PathValue("tenant")
-	st, err := s.pool.TenantStats(tenant)
-	if err != nil {
-		tenantError(w, tenant, err)
-		return
-	}
-	out := tenantStatsResponse{
-		Tenant:    tenant,
-		Items:     st.Items,
-		Len:       st.Len,
-		Eps:       st.Eps,
-		Phi:       st.Phi,
-		ModelBits: st.ModelBits,
-	}
-	if sen := st.Sentinel; sen != nil {
-		out.Sentinel = &sentinelMeta{
-			SampleRate:     sen.SampleRate,
-			Checks:         sen.Checks,
-			Violations:     sen.Violations,
-			ObservedEps:    sen.ObservedEps,
-			MaxObservedEps: sen.MaxObservedEps,
-			Incoherent:     sen.Incoherent,
-		}
-	}
-	writeJSON(w, out)
+	s.routeEngine("/t/{tenant}")
 }
 
 // handleMerge folds a peer node's checkpoint blob (the body, as produced
@@ -1524,38 +1255,31 @@ func (s *server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusRequestEntityTooLarge, "checkpoint exceeds %d bytes", maxSnapshotBody)
 		return
 	}
-	// Hold the engine read lock across the merge so a concurrent
-	// /restore or aggregator swap (which takes the write lock to replace
-	// and close the engine) cannot discard this fold mid-flight and
-	// leave it acknowledged with 200. Other readers — ingest, reports —
-	// are unaffected; only swaps wait. A single-owner problem engine
-	// takes the write lock instead: its Merge is unsynchronized.
-	lock, unlock := s.mu.RLock, s.mu.RUnlock
-	if s.serialEng {
-		lock, unlock = s.mu.Lock, s.mu.Unlock
-	}
-	lock()
-	eng := s.eng
-	merger, ok := eng.(l1hh.Merger)
-	if !ok {
-		unlock()
-		s.mergeErrors.Add(1)
-		httpError(w, http.StatusConflict,
-			"merge: this engine does not merge (sliding-window and sampled-tally states are not mergeable — DESIGN.md §8, §14)")
-		return
-	}
-	start := time.Now()
-	err = merger.Merge(blob)
-	mergedLen := eng.Len()
-	shards := 1
-	if sh, ok := eng.(l1hh.Sharder); ok {
-		shards = sh.Shards()
-	}
-	unlock()
+	// The merge runs inside withEngine so a concurrent /restore or
+	// aggregator swap cannot close the engine mid-fold and leave the
+	// merge acknowledged with 200 but discarded.
+	var (
+		mergedLen uint64
+		shards    = 1
+		start     time.Time
+	)
+	s.withEngine(func(eng l1hh.HeavyHitters) {
+		merger, ok := eng.(l1hh.Merger)
+		if !ok {
+			err = errNotMergeable
+			return
+		}
+		start = time.Now()
+		err = merger.Merge(blob)
+		mergedLen = eng.Len()
+		if sh, ok := eng.(l1hh.Sharder); ok {
+			shards = sh.Shards()
+		}
+	})
 	if err != nil {
-		s.mergeErrors.Add(1)
+		s.obs.mergeErrors.Inc()
 		code := http.StatusBadRequest
-		if errors.Is(err, l1hh.ErrIncompatibleMerge) {
+		if errors.Is(err, l1hh.ErrIncompatibleMerge) || errors.Is(err, errNotMergeable) {
 			code = http.StatusConflict
 		}
 		httpError(w, code, "merge: %v", err)
@@ -1569,10 +1293,14 @@ func (s *server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// errNotMergeable is /merge's answer for an engine without the Merger
+// capability.
+var errNotMergeable = errors.New("this engine does not merge (sliding-window and sampled-tally states are not mergeable — DESIGN.md §8, §14)")
+
 // recordMerge updates the cluster-merge metrics after a success.
 func (s *server) recordMerge(d time.Duration) {
-	s.mergesTotal.Add(1)
-	s.mergeLastNano.Store(d.Nanoseconds())
+	s.obs.merges.Inc()
+	s.obs.mergeLatency.Set(d.Seconds())
 	s.mergeLastUnix.Store(time.Now().UnixNano())
 	s.obs.merge.ObserveDuration(d)
 }
@@ -1603,39 +1331,12 @@ func (s *server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusRequestEntityTooLarge, "snapshot exceeds %d bytes", maxSnapshotBody)
 		return
 	}
-	start := time.Now()
-	restored, err := l1hh.Unmarshal(blob, s.spec.restore...)
+	restored, err := s.unmarshal(blob)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "restore: %v", err)
 		return
 	}
-	s.obs.ckptDecode.ObserveDuration(time.Since(start))
-	if s.spec.problem != l1hh.HeavyHittersProblem {
-		// Problem mode already serializes every engine access, so a
-		// single-owner restore is fine — it just has to answer the same
-		// problem family the daemon was started for.
-		if got, want := problemKind(restored), kindForProblem(s.spec.problem); got != want {
-			restored.Close()
-			httpError(w, http.StatusBadRequest,
-				"restore: checkpoint restores to a %s engine; -problem %s needs a %s engine", got, s.spec.problem, want)
-			return
-		}
-	} else if _, ok := restored.(l1hh.Sharder); !ok {
-		// The default daemon serves concurrent producers; a checkpoint
-		// that restores to a single-owner solver (a serial or un-sharded
-		// windowed state) must not be swapped in behind HTTP.
-		restored.Close()
-		httpError(w, http.StatusBadRequest,
-			"restore: checkpoint restores to a single-owner solver; hhd needs a sharded container")
-		return
-	}
-	st := restored.Stats()
-	s.mu.Lock()
-	old := s.eng
-	s.eng = restored
-	s.mu.Unlock()
-	old.Close()
-	s.resetRate(st.Items)
+	st := s.swap(restored)
 	writeJSON(w, map[string]any{
 		"restored": true,
 		"len":      st.Len,

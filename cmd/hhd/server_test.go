@@ -273,16 +273,16 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("metrics not JSON: %v\n%s", err, w.Body)
 	}
 	var total uint64
-	if err := json.Unmarshal(vars["hhd.items_total"], &total); err != nil || total != 3 {
-		t.Fatalf("hhd.items_total = %s (err %v), want 3", vars["hhd.items_total"], err)
+	if err := json.Unmarshal(vars["hhd_items_total"], &total); err != nil || total != 3 {
+		t.Fatalf("hhd_items_total = %s (err %v), want 3", vars["hhd_items_total"], err)
 	}
-	var depths []int
-	if err := json.Unmarshal(vars["hhd.queue_depths"], &depths); err != nil || len(depths) != 4 {
-		t.Fatalf("hhd.queue_depths = %s (err %v), want 4 shards", vars["hhd.queue_depths"], err)
+	var depths map[string]int
+	if err := json.Unmarshal(vars["hhd_queue_depth"], &depths); err != nil || len(depths) != 4 {
+		t.Fatalf("hhd_queue_depth = %s (err %v), want 4 shards", vars["hhd_queue_depth"], err)
 	}
 	var bits int64
-	if err := json.Unmarshal(vars["hhd.model_bits"], &bits); err != nil || bits <= 0 {
-		t.Fatalf("hhd.model_bits = %s (err %v), want > 0", vars["hhd.model_bits"], err)
+	if err := json.Unmarshal(vars["hhd_model_bits"], &bits); err != nil || bits <= 0 {
+		t.Fatalf("hhd_model_bits = %s (err %v), want > 0", vars["hhd_model_bits"], err)
 	}
 }
 

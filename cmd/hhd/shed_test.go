@@ -2,12 +2,13 @@ package main
 
 // shed_test.go — /ingest load shedding: a saturated engine answers 429
 // with Retry-After and an "accepted" count inside the bounded wait,
-// request bodies over -max-ingest-bytes answer 413, and -shed-wait 0
-// keeps the legacy blocking path.
+// /ingest and /vote bodies over -max-ingest-bytes answer 413, and
+// -shed-wait 0 keeps the legacy blocking path.
 
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -93,8 +94,8 @@ func TestIngestShedsWith429(t *testing.T) {
 	if resp.Error == "" || resp.Accepted != 0 {
 		t.Fatalf("shed body = %+v, want an error and accepted 0", resp)
 	}
-	if s.shedTotal.Load() != 1 {
-		t.Fatalf("shedTotal = %d, want 1", s.shedTotal.Load())
+	if s.obs.shed.Value() != 1 {
+		t.Fatalf("shedTotal = %d, want 1", s.obs.shed.Value())
 	}
 	if eng.plain != 0 {
 		t.Fatal("with -shed-wait > 0 the handler must use the bounded insert path")
@@ -149,6 +150,41 @@ func TestIngestBodyLimitAnswers413(t *testing.T) {
 	}
 }
 
+// TestNDJSONCutTailIsNotALine: an NDJSON body cut mid-line by
+// -max-ingest-bytes answers 413 without inserting the fragment. Here the
+// fragment "12345" of the line "123456789" would complete the first
+// 8192-item batch: inserted, it would move a different item into the
+// acknowledged prefix than the one the client sent.
+func TestNDJSONCutTailIsNotALine(t *testing.T) {
+	s := newTestServer(t, 100_000)
+	body := strings.Repeat("7\n", ingestBatchSize-1) + "123456789\n"
+	s.maxIngestBytes = int64(2*(ingestBatchSize-1) + len("12345"))
+	w := do(t, s, "POST", "/ingest", "application/x-ndjson", []byte(body))
+	if w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(w.Body.String(), "after 0 items") {
+		t.Fatalf("cut body: status %d (%s), want 413 after 0 items", w.Code, w.Body)
+	}
+	if got := s.engine().Len(); got != 0 {
+		t.Fatalf("engine Len = %d, want 0: the cut tail was inserted", got)
+	}
+}
+
+// TestVoteBodyLimitAnswers413: /vote applies -max-ingest-bytes like
+// /ingest — 413 with the counted prefix, never a parse error on the cut
+// tail — and a last ballot without a newline still counts at a clean
+// EOF.
+func TestVoteBodyLimitAnswers413(t *testing.T) {
+	s := newProblemServer(t, l1hh.BordaProblem)
+	s.maxIngestBytes = 25
+	w := do(t, s, "POST", "/vote", "", []byte(strings.Repeat("[1,0,2,3]\n", 3)))
+	if w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(w.Body.String(), "after 2 ballots") {
+		t.Fatalf("oversized vote: status %d (%s), want 413 after 2 ballots", w.Code, w.Body)
+	}
+	w = do(t, s, "POST", "/vote", "", []byte("[1,0,2,3]\n[1,0,2,3]"))
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"accepted":2`) {
+		t.Fatalf("unterminated last ballot: status %d (%s), want 200 with 2 accepted", w.Code, w.Body)
+	}
+}
+
 // TestIngestShedsOnRealSaturatedEngine is the end-to-end regression: a
 // real 1-shard, depth-2 engine with its queues full answers 429 within
 // the bounded wait instead of hanging the request.
@@ -171,7 +207,7 @@ func TestIngestShedsOnRealSaturatedEngine(t *testing.T) {
 	const burst = 8
 	body := binaryBody(make([]uint64, 4096))
 	deadline := time.Now().Add(30 * time.Second)
-	for s.shedTotal.Load() == 0 {
+	for s.obs.shed.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("never shed a request against a depth-2 single-shard engine")
 		}

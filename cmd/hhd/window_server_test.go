@@ -174,8 +174,8 @@ func TestWindowedMergeConflict(t *testing.T) {
 	}
 }
 
-// TestWindowedMetrics: the hhd.window composite expvar gauge follows
-// the live windowed engine.
+// TestWindowedMetrics: the hhd_window family's JSON view follows the
+// live windowed engine.
 func TestWindowedMetrics(t *testing.T) {
 	s := newWindowServer(t, 500)
 	stream := make([]uint64, 2_000)
@@ -190,24 +190,24 @@ func TestWindowedMetrics(t *testing.T) {
 		t.Fatalf("metrics: %d", m.Code)
 	}
 	var vars struct {
-		Window map[string]any `json:"hhd.window"`
+		Window map[string]any `json:"hhd_window"`
 	}
 	if err := json.Unmarshal(m.Body.Bytes(), &vars); err != nil {
 		t.Fatal(err)
 	}
 	if vars.Window == nil {
-		t.Fatal("metrics lack hhd.window")
+		t.Fatal("metrics lack hhd_window")
 	}
 	for _, key := range []string{
 		"covered", "covered_min", "covered_max", "share_skew", "extrapolated",
 		"retired_total", "buckets", "span_seconds",
 	} {
 		if _, ok := vars.Window[key]; !ok {
-			t.Errorf("hhd.window lacks %s: %v", key, vars.Window)
+			t.Errorf("hhd_window lacks %s: %v", key, vars.Window)
 		}
 	}
 	if covered, _ := vars.Window["covered"].(float64); covered == 0 {
-		t.Errorf("hhd.window.covered should be non-zero: %v", vars.Window)
+		t.Errorf("hhd_window covered should be non-zero: %v", vars.Window)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package obs is the zero-dependency metrics core behind the repo's
 // observability tier: lock-free counters and gauges, fixed-bucket
-// latency histograms, and a hand-rolled Prometheus text-exposition
-// writer (prometheus.go) — no client library, no reflection, no
-// allocation on any hot path.
+// latency histograms, a hand-rolled Prometheus text-exposition writer
+// (prometheus.go) and a JSON view of the same families (json.go) — no
+// client library, and no reflection or allocation on any hot path.
 //
 // Design constraints, in order:
 //

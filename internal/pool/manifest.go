@@ -65,9 +65,11 @@ func encodeManifest(m manifest) []byte {
 // decodeManifest validates and decodes a pool checkpoint body. Every
 // field a hostile or torn encoding could corrupt is checked before it
 // is trusted: the record count against the remaining bytes, tenant
-// names for emptiness, length and uniqueness, the flag set against the
-// known flags, the bits field against int64 range, and every
-// per-tenant frame against its own checksum.
+// names for emptiness, length and the encoder's strictly increasing
+// order (which also rules out repeats), the flag set against the known
+// flags, the bits field against int64 range, and every per-tenant
+// frame against its own checksum. Accepting only the encoder's order
+// keeps decode ∘ encode the identity on every manifest it accepts.
 func decodeManifest(data []byte) (manifest, error) {
 	var m manifest
 	r := wire.NewReader(data)
@@ -88,7 +90,6 @@ func decodeManifest(data []byte) (manifest, error) {
 	if count > uint64(len(data))/4+1 {
 		return m, errors.New("pool: manifest record count exceeds the encoding size")
 	}
-	seen := make(map[string]bool, count)
 	m.Records = make([]manifestRecord, 0, count)
 	for i := uint64(0); i < count; i++ {
 		name := string(r.Blob())
@@ -101,10 +102,9 @@ func decodeManifest(data []byte) (manifest, error) {
 		if name == "" || len(name) > MaxTenantName {
 			return m, fmt.Errorf("pool: manifest record %d: invalid tenant name (%d bytes)", i, len(name))
 		}
-		if seen[name] {
-			return m, fmt.Errorf("pool: manifest repeats tenant %q", name)
+		if i > 0 && name <= m.Records[i-1].Tenant {
+			return m, fmt.Errorf("pool: manifest repeats tenant %q or breaks its sorted order", name)
 		}
-		seen[name] = true
 		if flags&^uint64(flagPinned) != 0 {
 			return m, fmt.Errorf("pool: manifest record %q carries unknown flags %#x", name, flags)
 		}

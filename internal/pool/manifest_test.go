@@ -309,6 +309,21 @@ func TestDecodeManifestRejections(t *testing.T) {
 	if _, err := decodeManifest(dup); err == nil || !strings.Contains(err.Error(), "repeats") {
 		t.Errorf("duplicate names: %v", err)
 	}
+	// Records out of the encoder's sorted order: the canonical re-encode
+	// would reorder them, so the decoder refuses.
+	unsorted := wire.NewWriter()
+	unsorted.U64(manifestVersion)
+	unsorted.I64(0)
+	unsorted.U64(2)
+	for _, name := range []string{"b", "a"} {
+		unsorted.Blob([]byte(name))
+		unsorted.U64(0)
+		unsorted.U64(0)
+		unsorted.Blob(frame)
+	}
+	if _, err := decodeManifest(unsorted.Bytes()); err == nil || !strings.Contains(err.Error(), "sorted order") {
+		t.Errorf("unsorted records: %v", err)
+	}
 }
 
 // TestEncodeManifestDeterministic: record order does not change the
