@@ -1,8 +1,11 @@
 // hhbench regenerates the paper's evaluation artifact (Table 1) as
 // measurements: for each problem row it sweeps the governing parameter,
 // measures the solvers' space in the paper's bit-accounting model,
-// compares against the closed-form bounds and the prior-art baselines,
-// and reports decision quality against exact counts.
+// compares against the closed-form bounds and the prior-art baselines
+// (Misra-Gries, Space-Saving, Count-Min, CountSketch, Lossy Counting and
+// Sticky Sampling, imported from internal/ as benchmark fixtures), and
+// reports decision quality against exact counts. The paper's solvers are
+// built through the l1hh front door, l1hh.New.
 //
 // Usage:
 //
@@ -14,8 +17,10 @@
 //	go run ./cmd/hhbench -exp all     # everything
 //
 //	go run ./cmd/hhbench -exp vote    # rows 4–5 via the problem front
-//	                                  # door: ε-Borda and ε-maximin bits,
-//	                                  # throughput and winner quality
+//	                                  # door: ε-Borda and ε-maximin bits
+//	                                  # (and their ratio to the closed-form
+//	                                  # bound), throughput and winner
+//	                                  # quality
 //
 //	go run ./cmd/hhbench -exp pool    # multi-tenant pool churn: insert
 //	                                  # throughput under budget-forced
@@ -42,7 +47,13 @@ import (
 	"time"
 
 	l1hh "repro"
+	"repro/internal/cms"
+	"repro/internal/countsketch"
 	"repro/internal/exact"
+	"repro/internal/lossy"
+	"repro/internal/mg"
+	"repro/internal/rng"
+	"repro/internal/spacesaving"
 	"repro/internal/stats"
 )
 
@@ -97,11 +108,48 @@ func workload(seed uint64, m int, phi, eps float64) []uint64 {
 	return l1hh.GeneratePlantedStream(seed, m, w, 1000, 1<<30, l1hh.OrderShuffled)
 }
 
+// sketch is what the experiments feed: single-item insertion plus space
+// under the paper's accounting (DESIGN.md §4). The prior-art baselines
+// satisfy it directly; engines built by l1hh.New through hhSketch.
+type sketch interface {
+	Insert(x uint64)
+	ModelBits() int64
+}
+
+// hhSketch adapts a front-door engine to sketch; an insert error (none
+// is expected on an in-universe stream) aborts the run.
+type hhSketch struct{ l1hh.HeavyHitters }
+
+func (s hhSketch) Insert(x uint64) { must(s.HeavyHitters.Insert(x)) }
+
+// newEngine builds an engine through the front door for opts; a
+// construction error aborts the run.
+func newEngine(opts ...l1hh.Option) hhSketch {
+	hh, err := l1hh.New(opts...)
+	must(err)
+	return hhSketch{hh}
+}
+
+// newList builds a known-length (ε,ϕ)-heavy hitters engine over a
+// universe of n ids with δ = 0.1, the Table 1 row 1 configuration.
+func newList(algo l1hh.Algorithm, eps, phi float64, m int, n, seed uint64) hhSketch {
+	return newEngine(l1hh.WithEps(eps), l1hh.WithPhi(phi), l1hh.WithDelta(0.1),
+		l1hh.WithStreamLength(uint64(m)), l1hh.WithUniverse(n),
+		l1hh.WithAlgorithm(algo), l1hh.WithSeed(seed))
+}
+
+// newExtremes builds a known-length ε-Maximum or ε-Minimum engine over a
+// universe of n ids with δ = 0.1.
+func newExtremes(problem l1hh.Problem, eps float64, m int, n, seed uint64) hhSketch {
+	return newEngine(l1hh.WithProblem(problem), l1hh.WithEps(eps), l1hh.WithDelta(0.1),
+		l1hh.WithStreamLength(uint64(m)), l1hh.WithUniverse(n), l1hh.WithSeed(seed))
+}
+
 // feedPeak streams st into the sketch and returns the peak ModelBits,
 // sampled every stride inserts. Peak — not end-of-stream — is the memory
 // that must be provisioned: Misra-Gries style tables legitimately shrink
 // under decrements, so their final state understates their footprint.
-func feedPeak(s l1hh.Sketch, st []uint64, stride int) int64 {
+func feedPeak(s sketch, st []uint64, stride int) int64 {
 	peak := s.ModelBits()
 	for i, x := range st {
 		s.Insert(x)
@@ -131,20 +179,11 @@ func expE1a() {
 	m := *mFlag
 	for _, eps := range []float64{0.05, 0.02, 0.01, 0.005} {
 		st := workload(*seedFlag, m, phi, eps)
-		a2, err := l1hh.NewListHeavyHitters(l1hh.Config{
-			Eps: eps, Phi: phi, Delta: 0.1, StreamLength: uint64(m),
-			Universe: n, Algorithm: l1hh.AlgorithmOptimal, Seed: *seedFlag,
-		})
-		must(err)
-		a1, err := l1hh.NewListHeavyHitters(l1hh.Config{
-			Eps: eps, Phi: phi, Delta: 0.1, StreamLength: uint64(m),
-			Universe: n, Algorithm: l1hh.AlgorithmSimple, Seed: *seedFlag,
-		})
-		must(err)
-		mg := l1hh.NewMisraGries(int(math.Ceil(1/eps)), n)
+		a2 := newList(l1hh.AlgorithmOptimal, eps, phi, m, n, *seedFlag)
+		a1 := newList(l1hh.AlgorithmSimple, eps, phi, m, n, *seedFlag)
 		b2 := feedPeak(a2, st, 4096)
 		b1 := feedPeak(a1, st, 4096)
-		bm := feedPeak(mg, st, 4096)
+		bm := feedPeak(mg.New(int(math.Ceil(1/eps)), n), st, 4096)
 		fmt.Printf("%-7.3f  %11d  %7.0f  %11d  %7.0f  %9d  %6.0f\n",
 			eps, b2, float64(b2)*eps, b1, float64(b1)*eps, bm, float64(bm)*eps)
 	}
@@ -157,19 +196,10 @@ func expE1a() {
 	for _, lg := range []int{16, 32, 48, 62} {
 		nn := uint64(1) << lg
 		st := workloadN(*seedFlag, m, phi, 0.01, nn)
-		a2, err := l1hh.NewListHeavyHitters(l1hh.Config{
-			Eps: 0.01, Phi: phi, Delta: 0.1, StreamLength: uint64(m),
-			Universe: nn, Algorithm: l1hh.AlgorithmOptimal, Seed: *seedFlag,
-		})
-		must(err)
-		a1, err := l1hh.NewListHeavyHitters(l1hh.Config{
-			Eps: 0.01, Phi: phi, Delta: 0.1, StreamLength: uint64(m),
-			Universe: nn, Algorithm: l1hh.AlgorithmSimple, Seed: *seedFlag,
-		})
-		must(err)
-		mg := l1hh.NewMisraGries(100, nn)
+		a2 := newList(l1hh.AlgorithmOptimal, 0.01, phi, m, nn, *seedFlag)
+		a1 := newList(l1hh.AlgorithmSimple, 0.01, phi, m, nn, *seedFlag)
 		fmt.Printf("%-8d %12d  %12d  %9d\n", lg,
-			feedPeak(a2, st, 4096), feedPeak(a1, st, 4096), feedPeak(mg, st, 4096))
+			feedPeak(a2, st, 4096), feedPeak(a1, st, 4096), feedPeak(mg.New(100, nn), st, 4096))
 	}
 	fmt.Println()
 }
@@ -204,11 +234,7 @@ func expE1b() {
 func evalList(algo l1hh.Algorithm, eps, phi float64, m int) (recall float64, falsePos int, maxErr float64, bits int64) {
 	st := workload(*seedFlag+7, m, phi, eps)
 	ex := exact.New()
-	hh, err := l1hh.NewListHeavyHitters(l1hh.Config{
-		Eps: eps, Phi: phi, Delta: 0.1, StreamLength: uint64(m),
-		Universe: 1 << 32, Algorithm: algo, Seed: *seedFlag + 7,
-	})
-	must(err)
+	hh := newList(algo, eps, phi, m, 1<<32, *seedFlag+7)
 	for _, x := range st {
 		hh.Insert(x)
 		ex.Insert(x)
@@ -252,12 +278,11 @@ func expE2() {
 		for _, x := range st {
 			ex.Insert(x)
 		}
-		mx, err := l1hh.NewMaximum(l1hh.Config{
-			Eps: eps, Delta: 0.1, StreamLength: uint64(m), Universe: n, Seed: *seedFlag + 3,
-		})
-		must(err)
+		mx := newExtremes(l1hh.MaxFrequencyProblem, eps, m, n, *seedFlag+3)
 		peak := feedPeak(mx, st, 4096)
-		_, f, _ := mx.Report()
+		est, _, err := mx.HeavyHitters.(l1hh.Extremes).MaxItem()
+		must(err)
+		f := est.F
 		_, trueMax, _ := ex.Max()
 		bound := stats.MaxUpperBits(eps, n, uint64(m))
 		fmt.Printf("%-7.3f  %8d  %10.1f  %10.5f\n",
@@ -275,10 +300,7 @@ func expE3() {
 	m := *mFlag
 	const n = 64
 	for _, eps := range []float64{0.05, 0.02, 0.01, 0.005} {
-		mn, err := l1hh.NewMinimum(l1hh.Config{
-			Eps: eps, Delta: 0.1, StreamLength: uint64(m), Universe: n, Seed: *seedFlag + 4,
-		})
-		must(err)
+		mn := newExtremes(l1hh.MinFrequencyProblem, eps, m, n, *seedFlag+4)
 		ex := exact.New()
 		st := l1hh.Generate(l1hh.NewZipfStream(*seedFlag+5, n, 0.8), m)
 		for _, x := range st {
@@ -290,7 +312,8 @@ func expE3() {
 			universe[i] = uint64(i)
 		}
 		_, trueMin := ex.MinOver(universe)
-		r := mn.Report()
+		r, _, err := mn.HeavyHitters.(l1hh.Extremes).MinItem()
+		must(err)
 		bound := stats.MinUpperBits(eps, uint64(m))
 		fmt.Printf("%-7.3f  %7d  %10.1f  %10.5f\n",
 			eps, peak, float64(peak)/bound,
@@ -313,25 +336,17 @@ func expA4() {
 	}
 	type row struct {
 		name   string
-		sketch l1hh.Sketch
+		sketch sketch
 		est    func(uint64) float64
 	}
-	a2, err := l1hh.NewListHeavyHitters(l1hh.Config{
-		Eps: eps, Phi: phi, Delta: 0.1, StreamLength: uint64(m), Universe: n,
-		Algorithm: l1hh.AlgorithmOptimal, Seed: *seedFlag,
-	})
-	must(err)
-	a1, err := l1hh.NewListHeavyHitters(l1hh.Config{
-		Eps: eps, Phi: phi, Delta: 0.1, StreamLength: uint64(m), Universe: n,
-		Algorithm: l1hh.AlgorithmSimple, Seed: *seedFlag,
-	})
-	must(err)
-	mgS := l1hh.NewMisraGries(int(1/eps), n)
-	ssS := l1hh.NewSpaceSaving(int(1/eps), n)
-	cmS := l1hh.NewCountMin(*seedFlag, eps, 0.05)
-	csS := l1hh.NewCountSketch(*seedFlag, 5, uint64(2/eps))
-	lcS := l1hh.NewLossyCounting(eps, n)
-	stS := l1hh.NewStickySampling(*seedFlag, eps, phi, 0.05, n)
+	a2 := newList(l1hh.AlgorithmOptimal, eps, phi, m, n, *seedFlag)
+	a1 := newList(l1hh.AlgorithmSimple, eps, phi, m, n, *seedFlag)
+	mgS := mg.New(int(1/eps), n)
+	ssS := spacesaving.New(int(1/eps), n)
+	cmS := cms.New(rng.New(*seedFlag), eps, 0.05)
+	csS := countsketch.New(rng.New(*seedFlag), 5, uint64(2/eps))
+	lcS := lossy.NewCounting(eps, n)
+	stS := lossy.NewSticky(rng.New(*seedFlag), eps, phi, 0.05, n)
 	rows := []row{
 		{"algo2", a2, nil},
 		{"algo1", a1, nil},
@@ -362,7 +377,7 @@ func expA4() {
 		} else {
 			// List solvers: evaluate their reported estimates.
 			maxErr = 0
-			for _, rep := range r.sketch.(*l1hh.ListHeavyHitters).Report() {
+			for _, rep := range r.sketch.(hhSketch).Report() {
 				e := math.Abs(rep.F-float64(ex.Freq(rep.Item))) / float64(m)
 				if e > maxErr {
 					maxErr = e
@@ -399,16 +414,17 @@ func expVote() {
 	exMaximin, exMaximinScore := ex.MaximinWinner()
 	fmt.Printf("exact: borda winner %d (score %d), maximin winner %d (score %d)\n",
 		exBorda, exBordaScore, exMaximin, exMaximinScore)
-	fmt.Println("problem  eps      bits      votes/s      winner  max|err| (score units)")
+	fmt.Println("problem  eps      bits      bits/bound   votes/s      winner  max|err| (score units)")
 	for _, eps := range []float64{0.05, 0.02, 0.01} {
 		for _, pr := range []struct {
 			problem l1hh.Problem
 			name    string
 			scale   float64 // score-unit denominator: m·n for Borda, m for maximin
 			exact   func() []uint64
+			bound   func(eps float64, n, m uint64) float64 // closed-form upper bound in bits
 		}{
-			{l1hh.BordaProblem, "borda", float64(m) * n, ex.BordaScores},
-			{l1hh.MaximinProblem, "maximin", float64(m), ex.MaximinScores},
+			{l1hh.BordaProblem, "borda", float64(m) * n, ex.BordaScores, stats.BordaUpperBits},
+			{l1hh.MaximinProblem, "maximin", float64(m), ex.MaximinScores, stats.MaximinUpperBits},
 		} {
 			hh, err := l1hh.New(
 				l1hh.WithProblem(pr.problem),
@@ -432,8 +448,10 @@ func expVote() {
 					maxErr = e
 				}
 			}
-			fmt.Printf("%-7s  %-7.3f  %8d  %11.0f  %6d  %10.5f\n",
-				pr.name, eps, hh.ModelBits(), float64(m)/elapsed, winner, maxErr)
+			bits := hh.ModelBits()
+			fmt.Printf("%-7s  %-7.3f  %8d  %10.3f  %11.0f  %6d  %10.5f\n",
+				pr.name, eps, bits, float64(bits)/pr.bound(eps, n, uint64(m)),
+				float64(m)/elapsed, winner, maxErr)
 		}
 	}
 	fmt.Println()

@@ -114,6 +114,39 @@ func TestClusterMergeRejects(t *testing.T) {
 	}
 }
 
+// TestMergeKindMismatch: /merge classifies a checkpoint by its container
+// kind the same way on every engine. An empty body is a malformed
+// checkpoint (400) — on a Borda daemon too, whose decoder used to panic
+// on it — and a serial checkpoint offered to a sharded node is a kind
+// mismatch (409), as a sharded checkpoint offered to a serial engine
+// already was.
+func TestMergeKindMismatch(t *testing.T) {
+	borda := newProblemServer(t, l1hh.BordaProblem)
+	if w := do(t, borda, "POST", "/merge", "application/octet-stream", nil); w.Code != http.StatusBadRequest {
+		t.Fatalf("empty merge on a Borda daemon: status %d, want 400 (%s)", w.Code, w.Body)
+	}
+
+	const m = 50_000
+	// hhd's heavy-hitters engines are always sharded, so the serial
+	// checkpoint comes from a library engine with the same problem.
+	serial, err := l1hh.New(l1hh.WithEps(0.02), l1hh.WithPhi(0.05), l1hh.WithDelta(0.05),
+		l1hh.WithUniverse(1<<32), l1hh.WithSeed(7), l1hh.WithStreamLength(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serial.InsertBatch([]uint64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := serial.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := newTestServer(t, m)
+	if w := do(t, sharded, "POST", "/merge", "application/octet-stream", cp); w.Code != http.StatusConflict {
+		t.Fatalf("serial checkpoint into a sharded node: status %d, want 409 (%s)", w.Code, w.Body)
+	}
+}
+
 // TestClusterAggregatorLoop drives the aggregator against two live
 // worker HTTP servers while reports and metrics are scraped concurrently
 // (run under -race in CI): the merged view must converge to the full

@@ -88,8 +88,6 @@ func newServerObs(s *server) *serverObs {
 
 	reg.CounterFunc("hhd_items_total", "Items accepted by the engine.",
 		nil, func() float64 { return float64(s.scrapeStats().Items) })
-	reg.GaugeFunc("hhd_items_per_sec", "Ingest rate from the last two scrapes.",
-		nil, func() float64 { return s.itemsPerSec() })
 	reg.GaugeFunc("hhd_model_bits", "Sketch size under the paper's accounting.",
 		nil, func() float64 { return float64(s.scrapeStats().ModelBits) })
 	reg.GaugeFunc("hhd_shards", "Shard count of the live engine.",

@@ -72,14 +72,6 @@ type server struct {
 	// reqSeq numbers requests for the access log and X-Request-Id.
 	reqSeq atomic.Uint64
 
-	// items/sec is computed from the accepted-items delta between
-	// distinct Stats snapshots; scrapes that share a cached snapshot
-	// report the previous rate instead of a bogus zero.
-	rateMu     sync.Mutex
-	lastItems  uint64
-	lastScrape time.Time
-	lastRate   float64
-
 	// One engine Stats barrier serves every gauge of a metrics scrape:
 	// the registry reads each GaugeFunc independently, so without the
 	// cache a single GET /metrics would pay one all-shards barrier per
@@ -200,10 +192,8 @@ func (s *server) unmarshal(blob []byte) (l1hh.HeavyHitters, error) {
 // swap installs eng as the serving engine (/restore, the aggregator's
 // pull cycle) and closes the one it replaces. The write lock waits out
 // every withEngine call in flight — an ingest batch, a merge, a report
-// — so none of them runs on a closed engine. The items/sec baseline
-// and the stats snapshot restart from eng: the swapped-in counter may
-// be far below the old one, and a uint64 delta would wrap into an
-// absurd rate.
+// — so none of them runs on a closed engine. The cached scrape
+// snapshot is dropped, so the next scrape reads eng.
 func (s *server) swap(eng l1hh.HeavyHitters) l1hh.Stats {
 	st := eng.Stats()
 	s.mu.Lock()
@@ -211,9 +201,6 @@ func (s *server) swap(eng l1hh.HeavyHitters) l1hh.Stats {
 	s.eng = eng
 	s.mu.Unlock()
 	old.Close()
-	s.rateMu.Lock()
-	s.lastItems, s.lastScrape, s.lastRate = st.Items, time.Now(), 0
-	s.rateMu.Unlock()
 	s.statsMu.Lock()
 	s.statsAt = time.Time{}
 	s.statsMu.Unlock()
@@ -271,7 +258,6 @@ func (s *server) finish(eng l1hh.HeavyHitters) {
 	s.eng = eng
 	_, sharded := eng.(l1hh.Sharder)
 	s.serialEng = !sharded
-	s.lastScrape = s.start
 	s.mux = http.NewServeMux()
 	s.routeEngine("")
 	s.mux.HandleFunc("POST /merge", s.handleMerge)
@@ -388,44 +374,14 @@ func (s *server) marshalEngine() ([]byte, error) {
 // scrapeStats returns the engine's Stats, reusing a snapshot younger
 // than statsTTL so one metrics scrape costs one barrier.
 func (s *server) scrapeStats() l1hh.Stats {
-	st, _ := s.scrapeStatsAt()
-	return st
-}
-
-// scrapeStatsAt additionally reports when the returned snapshot was
-// taken, so rate computations can tell a fresh snapshot from a cached
-// one.
-func (s *server) scrapeStatsAt() (l1hh.Stats, time.Time) {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
 	if !s.statsAt.IsZero() && time.Since(s.statsAt) < statsTTL {
-		return s.statsCache, s.statsAt
+		return s.statsCache
 	}
 	s.statsCache = s.engineStats()
 	s.statsAt = time.Now()
-	return s.statsCache, s.statsAt
-}
-
-func (s *server) itemsPerSec() float64 {
-	st, at := s.scrapeStatsAt()
-	s.rateMu.Lock()
-	defer s.rateMu.Unlock()
-	if !at.After(s.lastScrape) {
-		// Same (cached) snapshot as the previous computation: the delta
-		// would be zero by construction, not because ingest stopped.
-		return s.lastRate
-	}
-	dt := at.Sub(s.lastScrape).Seconds()
-	if dt <= 0 {
-		return s.lastRate
-	}
-	if st.Items < s.lastItems { // engine swapped to an older state
-		s.lastItems, s.lastScrape, s.lastRate = st.Items, at, 0
-		return 0
-	}
-	rate := float64(st.Items-s.lastItems) / dt
-	s.lastItems, s.lastScrape, s.lastRate = st.Items, at, rate
-	return rate
+	return s.statsCache
 }
 
 // shutdown stops accepting state changes and drains the engine so the

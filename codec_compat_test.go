@@ -1,11 +1,11 @@
 package l1hh
 
 // Backward-compatibility suite for the universal checkpoint codec:
-// golden checkpoint bytes produced by the deprecated per-type API (the
-// PR 1–3 encodings, tags 1–5) are committed under testdata/checkpoints
-// and must keep restoring through the universal Unmarshal; and fresh
-// bytes are interchangeable between the old and new API in both
-// directions. Regenerate the golden files with
+// golden checkpoint bytes for every container tag are committed under
+// testdata/checkpoints and must keep restoring through the universal
+// Unmarshal; fresh builds through New must reproduce them byte for byte
+// where the build is deterministic; and a restore→re-marshal cycle must
+// return the bytes it was given. Regenerate the golden files with
 //
 //	go test -run TestGoldenCheckpoints -update-golden .
 //
@@ -30,13 +30,15 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/check
 // files do not churn on wall-clock noise.
 var goldenClock = func() time.Time { return time.Unix(1_700_000_000, 0) }
 
-// goldenCase builds one checkpoint through the DEPRECATED constructors —
-// the bytes PR 1–3 deployments have on disk — plus the assertions its
-// restore must satisfy.
+// goldenCase builds one checkpoint through the front door, plus the
+// assertions its restore must satisfy.
 type goldenCase struct {
-	file     string
-	tag      byte
-	build    func() ([]byte, error)
+	file  string
+	tag   byte
+	build func() ([]byte, error)
+	// opts are the New options of the heavy-hitters cases (tags 1–5),
+	// which build through buildGoldenHH; nil for the problem engines.
+	opts     []Option
 	wantLen  uint64
 	windower bool
 	sharder  bool
@@ -80,80 +82,52 @@ func goldenBallots(m, n int) []Ranking {
 	return out
 }
 
-func goldenConfig(algo Algorithm) Config {
-	return Config{
-		Eps: 0.05, Phi: 0.2, Delta: 0.05,
-		StreamLength: 4000, Universe: 1 << 20,
-		Algorithm: algo, Seed: 42,
+// goldenOpts is the problem statement every heavy-hitters golden engine
+// shares.
+func goldenOpts(algo Algorithm) []Option {
+	return []Option{
+		WithEps(0.05), WithPhi(0.2), WithDelta(0.05),
+		WithStreamLength(4000), WithUniverse(1 << 20),
+		WithAlgorithm(algo), WithSeed(42),
+	}
+}
+
+// buildGoldenHH checkpoints a heavy-hitters engine built from opts over
+// the fixed golden stream.
+func buildGoldenHH(opts ...Option) func() ([]byte, error) {
+	return func() ([]byte, error) {
+		hh, err := New(opts...)
+		if err != nil {
+			return nil, err
+		}
+		defer hh.Close()
+		if err := hh.InsertBatch(goldenStream(2000)); err != nil {
+			return nil, err
+		}
+		return hh.MarshalBinary()
 	}
 }
 
 func goldenCases() []goldenCase {
 	const n = 2000
-	serial := func(algo Algorithm) func() ([]byte, error) {
-		return func() ([]byte, error) {
-			hh, err := NewListHeavyHitters(goldenConfig(algo))
-			if err != nil {
-				return nil, err
-			}
-			for _, x := range goldenStream(n) {
-				hh.Insert(x)
-			}
-			return hh.MarshalBinary()
-		}
-	}
-	return []goldenCase{
-		{file: "tag1_serial_optimal.bin", tag: tagOptimal, build: serial(AlgorithmOptimal), wantLen: n},
-		{file: "tag2_serial_simple.bin", tag: tagSimple, build: serial(AlgorithmSimple), wantLen: n},
+	simple := func(extra ...Option) []Option { return append(goldenOpts(AlgorithmSimple), extra...) }
+	cases := []goldenCase{
+		{file: "tag1_serial_optimal.bin", tag: tagOptimal, wantLen: n,
+			opts: goldenOpts(AlgorithmOptimal)},
+		{file: "tag2_serial_simple.bin", tag: tagSimple, wantLen: n,
+			opts: simple()},
 		{file: "tag3_sharded.bin", tag: tagSharded, wantLen: n, sharder: true,
-			build: func() ([]byte, error) {
-				hh, err := NewShardedListHeavyHitters(ShardedConfig{
-					Config: goldenConfig(AlgorithmSimple), Shards: 2,
-				})
-				if err != nil {
-					return nil, err
-				}
-				defer hh.Close()
-				if err := hh.InsertBatch(goldenStream(n)); err != nil {
-					return nil, err
-				}
-				return hh.MarshalBinary()
-			}},
+			opts: simple(WithShards(2))},
+		// W=512, B=4 → bucket cap 128; after 2000 inserts the ring holds 4
+		// sealed buckets (512) plus 80 live items = 592 covered (dropping
+		// another bucket would fall below W).
 		{file: "tag4_windowed.bin", tag: tagWindowed, wantLen: 592, windower: true,
-			build: func() ([]byte, error) {
-				// W=512, B=4 → bucket cap 128; after 2000 inserts the ring
-				// holds 4 sealed buckets (512) plus 80 live items = 592
-				// covered (dropping another bucket would fall below W).
-				hh, err := NewWindowedListHeavyHitters(WindowConfig{
-					Config: goldenConfig(AlgorithmSimple),
-					Window: 512, WindowBuckets: 4, Clock: goldenClock,
-				})
-				if err != nil {
-					return nil, err
-				}
-				for _, x := range goldenStream(n) {
-					hh.Insert(x)
-				}
-				return hh.MarshalBinary()
-			}},
+			opts: simple(WithCountWindow(512, 4), WithClock(goldenClock))},
+		// Per-shard window ⌈512/2⌉=256, cap 64; hash partitioning makes
+		// the exact covered mass shard-dependent, so wantLen is left 0
+		// (checked as Len == covered instead).
 		{file: "tag5_sharded_windowed.bin", tag: tagShardedWindowed, windower: true, sharder: true,
-			// Per-shard window ⌈512/2⌉=256, cap 64; hash partitioning makes
-			// the exact covered mass shard-dependent, so wantLen is left 0
-			// (checked as Len == covered instead).
-			build: func() ([]byte, error) {
-				hh, err := NewShardedListHeavyHitters(ShardedConfig{
-					Config: goldenConfig(AlgorithmSimple), Shards: 2,
-					Window: 512, WindowBuckets: 4,
-				})
-				if err != nil {
-					return nil, err
-				}
-				defer hh.Close()
-				if err := hh.InsertBatch(goldenStream(n)); err != nil {
-					return nil, err
-				}
-				return hh.MarshalBinary()
-			}},
+			opts: simple(WithShards(2), WithCountWindow(512, 4), WithClock(goldenClock))},
 		{file: "tag7_borda.bin", tag: tagBorda, wantLen: n, problem: BordaProblem,
 			build: buildGoldenVoter(BordaProblem, n)},
 		{file: "tag8_maximin.bin", tag: tagMaximin, wantLen: n, problem: MaximinProblem,
@@ -163,6 +137,12 @@ func goldenCases() []goldenCase {
 		{file: "tag10_maximum.bin", tag: tagMaximum, wantLen: n, problem: MaxFrequencyProblem,
 			build: buildGoldenExtremes(MaxFrequencyProblem, n)},
 	}
+	for i := range cases {
+		if cases[i].opts != nil {
+			cases[i].build = buildGoldenHH(cases[i].opts...)
+		}
+	}
+	return cases
 }
 
 // buildGoldenVoter checkpoints a tag 7/8 voting engine over the fixed
@@ -400,75 +380,37 @@ func TestLegacyWindowCheckpoints(t *testing.T) {
 	}
 }
 
-// TestCheckpointInterchange: bytes produced by the deprecated API
-// restore via the universal Unmarshal, and bytes produced by the new
-// front door restore via the deprecated per-type functions — for every
-// container tag, with identical reports on both sides, and a
-// restore→re-marshal cycle that reproduces the original bytes exactly
-// (tags 1–6 must stay byte-identical across the problem-keyed
-// refactor; the pool row lives in its own subtest below).
+// TestCheckpointInterchange: bytes built through New restore via the
+// universal Unmarshal for every container tag, a restore→re-marshal
+// cycle reproduces them exactly (tags 1–6 must stay byte-identical
+// across refactors; the pool row lives in its own subtest below), and
+// a second restore of the re-marshalled bytes reports identically.
 func TestCheckpointInterchange(t *testing.T) {
 	for _, gc := range goldenCases() {
 		t.Run(gc.file, func(t *testing.T) {
-			oldBlob, err := gc.build()
+			built, err := gc.build()
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			// Old bytes → new API.
-			viaNew, err := Unmarshal(oldBlob)
+			restored, err := Unmarshal(built)
 			if err != nil {
-				t.Fatalf("Unmarshal(old bytes): %v", err)
+				t.Fatalf("Unmarshal(built bytes): %v", err)
 			}
-			defer viaNew.Close()
-
-			// New API bytes → old decoders.
-			newBlob, err := viaNew.MarshalBinary()
+			defer restored.Close()
+			again, err := restored.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(newBlob, oldBlob) {
-				t.Fatalf("restore→re-marshal changed the bytes: %d in, %d out", len(oldBlob), len(newBlob))
+			if !bytes.Equal(again, built) {
+				t.Fatalf("restore→re-marshal changed the bytes: %d in, %d out", len(built), len(again))
 			}
-			var viaOldReport []ItemEstimate
-			switch gc.tag {
-			case tagOptimal, tagSimple:
-				old, err := UnmarshalListHeavyHitters(newBlob)
-				if err != nil {
-					t.Fatalf("UnmarshalListHeavyHitters(new bytes): %v", err)
-				}
-				viaOldReport = old.Report()
-			case tagSharded, tagShardedWindowed:
-				old, err := UnmarshalShardedListHeavyHitters(newBlob, 0, 0)
-				if err != nil {
-					t.Fatalf("UnmarshalShardedListHeavyHitters(new bytes): %v", err)
-				}
-				defer old.Close()
-				viaOldReport = old.Report()
-			case tagWindowed:
-				old, err := UnmarshalWindowedListHeavyHitters(newBlob)
-				if err != nil {
-					t.Fatalf("UnmarshalWindowedListHeavyHitters(new bytes): %v", err)
-				}
-				viaOldReport = old.Report()
-			case tagBorda, tagMaximin, tagMinimum, tagMaximum:
-				// No deprecated per-type decoder exists for the problem
-				// engines; the interchange contract is the redirect (the
-				// serial decoder names Unmarshal) plus round-trip report
-				// stability through the universal door.
-				if _, err := UnmarshalListHeavyHitters(newBlob); err == nil ||
-					!strings.Contains(err.Error(), "use Unmarshal") {
-					t.Fatalf("deprecated decoder on problem bytes = %v, want a redirect to Unmarshal", err)
-				}
-				again, err := Unmarshal(newBlob)
-				if err != nil {
-					t.Fatalf("Unmarshal(round-trip bytes): %v", err)
-				}
-				defer again.Close()
-				viaOldReport = again.Report()
+			second, err := Unmarshal(again)
+			if err != nil {
+				t.Fatalf("Unmarshal(round-trip bytes): %v", err)
 			}
-			if fmt.Sprint(viaNew.Report()) != fmt.Sprint(viaOldReport) {
-				t.Fatalf("old/new restores diverge:\n%v\n%v", viaNew.Report(), viaOldReport)
+			defer second.Close()
+			if fmt.Sprint(restored.Report()) != fmt.Sprint(second.Report()) {
+				t.Fatalf("round-trip restores diverge:\n%v\n%v", restored.Report(), second.Report())
 			}
 		})
 	}
@@ -507,73 +449,58 @@ func TestCheckpointInterchange(t *testing.T) {
 	})
 }
 
-// TestDefaultProblemBytesUnchanged is the tentpole's byte-compatibility
-// contract, in two layers per heavy-hitters container shape: spelling
-// out the default — WithProblem(HeavyHittersProblem) — changes nothing
-// about what New builds (byte-identical checkpoints), and both match
-// the deprecated per-type constructors where those can be built
-// deterministically (tags 1–4; the deprecated sharded-windowed API has
-// no clock injection, so its arrival stamps defeat byte comparison).
-func TestDefaultProblemBytesUnchanged(t *testing.T) {
-	const n = 2000
-	front := func(explicit bool, extra ...Option) []byte {
-		t.Helper()
-		opts := []Option{
-			WithEps(0.05), WithPhi(0.2), WithDelta(0.05),
-			WithStreamLength(4000), WithUniverse(1 << 20), WithSeed(42),
-		}
-		if explicit {
-			opts = append(opts, WithProblem(HeavyHittersProblem))
-		}
-		opts = append(opts, extra...)
-		hh, err := New(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer hh.Close()
-		if err := hh.InsertBatch(goldenStream(n)); err != nil {
-			t.Fatal(err)
-		}
-		blob, err := hh.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
+// TestNewReproducesGoldenBytes: a fresh build through New reproduces
+// the committed golden file byte for byte, so the files pin what the
+// front door writes today and not only what it still reads. Two tags
+// stay restore-only (TestGoldenCheckpoints still decodes them):
+//   - tag 3: the committed file was written before each shard's engine
+//     declared the global stream length (shardEngineConfig), so it
+//     declares 2,000 per shard where a fresh build declares 4,000;
+//     everything else in the frame is equal.
+//   - tag 5: its window buckets carry the wall-clock stamps of the run
+//     that wrote it, and no clock reproduces them.
+func TestNewReproducesGoldenBytes(t *testing.T) {
 	for _, gc := range goldenCases() {
-		var extra []Option
-		switch gc.tag {
-		case tagOptimal:
-			extra = []Option{WithAlgorithm(AlgorithmOptimal)}
-		case tagSimple:
-			extra = []Option{WithAlgorithm(AlgorithmSimple)}
-		case tagSharded:
-			extra = []Option{WithAlgorithm(AlgorithmSimple), WithShards(2)}
-		case tagWindowed:
-			extra = []Option{WithAlgorithm(AlgorithmSimple),
-				WithCountWindow(512, 4), WithClock(goldenClock)}
-		case tagShardedWindowed:
-			extra = []Option{WithAlgorithm(AlgorithmSimple), WithShards(2),
-				WithCountWindow(512, 4), WithClock(goldenClock)}
-		default:
+		if gc.tag == tagSharded || gc.tag == tagShardedWindowed {
+			continue
+		}
+		t.Run(gc.file, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "checkpoints", gc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := gc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("fresh build (%d bytes) differs from the committed golden file (%d bytes)", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestDefaultProblemBytesUnchanged: spelling out the default problem —
+// WithProblem(HeavyHittersProblem) — changes nothing about what New
+// builds, for every heavy-hitters container shape (byte-identical
+// checkpoints).
+func TestDefaultProblemBytesUnchanged(t *testing.T) {
+	for _, gc := range goldenCases() {
+		if gc.problem != HeavyHittersProblem {
 			continue // problem tags have no implicit-default twin
 		}
-		implicit := front(false, extra...)
-		explicit := front(true, extra...)
+		implicit, err := gc.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := append(gc.opts[:len(gc.opts):len(gc.opts)], WithProblem(HeavyHittersProblem))
+		explicit, err := buildGoldenHH(opts...)()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.Equal(implicit, explicit) {
 			t.Errorf("%s: WithProblem(HeavyHittersProblem) changed the bytes (%d vs %d)",
 				gc.file, len(implicit), len(explicit))
-		}
-		if gc.tag == tagShardedWindowed {
-			continue // the deprecated twin cannot pin its clock
-		}
-		viaOld, err := gc.build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(explicit, viaOld) {
-			t.Errorf("%s: front-door bytes (%d) differ from deprecated-API bytes (%d)",
-				gc.file, len(explicit), len(viaOld))
 		}
 	}
 }
@@ -620,33 +547,5 @@ func TestUnmarshalUnknownTagError(t *testing.T) {
 	if _, err := Unmarshal([]byte{6, 0, 0}); err == nil ||
 		!strings.Contains(err.Error(), "UnmarshalPool") {
 		t.Errorf("pool-tag error %v does not redirect to UnmarshalPool", err)
-	}
-}
-
-// TestDeprecatedUnmarshalRedirects: the per-type decoders keep their
-// container-mismatch redirect errors.
-func TestDeprecatedUnmarshalRedirects(t *testing.T) {
-	sharded, err := New(WithEps(0.05), WithPhi(0.2), WithStreamLength(1000),
-		WithUniverse(1<<20), WithSeed(1), WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-	blob, err := sharded.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalListHeavyHitters(blob); err == nil {
-		t.Fatal("serial decoder accepted a sharded container")
-	}
-	if _, err := UnmarshalWindowedListHeavyHitters(blob); err == nil {
-		t.Fatal("windowed decoder accepted a sharded container")
-	}
-	if _, err := UnmarshalShardedListHeavyHitters([]byte{tagOptimal, 0}, 0, 0); err == nil {
-		t.Fatal("sharded decoder accepted a serial encoding")
-	}
-	var wantErr error = ErrIncompatibleMerge
-	if !errors.Is(ErrIncompatibleMerge, wantErr) {
-		t.Fatal("sentinel identity lost")
 	}
 }

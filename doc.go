@@ -112,12 +112,6 @@
 // everything else spills. cmd/hhd mounts a pool under /t/{tenant}/…
 // routes with -tenants.
 //
-// The per-type constructors of earlier releases (NewListHeavyHitters,
-// NewShardedListHeavyHitters, NewWindowedListHeavyHitters and their
-// Unmarshal counterparts) remain as deprecated shims over the same
-// engines; their checkpoint bytes are interchangeable with the new API
-// in both directions. README.md carries the old→new migration table.
-//
 // # What it provides
 //
 // Streaming solvers with the paper's optimal space bounds:
@@ -128,12 +122,14 @@
 //     engines: Algorithm 1 (simple, near-optimal) and Algorithm 2
 //     (optimal, accelerated counters); unknown-length variants
 //     (Theorems 7–8) when WithStreamLength is omitted.
-//   - Maximum — the ε-Maximum problem / ℓ∞ approximation (IITK 2006 Open
-//     Question 3 for ℓ1): the most frequent item and its frequency ± ε·m.
-//   - Minimum — the ε-Minimum problem: an item of approximately minimum
-//     frequency over a small universe (dislike counting, anomaly
-//     detection).
-//   - Borda and Maximin sketches — rank-aggregation heavy hitters over
+//   - WithProblem(MaxFrequencyProblem), answered through Extremes — the
+//     ε-Maximum problem / ℓ∞ approximation (IITK 2006 Open Question 3
+//     for ℓ1): the most frequent item and its frequency ± ε·m.
+//   - WithProblem(MinFrequencyProblem), answered through Extremes — the
+//     ε-Minimum problem: an item of approximately minimum frequency over
+//     a small universe (dislike counting, anomaly detection).
+//   - WithProblem(BordaProblem) and WithProblem(MaximinProblem),
+//     answered through Voter — rank-aggregation heavy hitters over
 //     streams of votes (total orders), per Theorems 5 and 6.
 //
 // And three system tiers composed by New:
@@ -152,11 +148,13 @@
 //     the merge tier's rules at report time; the error bound degrades by
 //     at most one retired epoch's mass (DESIGN.md §8).
 //
-// Plus the classic baselines the paper compares against (Misra-Gries,
-// Space-Saving, Count-Min, CountSketch, Lossy Counting, Sticky Sampling),
-// synthetic workload generators, and the paper's lower-bound reductions
-// as executable artifacts (internal/commlower). cmd/hhd serves the whole
-// stack over HTTP; cmd/hhcli runs it over files and pipes.
+// Plus synthetic workload generators and the paper's lower-bound
+// reductions as executable artifacts (internal/commlower). The classic
+// baselines the paper compares against (Misra-Gries, Space-Saving,
+// Count-Min, CountSketch, Lossy Counting, Sticky Sampling) are benchmark
+// fixtures, not API: cmd/hhbench runs them beside the paper's solvers.
+// cmd/hhd serves the whole stack over HTTP; cmd/hhcli runs it over
+// files and pipes.
 //
 // # Choosing an engine
 //

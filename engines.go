@@ -1,10 +1,9 @@
 package l1hh
 
-// engines.go — the single construction and restore path behind both the
-// unified front door (New / Unmarshal, solver.go) and the deprecated
-// per-type constructors. The decorator stack is canonical: the sharded
-// container wraps per-shard engines, each of which is either a serial
-// solver or a window of serial solvers (DESIGN.md §9).
+// engines.go — the construction and restore path behind the front door
+// (New / Unmarshal, solver.go). The decorator stack is canonical: the
+// sharded container wraps per-shard engines, each of which is either a
+// serial solver or a window of serial solvers (DESIGN.md §9).
 
 import (
 	"errors"
@@ -65,7 +64,7 @@ func taggedMarshal(tag byte, m interface{ MarshalBinary() ([]byte, error) }) ([]
 // buildSerial constructs the serial solver for cfg: the known-length
 // engines of Theorems 1–2, or the unknown-length machinery of Theorem 7
 // when cfg.StreamLength is zero.
-func buildSerial(cfg Config) (*ListHeavyHitters, error) {
+func buildSerial(cfg config) (*serialSolver, error) {
 	cfg.fill()
 	src := rng.New(cfg.Seed)
 	if cfg.StreamLength == 0 {
@@ -75,7 +74,7 @@ func buildSerial(cfg Config) (*ListHeavyHitters, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ListHeavyHitters{
+		return &serialSolver{
 			insert: u.Insert, report: u.Report, bits: u.ModelBits, length: u.Len,
 			marshal: func() ([]byte, error) {
 				return nil, errors.New("l1hh: unknown-length solvers are not serializable")
@@ -119,10 +118,9 @@ type serialEngine interface {
 	MarshalBinary() ([]byte, error)
 }
 
-// newSerialOver wires a ListHeavyHitters facade over a known-length core
-// engine.
-func newSerialOver(a serialEngine, tag byte, eps, phi float64) *ListHeavyHitters {
-	return &ListHeavyHitters{
+// newSerialOver wires a serialSolver over a known-length core engine.
+func newSerialOver(a serialEngine, tag byte, eps, phi float64) *serialSolver {
+	return &serialSolver{
 		insert: a.Insert, report: a.Report, bits: a.ModelBits, length: a.Len,
 		marshal: func() ([]byte, error) { return taggedMarshal(tag, a) },
 		engine:  a,
@@ -133,7 +131,7 @@ func newSerialOver(a serialEngine, tag byte, eps, phi float64) *ListHeavyHitters
 // unmarshalSerial reconstructs a known-length serial solver from a tag
 // 1–2 encoding; the problem parameters are recovered from the engine
 // state itself.
-func unmarshalSerial(data []byte) (*ListHeavyHitters, error) {
+func unmarshalSerial(data []byte) (*serialSolver, error) {
 	if len(data) < 2 {
 		return nil, errors.New("l1hh: truncated solver encoding")
 	}
@@ -167,14 +165,14 @@ func unmarshalSerial(data []byte) (*ListHeavyHitters, error) {
 // any ε a window-scale stream can support (DESIGN.md §8).
 const minWindowEps = 1.0 / (1 << 13)
 
-// windowEngineConfig derives the per-bucket solver Config: every bucket
+// windowEngineConfig derives the per-bucket solver config: every bucket
 // runs the same engine with the same seed (the fold rules require
 // identical random choices), declared at the maximum mass one report can
 // cover — the window plus one epoch of slack. It also range-checks the
 // problem parameters (rejecting NaN), because both the constructor and
 // the checkpoint decoder route through it.
-func windowEngineConfig(cfg WindowConfig) (Config, error) {
-	c := cfg.Config
+func windowEngineConfig(cfg windowConfig) (config, error) {
+	c := cfg.config
 	if !(c.Eps >= minWindowEps && c.Eps < 1) {
 		return c, fmt.Errorf("l1hh: windowed solvers need ε in [2⁻¹³, 1), got %v", c.Eps)
 	}
@@ -201,7 +199,7 @@ func windowEngineConfig(cfg WindowConfig) (Config, error) {
 		c.StreamLength = cfg.Window + slack
 	case cfg.WindowDuration > 0:
 		if c.StreamLength == 0 {
-			return c, errors.New("l1hh: a duration window needs Config.StreamLength (expected items per window)")
+			return c, errors.New("l1hh: a time window needs a stream length (the expected items per window)")
 		}
 		slack := (c.StreamLength + uint64(b) - 1) / uint64(b)
 		c.StreamLength += slack
@@ -210,8 +208,8 @@ func windowEngineConfig(cfg WindowConfig) (Config, error) {
 }
 
 // buildWindowed constructs the sliding-window decorator: a window of
-// serial engines, every bucket built from the same derived Config.
-func buildWindowed(cfg WindowConfig) (*WindowedListHeavyHitters, error) {
+// serial engines, every bucket built from the same derived config.
+func buildWindowed(cfg windowConfig) (*windowedSolver, error) {
 	cfg.fill()
 	ecfg, err := windowEngineConfig(cfg)
 	if err != nil {
@@ -228,19 +226,19 @@ func buildWindowed(cfg WindowConfig) (*WindowedListHeavyHitters, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WindowedListHeavyHitters{w: w, cfg: cfg, eps: cfg.Eps, phi: cfg.Phi}, nil
+	return &windowedSolver{w: w, cfg: cfg, eps: cfg.Eps, phi: cfg.Phi}, nil
 }
 
 // unmarshalWindowed reconstructs a windowed solver from a tag-4
 // encoding. clock overrides the wall clock the restored window runs on
 // (nil means time.Now); time-based windows then retire what aged out
 // while the checkpoint sat on disk on the first operation.
-func unmarshalWindowed(data []byte, clock func() time.Time) (*WindowedListHeavyHitters, error) {
+func unmarshalWindowed(data []byte, clock func() time.Time) (*windowedSolver, error) {
 	if len(data) < 1 || data[0] != tagWindowed {
 		return nil, errors.New("l1hh: not a windowed solver encoding")
 	}
 	r := wire.NewReader(data[1:])
-	var cfg WindowConfig
+	var cfg windowConfig
 	cfg.Eps = r.F64()
 	cfg.Phi = r.F64()
 	cfg.Delta = r.F64()
@@ -285,7 +283,7 @@ func unmarshalWindowed(data []byte, clock func() time.Time) (*WindowedListHeavyH
 		(cfg.WindowBuckets == 0 && buckets != window.DefaultBuckets) {
 		return nil, errors.New("l1hh: window geometry mismatch between frame and snapshot")
 	}
-	return &WindowedListHeavyHitters{w: w, cfg: cfg, eps: cfg.Eps, phi: cfg.Phi}, nil
+	return &windowedSolver{w: w, cfg: cfg, eps: cfg.Eps, phi: cfg.Phi}, nil
 }
 
 // splitCountWindow is the per-shard count window ⌈w/k⌉ — the one place
@@ -306,9 +304,9 @@ func splitCountWindow(w uint64, shards int) uint64 {
 // items ≈ evenly, so per-shard suffixes union to ≈ the global suffix); a
 // time window keeps the same wall-clock span on every shard. clock
 // overrides every shard window's clock (nil means time.Now).
-func shardWindowConfig(cfg ShardedConfig, ecfg Config, total int, clock func() time.Time) WindowConfig {
-	return WindowConfig{
-		Config:         ecfg,
+func shardWindowConfig(cfg shardedConfig, ecfg config, total int, clock func() time.Time) windowConfig {
+	return windowConfig{
+		config:         ecfg,
 		Window:         splitCountWindow(cfg.Window, total),
 		WindowDuration: cfg.WindowDuration,
 		WindowBuckets:  cfg.WindowBuckets,
@@ -316,7 +314,7 @@ func shardWindowConfig(cfg ShardedConfig, ecfg Config, total int, clock func() t
 	}
 }
 
-// shardEngineConfig derives one shard's solver Config from the global
+// shardEngineConfig derives one shard's solver config from the global
 // problem: same (ε, ϕ), failure probability split δ/K so a union bound
 // covers all shards, and — deliberately — the *global* declared stream
 // length m, not m/K.
@@ -337,7 +335,7 @@ func shardWindowConfig(cfg ShardedConfig, ecfg Config, total int, clock func() t
 // to its substream. Skew is also safer than under m/K: no shard can
 // receive more than the global m, so the declared length is never an
 // underestimate.
-func shardEngineConfig(cfg Config, total int, seed uint64) Config {
+func shardEngineConfig(cfg config, total int, seed uint64) config {
 	c := cfg
 	c.Delta = cfg.Delta / float64(total)
 	c.Seed = seed
@@ -350,7 +348,7 @@ func shardEngineConfig(cfg Config, total int, seed uint64) Config {
 // every shard runs a sliding window over its substream (built on clock;
 // nil means time.Now). hooks are the optional ingest stage-timing
 // callbacks (WithIngestObserver); the zero value disables them.
-func buildSharded(cfg ShardedConfig, clock func() time.Time, hooks shard.Hooks) (*ShardedListHeavyHitters, error) {
+func buildSharded(cfg shardedConfig, clock func() time.Time, hooks shard.Hooks) (*shardedSolver, error) {
 	cfg.fill()
 	if cfg.Window > 0 && cfg.WindowDuration > 0 {
 		return nil, errors.New("l1hh: Window and WindowDuration are mutually exclusive")
@@ -373,7 +371,7 @@ func buildSharded(cfg ShardedConfig, clock func() time.Time, hooks shard.Hooks) 
 	seeds := rng.New(cfg.Seed)
 	opts.Seed = seeds.Uint64()
 	factory := func(i, total int) (shard.Engine, error) {
-		ecfg := shardEngineConfig(cfg.Config, total, seeds.Uint64())
+		ecfg := shardEngineConfig(cfg.config, total, seeds.Uint64())
 		if !cfg.windowed() {
 			return buildSerial(ecfg)
 		}
@@ -383,7 +381,7 @@ func buildSharded(cfg ShardedConfig, clock func() time.Time, hooks shard.Hooks) 
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedListHeavyHitters{
+	return &shardedSolver{
 		s: s, eps: cfg.Eps, phi: cfg.Phi,
 		window: cfg.Window, windowDur: cfg.WindowDuration, windowBuckets: cfg.WindowBuckets,
 		rawWindows: cfg.RawShardWindows,
@@ -402,12 +400,12 @@ func buildSharded(cfg ShardedConfig, clock func() time.Time, hooks shard.Hooks) 
 // the same reason; hooks re-install the ingest stage-timing callbacks
 // (WithIngestObserver), runtime instrumentation that is never
 // serialized.
-func unmarshalSharded(data []byte, queueDepth, maxBatch int, clock func() time.Time, pacedBudget int, rawWindows bool, hooks shard.Hooks) (*ShardedListHeavyHitters, error) {
+func unmarshalSharded(data []byte, queueDepth, maxBatch int, clock func() time.Time, pacedBudget int, rawWindows bool, hooks shard.Hooks) (*shardedSolver, error) {
 	if len(data) < 1 || (data[0] != tagSharded && data[0] != tagShardedWindowed) {
 		return nil, errors.New("l1hh: not a sharded solver encoding")
 	}
 	r := wire.NewReader(data[1:])
-	h := &ShardedListHeavyHitters{rawWindows: rawWindows}
+	h := &shardedSolver{rawWindows: rawWindows}
 	h.eps = r.F64()
 	h.phi = r.F64()
 	if data[0] == tagShardedWindowed {
@@ -438,9 +436,9 @@ func unmarshalSharded(data []byte, queueDepth, maxBatch int, clock func() time.T
 			if err != nil {
 				return nil, err
 			}
-			want := shardWindowConfig(ShardedConfig{
+			want := shardWindowConfig(shardedConfig{
 				Window: h.window, WindowDuration: h.windowDur, WindowBuckets: h.windowBuckets,
-			}, w.cfg.Config, total, nil)
+			}, w.cfg.config, total, nil)
 			if w.cfg.Window != want.Window || w.cfg.WindowDuration != want.WindowDuration ||
 				w.cfg.WindowBuckets != want.WindowBuckets {
 				return nil, errors.New("l1hh: shard window geometry disagrees with the container frame")

@@ -125,166 +125,88 @@ func ExampleUnmarshal() {
 	// items reported: 1
 }
 
-func ExampleNewListHeavyHitters() {
-	// AlgorithmSimple counts exactly on streams shorter than its sample
-	// budget, which keeps this example's output deterministic; the default
-	// AlgorithmOptimal estimates within ±ε·m via accelerated counters.
-	hh, err := l1hh.NewListHeavyHitters(l1hh.Config{
-		Eps: 0.05, Phi: 0.2, Delta: 0.05,
-		StreamLength: 1000, Universe: 1 << 20,
-		Algorithm: l1hh.AlgorithmSimple, Seed: 1,
-	})
-	if err != nil {
-		panic(err)
-	}
-	// Item 7 takes half the stream, the rest is spread thin.
-	for i := 0; i < 1000; i++ {
-		if i%2 == 0 {
-			hh.Insert(7)
-		} else {
-			hh.Insert(uint64(1000 + i))
-		}
-	}
-	for _, r := range hh.Report() {
-		// Estimates carry ±ε·m error; round to the nearest hundred for a
-		// stable example output.
-		fmt.Printf("item %d ≈ %.0f\n", r.Item, math.Round(r.F/100)*100)
-	}
-	// Output:
-	// item 7 ≈ 500
-}
-
-func ExampleNewMaximum() {
-	mx, err := l1hh.NewMaximum(l1hh.Config{
-		Eps: 0.1, Delta: 0.05, StreamLength: 300, Universe: 100, Seed: 2,
-	})
+func ExampleWithProblem_maximum() {
+	// MaxFrequencyProblem answers the ε-Maximum problem through the
+	// Extremes capability.
+	hh, err := l1hh.New(
+		l1hh.WithProblem(l1hh.MaxFrequencyProblem),
+		l1hh.WithEps(0.1), l1hh.WithDelta(0.05),
+		l1hh.WithStreamLength(300), l1hh.WithUniverse(100), l1hh.WithSeed(2),
+	)
 	if err != nil {
 		panic(err)
 	}
 	for i := 0; i < 300; i++ {
-		mx.Insert(uint64(i % 3)) // 0, 1, 2 equally often …
+		hh.Insert(uint64(i % 3)) // 0, 1, 2 equally often …
 	}
 	for i := 0; i < 150; i++ {
-		mx.Insert(2) // … and 2 gets a surge
+		hh.Insert(2) // … and 2 gets a surge
 	}
-	item, _, _ := mx.Report()
-	fmt.Println("most frequent:", item)
+	top, _, _ := hh.(l1hh.Extremes).MaxItem()
+	fmt.Println("most frequent:", top.Item)
 	// Output:
 	// most frequent: 2
 }
 
-func ExampleNewMinimum() {
-	mn, err := l1hh.NewMinimum(l1hh.Config{
-		Eps: 0.1, Delta: 0.05, StreamLength: 900, Universe: 4, Seed: 3,
-	})
+func ExampleWithProblem_minimum() {
+	// MinFrequencyProblem answers the ε-Minimum problem over a small
+	// universe through the Extremes capability.
+	hh, err := l1hh.New(
+		l1hh.WithProblem(l1hh.MinFrequencyProblem),
+		l1hh.WithEps(0.1), l1hh.WithDelta(0.05),
+		l1hh.WithStreamLength(900), l1hh.WithUniverse(4), l1hh.WithSeed(3),
+	)
 	if err != nil {
 		panic(err)
 	}
 	for i := 0; i < 900; i++ {
-		mn.Insert(uint64(i % 3)) // item 3 never occurs
+		hh.Insert(uint64(i % 3)) // item 3 never occurs
 	}
-	fmt.Println("least frequent:", mn.Report().Item)
+	least, _, _ := hh.(l1hh.Extremes).MinItem()
+	fmt.Println("least frequent:", least.Item)
 	// Output:
 	// least frequent: 3
 }
 
-func ExampleNewBorda() {
-	b, err := l1hh.NewBorda(l1hh.VoteConfig{
-		Candidates: 3, Eps: 0.05, StreamLength: 2, Seed: 4,
-	})
+func ExampleWithProblem_borda() {
+	// BordaProblem ingests ballots through the Voter capability; ϕ is
+	// the (ε,ϕ)-List threshold, which Winner does not use.
+	hh, err := l1hh.New(
+		l1hh.WithProblem(l1hh.BordaProblem), l1hh.WithCandidates(3),
+		l1hh.WithEps(0.05), l1hh.WithPhi(0.5),
+		l1hh.WithStreamLength(2), l1hh.WithSeed(4),
+	)
 	if err != nil {
 		panic(err)
 	}
-	b.Insert(l1hh.Ranking{2, 0, 1}) // 2 ≻ 0 ≻ 1
-	b.Insert(l1hh.Ranking{2, 1, 0}) // 2 ≻ 1 ≻ 0
-	winner, score := b.Max()
+	v := hh.(l1hh.Voter)
+	v.Vote(l1hh.Ranking{2, 0, 1}) // 2 ≻ 0 ≻ 1
+	v.Vote(l1hh.Ranking{2, 1, 0}) // 2 ≻ 1 ≻ 0
+	winner, score := v.Winner()
 	fmt.Printf("Borda winner %d with score %.0f\n", winner, score)
 	// Output:
 	// Borda winner 2 with score 4
 }
 
-func ExampleNewWindowedListHeavyHitters() {
-	// A sliding window answers "heavy RIGHT NOW": the last Window items,
-	// not the whole stream. AlgorithmSimple counts exactly at this small
-	// window scale (DESIGN.md §8), keeping the output deterministic.
-	win, err := l1hh.NewWindowedListHeavyHitters(l1hh.WindowConfig{
-		Config: l1hh.Config{
-			Eps: 0.1, Phi: 0.3, Delta: 0.05,
-			Universe: 1 << 20, Algorithm: l1hh.AlgorithmSimple, Seed: 1,
-		},
-		Window: 100, // cover (at least) the last 100 items
-	})
-	if err != nil {
-		panic(err)
+func ExampleMerger() {
+	// Two nodes built from the SAME options (seed included) each ingest a
+	// slice of the stream; folding one's checkpoint into the other
+	// answers for the concatenation, as if one solver had seen everything
+	// (DESIGN.md §7).
+	opts := []l1hh.Option{
+		l1hh.WithEps(0.1), l1hh.WithPhi(0.4), l1hh.WithDelta(0.05),
+		l1hh.WithStreamLength(400), l1hh.WithUniverse(1 << 10),
+		l1hh.WithAlgorithm(l1hh.AlgorithmSimple), l1hh.WithSeed(3),
 	}
-	// Old regime: item 7 dominates. New regime: item 9 takes over.
-	for i := 0; i < 500; i++ {
-		win.Insert(7)
-	}
-	for i := 0; i < 200; i++ {
-		win.Insert(9)
-	}
-	for _, r := range win.Report() {
-		fmt.Printf("trending: item %d ≈ %.0f of the last %d\n", r.Item, r.F, win.Len())
-	}
-	fmt.Printf("retired: %d items aged out\n", win.WindowStats().Retired)
-	// Output:
-	// trending: item 9 ≈ 102 of the last 102
-	// retired: 598 items aged out
-}
-
-func ExampleNewShardedListHeavyHitters() {
-	// The sharded solver hash-partitions ids across worker-owned engines;
-	// any number of goroutines may call InsertBatch concurrently, and
-	// Report is a barrier over all shards at global thresholds.
-	sh, err := l1hh.NewShardedListHeavyHitters(l1hh.ShardedConfig{
-		Config: l1hh.Config{
-			Eps: 0.05, Phi: 0.2, Delta: 0.05,
-			StreamLength: 1000, Universe: 1 << 20,
-			Algorithm: l1hh.AlgorithmSimple, Seed: 2,
-		},
-		Shards: 4,
-	})
-	if err != nil {
-		panic(err)
-	}
-	defer sh.Close()
-	batch := make([]l1hh.Item, 0, 1000)
-	for i := 0; i < 1000; i++ {
-		if i%2 == 0 {
-			batch = append(batch, 7) // half the stream
-		} else {
-			batch = append(batch, uint64(1000+i))
-		}
-	}
-	if err := sh.InsertBatch(batch); err != nil {
-		panic(err)
-	}
-	for _, r := range sh.Report() {
-		fmt.Printf("item %d ≈ %.0f of %d across %d shards\n",
-			r.Item, r.F, sh.Len(), sh.Shards())
-	}
-	// Output:
-	// item 7 ≈ 499 of 1000 across 4 shards
-}
-
-func ExampleListHeavyHitters_MergeFrom() {
-	// Two nodes built from the SAME Config (seed included) each ingest a
-	// slice of the stream; folding one into the other answers for the
-	// concatenation, as if one solver had seen everything (DESIGN.md §7).
-	cfg := l1hh.Config{
-		Eps: 0.1, Phi: 0.4, Delta: 0.05,
-		StreamLength: 400, Universe: 1 << 10,
-		Algorithm: l1hh.AlgorithmSimple, Seed: 3,
-	}
-	nodeA, _ := l1hh.NewListHeavyHitters(cfg)
-	nodeB, _ := l1hh.NewListHeavyHitters(cfg)
+	nodeA, _ := l1hh.New(opts...)
+	nodeB, _ := l1hh.New(opts...)
 	for i := 0; i < 100; i++ {
 		nodeA.Insert(9) // node A's slice: all 9s
 		nodeB.Insert(9) // node B's slice: 9s and 4s
 		nodeB.Insert(4)
 	}
-	if err := nodeA.MergeFrom(nodeB); err != nil {
+	blob, _ := nodeB.MarshalBinary()
+	if err := nodeA.(l1hh.Merger).Merge(blob); err != nil {
 		panic(err)
 	}
 	for _, r := range nodeA.Report() {
@@ -292,22 +214,4 @@ func ExampleListHeavyHitters_MergeFrom() {
 	}
 	// Output:
 	// item 9 ≈ 200 of 300
-}
-
-func ExampleListHeavyHitters_MarshalBinary() {
-	hh, _ := l1hh.NewListHeavyHitters(l1hh.Config{
-		Eps: 0.1, Phi: 0.4, Delta: 0.05,
-		StreamLength: 200, Universe: 1 << 10, Seed: 5,
-	})
-	for i := 0; i < 100; i++ {
-		hh.Insert(9)
-	}
-	blob, _ := hh.MarshalBinary() // checkpoint
-	restored, _ := l1hh.UnmarshalListHeavyHitters(blob)
-	for i := 0; i < 100; i++ {
-		restored.Insert(9) // resume on the copy
-	}
-	fmt.Println("items reported:", len(restored.Report()))
-	// Output:
-	// items reported: 1
 }

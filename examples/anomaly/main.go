@@ -26,10 +26,9 @@ func main() {
 		eps     = 0.01
 	)
 
-	mn, err := l1hh.NewMinimum(l1hh.Config{
-		Eps: eps, Delta: 0.05,
-		StreamLength: packets, Universe: sensors, Seed: 13,
-	})
+	mn, err := l1hh.New(l1hh.WithProblem(l1hh.MinFrequencyProblem),
+		l1hh.WithEps(eps), l1hh.WithDelta(0.05),
+		l1hh.WithStreamLength(packets), l1hh.WithUniverse(sensors), l1hh.WithSeed(13))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,16 +46,21 @@ func main() {
 				continue
 			}
 		}
-		mn.Insert(x)
+		if err := mn.Insert(x); err != nil {
+			log.Fatal(err)
+		}
 		exact[x]++
 		sent++
 	}
 
-	r := mn.Report()
+	r, bound, err := mn.(l1hh.Extremes).MinItem()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("packets observed : %d from %d sensors\n", packets, sensors)
 	fmt.Printf("monitor state    : %d bits\n\n", mn.ModelBits())
-	fmt.Printf("flagged sensor   : #%d (branch %d of Algorithm 3)\n", r.Item, r.Branch)
-	fmt.Printf("estimated packets: %.0f   (exact: %d)\n", r.F, exact[r.Item])
+	fmt.Printf("flagged sensor   : #%d\n", r.Item)
+	fmt.Printf("estimated packets: %.0f ± %.0f   (exact: %d)\n", r.F, bound, exact[r.Item])
 	if r.Item == failing {
 		fmt.Println("\nthe defective sensor was identified correctly.")
 	} else {

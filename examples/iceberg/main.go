@@ -3,10 +3,11 @@
 // threshold, without materializing the aggregation).
 //
 // Here a retailer's sales feed streams (store, product) pairs and the
-// analyst wants every pair accounting for ≥ 1% of the volume. The example
-// also demonstrates the two-sketch pattern the baselines enable: a
-// Misra-Gries pass produces candidates, a mergeable Count-Min pass (split
-// across two "shards", merged at query time) verifies their counts.
+// analyst wants every pair accounting for ≥ 1% of the volume. One
+// solver answers the query in one pass. The example also shows the
+// distributed pattern: two same-seed nodes each see half of the feed,
+// and one folds the other's checkpoint through the Merger capability,
+// after which it answers for the whole feed.
 //
 //	go run ./examples/iceberg
 package main
@@ -27,20 +28,21 @@ func main() {
 		phi = 0.01
 	)
 
-	// The paper's solver answers the iceberg query in one pass.
-	hh, err := l1hh.New(
-		l1hh.WithEps(eps), l1hh.WithPhi(phi), l1hh.WithDelta(0.05),
-		l1hh.WithStreamLength(m), l1hh.WithUniverse(1<<62), l1hh.WithSeed(21),
-	)
-	if err != nil {
-		log.Fatal(err)
+	// Every node is built from the same options, seed included, and
+	// declares the global stream length: that is what lets their states
+	// fold (DESIGN.md §7).
+	newNode := func() l1hh.HeavyHitters {
+		hh, err := l1hh.New(
+			l1hh.WithEps(eps), l1hh.WithPhi(phi), l1hh.WithDelta(0.05),
+			l1hh.WithStreamLength(m), l1hh.WithUniverse(1<<62), l1hh.WithSeed(21),
+		)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return hh
 	}
-
-	// Baseline pattern: MG candidates + two CMS shards merged at query
-	// time (same seed ⇒ mergeable).
-	mgPass := l1hh.NewMisraGries(int(2/phi), 1<<62)
-	shardA := l1hh.NewCountMin(77, eps, 0.01)
-	shardB := l1hh.NewCountMin(77, eps, 0.01)
+	hh := newNode()                      // sees the whole feed
+	nodeA, nodeB := newNode(), newNode() // each sees half of it
 
 	// Hot pairs: store 3 sells product 12 heavily, store 9 product 4.
 	gen := l1hh.NewPlantedStream(22, []float64{0.05, 0.02}, 1000, 1<<20)
@@ -56,12 +58,14 @@ func main() {
 		default:
 			id = pairID(raw%50, raw%1000) // long tail
 		}
-		hh.Insert(id)
-		mgPass.Insert(id)
-		if i%2 == 0 {
-			shardA.Insert(id)
-		} else {
-			shardB.Insert(id)
+		node := nodeA
+		if i%2 == 1 {
+			node = nodeB
+		}
+		for _, s := range []l1hh.HeavyHitters{hh, node} {
+			if err := s.Insert(id); err != nil {
+				log.Fatal(err)
+			}
 		}
 		exact[id]++
 	}
@@ -69,25 +73,28 @@ func main() {
 	fmt.Printf("sales records : %d   threshold: ≥ %.0f (ϕ = %.1f%%)\n\n", m, phi*m, phi*100)
 
 	fmt.Println("— one-pass optimal algorithm (Theorem 2) —")
+	printReport(hh.Report(), exact)
+
+	// Ship node B's state to node A and fold it in.
+	blob, err := nodeB.MarshalBinary()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := nodeA.(l1hh.Merger).Merge(blob); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("\n— two half-feed nodes folded through Merger —")
+	printReport(nodeA.Report(), exact)
+	fmt.Printf("\nsketch sizes: one-pass %d bits, merged node %d bits, checkpoint %d bytes\n",
+		hh.ModelBits(), nodeA.ModelBits(), len(blob))
+}
+
+// printReport lists the reported (store, product) pairs beside their
+// exact counts.
+func printReport(rep []l1hh.ItemEstimate, exact map[l1hh.Item]int) {
 	fmt.Println("store  product   estimate    exact")
-	for _, r := range hh.Report() {
+	for _, r := range rep {
 		fmt.Printf("%5d  %7d  %9.0f  %7d\n",
 			r.Item>>32, r.Item&0xFFFFFFFF, r.F, exact[r.Item])
 	}
-
-	// Merge the CMS shards and verify MG's candidates against them.
-	if err := shardA.Merge(shardB); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\n— MG candidates verified by merged Count-Min shards —")
-	fmt.Println("store  product   CMS est.    exact")
-	for _, cand := range mgPass.Candidates() {
-		est := shardA.Estimate(cand)
-		if float64(est) >= phi*m {
-			fmt.Printf("%5d  %7d  %9d  %7d\n",
-				cand>>32, cand&0xFFFFFFFF, est, exact[cand])
-		}
-	}
-	fmt.Printf("\nsketch sizes: optimal %d bits, MG %d bits, merged CMS %d bits\n",
-		hh.ModelBits(), mgPass.ModelBits(), shardA.ModelBits())
 }

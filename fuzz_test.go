@@ -78,7 +78,7 @@ func FuzzUnmarshalListHeavyHitters(f *testing.F) {
 		if len(data) > 1<<16 {
 			return
 		}
-		hh, err := UnmarshalListHeavyHitters(data)
+		hh, err := unmarshalSerial(data)
 		if err != nil {
 			return
 		}
@@ -95,9 +95,9 @@ func FuzzUnmarshalListHeavyHitters(f *testing.F) {
 // must error — never panic, never allocate proportionally to a claimed
 // geometry — and a successful decode must yield a usable window.
 func FuzzUnmarshalWindowed(f *testing.F) {
-	mk := func() *WindowedListHeavyHitters {
-		hh, err := NewWindowedListHeavyHitters(WindowConfig{
-			Config: Config{
+	mk := func() *windowedSolver {
+		hh, err := buildWindowed(windowConfig{
+			config: config{
 				Eps: 0.1, Phi: 0.3, Delta: 0.1, Universe: 1 << 16,
 				Algorithm: AlgorithmSimple, Seed: 5,
 			},
@@ -123,7 +123,7 @@ func FuzzUnmarshalWindowed(f *testing.F) {
 		if len(data) > 1<<16 {
 			return
 		}
-		w, err := UnmarshalWindowedListHeavyHitters(data)
+		w, err := unmarshalWindowed(data, nil)
 		if err != nil {
 			return
 		}
@@ -288,67 +288,85 @@ func FuzzUnmarshalAny(f *testing.F) {
 	})
 }
 
-// fuzzMergeTarget builds one live engine per process for
-// FuzzMergeCheckpoint to merge hostile blobs into. Successful merges
-// mutate it, which is fine — the property under test is "error, never
-// panic", on a target that stays usable.
-var fuzzMergeTarget = sync.OnceValue(func() *ShardedListHeavyHitters {
-	hh, err := NewShardedListHeavyHitters(ShardedConfig{
-		Config: Config{
-			Eps: 0.1, Phi: 0.3, Delta: 0.1,
-			StreamLength: 4000, Universe: 1 << 16, Seed: 5,
-		},
-		Shards: 2,
-	})
+// mergeReceivers are the three Merger kinds, each built with the
+// options of the anySeedBlobs checkpoint of its own tag, so that
+// checkpoint folds into it.
+var mergeReceivers = []struct {
+	name string
+	tag  byte
+	opts []Option
+}{
+	{"serial", tagOptimal, []Option{WithEps(0.1), WithPhi(0.3), WithDelta(0.1),
+		WithUniverse(1 << 16), WithSeed(5), WithStreamLength(1000), WithAlgorithm(AlgorithmOptimal)}},
+	{"sharded", tagSharded, []Option{WithEps(0.1), WithPhi(0.3), WithDelta(0.1),
+		WithUniverse(1 << 16), WithSeed(5), WithStreamLength(1000), WithAlgorithm(AlgorithmSimple), WithShards(2)}},
+	{"borda", tagBorda, []Option{WithProblem(BordaProblem), WithCandidates(4),
+		WithEps(0.1), WithPhi(0.3), WithDelta(0.1), WithStreamLength(1000), WithSeed(5)}},
+}
+
+// poolSeedBlob is a valid one-tenant pool checkpoint (tag 6).
+func poolSeedBlob(tb testing.TB) []byte {
+	tb.Helper()
+	p, err := NewPool(WithTenantDefaults(mergeReceivers[0].opts...))
 	if err != nil {
-		panic(err)
+		tb.Fatal(err)
 	}
-	for i := uint64(0); i < 2000; i++ {
-		hh.Insert(i % 41)
+	defer p.Close()
+	if err := p.InsertBatch("seed", []Item{1, 2, 3, 1}); err != nil {
+		tb.Fatal(err)
 	}
-	return hh
+	blob, err := p.MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
+// fuzzMergeTargets builds one live receiver of each Merger kind per
+// process for FuzzMergeCheckpoint to merge hostile blobs into.
+// Successful merges mutate them, which is fine — the property under
+// test is "error, never panic", on targets that stay usable.
+var fuzzMergeTargets = sync.OnceValue(func() []HeavyHitters {
+	var out []HeavyHitters
+	for _, rc := range mergeReceivers {
+		hh, err := New(rc.opts...)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, hh)
+	}
+	return out
 })
 
 // FuzzMergeCheckpoint feeds corrupt/truncated checkpoint containers to
-// the cluster-merge decode paths: MergeCheckpoint (container frame +
-// shard snapshot + per-shard solver decode, all internal/wire) and the
-// restore path. Both must error on hostile bytes, never panic, and a
+// the merge decode paths of every Merger kind — serial, sharded
+// (container frame + shard snapshot + per-shard solver decode) and
+// Borda — through both CheckMerge and Merge, and to the sharded restore
+// path. All must error on hostile bytes, never panic, and a
 // decodable-but-incompatible checkpoint must be rejected without
 // corrupting the live engine.
 func FuzzMergeCheckpoint(f *testing.F) {
-	peer, err := NewShardedListHeavyHitters(ShardedConfig{
-		Config: Config{
-			Eps: 0.1, Phi: 0.3, Delta: 0.1,
-			StreamLength: 4000, Universe: 1 << 16, Seed: 5,
-		},
-		Shards: 2,
-	})
-	if err != nil {
-		f.Fatal(err)
+	for _, b := range anySeedBlobs(f) {
+		f.Add(b)
+		f.Add(b[:len(b)/2])
 	}
-	defer peer.Close()
-	for i := uint64(0); i < 2000; i++ {
-		peer.Insert(i % 37)
-	}
-	valid, err := peer.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:1])
+	f.Add(poolSeedBlob(f))
 	f.Add([]byte{})
 	f.Add([]byte{3})          // bare sharded tag
 	f.Add([]byte{3, 0, 0, 0}) // tag + garbage frame
+	f.Add([]byte{7})          // bare Borda tag
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			return
 		}
-		target := fuzzMergeTarget()
-		_ = target.MergeCheckpoint(data) // must error or succeed, never panic
-		_ = target.Report()              // and leave the engine answering
+		for _, target := range fuzzMergeTargets() {
+			m := target.(Merger)
+			_ = m.CheckMerge(data) // must error or succeed, never panic
+			_ = m.Merge(data)
+			_ = target.Report() // and leave the engine answering
+		}
 		// The same bytes through the restore path must also never panic.
-		if hh, err := UnmarshalShardedListHeavyHitters(data, 0, 0); err == nil {
+		if hh, err := restoreSharded(data); err == nil {
 			hh.Insert(7)
 			_ = hh.Report()
 			hh.Close()

@@ -175,8 +175,8 @@ func (s *Sticky) Insert(x uint64) {
 // resample repeatedly tosses an unbiased coin for each entry, diminishing
 // its count by the number of tails before the first head, per [MM02].
 // Entries are visited in sorted order so the coin sequence is a
-// deterministic function of the PRNG state (required for serialization
-// round trips).
+// deterministic function of the PRNG state (a fixed seed reproduces the
+// same summary).
 func (s *Sticky) resample() {
 	keys := make([]uint64, 0, len(s.counts))
 	for x := range s.counts {

@@ -1,34 +1,29 @@
-// Package merge defines the mergeable-summary contract the distributed
-// tier is built on: every summary in this repository that can be combined
-// across nodes — the linear sketches (Count-Min, CountSketch), the
-// counter summaries (Misra-Gries, Space-Saving), the paper's solvers and
-// the sharded engine containers — implements it, and every combination
-// rule reports incompatibility through the one sentinel defined here.
+// Package merge defines the error contract of the distributed tier:
+// every summary in this repository that can be combined across nodes —
+// the Misra-Gries tables inside the paper's solvers, the solvers
+// themselves, the Borda tally and the sharded engine containers —
+// reports incompatibility through the one sentinel defined here.
 //
 // Combination rules (DESIGN.md §7 has the error accounting):
 //
-//   - Linear sketches fold cell-wise: same dimensions and same seed
-//     (identical hash functions) make the merged sketch literally equal
-//     to the sketch of the concatenated streams.
-//   - Counter summaries (Misra-Gries, Space-Saving, and the solvers'
-//     internal tables) merge with additive error accounting, per the
-//     mergeability results of Agarwal et al.: the merged summary keeps
-//     the m/(k+1)-style deterministic bound against the combined stream
-//     length m = m₁ + m₂.
+//   - Counter summaries (the solvers' Misra-Gries tables) merge with
+//     additive error accounting, per the mergeability results of
+//     Agarwal et al.: the merged summary keeps the m/(k+1)-style
+//     deterministic bound against the combined stream length
+//     m = m₁ + m₂.
 //   - The paper's sampling-based solvers fold state between same-seed
 //     instances: identical seeds mean identical hash functions and
 //     identical sampling rates, so the union of the two nodes' samples is
 //     a valid sample of the concatenated stream and the tables combine by
-//     the counter rules above.
+//     the counter rule above.
 //   - Sharded containers merge shard-by-shard when the partition (shard
 //     count + hash seed) matches, so every id's state folds into the
 //     shard that owns it on both nodes.
 //
-// Merging is directional — MergeFrom folds the argument into the
-// receiver and leaves the argument untouched — and commutative in the
-// reported output: folding A into B and B into A yield identical
-// reports (the receiver keeps only non-semantic state such as sampler
-// gap position).
+// Merging is directional — the argument folds into the receiver and is
+// left untouched — and commutative in the reported output: folding A
+// into B and B into A yield identical reports (the receiver keeps only
+// non-semantic state such as sampler gap position).
 package merge
 
 import (
@@ -47,27 +42,4 @@ var ErrIncompatible = errors.New("merge: incompatible summaries")
 // merged, wrapping ErrIncompatible so callers can classify it.
 func Incompatiblef(format string, args ...any) error {
 	return fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), ErrIncompatible)
-}
-
-// Mergeable is the solver-level merge contract: MergeFrom folds other's
-// state into the receiver so that the receiver summarizes the
-// concatenation of both input streams. Implementations must validate
-// compatibility before mutating the receiver and return an error wrapping
-// ErrIncompatible on mismatch, so a failed merge leaves the receiver
-// usable.
-type Mergeable[T any] interface {
-	MergeFrom(other T) error
-}
-
-// Fold merges each of srcs into dst in order, stopping at the first
-// error. With compatible inputs the result summarizes the concatenation
-// of all the input streams; on error dst reflects the sources folded so
-// far.
-func Fold[T Mergeable[T]](dst T, srcs ...T) error {
-	for i, s := range srcs {
-		if err := dst.MergeFrom(s); err != nil {
-			return fmt.Errorf("merge: folding summary %d/%d: %w", i+1, len(srcs), err)
-		}
-	}
-	return nil
 }

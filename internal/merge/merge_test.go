@@ -5,44 +5,6 @@ import (
 	"testing"
 )
 
-// fakeSummary counts merges and fails on demand.
-type fakeSummary struct {
-	total int
-	k     int // compatibility key
-}
-
-func (f *fakeSummary) MergeFrom(other *fakeSummary) error {
-	if f.k != other.k {
-		return Incompatiblef("k=%d vs k=%d", f.k, other.k)
-	}
-	f.total += other.total
-	return nil
-}
-
-func TestFold(t *testing.T) {
-	dst := &fakeSummary{total: 1, k: 3}
-	if err := Fold(dst, &fakeSummary{total: 2, k: 3}, &fakeSummary{total: 4, k: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if dst.total != 7 {
-		t.Fatalf("folded total = %d, want 7", dst.total)
-	}
-}
-
-func TestFoldStopsAtIncompatible(t *testing.T) {
-	dst := &fakeSummary{total: 1, k: 3}
-	err := Fold(dst, &fakeSummary{total: 2, k: 3}, &fakeSummary{total: 4, k: 9}, &fakeSummary{total: 8, k: 3})
-	if err == nil {
-		t.Fatal("incompatible source accepted")
-	}
-	if !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("error %v does not wrap ErrIncompatible", err)
-	}
-	if dst.total != 3 {
-		t.Fatalf("dst total = %d, want 3 (sources before the failure folded)", dst.total)
-	}
-}
-
 func TestIncompatiblefWraps(t *testing.T) {
 	err := Incompatiblef("width %d vs %d", 4, 8)
 	if !errors.Is(err, ErrIncompatible) {

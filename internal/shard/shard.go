@@ -10,8 +10,8 @@
 // per-shard reports union cleanly. The layer is generic over the Engine
 // interface; the threshold semantics of the merged report (what counts as
 // heavy against the *global* stream length) belong to the caller — see the
-// l1hh.ShardedListHeavyHitters wrapper, and DESIGN.md §3 for the error
-// analysis and §11 for the ring protocol.
+// root package's sharded solver (sharded.go), and DESIGN.md §3 for the
+// error analysis and §11 for the ring protocol.
 //
 // Concurrency model: any number of goroutines may call Insert/InsertBatch
 // concurrently; barrier operations (Report, Len, ModelBits, Snapshot, Do,
@@ -38,8 +38,8 @@ import (
 	"repro/internal/rng"
 )
 
-// Engine is the per-shard sketch contract. *l1hh.ListHeavyHitters and the
-// exact baseline both satisfy it.
+// Engine is the per-shard sketch contract. The root package's serial and
+// windowed solvers and the exact baseline all satisfy it.
 type Engine interface {
 	Insert(x uint64)
 	Report() []core.ItemEstimate

@@ -1,13 +1,6 @@
 package l1hh
 
-import (
-	"errors"
-
-	"repro/internal/core"
-	"repro/internal/minimum"
-	"repro/internal/rng"
-	"repro/internal/unknown"
-)
+import "repro/internal/core"
 
 // Item identifies a universe element; items are ids in [0, Universe).
 type Item = uint64
@@ -15,14 +8,6 @@ type Item = uint64
 // ItemEstimate pairs a reported item with its estimated absolute
 // frequency over the stream.
 type ItemEstimate = core.ItemEstimate
-
-// Sketch is the interface every solver and baseline in this library
-// satisfies: single-item insertion plus space introspection under the
-// paper's accounting model (DESIGN.md §4).
-type Sketch interface {
-	Insert(x Item)
-	ModelBits() int64
-}
 
 // Algorithm selects the heavy hitters engine.
 type Algorithm int
@@ -37,17 +22,15 @@ const (
 	AlgorithmSimple
 )
 
-// Config configures the heavy hitters, maximum and minimum solvers.
-//
-// For heavy hitters solvers, prefer New with functional options — this
-// struct remains the configuration of the deprecated per-type
-// constructors and of NewMaximum/NewMinimum.
-type Config struct {
+// config is the resolved problem statement of one heavy hitters engine,
+// filled from the options by New (settings.cfg) and from the checkpoint
+// frames on restore. The sharded and windowed builders derive their
+// per-shard and per-bucket configs from it.
+type config struct {
 	// Eps is the additive error ε ∈ (0,1); for heavy hitters it must
 	// be below Phi.
 	Eps float64
-	// Phi is the heaviness threshold ϕ ∈ (ε, 1]. Ignored by Maximum and
-	// Minimum.
+	// Phi is the heaviness threshold ϕ ∈ (ε, 1].
 	Phi float64
 	// Delta is the failure probability δ ∈ (0,1); 0 defaults to 0.05.
 	Delta float64
@@ -70,18 +53,17 @@ type Config struct {
 	Seed uint64
 }
 
-func (c *Config) fill() {
+func (c *config) fill() {
 	if c.Delta == 0 {
 		c.Delta = 0.05
 	}
 }
 
-// ListHeavyHitters solves the (ε,ϕ)-heavy hitters problem in one pass.
-//
-// It is the serial engine behind the unified front door; New returns it
-// wrapped in the HeavyHitters interface. The type stays exported for the
-// deprecated constructors and for checkpoint interchange.
-type ListHeavyHitters struct {
+// serialSolver solves the (ε,ϕ)-heavy hitters problem in one pass. It is
+// the serial engine behind the front door: New wraps it in one of the
+// serial adapters (solver.go), and the sharded and windowed containers
+// run one per shard or bucket.
+type serialSolver struct {
 	insert  func(Item)
 	report  func() []ItemEstimate
 	bits    func() int64
@@ -89,7 +71,7 @@ type ListHeavyHitters struct {
 	marshal func() ([]byte, error)
 
 	// engine is the concrete solver (*core.Optimal or *core.SimpleList)
-	// behind the closures; nil for unknown-length solvers. MergeFrom
+	// behind the closures; nil for unknown-length solvers. mergeFrom
 	// folds engines directly.
 	engine any
 	// paced is non-nil when inserts are routed through a de-amortization
@@ -101,18 +83,10 @@ type ListHeavyHitters struct {
 	eps, phi float64
 }
 
-// NewListHeavyHitters returns a serial solver for cfg.
-//
-// Deprecated: use New — for example
-// New(WithEps(cfg.Eps), WithPhi(cfg.Phi), WithStreamLength(cfg.StreamLength)).
-func NewListHeavyHitters(cfg Config) (*ListHeavyHitters, error) {
-	return buildSerial(cfg)
-}
-
 // applyPacing routes inserts through a core.Paced queue when a budget is
 // set, flushing before every report or checkpoint so results are
 // unchanged.
-func (h *ListHeavyHitters) applyPacing(budget int, inner core.Pacable) {
+func (h *serialSolver) applyPacing(budget int, inner core.Pacable) {
 	if budget <= 0 {
 		return
 	}
@@ -131,61 +105,38 @@ func (h *ListHeavyHitters) applyPacing(budget int, inner core.Pacable) {
 }
 
 // MarshalBinary serializes the solver's complete state (tables, hash
-// seeds, sampler position) so it can be checkpointed or shipped to
-// another process and resumed with Unmarshal. Only known-stream-length
-// solvers are serializable.
-func (h *ListHeavyHitters) MarshalBinary() ([]byte, error) { return h.marshal() }
-
-// UnmarshalListHeavyHitters reconstructs a solver serialized by
-// MarshalBinary; the restored solver continues the stream exactly where
-// the original stopped.
-//
-// Deprecated: use Unmarshal, which restores every container tag behind
-// the HeavyHitters interface.
-func UnmarshalListHeavyHitters(data []byte) (*ListHeavyHitters, error) {
-	if len(data) >= 1 {
-		switch data[0] {
-		case tagSharded, tagShardedWindowed:
-			return nil, errors.New("l1hh: sharded container encoding: use UnmarshalShardedListHeavyHitters")
-		case tagWindowed:
-			return nil, errors.New("l1hh: windowed solver encoding: use UnmarshalWindowedListHeavyHitters")
-		case tagPool:
-			return nil, errors.New("l1hh: multi-tenant pool encoding: use UnmarshalPool")
-		case tagBorda, tagMaximin, tagMinimum, tagMaximum:
-			return nil, errors.New("l1hh: problem-engine encoding: use Unmarshal")
-		}
-	}
-	return unmarshalSerial(data)
-}
+// seeds, sampler position) as a tag 1–2 checkpoint. Only
+// known-stream-length solvers are serializable.
+func (h *serialSolver) MarshalBinary() ([]byte, error) { return h.marshal() }
 
 // Insert processes one stream item in O(1) time.
-func (h *ListHeavyHitters) Insert(x Item) { h.insert(x) }
+func (h *serialSolver) Insert(x Item) { h.insert(x) }
 
 // Report returns the heavy hitters with frequency estimates, in
 // decreasing-estimate order. With probability ≥ 1−δ: every item with
 // f ≥ ϕ·m appears, no item with f ≤ (ϕ−ε)·m appears, and every estimate
 // is within ε·m.
-func (h *ListHeavyHitters) Report() []ItemEstimate { return h.report() }
+func (h *serialSolver) Report() []ItemEstimate { return h.report() }
 
 // ModelBits reports the sketch size under the paper's accounting.
-func (h *ListHeavyHitters) ModelBits() int64 { return h.bits() }
+func (h *serialSolver) ModelBits() int64 { return h.bits() }
 
 // Len returns the number of items inserted so far.
-func (h *ListHeavyHitters) Len() uint64 { return h.length() }
+func (h *serialSolver) Len() uint64 { return h.length() }
 
 // Eps returns the additive-error parameter ε the solver was built with
 // (preserved across checkpoint restores).
-func (h *ListHeavyHitters) Eps() float64 { return h.eps }
+func (h *serialSolver) Eps() float64 { return h.eps }
 
 // Phi returns the heaviness threshold ϕ the solver was built with
 // (preserved across checkpoint restores).
-func (h *ListHeavyHitters) Phi() float64 { return h.phi }
+func (h *serialSolver) Phi() float64 { return h.phi }
 
 // Estimate returns the frequency estimate for x over the whole stream,
 // within ε·m for ϕ-heavy items whp (the §3 point-query bound); 0 when
 // the engine cannot answer (unknown stream length). Paced work is
 // flushed first so the answer covers every accepted item.
-func (h *ListHeavyHitters) Estimate(x Item) float64 {
+func (h *serialSolver) Estimate(x Item) float64 {
 	if h.paced != nil {
 		h.paced.Flush()
 	}
@@ -196,7 +147,7 @@ func (h *ListHeavyHitters) Estimate(x Item) float64 {
 }
 
 // Stats returns the unified operational snapshot (see Stats).
-func (h *ListHeavyHitters) Stats() Stats {
+func (h *serialSolver) Stats() Stats {
 	n := h.Len()
 	return Stats{
 		Items: n, Len: n,
@@ -205,84 +156,3 @@ func (h *ListHeavyHitters) Stats() Stats {
 		ModelBits: h.ModelBits(),
 	}
 }
-
-// Maximum solves the ε-Maximum / ℓ∞-approximation problem in one pass.
-type Maximum struct {
-	insert func(Item)
-	report func() (Item, float64, bool)
-	bits   func() int64
-}
-
-// NewMaximum returns an ε-Maximum solver for cfg (Phi and Algorithm are
-// ignored).
-func NewMaximum(cfg Config) (*Maximum, error) {
-	cfg.fill()
-	src := rng.New(cfg.Seed)
-	if cfg.StreamLength == 0 {
-		u, err := unknown.NewMaximum(src, cfg.Eps, cfg.Delta, cfg.Universe)
-		if err != nil {
-			return nil, err
-		}
-		return &Maximum{insert: u.Insert, report: u.Report, bits: u.ModelBits}, nil
-	}
-	a, err := core.NewMaximum(src, core.Config{
-		Eps: cfg.Eps, Delta: cfg.Delta, M: cfg.StreamLength, N: cfg.Universe,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Maximum{insert: a.Insert, report: a.Report, bits: a.ModelBits}, nil
-}
-
-// Insert processes one stream item in O(1) time.
-func (m *Maximum) Insert(x Item) { m.insert(x) }
-
-// Report returns an item of approximately maximum frequency together with
-// a frequency estimate within ε·m; ok is false on an empty stream.
-func (m *Maximum) Report() (item Item, freq float64, ok bool) { return m.report() }
-
-// ModelBits reports the sketch size under the paper's accounting.
-func (m *Maximum) ModelBits() int64 { return m.bits() }
-
-// MinimumResult is the answer to an ε-Minimum query.
-type MinimumResult = minimum.Result
-
-// Minimum solves the ε-Minimum problem over a small universe in one pass.
-type Minimum struct {
-	insert func(Item)
-	report func() MinimumResult
-	bits   func() int64
-}
-
-// NewMinimum returns an ε-Minimum solver for cfg (Phi and Algorithm are
-// ignored). The universe should be small — the problem is vacuous
-// otherwise, and the solver answers huge universes with a random item,
-// which is then provably correct.
-func NewMinimum(cfg Config) (*Minimum, error) {
-	cfg.fill()
-	src := rng.New(cfg.Seed)
-	if cfg.StreamLength == 0 {
-		u, err := unknown.NewMinimum(src, cfg.Eps, cfg.Delta, cfg.Universe)
-		if err != nil {
-			return nil, err
-		}
-		return &Minimum{insert: u.Insert, report: u.Report, bits: u.ModelBits}, nil
-	}
-	a, err := minimum.New(src, minimum.Config{
-		Eps: cfg.Eps, Delta: cfg.Delta, M: cfg.StreamLength, N: cfg.Universe,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Minimum{insert: a.Insert, report: a.Report, bits: a.ModelBits}, nil
-}
-
-// Insert processes one stream item in O(1) time.
-func (m *Minimum) Insert(x Item) { m.insert(x) }
-
-// Report returns an item of approximately minimum frequency; on success
-// its F field is within ε·m of the true minimum.
-func (m *Minimum) Report() MinimumResult { return m.report() }
-
-// ModelBits reports the sketch size under the paper's accounting.
-func (m *Minimum) ModelBits() int64 { return m.bits() }

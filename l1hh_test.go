@@ -15,15 +15,13 @@ func TestPublicListHeavyHittersBothAlgorithms(t *testing.T) {
 		ex.Insert(x)
 	}
 	for _, algo := range []Algorithm{AlgorithmOptimal, AlgorithmSimple} {
-		hh, err := NewListHeavyHitters(Config{
-			Eps: 0.05, Phi: 0.1, Delta: 0.1,
-			StreamLength: m, Universe: 1 << 32, Algorithm: algo, Seed: 7,
-		})
+		hh, err := New(WithEps(0.05), WithPhi(0.1), WithDelta(0.1),
+			WithStreamLength(m), WithUniverse(1<<32), WithAlgorithm(algo), WithSeed(7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, x := range st {
-			hh.Insert(x)
+		if err := hh.InsertBatch(st); err != nil {
+			t.Fatal(err)
 		}
 		rep := hh.Report()
 		got := map[Item]float64{}
@@ -50,15 +48,13 @@ func TestPublicListHeavyHittersBothAlgorithms(t *testing.T) {
 }
 
 func TestPublicUnknownLength(t *testing.T) {
-	hh, err := NewListHeavyHitters(Config{
-		Eps: 0.1, Phi: 0.3, Delta: 0.1, Universe: 1 << 20, Seed: 3,
-	})
+	hh, err := New(WithEps(0.1), WithPhi(0.3), WithDelta(0.1), WithUniverse(1<<20), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := GeneratePlantedStream(2, 50000, []float64{0.5}, 100, 10000, OrderShuffled)
-	for _, x := range st {
-		hh.Insert(x)
+	if err := hh.InsertBatch(st); err != nil {
+		t.Fatal(err)
 	}
 	rep := hh.Report()
 	if len(rep) == 0 || rep[0].Item != 0 {
@@ -67,36 +63,39 @@ func TestPublicUnknownLength(t *testing.T) {
 }
 
 func TestPublicMaximum(t *testing.T) {
-	mx, err := NewMaximum(Config{
-		Eps: 0.05, Delta: 0.1, StreamLength: 100000, Universe: 1 << 20, Seed: 5,
-	})
+	mx, err := New(WithProblem(MaxFrequencyProblem), WithEps(0.05), WithDelta(0.1),
+		WithStreamLength(100000), WithUniverse(1<<20), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := GeneratePlantedStream(4, 100000, []float64{0.3}, 100, 10000, OrderShuffled)
-	for _, x := range st {
-		mx.Insert(x)
+	if err := mx.InsertBatch(st); err != nil {
+		t.Fatal(err)
 	}
-	item, f, ok := mx.Report()
-	if !ok || item != 0 {
-		t.Fatalf("max item = %d ok=%v", item, ok)
+	est, _, err := mx.(Extremes).MaxItem()
+	if err != nil || est.Item != 0 {
+		t.Fatalf("max item = %d err=%v", est.Item, err)
 	}
-	if math.Abs(f-30000) > 5000 {
-		t.Fatalf("max estimate %v, want ≈30000", f)
+	if math.Abs(est.F-30000) > 5000 {
+		t.Fatalf("max estimate %v, want ≈30000", est.F)
 	}
 }
 
 func TestPublicMinimum(t *testing.T) {
-	mn, err := NewMinimum(Config{
-		Eps: 0.1, Delta: 0.1, StreamLength: 50000, Universe: 8, Seed: 6,
-	})
+	mn, err := New(WithProblem(MinFrequencyProblem), WithEps(0.1), WithDelta(0.1),
+		WithStreamLength(50000), WithUniverse(8), WithSeed(6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50000; i++ {
-		mn.Insert(Item(i % 7)) // id 7 never occurs
+		if err := mn.Insert(Item(i % 7)); err != nil { // id 7 never occurs
+			t.Fatal(err)
+		}
 	}
-	r := mn.Report()
+	r, _, err := mn.(Extremes).MinItem()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Item != 7 {
 		t.Fatalf("min item = %d, want 7", r.Item)
 	}
@@ -108,28 +107,34 @@ func TestPublicMinimum(t *testing.T) {
 func TestPublicBordaAndMaximin(t *testing.T) {
 	const n = 6
 	const m = 40000
-	b, err := NewBorda(VoteConfig{Candidates: n, Eps: 0.05, StreamLength: m, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
+	voter := func(p Problem, seed uint64) (HeavyHitters, Voter) {
+		hh, err := New(WithProblem(p), WithCandidates(n), WithEps(0.05), WithPhi(0.1),
+			WithStreamLength(m), WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hh, hh.(Voter)
 	}
-	mm, err := NewMaximin(VoteConfig{Candidates: n, Eps: 0.05, StreamLength: m, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	bHH, b := voter(BordaProblem, 8)
+	mHH, mm := voter(MaximinProblem, 9)
 	ta := NewVoteTally(n)
 	g := NewMallows(10, IdentityRanking(n), 0.4)
 	for i := 0; i < m; i++ {
 		v := g.Next()
-		b.Insert(v)
-		mm.Insert(v)
+		if err := b.Vote(v); err != nil {
+			t.Fatal(err)
+		}
+		if err := mm.Vote(v); err != nil {
+			t.Fatal(err)
+		}
 		ta.Add(v)
 	}
-	bc, _ := b.Max()
+	bc, _ := b.Winner()
 	_, bMax := ta.BordaWinner()
 	if float64(bMax)-float64(ta.BordaScores()[bc]) > 0.05*float64(m)*n {
 		t.Fatalf("Borda winner %d not an ε-winner", bc)
 	}
-	mc, _ := mm.Max()
+	mc, _ := mm.Winner()
 	_, mMax := ta.MaximinWinner()
 	if float64(mMax)-float64(ta.MaximinScores()[mc]) > 0.05*float64(m) {
 		t.Fatalf("maximin winner %d not an ε-winner", mc)
@@ -137,72 +142,41 @@ func TestPublicBordaAndMaximin(t *testing.T) {
 	if lst := b.List(0.4); len(lst) == 0 {
 		t.Fatal("Borda list empty at ϕ=0.4 (winner must clear it)")
 	}
-	if mm.ModelBits() <= b.ModelBits() {
+	if mHH.ModelBits() <= bHH.ModelBits() {
 		t.Fatal("expected maximin sketch to cost more than Borda")
 	}
 }
 
-func TestPublicBaselinesShareInterface(t *testing.T) {
-	// Every baseline and solver satisfies Sketch; feed them all the same
-	// stream through the interface.
-	hh, err := NewListHeavyHitters(Config{
-		Eps: 0.05, Phi: 0.2, Delta: 0.1, StreamLength: 10000, Universe: 1 << 16, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sketches := []Sketch{
-		hh,
-		NewMisraGries(20, 1<<16),
-		NewSpaceSaving(20, 1<<16),
-		NewCountMin(2, 0.01, 0.05),
-		NewCountSketch(3, 5, 512),
-		NewLossyCounting(0.01, 1<<16),
-		NewStickySampling(4, 0.01, 0.1, 0.05, 1<<16),
-	}
-	g := NewZipfStream(5, 1<<16, 1.2)
-	for i := 0; i < 10000; i++ {
-		x := g.Next()
-		for _, s := range sketches {
-			s.Insert(x)
-		}
-	}
-	for i, s := range sketches {
-		if s.ModelBits() <= 0 {
-			t.Fatalf("sketch %d reports nonpositive ModelBits", i)
-		}
-	}
-}
-
 func TestPublicConfigErrors(t *testing.T) {
-	if _, err := NewListHeavyHitters(Config{Eps: 0.5, Phi: 0.1, StreamLength: 10, Universe: 10}); err == nil {
-		t.Fatal("eps > phi accepted")
+	for name, opts := range map[string][]Option{
+		"eps > phi": {WithEps(0.5), WithPhi(0.1), WithStreamLength(10), WithUniverse(10)},
+		"zero eps": {WithProblem(MaxFrequencyProblem), WithEps(0),
+			WithStreamLength(10), WithUniverse(10)},
+		"zero universe": {WithProblem(MinFrequencyProblem), WithEps(0.1),
+			WithStreamLength(10), WithUniverse(0)},
+		"unknown algorithm": {WithEps(0.05), WithPhi(0.1), WithStreamLength(10),
+			WithUniverse(10), WithAlgorithm(Algorithm(9))},
+	} {
+		if _, err := New(opts...); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if _, err := NewMaximum(Config{Eps: 0, StreamLength: 10, Universe: 10}); err == nil {
-		t.Fatal("zero eps accepted")
-	}
-	if _, err := NewMinimum(Config{Eps: 0.1, StreamLength: 10}); err == nil {
-		t.Fatal("zero universe accepted")
-	}
-	if _, err := NewBorda(VoteConfig{Candidates: 0, Eps: 0.1, StreamLength: 10}); err == nil {
-		t.Fatal("zero candidates accepted")
-	}
-	if _, err := NewListHeavyHitters(Config{
-		Eps: 0.05, Phi: 0.1, StreamLength: 10, Universe: 10, Algorithm: Algorithm(9),
-	}); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	if _, err := New(WithProblem(BordaProblem), WithCandidates(0), WithEps(0.1), WithPhi(0.2),
+		WithStreamLength(10)); err == nil {
+		t.Error("zero candidates accepted")
 	}
 }
 
 func TestPublicDeterminism(t *testing.T) {
 	st := GeneratePlantedStream(11, 50000, []float64{0.3}, 100, 10000, OrderShuffled)
 	runOnce := func() []ItemEstimate {
-		hh, _ := NewListHeavyHitters(Config{
-			Eps: 0.05, Phi: 0.2, Delta: 0.1, StreamLength: 50000,
-			Universe: 1 << 20, Seed: 42,
-		})
-		for _, x := range st {
-			hh.Insert(x)
+		hh, err := New(WithEps(0.05), WithPhi(0.2), WithDelta(0.1), WithStreamLength(50000),
+			WithUniverse(1<<20), WithSeed(42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hh.InsertBatch(st); err != nil {
+			t.Fatal(err)
 		}
 		return hh.Report()
 	}

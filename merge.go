@@ -10,17 +10,17 @@ import (
 	"repro/internal/wire"
 )
 
-// Distributed merge tier: the public MergeFrom/MergeCheckpoint contract.
+// Distributed merge tier: the engine half of the Merger capability.
 //
-// A fleet of ingest nodes, each running a solver created from the SAME
-// Config (including Seed and, for the sharded solver, the same Shards),
-// can each consume a slice of the global stream and later be combined
-// into one summary whose Report carries the serial solver's (ε,ϕ)
-// guarantees against the concatenated stream. Identical seeds make the
+// A fleet of ingest nodes, each running a solver built from the SAME
+// options (WithSeed included and, for sharded solvers, the same
+// WithShards), can each consume a slice of the global stream and later
+// be combined into one summary whose Report carries the serial solver's
+// (ε,ϕ) guarantees against the concatenated stream. Identical seeds make the
 // nodes share every random choice — sampling rates, hash functions,
 // shard routing — which is what lets their tables fold; DESIGN.md §7
 // gives the per-table combination rules and the error accounting under
-// union. Configure every node with the GLOBAL expected StreamLength: the
+// union. Configure every node with the GLOBAL expected stream length: the
 // sampling rate is derived from it, so the union of the nodes' samples
 // matches a serial run over the whole stream.
 //
@@ -32,11 +32,45 @@ import (
 // be merged; test with errors.Is.
 var ErrIncompatibleMerge = merge.ErrIncompatible
 
-// canMergeFrom validates a MergeFrom without mutating either solver.
-func (h *ListHeavyHitters) canMergeFrom(other *ListHeavyHitters) error {
-	if h == other {
-		return merge.Incompatiblef("l1hh: cannot merge a solver into itself")
+// tagKinds names the container kind behind each checkpoint tag, for
+// the mismatch errors of checkMergeTag; "" marks an unassigned tag.
+var tagKinds = [...]string{
+	tagOptimal: "serial", tagSimple: "serial",
+	tagSharded: "sharded", tagWindowed: "windowed", tagShardedWindowed: "sharded windowed",
+	tagPool: "pool", tagBorda: "Borda", tagMaximin: "maximin",
+	tagMinimum: "ε-Minimum", tagMaximum: "ε-Maximum",
+}
+
+// checkMergeTag vets the first byte of a checkpoint offered to a Merger
+// whose own checkpoints carry one of the tags in own: an empty
+// checkpoint or an unassigned tag is a decode error, a known tag of
+// another container kind wraps ErrIncompatibleMerge, and nil means the
+// checkpoint is the receiver's own kind and decodes as usual. Every
+// Merger (serial, sharded, Borda) calls it first, so a container-kind
+// mismatch classifies the same way whichever node receives it.
+func checkMergeTag(checkpoint []byte, own ...byte) error {
+	if len(checkpoint) == 0 {
+		return errors.New("l1hh: empty checkpoint")
 	}
+	tag := checkpoint[0]
+	for _, t := range own {
+		if tag == t {
+			return nil
+		}
+	}
+	if int(tag) >= len(tagKinds) || tagKinds[tag] == "" {
+		return fmt.Errorf("l1hh: unrecognized checkpoint tag %d", tag)
+	}
+	if tag == tagWindowed || tag == tagShardedWindowed {
+		// Two nodes' windows cover different wall-clock slices of their
+		// own streams; folding them answers no well-defined window.
+		return merge.Incompatiblef("l1hh: sliding-window states are not mergeable (DESIGN.md §8)")
+	}
+	return merge.Incompatiblef("l1hh: cannot fold a %s checkpoint into a %s solver", tagKinds[tag], tagKinds[own[0]])
+}
+
+// canMergeFrom validates a mergeFrom without mutating either solver.
+func (h *serialSolver) canMergeFrom(other *serialSolver) error {
 	if h.engine == nil || other.engine == nil {
 		return errors.New("l1hh: unknown-length solvers are not mergeable")
 	}
@@ -58,13 +92,13 @@ func (h *ListHeavyHitters) canMergeFrom(other *ListHeavyHitters) error {
 	}
 }
 
-// MergeFrom folds other's state into h so that h summarizes the
+// mergeFrom folds other's state into h so that h summarizes the
 // concatenation of both solvers' streams; other is left untouched. Both
-// solvers must have been created with the same Config (same seed
+// solvers must have been created with the same config (same seed
 // included) and must be known-stream-length engines. If either solver
 // uses paced inserts, outstanding deferred work is flushed first, so the
 // merged state matches the unpaced semantics.
-func (h *ListHeavyHitters) MergeFrom(other *ListHeavyHitters) error {
+func (h *serialSolver) mergeFrom(other *serialSolver) error {
 	if err := h.canMergeFrom(other); err != nil {
 		return err
 	}
@@ -87,35 +121,35 @@ func (h *ListHeavyHitters) MergeFrom(other *ListHeavyHitters) error {
 // MergeEngine implements the shard-layer merge contract
 // (shard.EngineMerger), letting a sharded container fold a foreign
 // shard's solver into the live one.
-func (h *ListHeavyHitters) MergeEngine(other shard.Engine) error {
-	o, ok := other.(*ListHeavyHitters)
+func (h *serialSolver) MergeEngine(other shard.Engine) error {
+	o, ok := other.(*serialSolver)
 	if !ok {
 		return merge.Incompatiblef("l1hh: foreign shard engine has type %T", other)
 	}
-	return h.MergeFrom(o)
+	return h.mergeFrom(o)
 }
 
 // CheckMergeEngine implements the non-mutating half of
 // shard.EngineMerger: the shard layer runs it across every shard before
 // folding any, so container merges are all-or-nothing.
-func (h *ListHeavyHitters) CheckMergeEngine(other shard.Engine) error {
-	o, ok := other.(*ListHeavyHitters)
+func (h *serialSolver) CheckMergeEngine(other shard.Engine) error {
+	o, ok := other.(*serialSolver)
 	if !ok {
 		return merge.Incompatiblef("l1hh: foreign shard engine has type %T", other)
 	}
 	return h.canMergeFrom(o)
 }
 
-// MergeCheckpoint folds a checkpoint produced by another node's
-// ShardedListHeavyHitters.MarshalBinary into the live engine, shard by
-// shard. The foreign node must have been created from the same
-// ShardedConfig — same (ε, ϕ), same Seed, same Shards — so that both
-// nodes route every id to the same shard and the per-shard solver states
-// fold; anything else errors (wrapping ErrIncompatibleMerge for
-// parameter mismatches) without touching live state. It is a barrier
-// that runs concurrently with ingest: items enqueued before the call are
-// reflected, and ingest keeps flowing during the merge.
-func (h *ShardedListHeavyHitters) MergeCheckpoint(blob []byte) error {
+// mergeCheckpoint folds a tag-3 checkpoint produced by another node's
+// sharded solver into the live engine, shard by shard. The foreign node
+// must have been built from the same options — same (ε, ϕ), same seed,
+// same shard count — so that both nodes route every id to the same
+// shard and the per-shard solver states fold; anything else errors
+// (wrapping ErrIncompatibleMerge for parameter mismatches) without
+// touching live state. It is a barrier that runs concurrently with
+// ingest: items enqueued before the call are reflected, and ingest keeps
+// flowing during the merge.
+func (h *shardedSolver) mergeCheckpoint(blob []byte) error {
 	snap, err := h.parseMergeFrame(blob)
 	if err != nil {
 		return err
@@ -125,12 +159,12 @@ func (h *ShardedListHeavyHitters) MergeCheckpoint(blob []byte) error {
 	})
 }
 
-// checkMergeCheckpoint reports whether MergeCheckpoint(blob) would
+// checkMergeCheckpoint reports whether mergeCheckpoint(blob) would
 // succeed, without mutating any live shard: the container frame checks,
 // the foreign rebuild, and the per-shard compatibility pass all run
 // exactly as in the merge's check phase. It backs the Merger.CheckMerge
 // capability of the unified front door.
-func (h *ShardedListHeavyHitters) checkMergeCheckpoint(blob []byte) error {
+func (h *shardedSolver) checkMergeCheckpoint(blob []byte) error {
 	snap, err := h.parseMergeFrame(blob)
 	if err != nil {
 		return err
@@ -142,15 +176,11 @@ func (h *ShardedListHeavyHitters) checkMergeCheckpoint(blob []byte) error {
 
 // parseMergeFrame validates a checkpoint container for merging into h —
 // sharded, non-windowed, matching problem parameters — and returns the
-// nested shard snapshot.
-func (h *ShardedListHeavyHitters) parseMergeFrame(blob []byte) ([]byte, error) {
-	if len(blob) >= 1 && blob[0] == tagShardedWindowed || h.Windowed() {
-		// Two nodes' windows cover different wall-clock slices of their
-		// own streams; folding them answers no well-defined window.
-		return nil, merge.Incompatiblef("l1hh: sliding-window states are not mergeable (DESIGN.md §8)")
-	}
-	if len(blob) < 1 || blob[0] != tagSharded {
-		return nil, errors.New("l1hh: not a sharded solver encoding")
+// nested shard snapshot. h itself is never windowed: only shardedHH,
+// which wraps plain containers, is a Merger.
+func (h *shardedSolver) parseMergeFrame(blob []byte) ([]byte, error) {
+	if err := checkMergeTag(blob, tagSharded); err != nil {
+		return nil, err
 	}
 	r := wire.NewReader(blob[1:])
 	eps := r.F64()
@@ -167,19 +197,4 @@ func (h *ShardedListHeavyHitters) parseMergeFrame(blob []byte) ([]byte, error) {
 			h.eps, h.phi, eps, phi)
 	}
 	return snap, nil
-}
-
-// MergeFrom folds other into h via other's checkpoint; other is left
-// untouched and keeps ingesting. Report then thresholds against the
-// combined global stream length, exactly as if h had ingested other's
-// items itself.
-func (h *ShardedListHeavyHitters) MergeFrom(other *ShardedListHeavyHitters) error {
-	if h == other {
-		return merge.Incompatiblef("l1hh: cannot merge a solver into itself")
-	}
-	blob, err := other.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	return h.MergeCheckpoint(blob)
 }

@@ -10,8 +10,6 @@ package l1hh
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/merge"
 )
 
 const (
@@ -40,54 +38,63 @@ func conformanceStreams() map[string][]Item {
 	}
 }
 
-// splitAcross feeds stream to k same-config nodes in contiguous slices.
-func splitAcross[T any](t *testing.T, stream []Item, k int, mk func() T, insert func(T, []Item)) []T {
+// splitAcross builds k same-option nodes through New and feeds stream to
+// them in contiguous slices.
+func splitAcross(t *testing.T, stream []Item, k int, opts ...Option) []HeavyHitters {
 	t.Helper()
-	nodes := make([]T, k)
+	nodes := make([]HeavyHitters, k)
 	chunk := (len(stream) + k - 1) / k
 	for i := range nodes {
-		nodes[i] = mk()
+		hh, err := New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { hh.Close() })
+		nodes[i] = hh
 		lo := i * chunk
 		hi := min(lo+chunk, len(stream))
 		if lo < hi {
-			insert(nodes[i], stream[lo:hi])
+			if err := hh.InsertBatch(stream[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	return nodes
 }
 
-// TestMergeConformanceSerial: K ∈ {2,4,8} ListHeavyHitters nodes, both
-// engines, all stream shapes.
+// foldCheckpoints merges every node after the first into the first
+// through the Merger capability, the way a fleet aggregator does.
+func foldCheckpoints(t *testing.T, nodes []HeavyHitters) HeavyHitters {
+	t.Helper()
+	dst := nodes[0].(Merger)
+	for _, n := range nodes[1:] {
+		blob, err := n.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.Merge(blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return nodes[0]
+}
+
+// TestMergeConformanceSerial: K ∈ {2,4,8} serial nodes, both engines,
+// all stream shapes.
 func TestMergeConformanceSerial(t *testing.T) {
 	for name, stream := range conformanceStreams() {
 		for _, k := range []int{2, 4, 8} {
 			for _, algo := range []Algorithm{AlgorithmOptimal, AlgorithmSimple} {
 				t.Run(fmt.Sprintf("%s/k=%d/algo=%d", name, k, algo), func(t *testing.T) {
-					cfg := Config{
-						Eps: confEps, Phi: confPhi, Delta: 0.05,
-						StreamLength: confM, Universe: 1 << 32,
-						Algorithm: algo, Seed: 271,
-					}
 					nodes := splitAcross(t, stream, k,
-						func() *ListHeavyHitters {
-							h, err := NewListHeavyHitters(cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							return h
-						},
-						func(h *ListHeavyHitters, xs []Item) {
-							for _, x := range xs {
-								h.Insert(x)
-							}
-						})
-					if err := merge.Fold(nodes[0], nodes[1:]...); err != nil {
-						t.Fatal(err)
-					}
-					if got := nodes[0].Len(); got != confM {
+						WithEps(confEps), WithPhi(confPhi), WithDelta(0.05),
+						WithStreamLength(confM), WithUniverse(1<<32),
+						WithAlgorithm(algo), WithSeed(271))
+					merged := foldCheckpoints(t, nodes)
+					if got := merged.Len(); got != confM {
 						t.Fatalf("merged Len = %d, want %d", got, confM)
 					}
-					checkGuarantees(t, nodes[0].Report(), stream, confEps, confPhi)
+					checkGuarantees(t, merged.Report(), stream, confEps, confPhi)
 				})
 			}
 		}
@@ -100,34 +107,15 @@ func TestMergeConformanceSharded(t *testing.T) {
 	stream := conformanceStreams()["zipf"]
 	for _, k := range []int{2, 4} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			cfg := ShardedConfig{
-				Config: Config{
-					Eps: confEps, Phi: confPhi, Delta: 0.05,
-					StreamLength: confM, Universe: 1 << 32, Seed: 277,
-				},
-				Shards: 4,
-			}
 			nodes := splitAcross(t, stream, k,
-				func() *ShardedListHeavyHitters {
-					h, err := NewShardedListHeavyHitters(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(func() { h.Close() })
-					return h
-				},
-				func(h *ShardedListHeavyHitters, xs []Item) {
-					if err := h.InsertBatch(xs); err != nil {
-						t.Fatal(err)
-					}
-				})
-			if err := merge.Fold(nodes[0], nodes[1:]...); err != nil {
-				t.Fatal(err)
-			}
-			if got := nodes[0].Len(); got != confM {
+				WithEps(confEps), WithPhi(confPhi), WithDelta(0.05),
+				WithStreamLength(confM), WithUniverse(1<<32), WithSeed(277),
+				WithShards(4))
+			merged := foldCheckpoints(t, nodes)
+			if got := merged.Len(); got != confM {
 				t.Fatalf("merged Len = %d, want %d", got, confM)
 			}
-			checkGuarantees(t, nodes[0].Report(), stream, confEps, confPhi)
+			checkGuarantees(t, merged.Report(), stream, confEps, confPhi)
 		})
 	}
 }

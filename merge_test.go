@@ -9,26 +9,43 @@ import (
 	"repro/internal/wire"
 )
 
-// mergeTestPair builds two same-config sharded nodes, each fed one half
+// mergeTestOpts are the options every merge-test node shares.
+func mergeTestOpts(seed uint64, m int, extra ...Option) []Option {
+	return append([]Option{
+		WithEps(0.02), WithPhi(0.05), WithDelta(0.05),
+		WithStreamLength(uint64(m)), WithUniverse(1 << 32), WithSeed(seed),
+	}, extra...)
+}
+
+// newMergeNode builds a node through New and closes it at cleanup.
+func newMergeNode(t *testing.T, opts ...Option) HeavyHitters {
+	t.Helper()
+	hh, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hh.Close() })
+	return hh
+}
+
+// mergeInto folds src's checkpoint into dst through the Merger
+// capability.
+func mergeInto(t *testing.T, dst, src HeavyHitters) error {
+	t.Helper()
+	blob, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst.(Merger).Merge(blob)
+}
+
+// mergeTestPair builds two same-option sharded nodes, each fed one half
 // of a fixed planted stream.
-func mergeTestPair(t *testing.T, seed uint64, m int) (a, b *ShardedListHeavyHitters, stream []Item) {
+func mergeTestPair(t *testing.T, seed uint64, m int) (a, b HeavyHitters, stream []Item) {
 	t.Helper()
 	stream = GeneratePlantedStream(seed+500, m, shardedTestWeights, 100, 1<<30, OrderShuffled)
-	mk := func() *ShardedListHeavyHitters {
-		h, err := NewShardedListHeavyHitters(ShardedConfig{
-			Config: Config{
-				Eps: 0.02, Phi: 0.05, Delta: 0.05,
-				StreamLength: uint64(m), Universe: 1 << 32, Seed: seed,
-			},
-			Shards: 4,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { h.Close() })
-		return h
-	}
-	a, b = mk(), mk()
+	a = newMergeNode(t, mergeTestOpts(seed, m, WithShards(4))...)
+	b = newMergeNode(t, mergeTestOpts(seed, m, WithShards(4))...)
 	if err := a.InsertBatch(stream[:m/2]); err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +60,11 @@ func mergeTestPair(t *testing.T, seed uint64, m int) (a, b *ShardedListHeavyHitt
 func TestShardedMergeCommutative(t *testing.T) {
 	const m = 100_000
 	a1, b1, stream := mergeTestPair(t, 61, m)
-	if err := a1.MergeFrom(b1); err != nil {
+	if err := mergeInto(t, a1, b1); err != nil {
 		t.Fatal(err)
 	}
 	a2, b2, _ := mergeTestPair(t, 61, m)
-	if err := b2.MergeFrom(a2); err != nil {
+	if err := mergeInto(t, b2, a2); err != nil {
 		t.Fatal(err)
 	}
 	ra, rb := a1.Report(), b2.Report()
@@ -66,14 +83,14 @@ func TestShardedMergeCommutative(t *testing.T) {
 func TestMergedShardedRoundTrip(t *testing.T) {
 	const m = 100_000
 	a, b, stream := mergeTestPair(t, 67, m)
-	if err := a.MergeFrom(b); err != nil {
+	if err := mergeInto(t, a, b); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := a.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := UnmarshalShardedListHeavyHitters(blob, 0, 0)
+	restored, err := Unmarshal(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,17 +123,13 @@ func TestMergedShardedRoundTrip(t *testing.T) {
 func TestMergeCheckpointEqualsSerial(t *testing.T) {
 	const m = 100_000
 	a, b, stream := mergeTestPair(t, 71, m)
-	blob, err := b.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.MergeCheckpoint(blob); err != nil {
+	if err := mergeInto(t, a, b); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.Len(); got != m {
 		t.Fatalf("merged Len = %d, want %d", got, m)
 	}
-	if got := a.Items(); got != m {
+	if got := a.Stats().Items; got != m {
 		t.Fatalf("merged Items = %d, want %d", got, m)
 	}
 	checkGuarantees(t, a.Report(), stream, 0.02, 0.05)
@@ -127,8 +140,8 @@ func TestMergeCheckpointEqualsSerial(t *testing.T) {
 }
 
 // TestMergeCheckpointRejects: wrong tags, corrupt frames, parameter and
-// partition mismatches, self-merge — all error, none panic, and
-// parameter mismatches wrap ErrIncompatibleMerge.
+// partition mismatches — all error, none panic, and parameter
+// mismatches wrap ErrIncompatibleMerge.
 func TestMergeCheckpointRejects(t *testing.T) {
 	const m = 20_000
 	a, b, _ := mergeTestPair(t, 73, m)
@@ -136,56 +149,34 @@ func TestMergeCheckpointRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	merger := a.(Merger)
 
-	if err := a.MergeCheckpoint(nil); err == nil {
+	if err := merger.Merge(nil); err == nil {
 		t.Fatal("nil accepted")
 	}
-	if err := a.MergeCheckpoint([]byte{tagOptimal, 1, 2}); err == nil {
+	if err := merger.Merge([]byte{tagOptimal, 1, 2}); err == nil {
 		t.Fatal("wrong tag accepted")
 	}
-	if err := a.MergeCheckpoint(blob[:len(blob)/2]); err == nil {
+	if err := merger.Merge(blob[:len(blob)/2]); err == nil {
 		t.Fatal("truncation accepted")
 	}
-	if err := a.MergeCheckpoint(append(append([]byte{}, blob...), 9)); err == nil {
+	if err := merger.Merge(append(append([]byte{}, blob...), 9)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
-	if err := a.MergeFrom(a); !errors.Is(err, ErrIncompatibleMerge) {
-		t.Fatalf("self-merge: %v", err)
-	}
 
-	mkVariant := func(mutate func(*ShardedConfig)) *ShardedListHeavyHitters {
-		cfg := ShardedConfig{
-			Config: Config{
-				Eps: 0.02, Phi: 0.05, Delta: 0.05,
-				StreamLength: m, Universe: 1 << 32, Seed: 73,
-			},
-			Shards: 4,
-		}
-		mutate(&cfg)
-		h, err := NewShardedListHeavyHitters(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { h.Close() })
-		return h
-	}
-	for name, variant := range map[string]*ShardedListHeavyHitters{
-		"different eps":    mkVariant(func(c *ShardedConfig) { c.Eps = 0.03 }),
-		"different phi":    mkVariant(func(c *ShardedConfig) { c.Phi = 0.06 }),
-		"different seed":   mkVariant(func(c *ShardedConfig) { c.Seed = 999 }),
-		"different shards": mkVariant(func(c *ShardedConfig) { c.Shards = 2 }),
+	for name, opts := range map[string][]Option{
+		"different eps":    append(mergeTestOpts(73, m, WithShards(4)), WithEps(0.03)),
+		"different phi":    append(mergeTestOpts(73, m, WithShards(4)), WithPhi(0.06)),
+		"different seed":   mergeTestOpts(999, m, WithShards(4)),
+		"different shards": mergeTestOpts(73, m, WithShards(2)),
 	} {
-		vblob, err := variant.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.MergeCheckpoint(vblob); !errors.Is(err, ErrIncompatibleMerge) {
+		if err := mergeInto(t, a, newMergeNode(t, opts...)); !errors.Is(err, ErrIncompatibleMerge) {
 			t.Errorf("%s: err = %v, want ErrIncompatibleMerge", name, err)
 		}
 	}
 
 	// Everything above left a usable: a valid merge still works.
-	if err := a.MergeCheckpoint(blob); err != nil {
+	if err := merger.Merge(blob); err != nil {
 		t.Fatalf("valid merge after rejections: %v", err)
 	}
 	if got := a.Len(); got != m {
@@ -220,13 +211,7 @@ func TestMergeCheckpointMixedShardsAtomic(t *testing.T) {
 		t.Fatal("could not disassemble a checkpoint this package produced")
 	}
 	// A solver from a different problem (different ε) in shard 1's slot.
-	alien, err := NewListHeavyHitters(Config{
-		Eps: 0.03, Phi: 0.05, Delta: 0.05,
-		StreamLength: m, Universe: 1 << 32, Seed: 89,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	alien := newMergeNode(t, append(mergeTestOpts(89, m), WithEps(0.03))...)
 	alienBlob, err := alien.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +233,7 @@ func TestMergeCheckpointMixedShardsAtomic(t *testing.T) {
 
 	before := fmt.Sprint(a.Report())
 	beforeLen := a.Len()
-	if err := a.MergeCheckpoint(crafted); !errors.Is(err, ErrIncompatibleMerge) {
+	if err := a.(Merger).Merge(crafted); !errors.Is(err, ErrIncompatibleMerge) {
 		t.Fatalf("mixed-shard container: err = %v, want ErrIncompatibleMerge", err)
 	}
 	if got := a.Len(); got != beforeLen {
@@ -259,33 +244,25 @@ func TestMergeCheckpointMixedShardsAtomic(t *testing.T) {
 	}
 }
 
-// TestListMergeFromErrors: unknown-length and mixed-algorithm solvers
-// refuse to merge.
+// TestListMergeFromErrors: unknown-length solvers take no part in a
+// merge — they are not Mergers and write no checkpoint — and
+// mixed-algorithm serial solvers refuse to fold.
 func TestListMergeFromErrors(t *testing.T) {
-	known := func(algo Algorithm) *ListHeavyHitters {
-		h, err := NewListHeavyHitters(Config{
-			Eps: 0.05, Phi: 0.1, Delta: 0.05,
-			StreamLength: 10_000, Universe: 1 << 20, Algorithm: algo, Seed: 3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
+	opts := func(extra ...Option) []Option {
+		return append([]Option{WithEps(0.05), WithPhi(0.1), WithDelta(0.05),
+			WithUniverse(1 << 20), WithSeed(3)}, extra...)
 	}
-	unknown, err := NewListHeavyHitters(Config{
-		Eps: 0.05, Phi: 0.1, Delta: 0.05, Universe: 1 << 20, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
+	unknown := newMergeNode(t, opts()...)
+	if _, ok := unknown.(Merger); ok {
+		t.Fatal("unknown-length solver claims Merger")
 	}
-	if err := known(AlgorithmOptimal).MergeFrom(unknown); err == nil {
-		t.Fatal("merge from unknown-length solver accepted")
+	if _, err := unknown.MarshalBinary(); err == nil {
+		t.Fatal("unknown-length solver wrote a checkpoint to merge from")
 	}
-	if err := unknown.MergeFrom(known(AlgorithmOptimal)); err == nil {
-		t.Fatal("merge into unknown-length solver accepted")
-	}
-	if err := known(AlgorithmOptimal).MergeFrom(known(AlgorithmSimple)); !errors.Is(err, ErrIncompatibleMerge) {
-		t.Fatal("mixed-algorithm merge accepted")
+	optimal := newMergeNode(t, opts(WithStreamLength(10_000), WithAlgorithm(AlgorithmOptimal))...)
+	simple := newMergeNode(t, opts(WithStreamLength(10_000), WithAlgorithm(AlgorithmSimple))...)
+	if err := mergeInto(t, optimal, simple); !errors.Is(err, ErrIncompatibleMerge) {
+		t.Fatalf("mixed-algorithm merge: err = %v, want ErrIncompatibleMerge", err)
 	}
 }
 
@@ -294,31 +271,60 @@ func TestListMergeFromErrors(t *testing.T) {
 func TestMergeFromPaced(t *testing.T) {
 	const m = 100_000
 	stream := GeneratePlantedStream(81, m, shardedTestWeights, 100, 1<<30, OrderShuffled)
-	build := func(budget int) *ListHeavyHitters {
-		h, err := NewListHeavyHitters(Config{
-			Eps: 0.02, Phi: 0.05, Delta: 0.05,
-			StreamLength: m, Universe: 1 << 32, Seed: 83,
-			PacedBudget: budget,
-		})
-		if err != nil {
+	run := func(extra ...Option) []ItemEstimate {
+		a := newMergeNode(t, mergeTestOpts(83, m, extra...)...)
+		b := newMergeNode(t, mergeTestOpts(83, m, extra...)...)
+		if err := a.InsertBatch(stream[:m/2]); err != nil {
 			t.Fatal(err)
 		}
-		return h
-	}
-	run := func(budget int) []ItemEstimate {
-		a, b := build(budget), build(budget)
-		for _, x := range stream[:m/2] {
-			a.Insert(x)
+		if err := b.InsertBatch(stream[m/2:]); err != nil {
+			t.Fatal(err)
 		}
-		for _, x := range stream[m/2:] {
-			b.Insert(x)
-		}
-		if err := a.MergeFrom(b); err != nil {
+		if err := mergeInto(t, a, b); err != nil {
 			t.Fatal(err)
 		}
 		return a.Report()
 	}
-	if fmt.Sprint(run(1)) != fmt.Sprint(run(0)) {
+	if fmt.Sprint(run(WithPacedBudget(1))) != fmt.Sprint(run()) {
 		t.Fatal("paced and unpaced merges report differently")
+	}
+}
+
+// TestMergeTagClassification: every Merger — serial, sharded, Borda —
+// reads a checkpoint's container tag the same way. Empty input and an
+// unassigned tag are decode errors; a known tag of another container
+// kind (including the pool tag) wraps ErrIncompatibleMerge; the
+// receiver's own kind folds. CheckMerge and Merge agree on every cell.
+func TestMergeTagClassification(t *testing.T) {
+	blobs := append(anySeedBlobs(t), poolSeedBlob(t), []byte{}, []byte{99, 0, 0, 0})
+	for _, rc := range mergeReceivers {
+		for _, blob := range blobs {
+			name := "empty"
+			if len(blob) > 0 {
+				name = fmt.Sprintf("tag%d", blob[0])
+			}
+			t.Run(rc.name+"/"+name, func(t *testing.T) {
+				check := func(op string, err error) {
+					t.Helper()
+					switch {
+					case len(blob) == 0 || blob[0] == 99:
+						if err == nil || errors.Is(err, ErrIncompatibleMerge) {
+							t.Fatalf("%s = %v, want a decode error", op, err)
+						}
+					case blob[0] == rc.tag:
+						if err != nil {
+							t.Fatalf("%s of the receiver's own kind: %v", op, err)
+						}
+					default:
+						if !errors.Is(err, ErrIncompatibleMerge) {
+							t.Fatalf("%s = %v, want ErrIncompatibleMerge", op, err)
+						}
+					}
+				}
+				m := newMergeNode(t, rc.opts...).(Merger)
+				check("CheckMerge", m.CheckMerge(blob))
+				check("Merge", m.Merge(blob))
+			})
+		}
 	}
 }

@@ -54,7 +54,7 @@ const runtimeOpts = optPaced | optQueueDepth | optMaxBatch | optClock | optRawWi
 
 // settings is the resolved option set New and Unmarshal dispatch on.
 type settings struct {
-	cfg           Config
+	cfg           config
 	shards        int
 	queueDepth    int
 	maxBatch      int

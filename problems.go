@@ -381,10 +381,11 @@ func (b *bordaHH) Merge(checkpoint []byte) error {
 
 // decodePeer decodes and compatibility-checks a peer checkpoint for
 // merging, reporting kind and configuration mismatches as
-// incompatibilities (ErrIncompatibleMerge) rather than decode errors.
+// incompatibilities (ErrIncompatibleMerge) rather than decode errors
+// (checkMergeTag).
 func (b *bordaHH) decodePeer(checkpoint []byte) (*voting.BordaSketch, error) {
-	if len(checkpoint) >= 1 && checkpoint[0] != tagBorda {
-		return nil, merge.Incompatiblef("l1hh: can only fold a Borda checkpoint into a Borda solver")
+	if err := checkMergeTag(checkpoint, tagBorda); err != nil {
+		return nil, err
 	}
 	phi, peer, err := decodeBordaFrame(checkpoint)
 	if err != nil {

@@ -7,10 +7,14 @@ package l1hh
 // packages.
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/minimum"
+	"repro/internal/rng"
 )
 
 // TestPropReportStructure: reports are sorted by decreasing estimate with
@@ -18,7 +22,7 @@ import (
 func TestPropReportStructure(t *testing.T) {
 	err := quick.Check(func(seed uint64, pick []uint16) bool {
 		const m = 5000
-		hh, err := NewListHeavyHitters(Config{
+		hh, err := buildSerial(config{
 			Eps: 0.1, Phi: 0.25, Delta: 0.1,
 			StreamLength: m, Universe: 1 << 16, Seed: seed,
 		})
@@ -66,7 +70,7 @@ func TestPropSerializationIdentity(t *testing.T) {
 			algo = AlgorithmSimple
 		}
 		const m = 4000
-		hh, err := NewListHeavyHitters(Config{
+		hh, err := buildSerial(config{
 			Eps: 0.1, Phi: 0.3, Delta: 0.1,
 			StreamLength: m, Universe: 1 << 16, Algorithm: algo, Seed: seed,
 		})
@@ -86,7 +90,7 @@ func TestPropSerializationIdentity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		restored, err := UnmarshalListHeavyHitters(blob)
+		restored, err := unmarshalSerial(blob)
 		if err != nil {
 			return false
 		}
@@ -115,8 +119,8 @@ func TestPropSerializationIdentity(t *testing.T) {
 func TestPropMinimumInUniverse(t *testing.T) {
 	err := quick.Check(func(seed uint64, xs []uint16, nRaw uint8) bool {
 		n := uint64(nRaw%30) + 2
-		mn, err := NewMinimum(Config{
-			Eps: 0.2, Delta: 0.2, StreamLength: uint64(len(xs) + 1), Universe: n, Seed: seed,
+		mn, err := minimum.New(rng.New(seed), minimum.Config{
+			Eps: 0.2, Delta: 0.2, M: uint64(len(xs) + 1), N: n,
 		})
 		if err != nil {
 			return false
@@ -139,15 +143,15 @@ func TestPropBordaScoreIdentity(t *testing.T) {
 	err := quick.Check(func(seed uint64, mRaw uint8) bool {
 		n := 5
 		m := int(mRaw%50) + 1
-		b, err := NewBorda(VoteConfig{
-			Candidates: n, Eps: 0.1, Delta: 0.1, StreamLength: uint64(m), Seed: seed,
-		})
+		b, err := newVoter(BordaProblem, n, 0.1, uint64(m), seed)
 		if err != nil {
 			return false
 		}
 		g := NewImpartialCulture(seed+1, n)
 		for i := 0; i < m; i++ {
-			b.Insert(g.Next())
+			if b.Vote(g.Next()) != nil {
+				return false
+			}
 		}
 		var sum float64
 		for _, s := range b.Scores() {
@@ -166,15 +170,15 @@ func TestPropMaximinBounded(t *testing.T) {
 	err := quick.Check(func(seed uint64, mRaw uint8) bool {
 		n := 4
 		m := int(mRaw%40) + 1
-		mm, err := NewMaximin(VoteConfig{
-			Candidates: n, Eps: 0.2, Delta: 0.1, StreamLength: uint64(m), Seed: seed,
-		})
+		mm, err := newVoter(MaximinProblem, n, 0.2, uint64(m), seed)
 		if err != nil {
 			return false
 		}
 		g := NewImpartialCulture(seed+2, n)
 		for i := 0; i < m; i++ {
-			mm.Insert(g.Next())
+			if mm.Vote(g.Next()) != nil {
+				return false
+			}
 		}
 		for _, s := range mm.Scores() {
 			if s < 0 || s > float64(m)+1e-9 {
@@ -191,7 +195,7 @@ func TestPropMaximinBounded(t *testing.T) {
 // --- failure injection ---
 
 func TestEmptyStreamEverySolver(t *testing.T) {
-	hh, err := NewListHeavyHitters(Config{
+	hh, err := buildSerial(config{
 		Eps: 0.1, Phi: 0.3, Delta: 0.1, StreamLength: 10, Universe: 10, Seed: 1,
 	})
 	if err != nil {
@@ -200,19 +204,18 @@ func TestEmptyStreamEverySolver(t *testing.T) {
 	if rep := hh.Report(); len(rep) != 0 {
 		t.Fatalf("empty HH report = %v", rep)
 	}
-	mx, _ := NewMaximum(Config{Eps: 0.1, Delta: 0.1, StreamLength: 10, Universe: 10, Seed: 1})
-	if _, _, ok := mx.Report(); ok {
-		t.Fatal("empty Maximum reported")
+	mx := newExtremes(t, MaxFrequencyProblem, 0.1, 10, 10, 1)
+	if _, _, err := mx.MaxItem(); !errors.Is(err, ErrEmptyStream) {
+		t.Fatalf("empty Maximum = %v, want ErrEmptyStream", err)
 	}
-	mn, _ := NewMinimum(Config{Eps: 0.1, Delta: 0.1, StreamLength: 10, Universe: 4, Seed: 1})
-	r := mn.Report()
-	if r.Item >= 4 {
-		t.Fatal("empty Minimum out of universe")
+	mn := newExtremes(t, MinFrequencyProblem, 0.1, 10, 4, 1)
+	if _, _, err := mn.MinItem(); !errors.Is(err, ErrEmptyStream) {
+		t.Fatalf("empty Minimum = %v, want ErrEmptyStream", err)
 	}
 }
 
 func TestSingleItemUniverse(t *testing.T) {
-	hh, err := NewListHeavyHitters(Config{
+	hh, err := buildSerial(config{
 		Eps: 0.1, Phi: 0.9, Delta: 0.1, StreamLength: 100, Universe: 1, Seed: 1,
 	})
 	if err != nil {
@@ -228,22 +231,24 @@ func TestSingleItemUniverse(t *testing.T) {
 }
 
 func TestAllSameItem(t *testing.T) {
-	mx, _ := NewMaximum(Config{Eps: 0.05, Delta: 0.1, StreamLength: 10000, Universe: 1 << 20, Seed: 2})
+	mx := newExtremes(t, MaxFrequencyProblem, 0.05, 10000, 1<<20, 2)
 	for i := 0; i < 10000; i++ {
-		mx.Insert(777)
+		if err := mx.(HeavyHitters).Insert(777); err != nil {
+			t.Fatal(err)
+		}
 	}
-	item, f, ok := mx.Report()
-	if !ok || item != 777 {
-		t.Fatalf("constant stream max = %d", item)
+	est, _, err := mx.MaxItem()
+	if err != nil || est.Item != 777 {
+		t.Fatalf("constant stream max = %d (%v)", est.Item, err)
 	}
-	if math.Abs(f-10000) > 500 {
-		t.Fatalf("constant stream estimate %v", f)
+	if math.Abs(est.F-10000) > 500 {
+		t.Fatalf("constant stream estimate %v", est.F)
 	}
 }
 
 func TestEpsJustBelowPhi(t *testing.T) {
 	// The tightest legal gap: ϕ − ε barely positive.
-	hh, err := NewListHeavyHitters(Config{
+	hh, err := buildSerial(config{
 		Eps: 0.099999, Phi: 0.1, Delta: 0.1,
 		StreamLength: 1000, Universe: 100, Seed: 3,
 	})
@@ -260,17 +265,21 @@ func TestEpsJustBelowPhi(t *testing.T) {
 }
 
 func TestSingleVoteElection(t *testing.T) {
-	b, _ := NewBorda(VoteConfig{Candidates: 3, Eps: 0.1, Delta: 0.1, StreamLength: 1, Seed: 4})
-	b.Insert(Ranking{2, 0, 1})
-	cand, score := b.Max()
-	if cand != 2 || score != 2 {
-		t.Fatalf("single-vote Borda winner (%d, %v)", cand, score)
-	}
-	mm, _ := NewMaximin(VoteConfig{Candidates: 3, Eps: 0.1, Delta: 0.1, StreamLength: 1, Seed: 5})
-	mm.Insert(Ranking{2, 0, 1})
-	cand, score = mm.Max()
-	if cand != 2 || score != 1 {
-		t.Fatalf("single-vote maximin winner (%d, %v)", cand, score)
+	for _, tc := range []struct {
+		problem Problem
+		seed    uint64
+		score   float64
+	}{{BordaProblem, 4, 2}, {MaximinProblem, 5, 1}} {
+		v, err := newVoter(tc.problem, 3, 0.1, 1, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Vote(Ranking{2, 0, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if cand, score := v.Winner(); cand != 2 || score != tc.score {
+			t.Fatalf("single-vote %s winner (%d, %v)", tc.problem, cand, score)
+		}
 	}
 }
 
@@ -280,7 +289,7 @@ func TestPacedFacadeEqualsUnpaced(t *testing.T) {
 	const m = 100000
 	st := GeneratePlantedStream(31, m, []float64{0.3, 0.12}, 100, 10000, OrderShuffled)
 	mk := func(budget int) []ItemEstimate {
-		hh, err := NewListHeavyHitters(Config{
+		hh, err := buildSerial(config{
 			Eps: 0.05, Phi: 0.1, Delta: 0.1,
 			StreamLength: m, Universe: 1 << 20,
 			PacedBudget: budget, Seed: 17,
@@ -308,7 +317,7 @@ func TestPacedFacadeEqualsUnpaced(t *testing.T) {
 // so restore is exact.
 func TestPacedFacadeSerializes(t *testing.T) {
 	const m = 50000
-	hh, err := NewListHeavyHitters(Config{
+	hh, err := buildSerial(config{
 		Eps: 0.1, Phi: 0.3, Delta: 0.1,
 		StreamLength: m, Universe: 1 << 16, PacedBudget: 1, Seed: 18,
 	})
@@ -323,7 +332,7 @@ func TestPacedFacadeSerializes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := UnmarshalListHeavyHitters(blob)
+	restored, err := unmarshalSerial(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +352,7 @@ func TestPacedFacadeSerializes(t *testing.T) {
 }
 
 func TestUnknownLengthNotSerializable(t *testing.T) {
-	hh, err := NewListHeavyHitters(Config{
+	hh, err := buildSerial(config{
 		Eps: 0.1, Phi: 0.3, Delta: 0.1, Universe: 100, Seed: 6,
 	})
 	if err != nil {
@@ -356,7 +365,7 @@ func TestUnknownLengthNotSerializable(t *testing.T) {
 
 func TestUnmarshalGarbage(t *testing.T) {
 	for _, blob := range [][]byte{nil, {}, {0}, {99, 1, 2, 3}, {1}, {2}} {
-		if _, err := UnmarshalListHeavyHitters(blob); err == nil {
+		if _, err := unmarshalSerial(blob); err == nil {
 			t.Fatalf("garbage %v accepted", blob)
 		}
 	}
@@ -365,7 +374,7 @@ func TestUnmarshalGarbage(t *testing.T) {
 // TestReportIsIdempotent: calling Report twice returns the same answer
 // and does not disturb the sketch.
 func TestReportIsIdempotent(t *testing.T) {
-	hh, _ := NewListHeavyHitters(Config{
+	hh, _ := buildSerial(config{
 		Eps: 0.05, Phi: 0.2, Delta: 0.1, StreamLength: 20000, Universe: 1 << 16, Seed: 7,
 	})
 	st := GeneratePlantedStream(8, 20000, []float64{0.4}, 100, 1000, OrderShuffled)
@@ -383,4 +392,27 @@ func TestReportIsIdempotent(t *testing.T) {
 		}
 	}
 	sort.Slice(a, func(i, j int) bool { return a[i].Item < a[j].Item })
+}
+
+// newVoter builds a known-length Borda or maximin engine over n
+// candidates through New (ϕ, the List threshold, is irrelevant here).
+func newVoter(p Problem, n int, eps float64, m, seed uint64) (Voter, error) {
+	hh, err := New(WithProblem(p), WithCandidates(n), WithEps(eps), WithPhi(0.5),
+		WithDelta(0.1), WithStreamLength(m), WithSeed(seed))
+	if err != nil {
+		return nil, err
+	}
+	return hh.(Voter), nil
+}
+
+// newExtremes builds a known-length ε-Maximum or ε-Minimum engine over
+// a universe of n ids through New.
+func newExtremes(t *testing.T, p Problem, eps float64, m, n, seed uint64) Extremes {
+	t.Helper()
+	hh, err := New(WithProblem(p), WithEps(eps), WithDelta(0.1),
+		WithStreamLength(m), WithUniverse(n), WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hh.(Extremes)
 }

@@ -8,14 +8,12 @@ import (
 	"repro/internal/wire"
 )
 
-// ShardedConfig configures the concurrent sharded solver: the problem
-// parameters of Config plus the ingest-layer knobs and, optionally, a
-// sliding window.
-//
-// Prefer New with WithShards (and WithCountWindow/WithTimeWindow) — this
-// struct remains the configuration of the deprecated constructor.
-type ShardedConfig struct {
-	Config
+// shardedConfig configures the concurrent sharded solver: the problem
+// parameters of config plus the ingest-layer knobs and, optionally, a
+// sliding window (WithShards, WithQueueDepth, WithMaxBatch and the
+// window options).
+type shardedConfig struct {
+	config
 	// Shards is the number of independent solver instances the universe
 	// is hash-partitioned across, each owned by a worker goroutine; 0
 	// defaults to GOMAXPROCS.
@@ -28,44 +26,39 @@ type ShardedConfig struct {
 	// Window, when non-zero, gives every shard a count-based sliding
 	// window over its substream — ⌈Window/Shards⌉ items each, so the
 	// merged report answers for approximately the last Window items of
-	// the global stream. Config.StreamLength is ignored in this mode.
+	// the global stream. config.StreamLength is ignored in this mode.
 	// Count windows slide on per-shard arrivals; under heavy skew (one
 	// item dominating traffic, or Phi ≳ 1/Shards) prefer WindowDuration,
 	// whose wall-clock retirement is skew-immune — DESIGN.md §8 has the
 	// exact inclusion bound.
 	Window uint64
 	// WindowDuration, when non-zero, gives every shard a time-based
-	// window of this wall-clock span. Config.StreamLength must then be
+	// window of this wall-clock span. config.StreamLength must then be
 	// the expected number of items per window, globally. Mutually
 	// exclusive with Window.
 	WindowDuration time.Duration
 	// WindowBuckets is the per-shard epoch granularity (0 = 8); see
-	// WindowConfig.WindowBuckets.
+	// windowConfig.WindowBuckets.
 	WindowBuckets int
 	// RawShardWindows disables the rate-extrapolated count-window report
-	// fold and restores the raw pre-extrapolation behaviour: per-shard
-	// estimates thresholded at face value, with the skew-induced
-	// deflation DESIGN.md §8 derives (a dominant item shrinks its own
-	// shard's window and can be missed). Runtime tuning, not serialized
-	// state — a restored checkpoint extrapolates unless the option is
-	// passed again. Only meaningful with a count window.
+	// fold (WithRawShardWindows) and restores the raw pre-extrapolation
+	// behaviour: per-shard estimates thresholded at face value, with the
+	// skew-induced deflation DESIGN.md §8 derives (a dominant item
+	// shrinks its own shard's window and can be missed). Runtime tuning,
+	// not serialized state. Only meaningful with a count window.
 	RawShardWindows bool
 }
 
 // windowed reports whether a sliding window is configured.
-func (c *ShardedConfig) windowed() bool { return c.Window > 0 || c.WindowDuration > 0 }
+func (c *shardedConfig) windowed() bool { return c.Window > 0 || c.WindowDuration > 0 }
 
-// ShardedListHeavyHitters is the concurrent (ε,ϕ)-heavy hitters solver:
-// ids are hash-partitioned across Shards independent engines, so an
-// item's entire frequency lands in exactly one shard and per-shard
-// reports union cleanly. Any number of goroutines may call Insert and
+// shardedSolver is the concurrent (ε,ϕ)-heavy hitters solver: ids are
+// hash-partitioned across Shards independent engines, so an item's
+// entire frequency lands in exactly one shard and per-shard reports
+// union cleanly. Any number of goroutines may call Insert and
 // InsertBatch concurrently; Report, ModelBits, Len, Stats, MarshalBinary
-// and Close are barriers that may run concurrently with ingest.
-//
-// It is the concurrent container behind the unified front door; New
-// returns it wrapped in the HeavyHitters interface. The type stays
-// exported for the deprecated constructors and for checkpoint
-// interchange.
+// and Close are barriers that may run concurrently with ingest. New
+// wraps it in shardedHH or shardedWindowedHH (solver.go).
 //
 // Guarantees (DESIGN.md §3): each shard runs the configured engine at
 // (ε, ϕ, δ/Shards) against its partition; the merged Report applies the
@@ -74,7 +67,7 @@ func (c *ShardedConfig) windowed() bool { return c.Window > 0 || c.WindowDuratio
 // serial solver; the no-false-positive bound (f ≤ (ϕ−ε)·m never
 // reported) additionally needs no single shard to carry more than half
 // the stream, which hash partitioning gives whp for Shards ≥ 2.
-type ShardedListHeavyHitters struct {
+type shardedSolver struct {
 	s        *shard.Sharded
 	eps, phi float64
 
@@ -84,25 +77,17 @@ type ShardedListHeavyHitters struct {
 	windowDur     time.Duration
 	windowBuckets int
 	// rawWindows opts out of the rate-extrapolated count-window fold
-	// (ShardedConfig.RawShardWindows / WithRawShardWindows).
+	// (WithRawShardWindows).
 	rawWindows bool
 }
 
-// NewShardedListHeavyHitters returns a sharded solver for cfg.
-//
-// Deprecated: use New with WithShards — for example
-// New(WithEps(cfg.Eps), WithPhi(cfg.Phi), WithStreamLength(cfg.StreamLength), WithShards(cfg.Shards)).
-func NewShardedListHeavyHitters(cfg ShardedConfig) (*ShardedListHeavyHitters, error) {
-	return buildSharded(cfg, nil, shard.Hooks{})
-}
-
 // Insert routes one item; prefer InsertBatch on hot paths.
-func (h *ShardedListHeavyHitters) Insert(x Item) error { return h.s.Insert(x) }
+func (h *shardedSolver) Insert(x Item) error { return h.s.Insert(x) }
 
 // InsertBatch partitions items across the shard queues. Safe for
 // concurrent callers; blocks when a queue is full. Returns ErrClosed
 // after Close.
-func (h *ShardedListHeavyHitters) InsertBatch(items []Item) error {
+func (h *shardedSolver) InsertBatch(items []Item) error {
 	return h.s.InsertBatch(items)
 }
 
@@ -113,7 +98,7 @@ func (h *ShardedListHeavyHitters) InsertBatch(items []Item) error {
 // enqueued, so a caller that retries the whole batch gets at-least-once
 // delivery with possible duplicates (DESIGN.md §12). The wait budget
 // covers the whole call.
-func (h *ShardedListHeavyHitters) InsertBatchBounded(items []Item, wait time.Duration) error {
+func (h *shardedSolver) InsertBatchBounded(items []Item, wait time.Duration) error {
 	return h.s.InsertBatchBounded(items, wait)
 }
 
@@ -121,7 +106,7 @@ func (h *ShardedListHeavyHitters) InsertBatchBounded(items []Item, wait time.Dur
 // the shards, in batches: 0 means at least one queue is full and an
 // unbounded InsertBatch would block. A racy monitoring probe, not a
 // reservation.
-func (h *ShardedListHeavyHitters) SpareCapacity() int { return h.s.SpareCapacity() }
+func (h *shardedSolver) SpareCapacity() int { return h.s.SpareCapacity() }
 
 // shareMinSample is the smallest per-shard covered mass the
 // rate-extrapolated fold trusts for a traffic-share estimate. Below it
@@ -192,7 +177,7 @@ func (s shareSample) weight(m, globalNow uint64) float64 {
 // extrapolating reports whether Report rate-extrapolates the per-shard
 // estimates: count windows only (time windows retire on the wall clock,
 // which is skew-immune), more than one shard, and not opted out.
-func (h *ShardedListHeavyHitters) extrapolating() bool {
+func (h *shardedSolver) extrapolating() bool {
 	return h.window > 0 && !h.rawWindows && h.s.Shards() > 1
 }
 
@@ -203,7 +188,7 @@ func (h *ShardedListHeavyHitters) extrapolating() bool {
 // and with the serialized state, so a restored checkpoint reports
 // identically.
 func collectShareSample(e shard.Engine, out *shareSample) {
-	if w, ok := e.(*WindowedListHeavyHitters); ok {
+	if w, ok := e.(*windowedSolver); ok {
 		out.oldest, out.latest, out.gap, out.ok = w.arrivalStamps()
 		out.covered = w.Len()
 	}
@@ -237,9 +222,8 @@ func globalArrivalNow(samples []shareSample) uint64 {
 // buckets would otherwise contribute at full weight. Shards whose
 // samples are too small to price (< shareMinSample covered items, or no
 // arrival accounting yet) fall back to raw weights.
-// ShardedConfig.RawShardWindows / WithRawShardWindows disables the
-// extrapolation entirely.
-func (h *ShardedListHeavyHitters) Report() []ItemEstimate {
+// WithRawShardWindows disables the extrapolation entirely.
+func (h *shardedSolver) Report() []ItemEstimate {
 	n := h.s.Shards()
 	reports := make([][]ItemEstimate, n)
 	lens := make([]uint64, n)
@@ -282,8 +266,8 @@ func (h *ShardedListHeavyHitters) Report() []ItemEstimate {
 }
 
 // Len returns the total number of items processed across all shards
-// (a barrier; see Items for the cheap accepted-count).
-func (h *ShardedListHeavyHitters) Len() uint64 { return h.s.Len() }
+// (a barrier; Stats.Items is the cheap accepted-count).
+func (h *shardedSolver) Len() uint64 { return h.s.Len() }
 
 // Estimate returns the frequency estimate for x over the whole stream,
 // within ε·m for ϕ-heavy items whp (the §3 point-query bound). Hash
@@ -292,7 +276,7 @@ func (h *ShardedListHeavyHitters) Len() uint64 { return h.s.Len() }
 // combination is needed. A barrier, like Report. Windowed containers
 // cannot answer point queries and return 0 (their adapters do not
 // expose PointQuerier).
-func (h *ShardedListHeavyHitters) Estimate(x Item) float64 {
+func (h *shardedSolver) Estimate(x Item) float64 {
 	target := h.s.ShardOf(x)
 	var est float64
 	h.s.Do(func(i int, e shard.Engine) {
@@ -306,31 +290,24 @@ func (h *ShardedListHeavyHitters) Estimate(x Item) float64 {
 	return est
 }
 
-// Items returns the number of items accepted so far without flushing
-// the queues — the cheap counter the daemon's metrics poll.
-func (h *ShardedListHeavyHitters) Items() uint64 { return h.s.Items() }
-
 // Shards returns the partition width.
-func (h *ShardedListHeavyHitters) Shards() int { return h.s.Shards() }
-
-// QueueDepths reports per-shard queue occupancy in batches.
-func (h *ShardedListHeavyHitters) QueueDepths() []int { return h.s.QueueDepths() }
+func (h *shardedSolver) Shards() int { return h.s.Shards() }
 
 // Eps returns the additive-error parameter ε the solver was built with
 // (preserved across checkpoint restores).
-func (h *ShardedListHeavyHitters) Eps() float64 { return h.eps }
+func (h *shardedSolver) Eps() float64 { return h.eps }
 
 // Phi returns the heaviness threshold ϕ the solver was built with
 // (preserved across checkpoint restores).
-func (h *ShardedListHeavyHitters) Phi() float64 { return h.phi }
+func (h *shardedSolver) Phi() float64 { return h.phi }
 
 // Windowed reports whether the per-shard engines run sliding windows.
-func (h *ShardedListHeavyHitters) Windowed() bool { return h.window > 0 || h.windowDur > 0 }
+func (h *shardedSolver) Windowed() bool { return h.window > 0 || h.windowDur > 0 }
 
 // Window returns the configured global window geometry: the count
 // window W (0 for time windows), the duration D (0 for count windows),
 // and the per-shard bucket granularity.
-func (h *ShardedListHeavyHitters) Window() (w uint64, d time.Duration, buckets int) {
+func (h *shardedSolver) Window() (w uint64, d time.Duration, buckets int) {
 	return h.window, h.windowDur, h.windowBuckets
 }
 
@@ -340,7 +317,7 @@ func (h *ShardedListHeavyHitters) Window() (w uint64, d time.Duration, buckets i
 // masses (a stuck CoveredMin is the stale-shard caveat made observable)
 // and ShareSkew compares the measured per-shard traffic shares. It is a
 // barrier; ok is false when no window is configured.
-func (h *ShardedListHeavyHitters) WindowStats() (stats WindowStats, ok bool) {
+func (h *shardedSolver) WindowStats() (stats WindowStats, ok bool) {
 	if !h.Windowed() {
 		return WindowStats{}, false
 	}
@@ -348,7 +325,7 @@ func (h *ShardedListHeavyHitters) WindowStats() (stats WindowStats, ok bool) {
 	parts := make([]WindowStats, n)
 	samples := make([]shareSample, n)
 	h.s.Do(func(i int, e shard.Engine) {
-		if w, isWin := e.(*WindowedListHeavyHitters); isWin {
+		if w, isWin := e.(*windowedSolver); isWin {
 			parts[i] = w.WindowStats()
 		}
 		collectShareSample(e, &samples[i])
@@ -361,7 +338,7 @@ func (h *ShardedListHeavyHitters) WindowStats() (stats WindowStats, ok bool) {
 // CoveredMin/CoveredMax bound the per-shard covered masses, and
 // ShareSkew is the ratio between the largest and smallest measured
 // traffic share (1 when fewer than two shards have usable accounting).
-func (h *ShardedListHeavyHitters) sumWindowStats(parts []WindowStats, samples []shareSample) WindowStats {
+func (h *shardedSolver) sumWindowStats(parts []WindowStats, samples []shareSample) WindowStats {
 	var stats WindowStats
 	for i, p := range parts {
 		stats.Covered += p.Covered
@@ -419,7 +396,7 @@ func shareSkew(samples []shareSample) float64 {
 // barrier-derived fields — Len, ModelBits, Window — come from one pass
 // over the shards, so they are mutually coherent; Items and QueueDepths
 // are the cheap queue-side counters read at the same moment.
-func (h *ShardedListHeavyHitters) Stats() Stats {
+func (h *shardedSolver) Stats() Stats {
 	st := Stats{
 		Items:       h.s.Items(),
 		Eps:         h.eps,
@@ -434,7 +411,7 @@ func (h *ShardedListHeavyHitters) Stats() Stats {
 	h.s.Do(func(i int, e shard.Engine) {
 		lens[i] = e.Len()
 		bits[i] = e.ModelBits()
-		if w, isWin := e.(*WindowedListHeavyHitters); isWin {
+		if w, isWin := e.(*windowedSolver); isWin {
 			wins[i] = w.WindowStats()
 		}
 		collectShareSample(e, &samples[i])
@@ -452,24 +429,24 @@ func (h *ShardedListHeavyHitters) Stats() Stats {
 
 // ModelBits sums the per-shard sketch sizes under the paper's
 // accounting: K-way parallelism honestly costs K sketches.
-func (h *ShardedListHeavyHitters) ModelBits() int64 { return h.s.ModelBits() }
+func (h *shardedSolver) ModelBits() int64 { return h.s.ModelBits() }
 
 // Flush blocks until every accepted item has reached its engine.
-func (h *ShardedListHeavyHitters) Flush() { h.s.Flush() }
+func (h *shardedSolver) Flush() { h.s.Flush() }
 
 // Close drains the queues and stops the workers. Report, ModelBits and
 // MarshalBinary still work afterwards (they run inline); ingest returns
 // ErrClosed. Idempotent.
-func (h *ShardedListHeavyHitters) Close() error { return h.s.Close() }
+func (h *shardedSolver) Close() error { return h.s.Close() }
 
 // MarshalBinary checkpoints the complete sharded state: the problem
 // thresholds, the partition, and every shard engine's own serialized
-// state. Known-stream-length engines only (as for ListHeavyHitters).
+// state. Known-stream-length engines only (as for serialSolver).
 // It is a barrier: the checkpoint reflects every item enqueued before
 // the call. Non-windowed solvers emit the original tagSharded container,
 // so their checkpoints stay readable by older builds; windowed solvers
 // emit the tagShardedWindowed container, which adds the window geometry.
-func (h *ShardedListHeavyHitters) MarshalBinary() ([]byte, error) {
+func (h *shardedSolver) MarshalBinary() ([]byte, error) {
 	snap, err := h.s.Snapshot()
 	if err != nil {
 		return nil, err
@@ -488,17 +465,4 @@ func (h *ShardedListHeavyHitters) MarshalBinary() ([]byte, error) {
 		tag = tagShardedWindowed
 	}
 	return append([]byte{tag}, w.Bytes()...), nil
-}
-
-// UnmarshalShardedListHeavyHitters reconstructs a solver checkpointed by
-// MarshalBinary; the restored solver continues the stream exactly where
-// the original stopped, with identical routing. Both container versions
-// decode: tagSharded (no window) and tagShardedWindowed. QueueDepth and
-// MaxBatch are runtime tuning, not serialized state — pass zero for the
-// defaults.
-//
-// Deprecated: use Unmarshal with WithQueueDepth/WithMaxBatch, which
-// restores every container tag behind the HeavyHitters interface.
-func UnmarshalShardedListHeavyHitters(data []byte, queueDepth, maxBatch int) (*ShardedListHeavyHitters, error) {
-	return unmarshalSharded(data, queueDepth, maxBatch, nil, 0, false, shard.Hooks{})
 }

@@ -13,11 +13,23 @@ import (
 // three planted heavy hitters over uniform noise.
 var shardedTestWeights = []float64{0.20, 0.12, 0.06} // heavy at ids 0,1,2
 
-func newShardedForTest(t *testing.T, shards int, seed uint64, m int) (*ShardedListHeavyHitters, []Item) {
+// newShardedSolver builds a sharded solver for cfg with no clock
+// override and no ingest hooks.
+func newShardedSolver(cfg shardedConfig) (*shardedSolver, error) {
+	return buildSharded(cfg, nil, shard.Hooks{})
+}
+
+// restoreSharded decodes a tag 3 or 5 checkpoint with default runtime
+// tuning.
+func restoreSharded(blob []byte) (*shardedSolver, error) {
+	return unmarshalSharded(blob, 0, 0, nil, 0, false, shard.Hooks{})
+}
+
+func newShardedForTest(t *testing.T, shards int, seed uint64, m int) (*shardedSolver, []Item) {
 	t.Helper()
 	stream := GeneratePlantedStream(seed+1000, m, shardedTestWeights, 100, 1<<30, OrderShuffled)
-	hh, err := NewShardedListHeavyHitters(ShardedConfig{
-		Config: Config{
+	hh, err := newShardedSolver(shardedConfig{
+		config: config{
 			Eps: 0.02, Phi: 0.05, Delta: 0.05,
 			StreamLength: uint64(m), Universe: 1 << 32, Seed: seed,
 		},
@@ -70,8 +82,8 @@ func TestShardedGuarantees(t *testing.T) {
 		for _, algo := range []Algorithm{AlgorithmOptimal, AlgorithmSimple} {
 			t.Run(fmt.Sprintf("shards=%d/algo=%d", shards, algo), func(t *testing.T) {
 				stream := GeneratePlantedStream(31, m, shardedTestWeights, 100, 1<<30, OrderShuffled)
-				hh, err := NewShardedListHeavyHitters(ShardedConfig{
-					Config: Config{
+				hh, err := newShardedSolver(shardedConfig{
+					config: config{
 						Eps: 0.02, Phi: 0.05, Delta: 0.05,
 						StreamLength: m, Universe: 1 << 32,
 						Algorithm: algo, Seed: uint64(7 + shards),
@@ -127,8 +139,7 @@ func TestShardedConcurrentProducers(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 5; i++ {
 			_ = hh.Report()
-			_ = hh.QueueDepths()
-			_ = hh.Items()
+			_ = hh.Stats() // queue depths and the accepted-items counter
 		}
 	}()
 	wg.Wait()
@@ -152,7 +163,7 @@ func TestShardedCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := UnmarshalShardedListHeavyHitters(blob, 0, 0)
+	restored, err := restoreSharded(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,16 +246,16 @@ func TestShardedCloseThenReport(t *testing.T) {
 // TestShardedRejectsBadConfig mirrors the serial constructor's
 // validation through the sharded path.
 func TestShardedRejectsBadConfig(t *testing.T) {
-	_, err := NewShardedListHeavyHitters(ShardedConfig{
-		Config: Config{Eps: 0.5, Phi: 0.1, Delta: 0.05, // eps ≥ phi
+	_, err := newShardedSolver(shardedConfig{
+		config: config{Eps: 0.5, Phi: 0.1, Delta: 0.05, // eps ≥ phi
 			StreamLength: 1000, Universe: 1 << 16},
 		Shards: 2,
 	})
 	if err == nil {
 		t.Fatal("eps ≥ phi accepted")
 	}
-	_, err = NewShardedListHeavyHitters(ShardedConfig{
-		Config: Config{Eps: 0.01, Phi: 0.05, Delta: 0.05,
+	_, err = newShardedSolver(shardedConfig{
+		config: config{Eps: 0.01, Phi: 0.05, Delta: 0.05,
 			StreamLength: 1000, Universe: 1 << 16},
 		Shards: -4,
 	})
@@ -264,18 +275,18 @@ func TestUnmarshalShardedRejectsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnmarshalShardedListHeavyHitters(nil, 0, 0); err == nil {
+	if _, err := restoreSharded(nil); err == nil {
 		t.Fatal("nil accepted")
 	}
-	if _, err := UnmarshalShardedListHeavyHitters(blob[:len(blob)/2], 0, 0); err == nil {
+	if _, err := unmarshalSharded(blob[:len(blob)/2], 0, 0, nil, 0, false, shard.Hooks{}); err == nil {
 		t.Fatal("truncation accepted")
 	}
 	wrongTag := append([]byte{}, blob...)
 	wrongTag[0] = tagOptimal
-	if _, err := UnmarshalShardedListHeavyHitters(wrongTag, 0, 0); err == nil {
+	if _, err := restoreSharded(wrongTag); err == nil {
 		t.Fatal("wrong tag accepted")
 	}
-	if _, err := UnmarshalShardedListHeavyHitters(append(blob, 0x00), 0, 0); err == nil {
+	if _, err := unmarshalSharded(append(blob, 0x00), 0, 0, nil, 0, false, shard.Hooks{}); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }
@@ -286,8 +297,8 @@ func TestUnmarshalShardedRejectsCorrupt(t *testing.T) {
 func TestShardedUnknownLengthIngest(t *testing.T) {
 	const m = 120_000
 	stream := GeneratePlantedStream(51, m, []float64{0.25, 0.15}, 100, 1<<30, OrderShuffled)
-	hh, err := NewShardedListHeavyHitters(ShardedConfig{
-		Config: Config{
+	hh, err := newShardedSolver(shardedConfig{
+		config: config{
 			Eps: 0.05, Phi: 0.12, Delta: 0.05,
 			Universe: 1 << 32, Seed: 19, // StreamLength 0 = unknown
 		},

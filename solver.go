@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/merge"
 	"repro/internal/rng"
 	"repro/internal/shard"
 )
@@ -81,9 +80,8 @@ type HeavyHitters interface {
 	Close() error
 }
 
-// Stats is the unified operational snapshot of any HeavyHitters solver,
-// replacing the per-type accessor scatter of the deprecated facades. On
-// concurrent solvers it is collected under a single barrier, so the
+// Stats is the unified operational snapshot of any HeavyHitters solver.
+// On concurrent solvers it is collected under a single barrier, so the
 // fields are mutually coherent.
 type Stats struct {
 	// Items is the number of items accepted so far. On sharded solvers
@@ -239,8 +237,8 @@ func New(opts ...Option) (HeavyHitters, error) {
 func buildHeavyHittersProblem(st *settings) (HeavyHitters, error) {
 	switch {
 	case st.sharded():
-		eng, err := buildSharded(ShardedConfig{
-			Config:          st.cfg,
+		eng, err := buildSharded(shardedConfig{
+			config:          st.cfg,
 			Shards:          st.shards,
 			QueueDepth:      st.queueDepth,
 			MaxBatch:        st.maxBatch,
@@ -254,8 +252,8 @@ func buildHeavyHittersProblem(st *settings) (HeavyHitters, error) {
 		}
 		return wrapSharded(eng, st.newSentinel()), nil
 	case st.windowed():
-		eng, err := buildWindowed(WindowConfig{
-			Config:         st.cfg,
+		eng, err := buildWindowed(windowConfig{
+			config:         st.cfg,
 			Window:         st.window,
 			WindowDuration: st.windowDur,
 			WindowBuckets:  st.windowBuckets,
@@ -312,9 +310,6 @@ func (st *settings) newSentinel() *sentinel {
 //	                              extrapolation opt-out is not serialized
 //	WithIngestObserver          — sharded containers (3, 5);
 //	                              instrumentation is never serialized
-//
-// Checkpoint bytes are interchangeable with the deprecated per-type
-// Unmarshal functions in both directions.
 func Unmarshal(data []byte, opts ...Option) (HeavyHitters, error) {
 	st, err := resolveOptions(opts)
 	if err != nil {
@@ -403,7 +398,7 @@ func (st *settings) rejectOpts(bits uint32, kind string) error {
 // engine: unknown-length solvers expose no extras, paced solvers add
 // Flusher and Pacable, and every known-length solver is a Merger. sen
 // is the optional accuracy sentinel (nil when not requested).
-func wrapSerial(eng *ListHeavyHitters, known bool, budget int, sen *sentinel) HeavyHitters {
+func wrapSerial(eng *serialSolver, known bool, budget int, sen *sentinel) HeavyHitters {
 	switch {
 	case !known:
 		return &unknownSerialHH{newSerialBase(eng, sen)}
@@ -418,7 +413,7 @@ func wrapSerial(eng *ListHeavyHitters, known bool, budget int, sen *sentinel) He
 // container: windowed containers expose Windower, everything else is a
 // Merger; both flush. sen is the optional accuracy sentinel (nil when
 // not requested; never set on windowed containers).
-func wrapSharded(eng *ShardedListHeavyHitters, sen *sentinel) HeavyHitters {
+func wrapSharded(eng *shardedSolver, sen *sentinel) HeavyHitters {
 	if eng.Windowed() {
 		return &shardedWindowedHH{shardedBase{s: eng}}
 	}
@@ -426,8 +421,8 @@ func wrapSharded(eng *ShardedListHeavyHitters, sen *sentinel) HeavyHitters {
 }
 
 // singleOwnerEngine is the method set the single-owner concrete engines
-// share; *ListHeavyHitters and *WindowedListHeavyHitters both satisfy
-// it, so one adapter base serves serial and windowed solvers.
+// share; *serialSolver and *windowedSolver both satisfy it, so one
+// adapter base serves serial and windowed solvers.
 type singleOwnerEngine interface {
 	Insert(x Item)
 	Report() []ItemEstimate
@@ -503,14 +498,14 @@ func (s *singleOwnerBase) Close() error {
 	return nil
 }
 
-// serialBase is the single-owner base over a *ListHeavyHitters, keeping
-// the concrete handle the merge and pacing paths need.
+// serialBase is the single-owner base over a *serialSolver, keeping the
+// concrete handle the merge and pacing paths need.
 type serialBase struct {
 	singleOwnerBase
-	h *ListHeavyHitters
+	h *serialSolver
 }
 
-func newSerialBase(h *ListHeavyHitters, sen *sentinel) serialBase {
+func newSerialBase(h *serialSolver, sen *sentinel) serialBase {
 	return serialBase{singleOwnerBase: singleOwnerBase{e: h, sen: sen}, h: h}
 }
 
@@ -552,7 +547,7 @@ func (s *serialHH) Merge(checkpoint []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := s.h.MergeFrom(other); err != nil {
+	if err := s.h.mergeFrom(other); err != nil {
 		return err
 	}
 	s.sen.markForeign()
@@ -560,16 +555,11 @@ func (s *serialHH) Merge(checkpoint []byte) error {
 }
 
 // decodeSerialPeer decodes a checkpoint for serial merging, reporting
-// container/solver kind mismatches as incompatibilities rather than
-// decode errors.
-func decodeSerialPeer(checkpoint []byte) (*ListHeavyHitters, error) {
-	if len(checkpoint) >= 1 {
-		switch checkpoint[0] {
-		case tagSharded, tagShardedWindowed:
-			return nil, merge.Incompatiblef("l1hh: cannot fold a sharded checkpoint into a serial solver")
-		case tagWindowed:
-			return nil, merge.Incompatiblef("l1hh: sliding-window states are not mergeable (DESIGN.md §8)")
-		}
+// container kind mismatches as incompatibilities rather than decode
+// errors (checkMergeTag).
+func decodeSerialPeer(checkpoint []byte) (*serialSolver, error) {
+	if err := checkMergeTag(checkpoint, tagOptimal, tagSimple); err != nil {
+		return nil, err
 	}
 	return unmarshalSerial(checkpoint)
 }
@@ -588,14 +578,14 @@ func (s *pacedSerialHH) Flush() { s.h.paced.Flush() }
 // PacedBudget implements Pacable.
 func (s *pacedSerialHH) PacedBudget() int { return s.budget }
 
-// windowedHH adapts a single-owner *WindowedListHeavyHitters; it adds
-// the Windower capability.
+// windowedHH adapts a single-owner *windowedSolver; it adds the
+// Windower capability.
 type windowedHH struct {
 	singleOwnerBase
-	w *WindowedListHeavyHitters
+	w *windowedSolver
 }
 
-func newWindowedHH(w *WindowedListHeavyHitters) *windowedHH {
+func newWindowedHH(w *windowedSolver) *windowedHH {
 	return &windowedHH{singleOwnerBase: singleOwnerBase{e: w}, w: w}
 }
 
@@ -605,14 +595,14 @@ func (s *windowedHH) WindowStats() WindowStats { return s.w.WindowStats() }
 // Window implements Windower.
 func (s *windowedHH) Window() (w uint64, d time.Duration, buckets int) { return s.w.Window() }
 
-// shardedBase adapts a *ShardedListHeavyHitters: the concrete type
-// already has the error-returning concurrent ingest path, so the base
-// delegates and the two outer adapters add the honest capability set.
+// shardedBase adapts a *shardedSolver: the concrete type already has the
+// error-returning concurrent ingest path, so the base delegates and the
+// two outer adapters add the honest capability set.
 // sen is the optional accuracy sentinel; it serializes concurrent
 // producers through its own mutex (amortized per batch), never through
 // the engine.
 type shardedBase struct {
-	s   *ShardedListHeavyHitters
+	s   *shardedSolver
 	sen *sentinel
 }
 
@@ -704,7 +694,7 @@ func (s *shardedHH) CheckMerge(checkpoint []byte) error {
 // shard (DESIGN.md §7); failure is atomic. A successful merge marks the
 // accuracy sentinel incoherent — the folded stream was never sampled.
 func (s *shardedHH) Merge(checkpoint []byte) error {
-	if err := s.s.MergeCheckpoint(checkpoint); err != nil {
+	if err := s.s.mergeCheckpoint(checkpoint); err != nil {
 		return err
 	}
 	s.sen.markForeign()

@@ -2,7 +2,6 @@ package l1hh
 
 import (
 	"repro/internal/rng"
-	"repro/internal/unknown"
 	"repro/internal/voting"
 )
 
@@ -12,135 +11,6 @@ type Ranking = voting.Ranking
 
 // ScoredCandidate pairs a candidate with an estimated score.
 type ScoredCandidate = voting.ScoredCandidate
-
-// VoteConfig configures the rank-aggregation sketches.
-type VoteConfig struct {
-	// Candidates is the number of candidates n; votes are permutations of
-	// [0, n).
-	Candidates int
-	// Eps is the additive error: ε·m·n for Borda scores, ε·m for maximin
-	// scores (Definitions 6–9).
-	Eps float64
-	// Delta is the failure probability; 0 defaults to 0.05.
-	Delta float64
-	// StreamLength is the number of votes; zero means unknown
-	// (Theorem 8 machinery).
-	StreamLength uint64
-	// Seed makes every random choice reproducible.
-	Seed uint64
-}
-
-func (c *VoteConfig) fill() {
-	if c.Delta == 0 {
-		c.Delta = 0.05
-	}
-}
-
-// Borda estimates every candidate's Borda score from a stream of votes
-// (Theorem 5).
-type Borda struct {
-	insert func(Ranking)
-	scores func() []float64
-	max    func() (int, float64)
-	list   func(float64) []ScoredCandidate
-	bits   func() int64
-}
-
-// NewBorda returns an ε-Borda / (ε,ϕ)-List Borda solver.
-func NewBorda(cfg VoteConfig) (*Borda, error) {
-	cfg.fill()
-	src := rng.New(cfg.Seed)
-	if cfg.StreamLength == 0 {
-		u, err := unknown.NewBorda(src, cfg.Candidates, cfg.Eps, cfg.Delta)
-		if err != nil {
-			return nil, err
-		}
-		return &Borda{
-			insert: u.Insert, scores: u.Scores, max: u.Max,
-			list: func(phi float64) []ScoredCandidate { return nil },
-			bits: u.ModelBits,
-		}, nil
-	}
-	b, err := voting.NewBordaSketch(src, voting.BordaConfig{
-		N: cfg.Candidates, Eps: cfg.Eps, Delta: cfg.Delta, M: cfg.StreamLength,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Borda{
-		insert: b.Insert, scores: b.Scores, max: b.Max, list: b.List,
-		bits: b.ModelBits,
-	}, nil
-}
-
-// Insert processes one vote.
-func (b *Borda) Insert(r Ranking) { b.insert(r) }
-
-// Scores returns every candidate's Borda score estimate (±ε·m·n whp).
-func (b *Borda) Scores() []float64 { return b.scores() }
-
-// Max returns an ε-Borda winner and its score estimate.
-func (b *Borda) Max() (candidate int, score float64) { return b.max() }
-
-// List solves (ε,ϕ)-List Borda: all candidates with score ≥ ϕ·m·n, none
-// with score ≤ (ϕ−ε)·m·n. Only available with a known stream length.
-func (b *Borda) List(phi float64) []ScoredCandidate { return b.list(phi) }
-
-// ModelBits reports the sketch size under the paper's accounting.
-func (b *Borda) ModelBits() int64 { return b.bits() }
-
-// Maximin estimates every candidate's maximin score from a stream of
-// votes (Theorem 6).
-type Maximin struct {
-	insert func(Ranking)
-	scores func() []float64
-	max    func() (int, float64)
-	list   func(float64) []ScoredCandidate
-	bits   func() int64
-}
-
-// NewMaximin returns an ε-maximin / (ε,ϕ)-List maximin solver.
-func NewMaximin(cfg VoteConfig) (*Maximin, error) {
-	cfg.fill()
-	src := rng.New(cfg.Seed)
-	if cfg.StreamLength == 0 {
-		u, err := unknown.NewMaximin(src, cfg.Candidates, cfg.Eps, cfg.Delta)
-		if err != nil {
-			return nil, err
-		}
-		return &Maximin{
-			insert: u.Insert, scores: u.Scores, max: u.Max,
-			list: func(phi float64) []ScoredCandidate { return nil },
-			bits: u.ModelBits,
-		}, nil
-	}
-	m, err := voting.NewMaximinSketch(src, voting.MaximinConfig{
-		N: cfg.Candidates, Eps: cfg.Eps, Delta: cfg.Delta, M: cfg.StreamLength,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Maximin{
-		insert: m.Insert, scores: m.Scores, max: m.Max, list: m.List,
-		bits: m.ModelBits,
-	}, nil
-}
-
-// Insert processes one vote.
-func (m *Maximin) Insert(r Ranking) { m.insert(r) }
-
-// Scores returns every candidate's maximin score estimate (±ε·m whp).
-func (m *Maximin) Scores() []float64 { return m.scores() }
-
-// Max returns an ε-maximin winner and its score estimate.
-func (m *Maximin) Max() (candidate int, score float64) { return m.max() }
-
-// List solves (ε,ϕ)-List maximin: all candidates with score ≥ ϕ·m, none
-// with score ≤ (ϕ−ε)·m. Only available with a known stream length.
-func (m *Maximin) List(phi float64) []ScoredCandidate { return m.list(phi) }
-
-// ModelBits reports the sketch size under the paper's accounting.
-func (m *Maximin) ModelBits() int64 { return m.bits() }
 
 // VoteTally is the exact Borda/plurality/pairwise oracle, exported for
 // verification and examples.

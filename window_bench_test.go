@@ -14,8 +14,8 @@ import (
 
 // windowBenchConfig sizes the solvers for a 2¹⁷-item window over the
 // shared zipf-flavoured planted stream.
-func windowBenchConfig() Config {
-	return Config{
+func windowBenchConfig() config {
+	return config{
 		Eps: 0.02, Phi: 0.1, Delta: 0.05,
 		Universe: 1 << 32, Seed: 2,
 	}
@@ -28,7 +28,7 @@ func BenchmarkWindowedInsert(b *testing.B) {
 	b.Run("whole-stream", func(b *testing.B) {
 		cfg := windowBenchConfig()
 		cfg.StreamLength = uint64(max(b.N, len(benchStream)))
-		hh, err := NewListHeavyHitters(cfg)
+		hh, err := buildSerial(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -41,8 +41,8 @@ func BenchmarkWindowedInsert(b *testing.B) {
 	})
 	for _, buckets := range []int{4, 8, 16} {
 		b.Run(fmt.Sprintf("window/buckets=%d", buckets), func(b *testing.B) {
-			hh, err := NewWindowedListHeavyHitters(WindowConfig{
-				Config: windowBenchConfig(), Window: w, WindowBuckets: buckets,
+			hh, err := buildWindowed(windowConfig{
+				config: windowBenchConfig(), Window: w, WindowBuckets: buckets,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -58,8 +58,8 @@ func BenchmarkWindowedInsert(b *testing.B) {
 	b.Run("window/duration", func(b *testing.B) {
 		cfg := windowBenchConfig()
 		cfg.StreamLength = w // expected per-window mass
-		hh, err := NewWindowedListHeavyHitters(WindowConfig{
-			Config: cfg, WindowDuration: time.Hour,
+		hh, err := buildWindowed(windowConfig{
+			config: cfg, WindowDuration: time.Hour,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -80,8 +80,8 @@ func BenchmarkWindowedReport(b *testing.B) {
 	const w = 1 << 17
 	for _, buckets := range []int{4, 8, 16} {
 		b.Run(fmt.Sprintf("buckets=%d", buckets), func(b *testing.B) {
-			hh, err := NewWindowedListHeavyHitters(WindowConfig{
-				Config: windowBenchConfig(), Window: w, WindowBuckets: buckets,
+			hh, err := buildWindowed(windowConfig{
+				config: windowBenchConfig(), Window: w, WindowBuckets: buckets,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -105,8 +105,8 @@ func BenchmarkWindowedShardedInsert(b *testing.B) {
 	const chunk = 8192
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			hh, err := NewShardedListHeavyHitters(ShardedConfig{
-				Config: windowBenchConfig(),
+			hh, err := newShardedSolver(shardedConfig{
+				config: windowBenchConfig(),
 				Shards: shards,
 				Window: 1 << 17,
 			})

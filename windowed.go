@@ -9,21 +9,19 @@ import (
 	"repro/internal/wire"
 )
 
-// WindowConfig configures a sliding-window heavy hitters solver: the
-// problem parameters of Config plus the window geometry. Exactly one of
-// Window and WindowDuration must be set.
-//
-// Prefer New with WithCountWindow/WithTimeWindow — this struct remains
-// the configuration of the deprecated constructor.
-type WindowConfig struct {
-	Config
+// windowConfig configures a sliding-window heavy hitters solver: the
+// problem parameters of config plus the window geometry
+// (WithCountWindow, WithTimeWindow, WithClock). Exactly one of Window
+// and WindowDuration must be set.
+type windowConfig struct {
+	config
 	// Window selects a count-based window: reports answer for (at
-	// least) the last Window items. Config.StreamLength is ignored in
+	// least) the last Window items. config.StreamLength is ignored in
 	// this mode — the per-bucket solvers are sized to the window.
 	Window uint64
 	// WindowDuration selects a time-based window: reports answer for (at
 	// least) the items of the last WindowDuration of wall time.
-	// Config.StreamLength must then be the expected number of items per
+	// config.StreamLength must then be the expected number of items per
 	// window, which sizes the per-bucket solvers (receiving more costs
 	// space, never accuracy).
 	WindowDuration time.Duration
@@ -45,42 +43,27 @@ type WindowConfig struct {
 // window.Stats for field semantics.
 type WindowStats = window.Stats
 
-// WindowedListHeavyHitters solves (ε,ϕ)-heavy hitters over a sliding
-// window: Report answers for (at least) the last Window items or the
-// last WindowDuration of wall time, not the whole stream. The stream is
+// windowedSolver solves (ε,ϕ)-heavy hitters over a sliding window:
+// Report answers for (at least) the last Window items or the last
+// WindowDuration of wall time, not the whole stream. The stream is
 // chopped into epoch buckets, each ingested by a fresh solver with the
 // same seed; expired buckets retire wholesale, and a report folds the
 // live buckets with the distributed tier's state-merge rules, so it
 // carries the serial solver's (ε,ϕ) guarantees at m = the covered mass
 // (the window plus at most one epoch — DESIGN.md §8).
 //
-// It is the window decorator behind the unified front door; New returns
-// it wrapped in the HeavyHitters interface. The type stays exported for
-// the deprecated constructors and for checkpoint interchange.
-//
-// Like ListHeavyHitters, it is not safe for concurrent use; combine
-// WithShards and a window option for concurrent windowed ingest.
-type WindowedListHeavyHitters struct {
+// It is the window decorator behind the front door: New wraps it in
+// windowedHH (solver.go), and a sharded windowed container runs one per
+// shard. Like serialSolver, it is not safe for concurrent use.
+type windowedSolver struct {
 	w        *window.Window
-	cfg      WindowConfig
+	cfg      windowConfig
 	eps, phi float64
-}
-
-// NewWindowedListHeavyHitters returns a sliding-window solver for cfg.
-// Only known-length engines back windows (buckets are folded via the
-// merge tier), so Config.Algorithm must be AlgorithmOptimal or
-// AlgorithmSimple; a duration window additionally needs
-// Config.StreamLength as the expected per-window mass.
-//
-// Deprecated: use New with WithCountWindow or WithTimeWindow — for
-// example New(WithEps(cfg.Eps), WithPhi(cfg.Phi), WithCountWindow(cfg.Window, cfg.WindowBuckets)).
-func NewWindowedListHeavyHitters(cfg WindowConfig) (*WindowedListHeavyHitters, error) {
-	return buildWindowed(cfg)
 }
 
 // Insert processes one stream item in amortized O(1) time (a bucket
 // rotation allocates a fresh solver every ⌈W/B⌉ items).
-func (h *WindowedListHeavyHitters) Insert(x Item) { h.w.Insert(x) }
+func (h *windowedSolver) Insert(x Item) { h.w.Insert(x) }
 
 // Report returns the heavy hitters of the covered window, in
 // decreasing-estimate order. With probability ≥ 1−δ every item whose
@@ -89,7 +72,7 @@ func (h *WindowedListHeavyHitters) Insert(x Item) { h.w.Insert(x) }
 // within ε·M of the covered frequency. If the internal bucket fold fails
 // (which cannot happen for the solvers this package builds), it degrades
 // to a per-bucket union whose estimates may undercount.
-func (h *WindowedListHeavyHitters) Report() []ItemEstimate {
+func (h *windowedSolver) Report() []ItemEstimate {
 	rep, err := h.w.Report()
 	if err != nil {
 		return h.w.ReportUnion()
@@ -98,33 +81,29 @@ func (h *WindowedListHeavyHitters) Report() []ItemEstimate {
 }
 
 // Eps returns the additive-error parameter ε the solver was built with.
-func (h *WindowedListHeavyHitters) Eps() float64 { return h.eps }
+func (h *windowedSolver) Eps() float64 { return h.eps }
 
 // Phi returns the heaviness threshold ϕ the solver was built with.
-func (h *WindowedListHeavyHitters) Phi() float64 { return h.phi }
+func (h *windowedSolver) Phi() float64 { return h.phi }
 
 // Len returns the covered mass M — the stream length a Report answers
 // for: at least min(Window, Total), at most one epoch more than the
 // window.
-func (h *WindowedListHeavyHitters) Len() uint64 { return h.w.Len() }
-
-// Total returns the number of items ever inserted, including mass that
-// has aged out of the window.
-func (h *WindowedListHeavyHitters) Total() uint64 { return h.w.Total() }
+func (h *windowedSolver) Len() uint64 { return h.w.Len() }
 
 // Window returns the configured geometry: the count window W (0 for
 // time windows), the duration D (0 for count windows), and the bucket
 // granularity (defaults resolved).
-func (h *WindowedListHeavyHitters) Window() (w uint64, d time.Duration, buckets int) {
+func (h *windowedSolver) Window() (w uint64, d time.Duration, buckets int) {
 	return h.w.Geometry()
 }
 
 // WindowStats describes the current coverage: covered/retired mass,
 // live bucket count, and the age of the oldest covered item.
-func (h *WindowedListHeavyHitters) WindowStats() WindowStats { return h.w.Stats() }
+func (h *windowedSolver) WindowStats() WindowStats { return h.w.Stats() }
 
 // Stats returns the unified operational snapshot (see Stats).
-func (h *WindowedListHeavyHitters) Stats() Stats {
+func (h *windowedSolver) Stats() Stats {
 	st := h.WindowStats()
 	return Stats{
 		Items: st.Total,
@@ -138,12 +117,12 @@ func (h *WindowedListHeavyHitters) Stats() Stats {
 
 // ModelBits reports the summed size of the live bucket sketches under
 // the paper's accounting: a B-bucket window honestly costs B+1 sketches.
-func (h *WindowedListHeavyHitters) ModelBits() int64 { return h.w.ModelBits() }
+func (h *windowedSolver) ModelBits() int64 { return h.w.ModelBits() }
 
 // MarshalBinary serializes the window configuration and every live
-// bucket's solver state; Unmarshal restores a solver that continues the
-// window exactly where this one stopped.
-func (h *WindowedListHeavyHitters) MarshalBinary() ([]byte, error) {
+// bucket's solver state as a tag-4 checkpoint; Unmarshal restores a
+// solver that continues the window exactly where this one stopped.
+func (h *windowedSolver) MarshalBinary() ([]byte, error) {
 	blob, err := h.w.MarshalBinary()
 	if err != nil {
 		return nil, err
@@ -164,18 +143,6 @@ func (h *WindowedListHeavyHitters) MarshalBinary() ([]byte, error) {
 	return append([]byte{tagWindowed}, w.Bytes()...), nil
 }
 
-// UnmarshalWindowedListHeavyHitters reconstructs a solver serialized by
-// WindowedListHeavyHitters.MarshalBinary. Time-based windows resume on
-// the wall clock: buckets that aged out while the checkpoint sat on disk
-// retire on the first operation.
-//
-// Deprecated: use Unmarshal, which restores every container tag behind
-// the HeavyHitters interface (and accepts WithClock for deterministic
-// resumes).
-func UnmarshalWindowedListHeavyHitters(data []byte) (*WindowedListHeavyHitters, error) {
-	return unmarshalWindowed(data, nil)
-}
-
 // ObserveArrivalStamp implements shard.ArrivalObserver: the sharded
 // container stamps every dispatched batch with its global accepted-items
 // count, and the window records the high-water mark against each epoch
@@ -183,7 +150,7 @@ func UnmarshalWindowedListHeavyHitters(data []byte) (*WindowedListHeavyHitters, 
 // covered mass as a share of recent global traffic and extrapolate its
 // estimates (DESIGN.md §8). Single-owner use never calls it; the window
 // then reports with legacy weights.
-func (h *WindowedListHeavyHitters) ObserveArrivalStamp(stamp uint64) {
+func (h *windowedSolver) ObserveArrivalStamp(stamp uint64) {
 	h.w.ObserveArrivalStamp(stamp)
 }
 
@@ -192,7 +159,7 @@ func (h *WindowedListHeavyHitters) ObserveArrivalStamp(stamp uint64) {
 // latest observed stamp, the stamp granularity, and whether the
 // accounting is usable (false until stamps flow, and after a pre-stamp
 // checkpoint restore).
-func (h *WindowedListHeavyHitters) arrivalStamps() (oldest, latest, gap uint64, ok bool) {
+func (h *windowedSolver) arrivalStamps() (oldest, latest, gap uint64, ok bool) {
 	return h.w.ArrivalStamps()
 }
 
@@ -200,12 +167,12 @@ func (h *WindowedListHeavyHitters) arrivalStamps() (oldest, latest, gap uint64, 
 // sliding-window states are not mergeable — two nodes' windows cover
 // different wall-clock slices, so folding them answers no well-defined
 // window (DESIGN.md §8).
-func (h *WindowedListHeavyHitters) MergeEngine(other shard.Engine) error {
+func (h *windowedSolver) MergeEngine(other shard.Engine) error {
 	return h.CheckMergeEngine(other)
 }
 
 // CheckMergeEngine implements the non-mutating half of the shard merge
 // contract; it always refuses (see MergeEngine).
-func (h *WindowedListHeavyHitters) CheckMergeEngine(other shard.Engine) error {
+func (h *windowedSolver) CheckMergeEngine(other shard.Engine) error {
 	return merge.Incompatiblef("l1hh: sliding-window states are not mergeable (DESIGN.md §8)")
 }

@@ -1,6 +1,6 @@
 package l1hh
 
-// Windowed conformance suite: WindowedListHeavyHitters (serially and
+// Windowed conformance suite: windowedSolver (serially and
 // through the sharded path) must answer (ε,ϕ)-heavy hitters for the
 // sliding window — every item with window-frequency ≥ ϕ·W reported,
 // nothing reported below (ϕ−ε)·M over the covered mass M, estimates
@@ -129,8 +129,8 @@ func TestWindowedConformanceSerial(t *testing.T) {
 		for name, stream := range windowStreams(w) {
 			for algo, algoName := range windowAlgos(w) {
 				t.Run(fmt.Sprintf("%s/W=%d/%s", name, w, algoName), func(t *testing.T) {
-					hh, err := NewWindowedListHeavyHitters(WindowConfig{
-						Config: Config{
+					hh, err := buildWindowed(windowConfig{
+						config: config{
 							Eps: winEps, Phi: winPhi, Delta: 0.05,
 							Universe: 1 << 31, Algorithm: algo, Seed: 7,
 						},
@@ -149,7 +149,7 @@ func TestWindowedConformanceSerial(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					restored, err := UnmarshalWindowedListHeavyHitters(blob)
+					restored, err := unmarshalWindowed(blob, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -171,7 +171,7 @@ func TestWindowedConformanceSerial(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					twin, err := UnmarshalWindowedListHeavyHitters(blob2)
+					twin, err := unmarshalWindowed(blob2, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -203,8 +203,8 @@ func TestWindowedConformanceSharded(t *testing.T) {
 				algo = AlgorithmSimple // per-shard windows are W/4: small-window regime
 			}
 			t.Run(fmt.Sprintf("%s/W=%d", name, w), func(t *testing.T) {
-				sh, err := NewShardedListHeavyHitters(ShardedConfig{
-					Config: Config{
+				sh, err := newShardedSolver(shardedConfig{
+					config: config{
 						Eps: winEps, Phi: winPhi, Delta: 0.05,
 						Universe: 1 << 31, Algorithm: algo, Seed: 7,
 					},
@@ -250,7 +250,7 @@ func TestWindowedConformanceSharded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				restored, err := UnmarshalShardedListHeavyHitters(blob, 0, 0)
+				restored, err := restoreSharded(blob)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -289,7 +289,7 @@ func skewStream(seed uint64, n int, r float64) []Item {
 // feedChunks streams items through InsertBatch in moderate chunks, the
 // way real producers do. Chunked calls also keep the global-arrival
 // stamps batch-accurate, which is what the share measurement rides on.
-func feedChunks(t *testing.T, sh *ShardedListHeavyHitters, items []Item) {
+func feedChunks(t *testing.T, sh *shardedSolver, items []Item) {
 	t.Helper()
 	const chunk = 1024
 	for off := 0; off < len(items); off += chunk {
@@ -302,10 +302,10 @@ func feedChunks(t *testing.T, sh *ShardedListHeavyHitters, items []Item) {
 
 // newSkewSharded builds the skew-regime solver; raw selects the legacy
 // (pre-extrapolation) report fold.
-func newSkewSharded(t *testing.T, shards int, raw bool) *ShardedListHeavyHitters {
+func newSkewSharded(t *testing.T, shards int, raw bool) *shardedSolver {
 	t.Helper()
-	sh, err := NewShardedListHeavyHitters(ShardedConfig{
-		Config: Config{
+	sh, err := newShardedSolver(shardedConfig{
+		config: config{
 			Eps: winSkewEps, Phi: winSkewPhi, Delta: 0.05,
 			Universe: 1 << 31, Algorithm: AlgorithmSimple, Seed: 7,
 		},
@@ -469,7 +469,7 @@ func TestWindowedShardedStaleShard(t *testing.T) {
 		next = pick(next + 1)
 		phase2 = append(phase2, next)
 	}
-	for _, eng := range []*ShardedListHeavyHitters{sh, raw} {
+	for _, eng := range []*shardedSolver{sh, raw} {
 		feedChunks(t, eng, phase1)
 		feedChunks(t, eng, phase2)
 	}
@@ -499,12 +499,12 @@ func TestWindowedShardedStaleShard(t *testing.T) {
 // TestWindowedEdgeCases: W=1, W larger than the stream, and tiny
 // windows over heavy repetition.
 func TestWindowedEdgeCases(t *testing.T) {
-	base := Config{
+	base := config{
 		Eps: 0.1, Phi: 0.4, Delta: 0.05, Universe: 1 << 20, Seed: 3,
 		Algorithm: AlgorithmSimple,
 	}
 	t.Run("W=1", func(t *testing.T) {
-		hh, err := NewWindowedListHeavyHitters(WindowConfig{Config: base, Window: 1})
+		hh, err := buildWindowed(windowConfig{config: base, Window: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -520,15 +520,15 @@ func TestWindowedEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("W>stream", func(t *testing.T) {
-		hh, err := NewWindowedListHeavyHitters(WindowConfig{Config: base, Window: 1 << 20})
+		hh, err := buildWindowed(windowConfig{config: base, Window: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 1000; i++ {
 			hh.Insert(uint64(i % 2)) // both ids at 0.5 ≥ ϕ
 		}
-		if hh.Len() != 1000 || hh.Total() != 1000 {
-			t.Fatalf("covered/total %d/%d", hh.Len(), hh.Total())
+		if total := hh.WindowStats().Total; hh.Len() != 1000 || total != 1000 {
+			t.Fatalf("covered/total %d/%d", hh.Len(), total)
 		}
 		rep := hh.Report()
 		if len(rep) != 2 {
@@ -539,39 +539,39 @@ func TestWindowedEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("invalid-config", func(t *testing.T) {
-		if _, err := NewWindowedListHeavyHitters(WindowConfig{Config: base}); err == nil {
+		if _, err := buildWindowed(windowConfig{config: base}); err == nil {
 			t.Fatal("no window mode must error")
 		}
-		if _, err := NewWindowedListHeavyHitters(WindowConfig{
-			Config: base, Window: 10, WindowDuration: time.Second,
+		if _, err := buildWindowed(windowConfig{
+			config: base, Window: 10, WindowDuration: time.Second,
 		}); err == nil {
 			t.Fatal("both window modes must error")
 		}
-		if _, err := NewWindowedListHeavyHitters(WindowConfig{
-			Config:         Config{Eps: 0.1, Phi: 0.4, Delta: 0.05, Universe: 1 << 20},
+		if _, err := buildWindowed(windowConfig{
+			config:         config{Eps: 0.1, Phi: 0.4, Delta: 0.05, Universe: 1 << 20},
 			WindowDuration: time.Second, // StreamLength 0: no per-window mass
 		}); err == nil {
 			t.Fatal("duration window without StreamLength must error")
 		}
-		if _, err := NewShardedListHeavyHitters(ShardedConfig{
-			Config: base, Window: 10, WindowDuration: time.Second,
+		if _, err := newShardedSolver(shardedConfig{
+			config: base, Window: 10, WindowDuration: time.Second,
 		}); err == nil {
 			t.Fatal("sharded: both window modes must error")
 		}
 		// Overflow guards: a near-2⁶⁴ window would wrap the ⌈W/B⌉ and
 		// per-shard-split arithmetic into a degenerate window.
-		if _, err := NewWindowedListHeavyHitters(WindowConfig{
-			Config: base, Window: ^uint64(0),
+		if _, err := buildWindowed(windowConfig{
+			config: base, Window: ^uint64(0),
 		}); err == nil {
 			t.Fatal("absurd Window must error, not wrap")
 		}
-		if _, err := NewShardedListHeavyHitters(ShardedConfig{
-			Config: base, Window: ^uint64(0), Shards: 2,
+		if _, err := newShardedSolver(shardedConfig{
+			config: base, Window: ^uint64(0), Shards: 2,
 		}); err == nil {
 			t.Fatal("sharded: absurd Window must error, not wrap")
 		}
-		if _, err := NewShardedListHeavyHitters(ShardedConfig{
-			Config: base, WindowDuration: -time.Second, Shards: 2,
+		if _, err := newShardedSolver(shardedConfig{
+			config: base, WindowDuration: -time.Second, Shards: 2,
 		}); err == nil {
 			t.Fatal("sharded: negative WindowDuration must error, not silently unwindow")
 		}
@@ -582,8 +582,8 @@ func TestWindowedEdgeCases(t *testing.T) {
 // clock through the public API.
 func TestWindowedDuration(t *testing.T) {
 	now := time.Unix(2000, 0)
-	hh, err := NewWindowedListHeavyHitters(WindowConfig{
-		Config: Config{
+	hh, err := buildWindowed(windowConfig{
+		config: config{
 			Eps: 0.1, Phi: 0.3, Delta: 0.05, Universe: 1 << 20,
 			StreamLength: 1000, Seed: 5, Algorithm: AlgorithmSimple,
 		},
@@ -617,8 +617,8 @@ func TestWindowedDuration(t *testing.T) {
 // TestWindowedDurationRoundTrip checkpoints a duration window (real
 // clock, window far longer than the test) and checks report identity.
 func TestWindowedDurationRoundTrip(t *testing.T) {
-	hh, err := NewWindowedListHeavyHitters(WindowConfig{
-		Config: Config{
+	hh, err := buildWindowed(windowConfig{
+		config: config{
 			Eps: 0.1, Phi: 0.3, Delta: 0.05, Universe: 1 << 20,
 			StreamLength: 1000, Seed: 5, Algorithm: AlgorithmSimple,
 		},
@@ -634,7 +634,7 @@ func TestWindowedDurationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := UnmarshalWindowedListHeavyHitters(blob)
+	restored, err := unmarshalWindowed(blob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,53 +643,41 @@ func TestWindowedDurationRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWindowedMergeRejected: sliding-window states refuse the merge
-// tier, wrapping ErrIncompatibleMerge, and leave the receiver usable.
+// TestWindowedMergeRejected: sliding-window states take no part in the
+// merge tier — a windowed engine is not a Merger, and its checkpoint
+// offered to a plain engine is refused with ErrIncompatibleMerge,
+// leaving both usable.
 func TestWindowedMergeRejected(t *testing.T) {
-	mk := func() *ShardedListHeavyHitters {
-		sh, err := NewShardedListHeavyHitters(ShardedConfig{
-			Config: Config{
-				Eps: 0.05, Phi: 0.2, Delta: 0.05, Universe: 1 << 20, Seed: 11,
-				Algorithm: AlgorithmSimple, // exact at this tiny window scale
-			},
-			Shards: 2, Window: 100,
-		})
+	mk := func(extra ...Option) HeavyHitters {
+		hh, err := New(append([]Option{
+			WithEps(0.05), WithPhi(0.2), WithDelta(0.05), WithUniverse(1 << 20), WithSeed(11),
+			WithAlgorithm(AlgorithmSimple), // exact at this tiny window scale
+			WithShards(2),
+		}, extra...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sh
+		t.Cleanup(func() { hh.Close() })
+		return hh
 	}
-	a, b := mk(), mk()
-	defer a.Close()
-	defer b.Close()
+	windowed, plain := mk(WithCountWindow(100, 0)), mk(WithStreamLength(1000))
+	if _, ok := windowed.(Merger); ok {
+		t.Fatal("a windowed engine claims the Merger capability")
+	}
 	for i := 0; i < 500; i++ {
-		a.Insert(uint64(i % 5))
-		b.Insert(uint64(i % 5))
+		if err := windowed.Insert(uint64(i % 5)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := a.MergeFrom(b); !errors.Is(err, ErrIncompatibleMerge) {
-		t.Fatalf("windowed MergeFrom: got %v, want ErrIncompatibleMerge", err)
-	}
-	// Windowed checkpoint into a non-windowed engine must also refuse.
-	plain, err := NewShardedListHeavyHitters(ShardedConfig{
-		Config: Config{
-			Eps: 0.05, Phi: 0.2, Delta: 0.05, StreamLength: 1000,
-			Universe: 1 << 20, Seed: 11, Algorithm: AlgorithmSimple,
-		},
-		Shards: 2,
-	})
+	blob, err := windowed.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plain.Close()
-	blob, err := b.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.MergeCheckpoint(blob); !errors.Is(err, ErrIncompatibleMerge) {
+	if err := plain.(Merger).Merge(blob); !errors.Is(err, ErrIncompatibleMerge) {
 		t.Fatalf("windowed blob into plain engine: got %v, want ErrIncompatibleMerge", err)
 	}
-	if got := a.Report(); len(got) == 0 {
-		t.Fatal("receiver must stay usable after a refused merge")
+	if got := windowed.Report(); len(got) == 0 {
+		t.Fatal("windowed engine must stay usable")
 	}
 }
 
@@ -697,8 +685,8 @@ func TestWindowedMergeRejected(t *testing.T) {
 // producers keep rotating and retiring buckets while reports, stats,
 // and checkpoints run. Run with -race.
 func TestWindowShardedRace(t *testing.T) {
-	sh, err := NewShardedListHeavyHitters(ShardedConfig{
-		Config: Config{
+	sh, err := newShardedSolver(shardedConfig{
+		config: config{
 			Eps: 0.05, Phi: 0.2, Delta: 0.05, Universe: 1 << 20, Seed: 13,
 		},
 		Shards: 4, Window: 500, WindowBuckets: 4,
