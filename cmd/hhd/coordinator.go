@@ -32,8 +32,6 @@ type coordinator struct {
 	// the stream (windowed engines always snapshot — retirement changes
 	// state without changing the counter).
 	lastItems uint64
-	// windowed disables the lastItems skip.
-	windowed bool
 
 	done chan struct{}
 }
@@ -42,12 +40,11 @@ type coordinator struct {
 // `every` onto sink, numbering snapshots from startSeq+1.
 func newCoordinator(srv *server, sink ckpt.Sink, every time.Duration, startSeq uint64) *coordinator {
 	return &coordinator{
-		srv:      srv,
-		sink:     sink,
-		every:    every,
-		seq:      startSeq,
-		windowed: srv.engineStats().Window != nil,
-		done:     make(chan struct{}),
+		srv:   srv,
+		sink:  sink,
+		every: every,
+		seq:   startSeq,
+		done:  make(chan struct{}),
 	}
 }
 
@@ -101,9 +98,10 @@ func (co *coordinator) snapshot(force bool) {
 	}
 	// Stats and MarshalBinary go through the server's lock discipline: a
 	// single-owner problem engine (-problem) must not be snapshotted
-	// while a /vote or /ingest handler is mutating it.
+	// while a /vote or /ingest handler is mutating it. Windowedness is
+	// read from each snapshot's Stats, so it follows a /restore.
 	st := co.srv.engineStats()
-	if !force && !co.windowed && st.Items == co.lastItems {
+	if !force && st.Window == nil && st.Items == co.lastItems {
 		return
 	}
 	co.encodeAndStore(co.srv.marshalEngine, st.Items)

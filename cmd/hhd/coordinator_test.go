@@ -116,6 +116,28 @@ func TestCoordinatorPoolPinnedDisablesSkip(t *testing.T) {
 	}
 }
 
+// TestCoordinatorWindowednessFollowsRestore: the unchanged-items skip
+// reads windowedness from each snapshot's Stats, so a windowed state
+// restored into a server that started unwindowed still snapshots every
+// tick (its buckets retire without moving the item counter).
+func TestCoordinatorWindowednessFollowsRestore(t *testing.T) {
+	s := newTestServer(t, 100000)
+	sink := ckpt.NewMemSink()
+	co := newCoordinator(s, sink, time.Hour, 0)
+
+	ws := newWindowServer(t, 1000)
+	ingestN(t, ws, 0, 2000)
+	blob := do(t, ws, "POST", "/checkpoint", "", nil)
+	if w := do(t, s, "POST", "/restore", "application/octet-stream", blob.Body.Bytes()); w.Code != http.StatusOK {
+		t.Fatalf("restore windowed state: %d: %s", w.Code, w.Body)
+	}
+	co.snapshot(false)
+	co.snapshot(false)
+	if sink.Len() != 2 {
+		t.Fatalf("idle windowed engine: %d frames, want 2 (no skip)", sink.Len())
+	}
+}
+
 func TestCoordinatorStoreFailureIsCountedNotFatal(t *testing.T) {
 	s := newTestServer(t, 100000)
 	sink := ckpt.NewMemSink()

@@ -39,25 +39,29 @@
 //	                  ?format=prometheus renders the same registry in
 //	                  Prometheus text exposition format v0.0.4
 //
-// Multi-tenant mode: -tenants adds a tenant-keyed engine pool and
-// serves every engine endpoint above — ingest, report, checkpoint,
-// stats, vote, winner, extremes, point — a second time under
-// /t/{tenant}/, through the same handlers (tenant names are URL path
-// segments, percent-escaped as needed, at most 512 bytes decoded). A
-// write creates the tenant's engine on first touch from the problem
-// flags (serial — -shards does not apply per tenant); a read never
-// does, and answers 404 for an unknown tenant. A tenant checkpoint is
+// Multi-tenant mode: -tenants swaps the single engine for a
+// tenant-keyed engine pool and serves the engine endpoints above —
+// ingest, report, checkpoint, stats, vote, winner, extremes, point —
+// under /t/{tenant}/ only (tenant names are URL path segments,
+// percent-escaped as needed, at most 512 bytes decoded). No default
+// engine is built: the root engine routes, /merge and /restore answer
+// 404, and /healthz, /readyz and /metrics stay. A write creates the
+// tenant's engine on first touch from the problem flags (serial, so
+// -shards, -queue-depth and -max-batch are refused); a read never does,
+// and answers 404 for an unknown tenant. A tenant checkpoint is
 // exportable through l1hh.Unmarshal.
 //
 // -tenant-budget-bits caps the summed model bits of resident engines;
 // past it the pool checkpoints least-recently-used tenants out to the
 // spill store (-spill-dir, or in-memory) and revives them transparently
 // on their next touch. -sentinel-tenant NAME pins one tenant with an
-// accuracy sentinel at the -sentinel rate. With -checkpoint or
-// -checkpoint-dir the snapshots cover the whole pool (every
-// serializable tenant); the metrics gain hhd_pool{field=...} and the
-// pool_spill / pool_revive stage histograms. -peers is
-// incompatible: pool states are per-node and do not merge.
+// accuracy sentinel at the -sentinel rate. With -checkpoint-dir the
+// snapshots cover the whole pool (every serializable tenant). The
+// metrics gain hhd_pool{field=...} and the pool_spill / pool_revive
+// stage histograms, and lose the engine families (hhd_items_total,
+// hhd_model_bits, hhd_shards, hhd_queue_depth): hhd_pool carries
+// items_total and model_bits_in_use. -peers is incompatible: pool
+// states are per-node and do not merge.
 //
 // Observability: -log-format text|json and -log-level pick the slog
 // handler (debug turns on the per-request access log, one line per
@@ -92,8 +96,7 @@
 // reports are rate-extrapolated: each shard's estimates are scaled by
 // its measured share of recent traffic before the global threshold, so
 // a dominant item no longer shrinks its own shard's window out of the
-// report and stale shards are down-weighted (DESIGN.md §8;
-// -raw-shard-windows restores the old raw fold). Reports and
+// report and stale shards are down-weighted (DESIGN.md §8). Reports and
 // checkpoints carry the window; cluster mode is incompatible with
 // windows — two nodes' windows cover different wall-clock slices, so
 // their states do not merge (DESIGN.md §8).
@@ -113,13 +116,12 @@
 // torn or corrupt frames. A crash (SIGKILL, OOM) therefore loses at
 // most one checkpoint interval of acknowledged items; DESIGN.md §12
 // spells out the contract and test/e2e pins it against a real process
-// kill. The single-file -checkpoint flag remains for shutdown-only
-// snapshots and is mutually exclusive with -checkpoint-dir.
+// kill. It is the one durability path: POST /checkpoint exports a raw
+// blob for l1hh.Unmarshal, but nothing else writes state to disk.
 //
 // Shutdown on SIGINT/SIGTERM is graceful: stop accepting requests, drain
-// every shard queue, and (with -checkpoint or -checkpoint-dir) write a
-// final snapshot, so a restart with the same flag resumes the stream
-// where it stopped.
+// every shard queue, and (with -checkpoint-dir) write a final snapshot,
+// so a restart with the same flag resumes the stream where it stopped.
 //
 // Usage:
 //
@@ -158,15 +160,14 @@ var (
 	deltaFlag      = flag.Float64("delta", 0.05, "failure probability δ")
 	mFlag          = flag.Uint64("m", 0, "expected stream length (0 = unknown; disables checkpointing)")
 	universeFlag   = flag.Uint64("universe", 1<<62, "universe size; ids in [0, universe)")
-	shardsFlag     = flag.Int("shards", 0, "shard count (0 = GOMAXPROCS)")
+	shardsFlag     = flag.Int("shards", 0, "shard count (0 = GOMAXPROCS; refused with -tenants, whose engines are serial)")
 	algoFlag       = flag.String("algo", "optimal", "engine: optimal or simple")
 	problemFlag    = flag.String("problem", "hh", "problem the engine solves: hh (heavy hitters), borda, maximin, minfreq, maxfreq (DESIGN.md §14); non-hh problems run a single-owner engine, so -shards, -algo, windows and the sentinel do not apply")
 	candidatesFlag = flag.Int("candidates", 0, "number of candidates for the voting problems (-problem borda|maximin); ballots are permutations of [0, candidates)")
 	seedFlag       = flag.Uint64("seed", 1, "RNG seed")
-	queueFlag      = flag.Int("queue-depth", 0, "per-shard queue depth in batches (0 = default)")
-	batchFlag      = flag.Int("max-batch", 0, "max items per dispatched batch (0 = default)")
-	checkpointFlag = flag.String("checkpoint", "", "snapshot file: loaded on start if present, written on shutdown")
-	ckptDirFlag    = flag.String("checkpoint-dir", "", "snapshot directory for the async checkpoint coordinator: resumed from on start, written to every -checkpoint-every while serving (mutually exclusive with -checkpoint)")
+	queueFlag      = flag.Int("queue-depth", 0, "per-shard queue depth in batches (0 = default; refused with -tenants)")
+	batchFlag      = flag.Int("max-batch", 0, "max items per dispatched batch (0 = default; refused with -tenants)")
+	ckptDirFlag    = flag.String("checkpoint-dir", "", "snapshot directory for the async checkpoint coordinator: resumed from on start, written to every -checkpoint-every while serving and once more on shutdown")
 	ckptEveryFlag  = flag.Duration("checkpoint-every", 30*time.Second, "checkpoint coordinator snapshot interval (with -checkpoint-dir)")
 	ckptRetainFlag = flag.Int("checkpoint-retain", 4, "how many snapshots -checkpoint-dir keeps; older ones are pruned")
 	shedWaitFlag   = flag.Duration("shed-wait", 100*time.Millisecond, "how long /ingest may wait on saturated shard queues before shedding with 429 + Retry-After (0 = block indefinitely, the pre-shedding behavior)")
@@ -174,11 +175,10 @@ var (
 	windowFlag     = flag.Uint64("window", 0, "count-based sliding window: report the heavy hitters of (at least) the last N items (0 = whole stream)")
 	windowDurFlag  = flag.Duration("window-duration", 0, "time-based sliding window: report the heavy hitters of (at least) the last D of wall time; -m becomes the expected items per window")
 	windowBktFlag  = flag.Int("window-buckets", 0, "window epoch granularity: the report overshoots the window by at most one epoch (0 = default 8)")
-	rawWindowsFlag = flag.Bool("raw-shard-windows", false, "disable rate-extrapolated count-window reports: threshold per-shard estimates at face value, re-exposing the skew-induced deflation of DESIGN.md §8 (with -window and -shards > 1)")
 	peersFlag      = flag.String("peers", "", "comma-separated worker base URLs (e.g. http://a:8080,http://b:8080); enables aggregator mode: pull each worker's /checkpoint periodically and serve the merged global /report")
 	pullFlag       = flag.Duration("pull-every", 10*time.Second, "aggregator pull interval (with -peers)")
 	sentinelFlag   = flag.Float64("sentinel", 0, "accuracy sentinel sample rate in (0,1]: audit every report against a sampled exact shadow (0 = off; incompatible with windows; with -tenants it applies to -sentinel-tenant)")
-	tenantsFlag    = flag.Bool("tenants", false, "multi-tenant mode: serve per-tenant engines under /t/{tenant}/... backed by a shared-budget pool with LRU spill/revive (DESIGN.md §13); the single-tenant routes keep working against the default engine")
+	tenantsFlag    = flag.Bool("tenants", false, "multi-tenant mode: serve per-tenant engines under /t/{tenant}/... backed by a shared-budget pool with LRU spill/revive (DESIGN.md §13) instead of a single engine at the root routes")
 	tenantBudget   = flag.Int64("tenant-budget-bits", 0, "shared model-bits budget across resident tenant engines; past it least-recently-used tenants are checkpointed out to the spill store (0 = unlimited; requires -tenants)")
 	spillDirFlag   = flag.String("spill-dir", "", "directory evicted tenants spill to, one file per tenant; default is an in-memory store that does not survive the process (requires -tenants)")
 	sentTenantFlag = flag.String("sentinel-tenant", "", "tenant audited by the accuracy sentinel at the -sentinel rate; the tenant is pinned resident (requires -tenants and -sentinel > 0)")
@@ -261,69 +261,18 @@ func problemOptions(problem l1hh.Problem) []l1hh.Option {
 	return opts
 }
 
-// specFromFlags translates the command line into the option sets the
-// unified front door understands.
-func specFromFlags(algo l1hh.Algorithm, problem l1hh.Problem) engineSpec {
-	var spec engineSpec
-	spec.problem = problem
-	spec.m = *mFlag
-	if problem != l1hh.HeavyHittersProblem {
-		spec.build = problemOptions(problem)
-		return spec
-	}
-	spec.build = []l1hh.Option{
-		l1hh.WithEps(*epsFlag),
-		l1hh.WithPhi(*phiFlag),
-		l1hh.WithDelta(*deltaFlag),
-		l1hh.WithUniverse(*universeFlag),
-		l1hh.WithAlgorithm(algo),
-		l1hh.WithSeed(*seedFlag),
-		l1hh.WithShards(*shardsFlag),
-	}
-	if *mFlag > 0 {
-		spec.build = append(spec.build, l1hh.WithStreamLength(*mFlag))
-	}
-	switch {
-	case *windowFlag > 0:
-		spec.build = append(spec.build, l1hh.WithCountWindow(*windowFlag, *windowBktFlag))
-		if *rawWindowsFlag {
-			// Runtime tuning, not serialized state: a restored checkpoint
-			// needs the opt-out re-applied or it would extrapolate.
-			spec.build = append(spec.build, l1hh.WithRawShardWindows())
-			spec.restore = append(spec.restore, l1hh.WithRawShardWindows())
-		}
-	case *windowDurFlag > 0:
-		spec.build = append(spec.build, l1hh.WithTimeWindow(*windowDurFlag, *windowBktFlag))
-	}
-	if *queueFlag > 0 {
-		spec.build = append(spec.build, l1hh.WithQueueDepth(*queueFlag))
-		spec.restore = append(spec.restore, l1hh.WithQueueDepth(*queueFlag))
-	}
-	if *batchFlag > 0 {
-		spec.build = append(spec.build, l1hh.WithMaxBatch(*batchFlag))
-		spec.restore = append(spec.restore, l1hh.WithMaxBatch(*batchFlag))
-	}
-	if *sentinelFlag > 0 && !*tenantsFlag {
-		// Audit-only runtime state, never serialized: build-path only.
-		// A -checkpoint restore therefore comes back without a sentinel
-		// (its shadow would be incoherent with the restored counts anyway).
-		// In multi-tenant mode the sentinel attaches to -sentinel-tenant
-		// instead of the default engine.
-		spec.build = append(spec.build, l1hh.WithAccuracySentinel(*sentinelFlag))
-	}
-	return spec
-}
-
-// tenantDefaultsFromFlags is the per-tenant twin of specFromFlags: the
-// Option set every tenant engine is built from on first touch. Tenant
-// engines are serial — the pool already serializes per-tenant
+// engineOptions is the one option list every engine hhd builds starts
+// from. Each tenant engine (-tenants) uses it as is, and specFromFlags
+// extends it with the default engine's shard pipeline and sentinel.
+// Tenant engines are serial — the pool already serializes per-tenant
 // operations, and an unsharded sketch is the cheapest resident under
-// the shared budget — so -shards, -queue-depth and -max-batch do not
-// apply. The sentinel attaches per tenant (-sentinel-tenant), not here.
-// With a non-default -problem every tenant solves that problem; its
-// checkpoints (tags 7–10) spill and revive through the pool's Restorer
-// like any other spillable engine.
-func tenantDefaultsFromFlags(algo l1hh.Algorithm, problem l1hh.Problem) []l1hh.Option {
+// the shared budget — which is why validateTenantFlags refuses the
+// shard-pipeline flags; their sentinel attaches per tenant
+// (-sentinel-tenant). A non-default -problem takes exactly its own
+// vocabulary (problemOptions), and its checkpoints (tags 7–10) spill
+// and revive through the pool's Restorer like any other spillable
+// engine.
+func engineOptions(algo l1hh.Algorithm, problem l1hh.Problem) []l1hh.Option {
 	if problem != l1hh.HeavyHittersProblem {
 		return problemOptions(problem)
 	}
@@ -347,14 +296,39 @@ func tenantDefaultsFromFlags(algo l1hh.Algorithm, problem l1hh.Problem) []l1hh.O
 	return opts
 }
 
+// specFromFlags translates the command line into the option sets the
+// unified front door understands, for the default engine (without
+// -tenants).
+func specFromFlags(algo l1hh.Algorithm, problem l1hh.Problem) engineSpec {
+	spec := engineSpec{build: engineOptions(algo, problem), problem: problem, m: *mFlag}
+	if problem != l1hh.HeavyHittersProblem {
+		return spec
+	}
+	spec.build = append(spec.build, l1hh.WithShards(*shardsFlag))
+	if *queueFlag > 0 {
+		spec.build = append(spec.build, l1hh.WithQueueDepth(*queueFlag))
+		spec.restore = append(spec.restore, l1hh.WithQueueDepth(*queueFlag))
+	}
+	if *batchFlag > 0 {
+		spec.build = append(spec.build, l1hh.WithMaxBatch(*batchFlag))
+		spec.restore = append(spec.restore, l1hh.WithMaxBatch(*batchFlag))
+	}
+	if *sentinelFlag > 0 {
+		// Audit-only runtime state, never serialized: build-path only.
+		// A resumed engine therefore comes back without a sentinel (its
+		// shadow would be incoherent with the restored counts anyway).
+		spec.build = append(spec.build, l1hh.WithAccuracySentinel(*sentinelFlag))
+	}
+	return spec
+}
+
 // validateProblemFlags refuses flag combinations outside the chosen
 // problem's vocabulary. The front door would reject most of them too
 // (WithProblem validates the whole option set), but catching the
 // explicitly-set strays here distinguishes "you passed -shards" from a
-// default value the spec simply never forwards.
-func validateProblemFlags(problem l1hh.Problem) error {
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+// default value the spec simply never forwards. set holds the names of
+// the flags given on the command line.
+func validateProblemFlags(problem l1hh.Problem, set map[string]bool) error {
 	voting := problem == l1hh.BordaProblem || problem == l1hh.MaximinProblem
 	if problem == l1hh.HeavyHittersProblem {
 		if set["candidates"] {
@@ -364,7 +338,7 @@ func validateProblemFlags(problem l1hh.Problem) error {
 	}
 	for _, name := range []string{
 		"shards", "algo", "queue-depth", "max-batch",
-		"window", "window-duration", "window-buckets", "raw-shard-windows",
+		"window", "window-duration", "window-buckets",
 		"sentinel", "sentinel-tenant",
 	} {
 		if set[name] {
@@ -395,6 +369,19 @@ func validateProblemFlags(problem l1hh.Problem) error {
 	return nil
 }
 
+// validateTenantFlags refuses, under -tenants, the flags that only ever
+// configured the default engine's shard pipeline: tenant mode builds no
+// default engine, and tenant engines are serial. set holds the names of
+// the flags given on the command line.
+func validateTenantFlags(set map[string]bool) error {
+	for _, name := range []string{"shards", "queue-depth", "max-batch"} {
+		if set[name] {
+			return fmt.Errorf("-%s does not apply with -tenants: there is no default engine, and tenant engines are serial", name)
+		}
+	}
+	return nil
+}
+
 func run() error {
 	algo := l1hh.AlgorithmOptimal
 	switch *algoFlag {
@@ -408,7 +395,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := validateProblemFlags(problem); err != nil {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := validateProblemFlags(problem, set); err != nil {
 		return err
 	}
 	if *windowFlag > 0 && *windowDurFlag > 0 {
@@ -417,17 +406,8 @@ func run() error {
 	if *windowDurFlag > 0 && *mFlag == 0 {
 		return errors.New("-window-duration requires -m (the expected items per window), which sizes the per-epoch solvers")
 	}
-	if *rawWindowsFlag && *windowFlag == 0 {
-		return errors.New("-raw-shard-windows only applies to count windows (-window): time windows retire on the wall clock and never extrapolate")
-	}
 	windowed := *windowFlag > 0 || *windowDurFlag > 0
-	if *checkpointFlag != "" && *mFlag == 0 && *windowFlag == 0 {
-		return errors.New("-checkpoint requires a known stream length (-m > 0): unknown-length solvers are not serializable")
-	}
 	if *ckptDirFlag != "" {
-		if *checkpointFlag != "" {
-			return errors.New("-checkpoint and -checkpoint-dir are mutually exclusive: pick the shutdown-only file or the periodic coordinator")
-		}
 		if *mFlag == 0 && *windowFlag == 0 {
 			return errors.New("-checkpoint-dir requires a known stream length (-m > 0): unknown-length solvers are not serializable")
 		}
@@ -485,6 +465,9 @@ func run() error {
 			return errors.New("-sentinel-tenant requires -tenants")
 		}
 	} else {
+		if err := validateTenantFlags(set); err != nil {
+			return err
+		}
 		if *tenantBudget < 0 {
 			return errors.New("-tenant-budget-bits must be non-negative")
 		}
@@ -501,34 +484,10 @@ func run() error {
 			return fmt.Errorf("-sentinel-tenant longer than %d bytes", l1hh.MaxTenantName)
 		}
 	}
-	spec := specFromFlags(algo, problem)
 
 	var (
-		srv        *server
-		poolResume []byte // pool checkpoint to restore (-tenants), nil = fresh pool
-	)
-	if *checkpointFlag != "" {
-		if blob, rerr := os.ReadFile(*checkpointFlag); rerr == nil {
-			if *tenantsFlag {
-				// Multi-tenant snapshots cover the pool; the default engine
-				// always starts fresh.
-				if !l1hh.IsPoolCheckpoint(blob) {
-					return fmt.Errorf("checkpoint %s is a single-solver snapshot; restore it without -tenants", *checkpointFlag)
-				}
-				poolResume = blob
-			} else if srv, err = newServerFromCheckpoint(spec, blob); err != nil {
-				return fmt.Errorf("loading checkpoint %s: %w", *checkpointFlag, err)
-			} else {
-				st := srv.engine().Stats()
-				slog.Info("restored checkpoint",
-					"path", *checkpointFlag, "items", st.Len, "shards", st.Shards)
-			}
-		} else if !errors.Is(rerr, os.ErrNotExist) {
-			return fmt.Errorf("reading checkpoint %s: %w", *checkpointFlag, rerr)
-		}
-	}
-	var (
 		sink      *ckpt.DiskSink
+		resume    []byte // newest valid snapshot, nil = start fresh
 		resumeSeq uint64
 	)
 	if *ckptDirFlag != "" {
@@ -537,76 +496,21 @@ func run() error {
 		}
 		// Crash-safe resume: newest valid snapshot wins; corrupt or
 		// truncated ones were already skipped (and logged) by the sink.
-		payload, seq, lerr := sink.LoadNewest()
-		if lerr != nil {
-			return fmt.Errorf("scanning %s: %w", *ckptDirFlag, lerr)
-		}
-		if payload != nil {
-			if *tenantsFlag {
-				if !l1hh.IsPoolCheckpoint(payload) {
-					return fmt.Errorf("%s holds single-solver snapshots; resume them without -tenants", *ckptDirFlag)
-				}
-				poolResume = payload
-				resumeSeq = seq
-			} else {
-				if srv, err = newServerFromCheckpoint(spec, payload); err != nil {
-					return fmt.Errorf("resuming from %s: %w", *ckptDirFlag, err)
-				}
-				resumeSeq = seq
-				st := srv.engine().Stats()
-				slog.Info("resumed from checkpoint",
-					"dir", *ckptDirFlag, "seq", seq, "items", st.Len, "shards", st.Shards)
-			}
+		if resume, resumeSeq, err = sink.LoadNewest(); err != nil {
+			return fmt.Errorf("scanning %s: %w", *ckptDirFlag, err)
 		}
 	}
-	if srv == nil {
-		if srv, err = newServer(spec); err != nil {
-			return err
-		}
+	var srv *server
+	if *tenantsFlag {
+		srv, err = newTenantServer(algo, problem, resume, resumeSeq)
+	} else {
+		srv, err = newEngineServer(specFromFlags(algo, problem), resume, resumeSeq)
+	}
+	if err != nil {
+		return err
 	}
 	srv.shedWait = *shedWaitFlag
 	srv.maxIngestBytes = *maxBodyFlag
-
-	if *tenantsFlag {
-		popts := []l1hh.PoolOption{
-			l1hh.WithTenantDefaults(tenantDefaultsFromFlags(algo, problem)...),
-			l1hh.WithPoolObserver(srv.obs.poolTimings()),
-		}
-		if *tenantBudget > 0 {
-			popts = append(popts, l1hh.WithPoolBudget(*tenantBudget))
-		}
-		if *spillDirFlag != "" {
-			store, serr := l1hh.NewDiskSpillStore(*spillDirFlag)
-			if serr != nil {
-				return fmt.Errorf("opening -spill-dir: %w", serr)
-			}
-			popts = append(popts, l1hh.WithPoolSpill(store))
-		}
-		var hpool *l1hh.Pool
-		if poolResume != nil {
-			if hpool, err = l1hh.UnmarshalPool(poolResume, popts...); err != nil {
-				return fmt.Errorf("restoring tenant pool: %w", err)
-			}
-			st := hpool.Stats()
-			slog.Info("restored tenant pool",
-				"tenants", st.TenantsSpilled, "items", st.Items, "seq", resumeSeq)
-		} else if hpool, err = l1hh.NewPool(popts...); err != nil {
-			return fmt.Errorf("building tenant pool: %w", err)
-		}
-		if *sentTenantFlag != "" {
-			// Sentinels are not serialized: a tenant carried over by the
-			// checkpoint already has an engine and cannot take the option —
-			// it keeps serving unaudited rather than failing startup.
-			if oerr := hpool.SetTenantOptions(*sentTenantFlag,
-				l1hh.WithAccuracySentinel(*sentinelFlag)); oerr != nil {
-				slog.Warn("sentinel tenant not attached", "tenant", *sentTenantFlag, "err", oerr)
-			}
-		}
-		srv.enablePool(hpool)
-		slog.Info("multi-tenant pool serving /t/{tenant}/",
-			"budget_bits", *tenantBudget, "spill_dir", *spillDirFlag,
-			"sentinel_tenant", *sentTenantFlag)
-	}
 
 	srv.peers = peers
 	aggCtx, aggCancel := context.WithCancel(context.Background())
@@ -657,11 +561,13 @@ func run() error {
 	case *windowDurFlag > 0:
 		win = fmt.Sprint(*windowDurFlag)
 	}
-	slog.Info("hhd listening",
-		"addr", *addrFlag, "problem", problem.String(),
-		"eps", *epsFlag, "phi", *phiFlag, "delta", *deltaFlag,
-		"shards", srv.engineStats().Shards, "algo", *algoFlag,
-		"window", win, "sentinel", *sentinelFlag)
+	attrs := []any{"addr", *addrFlag, "problem", problem.String(),
+		"eps", *epsFlag, "phi", *phiFlag, "delta", *deltaFlag, "algo", *algoFlag,
+		"window", win, "sentinel", *sentinelFlag, "tenants", *tenantsFlag}
+	if srv.pool == nil {
+		attrs = append(attrs, "shards", srv.engineStats().Shards)
+	}
+	slog.Info("hhd listening", attrs...)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -681,22 +587,11 @@ func run() error {
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		slog.Warn("http shutdown", "err", err)
 	}
-	// Drain the shard queues so the final state covers every accepted
-	// item; a pool's resident engines drain on Close the same way (and
-	// still checkpoint afterwards — that is the shutdown contract).
+	// Drain the shard queues, or the pool's resident engines, so the
+	// final state covers every accepted item; a closed engine or pool
+	// still checkpoints — that is the shutdown contract.
 	if err := srv.shutdown(); err != nil {
 		return err
-	}
-	if srv.pool != nil {
-		if err := srv.pool.Close(); err != nil {
-			return err
-		}
-	}
-	finalItems := func() uint64 {
-		if srv.pool != nil {
-			return srv.pool.Stats().Items
-		}
-		return srv.engine().Len()
 	}
 	if coord != nil {
 		// Stop the ticker before the final snapshot so the two cannot
@@ -705,22 +600,75 @@ func run() error {
 		coord.wait()
 		coord.finalSnapshot()
 		slog.Info("wrote final checkpoint",
-			"dir", *ckptDirFlag, "seq", coord.seq, "items", finalItems())
-	}
-	if *checkpointFlag != "" {
-		marshal := srv.marshalEngine
-		if srv.pool != nil {
-			marshal = srv.pool.MarshalBinary
-		}
-		blob, err := marshal()
-		if err != nil {
-			return fmt.Errorf("final checkpoint: %w", err)
-		}
-		if err := os.WriteFile(*checkpointFlag, blob, 0o644); err != nil {
-			return err
-		}
-		slog.Info("wrote checkpoint",
-			"path", *checkpointFlag, "bytes", len(blob), "items", finalItems())
+			"dir", *ckptDirFlag, "seq", coord.seq, "items", coord.lastItems)
 	}
 	return nil
+}
+
+// newEngineServer builds the single-engine server, resumed from resume
+// (the newest -checkpoint-dir snapshot, sequence seq) when non-nil.
+func newEngineServer(spec engineSpec, resume []byte, seq uint64) (*server, error) {
+	if resume == nil {
+		return newServer(spec)
+	}
+	srv, err := newServerFromCheckpoint(spec, resume)
+	if err != nil {
+		return nil, fmt.Errorf("resuming from %s: %w", *ckptDirFlag, err)
+	}
+	st := srv.engine().Stats()
+	slog.Info("resumed from checkpoint",
+		"dir", *ckptDirFlag, "seq", seq, "items", st.Len, "shards", st.Shards)
+	return srv, nil
+}
+
+// newTenantServer builds the -tenants server: a tenant pool behind
+// /t/{tenant}/ and no default engine, resumed from resume (the newest
+// -checkpoint-dir snapshot, sequence seq) when non-nil.
+func newTenantServer(algo l1hh.Algorithm, problem l1hh.Problem, resume []byte, seq uint64) (*server, error) {
+	if resume != nil && !l1hh.IsPoolCheckpoint(resume) {
+		return nil, fmt.Errorf("%s holds single-solver snapshots; resume them without -tenants", *ckptDirFlag)
+	}
+	srv := newShell(engineSpec{problem: problem, m: *mFlag})
+	popts := []l1hh.PoolOption{
+		l1hh.WithTenantDefaults(engineOptions(algo, problem)...),
+		l1hh.WithPoolObserver(srv.obs.poolTimings()),
+	}
+	if *tenantBudget > 0 {
+		popts = append(popts, l1hh.WithPoolBudget(*tenantBudget))
+	}
+	if *spillDirFlag != "" {
+		store, err := l1hh.NewDiskSpillStore(*spillDirFlag)
+		if err != nil {
+			return nil, fmt.Errorf("opening -spill-dir: %w", err)
+		}
+		popts = append(popts, l1hh.WithPoolSpill(store))
+	}
+	var (
+		hpool *l1hh.Pool
+		err   error
+	)
+	if resume != nil {
+		if hpool, err = l1hh.UnmarshalPool(resume, popts...); err != nil {
+			return nil, fmt.Errorf("restoring tenant pool: %w", err)
+		}
+		st := hpool.Stats()
+		slog.Info("restored tenant pool",
+			"tenants", st.TenantsSpilled, "items", st.Items, "seq", seq)
+	} else if hpool, err = l1hh.NewPool(popts...); err != nil {
+		return nil, fmt.Errorf("building tenant pool: %w", err)
+	}
+	if *sentTenantFlag != "" {
+		// Sentinels are not serialized: a tenant carried over by the
+		// checkpoint already has an engine and cannot take the option —
+		// it keeps serving unaudited rather than failing startup.
+		if oerr := hpool.SetTenantOptions(*sentTenantFlag,
+			l1hh.WithAccuracySentinel(*sentinelFlag)); oerr != nil {
+			slog.Warn("sentinel tenant not attached", "tenant", *sentTenantFlag, "err", oerr)
+		}
+	}
+	srv.enablePool(hpool)
+	slog.Info("multi-tenant pool serving /t/{tenant}/",
+		"budget_bits", *tenantBudget, "spill_dir", *spillDirFlag,
+		"sentinel_tenant", *sentTenantFlag)
+	return srv, nil
 }

@@ -60,9 +60,8 @@ type serverObs struct {
 	mergeLatency  *obs.Gauge
 }
 
-// newServerObs builds the registry for s. Every engine gauge reads
-// through s.scrapeStats, so one scrape costs at most one engine barrier
-// (the statsTTL cache).
+// newServerObs builds the registry for s with the families every server
+// exposes; registerEngine adds the default engine's.
 func newServerObs(s *server) *serverObs {
 	reg := obs.NewRegistry()
 	o := &serverObs{reg: reg}
@@ -86,12 +85,6 @@ func newServerObs(s *server) *serverObs {
 		"Accuracy sentinel: observed per-report worst error fraction (with -sentinel).",
 		nil, obs.EpsBuckets)
 
-	reg.CounterFunc("hhd_items_total", "Items accepted by the engine.",
-		nil, func() float64 { return float64(s.scrapeStats().Items) })
-	reg.GaugeFunc("hhd_model_bits", "Sketch size under the paper's accounting.",
-		nil, func() float64 { return float64(s.scrapeStats().ModelBits) })
-	reg.GaugeFunc("hhd_shards", "Shard count of the live engine.",
-		nil, func() float64 { return float64(s.scrapeStats().Shards) })
 	reg.GaugeFunc("hhd_uptime_seconds", "Seconds since the server started.",
 		nil, func() float64 { return time.Since(s.start).Seconds() })
 	reg.GaugeFunc("hhd_peers", "Configured aggregator peers (0 on workers).",
@@ -122,6 +115,47 @@ func newServerObs(s *server) *serverObs {
 			return -1
 		})
 
+	// The multi-tenant pool's occupancy (with -tenants): nil without a
+	// pool omits the family, headers included. pool.Stats is cheap (a
+	// mutex, no engine barrier), so it needs no statsTTL cache.
+	reg.SeriesFunc("hhd_pool", "Multi-tenant pool occupancy, labeled by field (with -tenants).",
+		obs.TypeGauge, func() []obs.Sample {
+			p := s.pool
+			if p == nil {
+				return nil
+			}
+			st := p.Stats()
+			return []obs.Sample{
+				field("tenants_live", float64(st.TenantsLive)),
+				field("tenants_spilled", float64(st.TenantsSpilled)),
+				field("tenants_pinned", float64(st.TenantsPinned)),
+				field("model_bits_in_use", float64(st.ModelBitsInUse)),
+				field("budget_bits", float64(st.BudgetBits)),
+				field("evictions_total", float64(st.Evictions)),
+				field("revives_total", float64(st.Revives)),
+				field("spill_errors_total", float64(st.SpillErrors)),
+				field("tenants_created_total", float64(st.TenantsCreated)),
+				field("spilled_bytes", float64(st.SpilledBytes)),
+				field("items_total", float64(st.Items)),
+			}
+		})
+
+	return o
+}
+
+// registerEngine adds the families that read the default engine
+// (finish): a tenant server has no default engine, so they are absent
+// there, and hhd_pool carries the pool's items_total and
+// model_bits_in_use instead. Every one reads through s.scrapeStats, so
+// one scrape costs at most one engine barrier (the statsTTL cache).
+func (o *serverObs) registerEngine(s *server) {
+	reg := o.reg
+	reg.CounterFunc("hhd_items_total", "Items accepted by the engine.",
+		nil, func() float64 { return float64(s.scrapeStats().Items) })
+	reg.GaugeFunc("hhd_model_bits", "Sketch size under the paper's accounting.",
+		nil, func() float64 { return float64(s.scrapeStats().ModelBits) })
+	reg.GaugeFunc("hhd_shards", "Shard count of the live engine.",
+		nil, func() float64 { return float64(s.scrapeStats().Shards) })
 	reg.SeriesFunc("hhd_queue_depth", "Per-shard ingest queue occupancy in batches.",
 		obs.TypeGauge, func() []obs.Sample {
 			depths := s.scrapeStats().QueueDepths
@@ -176,30 +210,6 @@ func newServerObs(s *server) *serverObs {
 				field("incoherent", bit(sen.Incoherent)),
 			}
 		})
-	// The multi-tenant pool's occupancy (with -tenants): nil without a
-	// pool omits the family, headers included. pool.Stats is cheap (a
-	// mutex, no engine barrier), so it bypasses the statsTTL cache.
-	reg.SeriesFunc("hhd_pool", "Multi-tenant pool occupancy, labeled by field (with -tenants).",
-		obs.TypeGauge, func() []obs.Sample {
-			p := s.pool
-			if p == nil {
-				return nil
-			}
-			st := p.Stats()
-			return []obs.Sample{
-				field("tenants_live", float64(st.TenantsLive)),
-				field("tenants_spilled", float64(st.TenantsSpilled)),
-				field("tenants_pinned", float64(st.TenantsPinned)),
-				field("model_bits_in_use", float64(st.ModelBitsInUse)),
-				field("budget_bits", float64(st.BudgetBits)),
-				field("evictions_total", float64(st.Evictions)),
-				field("revives_total", float64(st.Revives)),
-				field("spill_errors_total", float64(st.SpillErrors)),
-				field("tenants_created_total", float64(st.TenantsCreated)),
-				field("spilled_bytes", float64(st.SpilledBytes)),
-				field("items_total", float64(st.Items)),
-			}
-		})
 	reg.CounterFunc("hhd_guarantee_violations_total",
 		"Accuracy sentinel: cumulative (ε,ϕ)-guarantee violations (with -sentinel).",
 		nil, func() float64 {
@@ -208,8 +218,6 @@ func newServerObs(s *server) *serverObs {
 			}
 			return 0
 		})
-
-	return o
 }
 
 // field is one series of a family labeled by field (hhd_window,

@@ -217,61 +217,83 @@ func TestPrometheusOmitsDormantFamilies(t *testing.T) {
 
 // TestMetricsViewsAgree: the JSON view of /metrics and the Prometheus
 // exposition render one registry, so every family appears under the
-// same name in both, and both carry the same values.
+// same name in both, and both carry the same values — on an engine
+// server with the sentinel, and on a tenant server, which exposes
+// hhd_pool in place of the engine families.
 func TestMetricsViewsAgree(t *testing.T) {
 	const m = 20_000
-	s, err := newServer(sentinelSpec(m, 3))
+	eng, err := newServer(sentinelSpec(m, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := l1hh.NewPool(tenantDefaults(), l1hh.WithPoolObserver(s.obs.poolTimings()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.enablePool(p)
-	t.Cleanup(func() {
-		p.Close()
-		s.engine().Close()
-	})
-	do(t, s, "POST", "/ingest", "application/octet-stream", binaryBody(plantedStream(m)))
-	do(t, s, "GET", "/report", "", nil)
-	feedTenantHTTP(t, s, "alice", 42)
+	t.Cleanup(func() { eng.engine().Close() })
+	do(t, eng, "POST", "/ingest", "application/octet-stream", binaryBody(plantedStream(m)))
+	do(t, eng, "GET", "/report", "", nil)
 
-	w := do(t, s, "GET", "/metrics", "", nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("JSON scrape status %d", w.Code)
+	tenants := newTestPoolServer(t)
+	feedTenantHTTP(t, tenants, "alice", 42)
+	do(t, tenants, "GET", "/t/alice/report", "", nil)
+
+	for _, c := range []struct {
+		name    string
+		s       *server
+		want    []string // families the scenario must exercise
+		scalars []string // unlabeled families whose values must agree
+	}{
+		{"engine", eng,
+			[]string{"hhd_sentinel", "hhd_queue_depth", "hhd_stage_duration_seconds"},
+			[]string{"hhd_items_total", "hhd_model_bits", "hhd_shards"}},
+		{"tenants", tenants,
+			[]string{"hhd_pool", "hhd_stage_duration_seconds"},
+			[]string{"hhd_ready", "hhd_peers"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := do(t, c.s, "GET", "/metrics", "", nil)
+			if w.Code != http.StatusOK {
+				t.Fatalf("JSON scrape status %d", w.Code)
+			}
+			var view map[string]json.RawMessage
+			if err := json.Unmarshal(w.Body.Bytes(), &view); err != nil {
+				t.Fatalf("JSON view does not parse: %v\n%s", err, w.Body)
+			}
+			sc := scrapePrometheus(t, c.s)
+			jsonFamilies := slices.Sorted(maps.Keys(view))
+			if promFamilies := sc.families(); !slices.Equal(jsonFamilies, promFamilies) {
+				t.Fatalf("family sets differ:\njson       %v\nprometheus %v", jsonFamilies, promFamilies)
+			}
+			for _, f := range c.want {
+				if _, ok := view[f]; !ok {
+					t.Errorf("scenario did not exercise %s", f)
+				}
+			}
+
+			// Values the scrapes cannot move between the two reads agree too.
+			for _, f := range c.scalars {
+				var v float64
+				if err := json.Unmarshal(view[f], &v); err != nil || v != sc.samples[f] {
+					t.Errorf("%s: json %s (err %v), prometheus %v", f, view[f], err, sc.samples[f])
+				}
+			}
+			var stages map[string]struct{ Count float64 }
+			json.Unmarshal(view["hhd_stage_duration_seconds"], &stages)
+			if got, want := stages["report"].Count, sc.samples[`hhd_stage_duration_seconds_count{stage="report"}`]; got != want || got < 1 {
+				t.Errorf("report stage count: json %v, prometheus %v", got, want)
+			}
+		})
 	}
-	var view map[string]json.RawMessage
-	if err := json.Unmarshal(w.Body.Bytes(), &view); err != nil {
-		t.Fatalf("JSON view does not parse: %v\n%s", err, w.Body)
+
+	// hhd_pool's fields agree across the views as well.
+	var view struct {
+		Pool map[string]float64 `json:"hhd_pool"`
 	}
-	sc := scrapePrometheus(t, s)
-	jsonFamilies := slices.Sorted(maps.Keys(view))
-	if promFamilies := sc.families(); !slices.Equal(jsonFamilies, promFamilies) {
-		t.Fatalf("family sets differ:\njson       %v\nprometheus %v", jsonFamilies, promFamilies)
+	if err := json.Unmarshal(do(t, tenants, "GET", "/metrics", "", nil).Body.Bytes(), &view); err != nil {
+		t.Fatal(err)
 	}
-	for _, f := range []string{"hhd_sentinel", "hhd_pool", "hhd_queue_depth", "hhd_stage_duration_seconds"} {
-		if _, ok := view[f]; !ok {
-			t.Errorf("scenario did not exercise %s", f)
+	sc := scrapePrometheus(t, tenants)
+	for _, f := range []string{"items_total", "model_bits_in_use", "tenants_live"} {
+		if got, want := view.Pool[f], sc.samples[`hhd_pool{field="`+f+`"}`]; got != want || got == 0 {
+			t.Errorf("hhd_pool %s: json %v, prometheus %v", f, got, want)
 		}
-	}
-
-	// Values the scrapes cannot move between the two reads agree too.
-	var scalar struct {
-		Items  float64 `json:"hhd_items_total"`
-		Bits   float64 `json:"hhd_model_bits"`
-		Shards float64 `json:"hhd_shards"`
-	}
-	json.Unmarshal(w.Body.Bytes(), &scalar)
-	if scalar.Items != sc.samples["hhd_items_total"] || scalar.Bits != sc.samples["hhd_model_bits"] ||
-		scalar.Shards != sc.samples["hhd_shards"] {
-		t.Errorf("scalar values differ: json %+v, prometheus items %v bits %v shards %v", scalar,
-			sc.samples["hhd_items_total"], sc.samples["hhd_model_bits"], sc.samples["hhd_shards"])
-	}
-	var stages map[string]struct{ Count float64 }
-	json.Unmarshal(view["hhd_stage_duration_seconds"], &stages)
-	if got, want := stages["report"].Count, sc.samples[`hhd_stage_duration_seconds_count{stage="report"}`]; got != want || got < 1 {
-		t.Errorf("report stage count: json %v, prometheus %v", got, want)
 	}
 }
 

@@ -27,26 +27,26 @@ func tenantDefaults() l1hh.PoolOption {
 	)
 }
 
-// newTestPoolServer builds a server plus an attached tenant pool the
-// way run() wires them (observer included), with popts appended after
-// the deterministic defaults.
-func newTestPoolServer(t *testing.T, popts ...l1hh.PoolOption) *server {
+// newTestTenantServer builds a tenant server the way newTenantServer
+// wires -tenants: a shell with no default engine, and a pool built from
+// popts plus the server's pool observer behind /t/{tenant}.
+func newTestTenantServer(t *testing.T, spec engineSpec, popts ...l1hh.PoolOption) *server {
 	t.Helper()
-	s, err := newServer(testSpec(1000, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := []l1hh.PoolOption{tenantDefaults(), l1hh.WithPoolObserver(s.obs.poolTimings())}
-	p, err := l1hh.NewPool(append(base, popts...)...)
+	s := newShell(spec)
+	p, err := l1hh.NewPool(append([]l1hh.PoolOption{l1hh.WithPoolObserver(s.obs.poolTimings())}, popts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.enablePool(p)
-	t.Cleanup(func() {
-		p.Close()
-		s.engine().Close()
-	})
+	t.Cleanup(func() { p.Close() })
 	return s
+}
+
+// newTestPoolServer is a tenant server over the deterministic
+// tenantDefaults, with popts applied after them.
+func newTestPoolServer(t *testing.T, popts ...l1hh.PoolOption) *server {
+	t.Helper()
+	return newTestTenantServer(t, engineSpec{m: 1000}, append([]l1hh.PoolOption{tenantDefaults()}, popts...)...)
 }
 
 // tenantStream is one tenant's planted stream: heavy eight times plus
@@ -159,8 +159,8 @@ func TestTenantRoutes(t *testing.T) {
 		t.Fatalf("tenant stats = %+v", st)
 	}
 
-	// Error vocabulary: unknown 404, oversized name 400, single-tenant
-	// routes untouched.
+	// Error vocabulary: unknown 404, oversized name 400, and no default
+	// engine behind the root routes.
 	if w := do(t, s, "GET", "/t/ghost/report", "", nil); w.Code != http.StatusNotFound {
 		t.Fatalf("unknown tenant report: %d, want 404", w.Code)
 	}
@@ -171,9 +171,55 @@ func TestTenantRoutes(t *testing.T) {
 	if w := do(t, s, "POST", "/t/alice/ingest", "application/x-protobuf", []byte("x")); w.Code != http.StatusUnsupportedMediaType {
 		t.Fatalf("bad content type on tenant route: %d, want 415", w.Code)
 	}
-	do(t, s, "POST", "/ingest", "application/x-ndjson", []byte("5\n"))
-	if rep := decodeReport(t, do(t, s, "GET", "/report", "", nil)); rep.Len != 1 {
-		t.Fatalf("single-tenant route broken alongside pool: %+v", rep)
+	if w := do(t, s, "POST", "/ingest", "application/x-ndjson", []byte("5\n")); w.Code != http.StatusNotFound {
+		t.Fatalf("root ingest on a tenant server: %d, want 404", w.Code)
+	}
+}
+
+// TestTenantServerServesOnlyTenants drives the server newTenantServer
+// builds for -tenants at the default flags: no default engine, so the
+// root engine routes, /merge and /restore answer 404 and the engine
+// metric families are absent, while the /t/{tenant} routes, the probes
+// and hhd_pool serve.
+func TestTenantServerServesOnlyTenants(t *testing.T) {
+	s, err := newTenantServer(l1hh.AlgorithmOptimal, l1hh.HeavyHittersProblem, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.pool.Close() })
+	if s.eng != nil {
+		t.Fatal("tenant server built a default engine")
+	}
+
+	for _, c := range []struct{ method, path string }{
+		{"POST", "/ingest"}, {"GET", "/report"}, {"POST", "/checkpoint"}, {"GET", "/stats"},
+		{"POST", "/vote"}, {"GET", "/winner"}, {"GET", "/extremes"}, {"GET", "/point?item=1"},
+		{"POST", "/merge"}, {"POST", "/restore"},
+	} {
+		if w := do(t, s, c.method, c.path, "application/x-ndjson", []byte("5\n")); w.Code != http.StatusNotFound {
+			t.Errorf("%s %s on a tenant server: %d, want 404", c.method, c.path, w.Code)
+		}
+	}
+	if w := do(t, s, "POST", "/t/alice/ingest", "application/x-ndjson", []byte("5\n5\n7\n")); w.Code != http.StatusOK {
+		t.Fatalf("tenant ingest: %d: %s", w.Code, w.Body)
+	}
+	if rep := decodeReport(t, do(t, s, "GET", "/t/alice/report", "", nil)); rep.Len != 3 {
+		t.Fatalf("tenant report = %+v", rep)
+	}
+	for _, path := range []string{"/healthz", "/readyz", "/metrics", "/t/alice/stats"} {
+		if w := do(t, s, "GET", path, "", nil); w.Code != http.StatusOK {
+			t.Errorf("GET %s: %d, want 200", path, w.Code)
+		}
+	}
+
+	sc := scrapePrometheus(t, s)
+	for _, family := range []string{"hhd_items_total", "hhd_model_bits", "hhd_shards", "hhd_queue_depth"} {
+		if _, ok := sc.types[family]; ok {
+			t.Errorf("engine family %s exposed without an engine", family)
+		}
+	}
+	if got := sc.samples[`hhd_pool{field="items_total"}`]; got != 3 {
+		t.Errorf(`hhd_pool{field="items_total"} = %v, want 3`, got)
 	}
 }
 

@@ -211,19 +211,7 @@ func TestProblemCheckpointRestore(t *testing.T) {
 // endpoints, on a pool whose defaults carry a voting problem.
 func TestTenantProblemRoutes(t *testing.T) {
 	spec := problemSpecFor(l1hh.BordaProblem, 10_000)
-	s, err := newServer(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := l1hh.NewPool(l1hh.WithTenantDefaults(spec.build...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.enablePool(p)
-	t.Cleanup(func() {
-		p.Close()
-		s.engine().Close()
-	})
+	s := newTestTenantServer(t, spec, l1hh.WithTenantDefaults(spec.build...))
 
 	for i := 0; i < 3; i++ {
 		if w := do(t, s, "POST", "/t/team"+fmt.Sprint(i)+"/vote", "", []byte("[1,0,2,3]\n")); w.Code != http.StatusOK {

@@ -1,10 +1,10 @@
 package main
 
-// route_test.go — the request path shared by the root routes and the
-// /t/{tenant} family: both prefixes answer every engine endpoint with
-// the same status and the same JSON shape, and a /restore between two
-// batches of one ingest body waits for the in-flight batch instead of
-// closing the engine under it.
+// route_test.go — the request path shared by an engine server's root
+// routes and a tenant server's /t/{tenant} family: both answer every
+// engine endpoint with the same status and the same JSON shape, and a
+// /restore between two batches of one ingest body waits for the
+// in-flight batch instead of closing the engine under it.
 
 import (
 	"bytes"
@@ -20,27 +20,6 @@ import (
 	l1hh "repro"
 )
 
-// newParityServer serves spec at the root and, through a pool whose
-// tenants are built from tenantOpts, under /t/{tenant}.
-func newParityServer(t *testing.T, spec engineSpec, tenantOpts []l1hh.Option) *server {
-	t.Helper()
-	s, err := newServer(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := l1hh.NewPool(l1hh.WithTenantDefaults(tenantOpts...),
-		l1hh.WithPoolObserver(s.obs.poolTimings()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.enablePool(p)
-	t.Cleanup(func() {
-		p.Close()
-		s.engine().Close()
-	})
-	return s
-}
-
 // jsonFields returns the sorted top-level keys of a JSON object body.
 func jsonFields(t *testing.T, w *httptest.ResponseRecorder) []string {
 	t.Helper()
@@ -51,10 +30,11 @@ func jsonFields(t *testing.T, w *httptest.ResponseRecorder) []string {
 	return slices.Sorted(maps.Keys(obj))
 }
 
-// TestRouteParity drives the eight engine endpoints at / and at
-// /t/{tenant}/ on a heavy hitters engine with known m, a Borda engine
-// and a min-frequency engine: every call must answer the same status
-// under both prefixes, and the same JSON field set on a 200.
+// TestRouteParity drives the eight engine endpoints at an engine
+// server's / and at a tenant server's /t/{tenant}/, for a heavy hitters
+// engine with known m, a Borda engine and a min-frequency engine: every
+// call must answer the same status on both, and the same JSON field set
+// on a 200.
 func TestRouteParity(t *testing.T) {
 	borda := problemSpecFor(l1hh.BordaProblem, 10_000)
 	minfreq := problemSpecFor(l1hh.MinFrequencyProblem, 10_000)
@@ -64,8 +44,8 @@ func TestRouteParity(t *testing.T) {
 		tenantOpts []l1hh.Option
 	}{
 		// Tenant engines are single-owner: the tenant defaults are
-		// testSpec's options without the shard count, as
-		// tenantDefaultsFromFlags builds them.
+		// testSpec's options without the shard count, as engineOptions
+		// builds them.
 		{"hh", testSpec(10_000, 7), []l1hh.Option{
 			l1hh.WithEps(0.02), l1hh.WithPhi(0.05), l1hh.WithDelta(0.05),
 			l1hh.WithUniverse(1 << 32), l1hh.WithSeed(7), l1hh.WithStreamLength(10_000),
@@ -98,10 +78,15 @@ func TestRouteParity(t *testing.T) {
 	}
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {
-			s := newParityServer(t, k.spec, k.tenantOpts)
+			plain, err := newServer(k.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { plain.engine().Close() })
+			tenants := newTestTenantServer(t, k.spec, l1hh.WithTenantDefaults(k.tenantOpts...))
 			for _, c := range calls {
-				root := do(t, s, c.method, "/"+c.path, c.ct, c.body)
-				tenant := do(t, s, c.method, "/t/acme/"+c.path, c.ct, c.body)
+				root := do(t, plain, c.method, "/"+c.path, c.ct, c.body)
+				tenant := do(t, tenants, c.method, "/t/acme/"+c.path, c.ct, c.body)
 				if root.Code != tenant.Code {
 					t.Errorf("%s /%s: root %d (%s), tenant %d (%s)",
 						c.method, c.path, root.Code, root.Body, tenant.Code, tenant.Body)

@@ -19,8 +19,9 @@ import (
 )
 
 // engineSpec is how the daemon remembers what it serves: the full option
-// set that builds a fresh engine (aggregator rebuilds, startup) and the
-// runtime subset that tunes a restored checkpoint. The daemon never
+// set that builds a fresh default engine (aggregator rebuilds, startup)
+// and the runtime subset that tunes a restored checkpoint; a tenant
+// server (-tenants) uses only problem and m. The daemon never
 // touches concrete solver types — everything behind l1hh.New and
 // l1hh.Unmarshal is driven through l1hh.HeavyHitters plus the capability
 // interfaces (Merger, Windower, Sharder).
@@ -28,7 +29,7 @@ type engineSpec struct {
 	build   []l1hh.Option // for l1hh.New
 	restore []l1hh.Option // for l1hh.Unmarshal (runtime tuning only)
 
-	// problem is what the default engine solves (-problem). Non-default
+	// problem is what the engines solve (-problem). Non-default
 	// problems build single-owner engines: the shell skips the ingest
 	// observer (their option vocabulary has no runtime tuning) and every
 	// handler serializes engine access through withEngine.
@@ -40,15 +41,17 @@ type engineSpec struct {
 	m uint64
 }
 
-// server wires a HeavyHitters engine to HTTP. All handlers are safe
-// for concurrent use: ingest and queries take the engine under a read
-// lock; restore swaps it under the write lock.
+// server wires one engine family to HTTP: either the default engine at
+// the root routes, or (-tenants) a tenant pool under /t/{tenant}. All
+// handlers are safe for concurrent use: ingest and queries take the
+// default engine under a read lock; restore swaps it under the write
+// lock.
 type server struct {
 	mux  *http.ServeMux
 	spec engineSpec
 
 	mu  sync.RWMutex
-	eng l1hh.HeavyHitters
+	eng l1hh.HeavyHitters // nil on a tenant server
 
 	// serialEng flips every engine access to the write lock: set by
 	// finish when the engine is not a Sharder (the problem engines —
@@ -86,7 +89,7 @@ type server struct {
 	peers []string
 
 	// pool is the multi-tenant engine pool behind the /t/{tenant}/*
-	// route family (-tenants); nil in single-tenant mode. Installed by
+	// route family (-tenants); nil on an engine server. Installed by
 	// enablePool before the server starts serving, never swapped.
 	pool *l1hh.Pool
 
@@ -233,13 +236,16 @@ func kindForProblem(p l1hh.Problem) string {
 	}
 }
 
-// newShell allocates the server and its metrics registry BEFORE any
-// engine exists: the stage histograms must be live so the ingest
-// observer option — appended to both option sets here — can reference
-// them from every engine the server will ever run (initial build,
-// checkpoint restore, aggregator rebuilds).
+// newShell allocates the server, its metrics registry and the routes
+// every server answers (/healthz, /readyz, /metrics) BEFORE any engine
+// exists: the stage histograms must be live so the ingest observer
+// option — appended to both option sets here — can reference them from
+// every engine the server will ever run (initial build, checkpoint
+// restore, aggregator rebuilds), and the pool observer from the tenant
+// pool. finish or enablePool then installs the one engine family the
+// server serves.
 func newShell(spec engineSpec) *server {
-	s := &server{spec: spec, start: time.Now()}
+	s := &server{spec: spec, start: time.Now(), mux: http.NewServeMux()}
 	s.obs = newServerObs(s)
 	if spec.problem == l1hh.HeavyHittersProblem {
 		// The problem engines take no runtime tuning — their option
@@ -249,23 +255,34 @@ func newShell(spec engineSpec) *server {
 		s.spec.build = append(s.spec.build, l1hh.WithIngestObserver(timings))
 		s.spec.restore = append(s.spec.restore, l1hh.WithIngestObserver(timings))
 	}
+	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.ready.Store(true) // aggregator mode lowers it again before serving
 	return s
 }
 
-// finish installs the engine and the routing table; the server is ready
-// from here (aggregator mode lowers readiness again before serving).
+// finish installs the default engine, its routes at the root, /merge,
+// /restore and the engine metric families.
 func (s *server) finish(eng l1hh.HeavyHitters) {
 	s.eng = eng
 	_, sharded := eng.(l1hh.Sharder)
 	s.serialEng = !sharded
-	s.mux = http.NewServeMux()
 	s.routeEngine("")
 	s.mux.HandleFunc("POST /merge", s.handleMerge)
 	s.mux.HandleFunc("POST /restore", s.handleRestore)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.ready.Store(true)
+	s.obs.registerEngine(s)
+}
+
+// enablePool installs the multi-tenant engine pool (-tenants) on a
+// shell and registers the engine endpoints under /t/{tenant}: the same
+// handlers as the root routes of an engine server, resolving the
+// tenant's engine. Must run before the server starts serving. A tenant
+// server builds no default engine, so its root engine routes, /merge
+// and /restore are not registered and answer 404.
+func (s *server) enablePool(p *l1hh.Pool) {
+	s.pool = p
+	s.routeEngine("/t/{tenant}")
 }
 
 // routeEngine registers the engine endpoints under prefix: "" for the
@@ -384,9 +401,13 @@ func (s *server) scrapeStats() l1hh.Stats {
 	return s.statsCache
 }
 
-// shutdown stops accepting state changes and drains the engine so the
-// final report/checkpoint reflect every accepted item.
+// shutdown stops accepting state changes and drains the default engine,
+// or the pool's resident engines, so the final checkpoint reflects
+// every accepted item.
 func (s *server) shutdown() error {
+	if s.pool != nil {
+		return s.pool.Close()
+	}
 	return s.engine().Close()
 }
 
@@ -402,11 +423,12 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // target is the engine one request addresses: the default engine on
-// the root routes, the named tenant's engine under /t/{tenant}. Its
-// operations take the engine under the discipline its owner needs —
-// withEngine for the default engine, the tenant's serialization inside
-// the pool — and never hand it out, so an engine swap or a spill can
-// never close an engine a handler still holds.
+// an engine server's root routes, the named tenant's engine under
+// /t/{tenant} on a tenant server. Its operations take the engine under
+// the discipline its owner needs — withEngine for the default engine,
+// the tenant's serialization inside the pool — and never hand it out,
+// so an engine swap or a spill can never close an engine a handler
+// still holds.
 type target struct {
 	s      *server
 	tenant string // "" on the root routes
@@ -1178,16 +1200,6 @@ func (s *server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, out)
-}
-
-// enablePool installs the multi-tenant engine pool (-tenants) and
-// registers the engine endpoints a second time under /t/{tenant}: the
-// same handlers, resolving the tenant's engine instead of the default
-// one. Must run after finish and before the server starts serving. The
-// single-tenant routes keep working against the default engine.
-func (s *server) enablePool(p *l1hh.Pool) {
-	s.pool = p
-	s.routeEngine("/t/{tenant}")
 }
 
 // handleMerge folds a peer node's checkpoint blob (the body, as produced

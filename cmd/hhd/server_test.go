@@ -339,3 +339,19 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Fatal("ingest accepted after shutdown")
 	}
 }
+
+// TestValidateTenantFlags: under -tenants there is no default engine,
+// so the flags that only configured its shard pipeline are refused at
+// startup, by name; the problem flags pass.
+func TestValidateTenantFlags(t *testing.T) {
+	for _, name := range []string{"shards", "queue-depth", "max-batch"} {
+		err := validateTenantFlags(map[string]bool{"tenants": true, "eps": true, name: true})
+		if err == nil || !strings.Contains(err.Error(), "-"+name+" ") {
+			t.Errorf("-tenants -%s: err = %v, want a refusal naming -%s", name, err, name)
+		}
+	}
+	set := map[string]bool{"tenants": true, "eps": true, "phi": true, "m": true, "tenant-budget-bits": true}
+	if err := validateTenantFlags(set); err != nil {
+		t.Errorf("problem and pool flags refused: %v", err)
+	}
+}

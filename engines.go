@@ -384,7 +384,6 @@ func buildSharded(cfg shardedConfig, clock func() time.Time, hooks shard.Hooks) 
 	return &shardedSolver{
 		s: s, eps: cfg.Eps, phi: cfg.Phi,
 		window: cfg.Window, windowDur: cfg.WindowDuration, windowBuckets: cfg.WindowBuckets,
-		rawWindows: cfg.RawShardWindows,
 	}, nil
 }
 
@@ -395,17 +394,15 @@ func buildSharded(cfg shardedConfig, clock func() time.Time, hooks shard.Hooks) 
 // clock overrides restored shard windows' clocks (tag 5 only);
 // pacedBudget re-applies per-shard insert pacing (tag 3 only — windowed
 // frames serialize their own budget), because pacing is runtime tuning
-// the per-shard tag-1/2 blobs do not record; rawWindows re-applies the
-// count-window extrapolation opt-out (tag 5 only), runtime tuning for
-// the same reason; hooks re-install the ingest stage-timing callbacks
-// (WithIngestObserver), runtime instrumentation that is never
-// serialized.
-func unmarshalSharded(data []byte, queueDepth, maxBatch int, clock func() time.Time, pacedBudget int, rawWindows bool, hooks shard.Hooks) (*shardedSolver, error) {
+// the per-shard tag-1/2 blobs do not record; hooks re-install the
+// ingest stage-timing callbacks (WithIngestObserver), runtime
+// instrumentation that is never serialized.
+func unmarshalSharded(data []byte, queueDepth, maxBatch int, clock func() time.Time, pacedBudget int, hooks shard.Hooks) (*shardedSolver, error) {
 	if len(data) < 1 || (data[0] != tagSharded && data[0] != tagShardedWindowed) {
 		return nil, errors.New("l1hh: not a sharded solver encoding")
 	}
 	r := wire.NewReader(data[1:])
-	h := &shardedSolver{rawWindows: rawWindows}
+	h := &shardedSolver{}
 	h.eps = r.F64()
 	h.phi = r.F64()
 	if data[0] == tagShardedWindowed {

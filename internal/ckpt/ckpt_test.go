@@ -255,3 +255,26 @@ func TestMemSink(t *testing.T) {
 		t.Fatal("FailStore not honored")
 	}
 }
+
+// TestWriteFileAtomic: a publish replaces the previous file whole and
+// leaves no temporary file behind; a failed one (missing directory)
+// leaves nothing at all.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "frame")
+	for _, data := range []string{"first version", "v2"} {
+		if err := WriteFileAtomic(path, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != data {
+			t.Fatalf("after publishing %q: read %q (%v)", data, got, err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %d entries (%v), want only the published file", len(entries), err)
+	}
+	if err := WriteFileAtomic(filepath.Join(dir, "missing", "frame"), []byte("x")); err == nil {
+		t.Fatal("publish into a missing directory succeeded")
+	}
+}

@@ -20,11 +20,11 @@ const (
 // DiskSink persists snapshots as framed files in one directory, with
 // crash-safe publication and bounded retention.
 //
-// Store is atomic against crashes: the frame is written to a temporary
-// name, fsynced, and renamed into place, so a reader (including a
-// post-crash LoadNewest) only ever sees complete rename-published files
-// — a torn write leaves a tmp file the sink ignores. After publishing,
-// snapshots beyond Retain are pruned oldest-first.
+// Store is atomic against crashes (WriteFileAtomic), so a reader
+// (including a post-crash LoadNewest) only ever sees complete
+// rename-published files — a torn write leaves a tmp file the sink
+// ignores. After publishing, snapshots beyond Retain are pruned
+// oldest-first.
 type DiskSink struct {
 	dir    string
 	retain int
@@ -67,46 +67,51 @@ func parseSeq(name string) (uint64, bool) {
 	return seq, true
 }
 
-// Store implements Sink: frame → tmp file → fsync → rename → prune.
+// Store implements Sink: frame → atomic publish → prune.
 func (d *DiskSink) Store(seq uint64, payload []byte) error {
 	final := filepath.Join(d.dir, fileName(seq))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("ckpt: creating %s: %w", tmp, err)
-	}
-	frame := Encode(payload)
-	if _, err := f.Write(frame); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ckpt: writing %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ckpt: fsync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ckpt: closing %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
+	if err := WriteFileAtomic(final, Encode(payload)); err != nil {
 		return fmt.Errorf("ckpt: publishing %s: %w", final, err)
 	}
-	d.syncDir() // make the rename itself durable (best effort)
 	d.prune()
 	return nil
 }
 
-// syncDir fsyncs the snapshot directory so a published rename survives
-// a power cut. Best effort: some filesystems refuse directory fsync,
-// and the rename is still atomic against process crashes without it.
-func (d *DiskSink) syncDir() {
-	if dir, err := os.Open(d.dir); err == nil {
-		dir.Sync()
-		dir.Close()
+// WriteFileAtomic publishes data at path so that a crash leaves either
+// the file that was there before or the complete new one, never a torn
+// one. data goes to a temporary file in path's directory, which is
+// fsynced and renamed into place; the directory is then fsynced so the
+// rename itself survives a power cut. The directory fsync is best
+// effort: some filesystems refuse it, and the rename is atomic against
+// process crashes without it. A crash mid-write can leave the temporary
+// file ("." + the base name + "-*.tmp") behind; directory listings
+// ignore it.
+func WriteFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*.tmp")
+	if err != nil {
+		return err
 	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
+	return nil
 }
 
 // list returns the sequence numbers of every published snapshot file,

@@ -22,12 +22,11 @@ import (
 
 // Sketch is a Count-Min sketch.
 type Sketch struct {
-	depth        int
-	width        uint64
-	rows         [][]uint64
-	hashes       []hash.Func
-	m            uint64
-	conservative bool
+	depth  int
+	width  uint64
+	rows   [][]uint64
+	hashes []hash.Func
+	m      uint64
 }
 
 // New returns a sketch with error ε·m and failure probability δ.
@@ -61,28 +60,14 @@ func NewWithDims(src *rng.Source, depth int, width uint64) *Sketch {
 	return s
 }
 
-// SetConservative toggles conservative updating (increment only the
-// minimal counters), which reduces overestimation at the same space.
-func (s *Sketch) SetConservative(on bool) { s.conservative = on }
-
 // Len returns the stream length processed so far.
 func (s *Sketch) Len() uint64 { return s.m }
 
 // Insert processes one stream item.
 func (s *Sketch) Insert(x uint64) {
 	s.m++
-	if !s.conservative {
-		for i, h := range s.hashes {
-			s.rows[i][h.Hash(x)]++
-		}
-		return
-	}
-	est := s.Estimate(x)
 	for i, h := range s.hashes {
-		j := h.Hash(x)
-		if s.rows[i][j] < est+1 {
-			s.rows[i][j] = est + 1
-		}
+		s.rows[i][h.Hash(x)]++
 	}
 }
 

@@ -48,29 +48,6 @@ func TestErrorWithinEpsM(t *testing.T) {
 	}
 }
 
-func TestConservativeNoWorse(t *testing.T) {
-	plain := NewWithDims(rng.New(5), 4, 256)
-	cons := NewWithDims(rng.New(5), 4, 256) // same seed → same hash functions
-	cons.SetConservative(true)
-	ex := exact.New()
-	g := stream.NewZipf(rng.New(6), 500, 1.2)
-	for i := 0; i < 30000; i++ {
-		x := g.Next()
-		plain.Insert(x)
-		cons.Insert(x)
-		ex.Insert(x)
-	}
-	for x := uint64(0); x < 500; x++ {
-		pe, ce, f := plain.Estimate(x), cons.Estimate(x), ex.Freq(x)
-		if ce < f {
-			t.Fatalf("conservative CMS underestimates item %d: %d < %d", x, ce, f)
-		}
-		if ce > pe {
-			t.Fatalf("conservative estimate %d exceeds plain %d for item %d", ce, pe, x)
-		}
-	}
-}
-
 func TestHeavyHittersFromCandidates(t *testing.T) {
 	s := New(rng.New(7), 0.01, 0.01)
 	st := stream.PlantedStream(rng.New(8), 20000, []float64{0.3, 0.1}, 100, 1000, stream.Shuffled)

@@ -66,16 +66,6 @@ func (b *BitVector) Set(i int) {
 	}
 }
 
-// Clear sets bit i to 0.
-func (b *BitVector) Clear(i int) {
-	b.check(i)
-	w, m := i/64, uint64(1)<<(uint(i)%64)
-	if b.words[w]&m != 0 {
-		b.words[w] &^= m
-		b.ones--
-	}
-}
-
 // Get reports whether bit i is set.
 func (b *BitVector) Get(i int) bool {
 	b.check(i)
@@ -111,41 +101,6 @@ func (b *BitVector) check(i int) {
 	if i < 0 || i >= b.n {
 		panic("compact: bit index out of range")
 	}
-}
-
-// CounterArray is a fixed-length array of non-negative counters with BB08
-// accounting.
-type CounterArray struct {
-	vals []uint64
-}
-
-// NewCounterArray returns n zeroed counters.
-func NewCounterArray(n int) *CounterArray {
-	return &CounterArray{vals: make([]uint64, n)}
-}
-
-// Len returns the number of counters.
-func (c *CounterArray) Len() int { return len(c.vals) }
-
-// Get returns counter i.
-func (c *CounterArray) Get(i int) uint64 { return c.vals[i] }
-
-// Set assigns counter i.
-func (c *CounterArray) Set(i int, v uint64) { c.vals[i] = v }
-
-// Inc adds one to counter i.
-func (c *CounterArray) Inc(i int) { c.vals[i]++ }
-
-// Add adds d to counter i.
-func (c *CounterArray) Add(i int, d uint64) { c.vals[i] += d }
-
-// ModelBits charges every counter at its variable-length cost.
-func (c *CounterArray) ModelBits() int64 {
-	var b int64
-	for _, v := range c.vals {
-		b += CounterBits(v)
-	}
-	return b
 }
 
 // MapBits charges a map from ids (out of a universe of size n, i.e. ids in

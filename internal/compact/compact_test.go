@@ -59,14 +59,6 @@ func TestBitVectorBasic(t *testing.T) {
 	if b.Count() != 3 {
 		t.Fatal("double Set changed count")
 	}
-	b.Clear(64)
-	if b.Count() != 2 || b.Get(64) {
-		t.Fatal("Clear failed")
-	}
-	b.Clear(64) // idempotent
-	if b.Count() != 2 {
-		t.Fatal("double Clear changed count")
-	}
 }
 
 func TestBitVectorAllAndFirstClear(t *testing.T) {
@@ -100,7 +92,6 @@ func TestBitVectorOutOfRangePanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { b.Set(10) },
 		func() { b.Get(-1) },
-		func() { b.Clear(11) },
 	} {
 		func() {
 			defer func() {
@@ -126,24 +117,6 @@ func TestBitVectorZeroLength(t *testing.T) {
 	}
 }
 
-func TestCounterArray(t *testing.T) {
-	a := NewCounterArray(4)
-	a.Inc(0)
-	a.Inc(0)
-	a.Add(1, 10)
-	a.Set(2, 7)
-	if a.Get(0) != 2 || a.Get(1) != 10 || a.Get(2) != 7 || a.Get(3) != 0 {
-		t.Fatal("counter values wrong")
-	}
-	if a.Len() != 4 {
-		t.Fatal("length wrong")
-	}
-	// bits: (2→2+1)+(10→4+1)+(7→3+1)+(0→1+1) = 3+5+4+2 = 14
-	if got := a.ModelBits(); got != 14 {
-		t.Fatalf("ModelBits = %d, want 14", got)
-	}
-}
-
 func TestMapBits(t *testing.T) {
 	m := map[uint64]uint64{3: 1, 900: 255}
 	// universe 1024 → 10 id bits each; values: 1→1+1, 255→8+1.
@@ -156,23 +129,5 @@ func TestMapBits(t *testing.T) {
 func TestMapBitsEmpty(t *testing.T) {
 	if MapBits(map[uint64]uint64{}, 100) != 0 {
 		t.Fatal("empty map must cost nothing")
-	}
-}
-
-func TestCounterArrayAccountingQuick(t *testing.T) {
-	err := quick.Check(func(vals []uint64) bool {
-		if len(vals) > 100 {
-			vals = vals[:100]
-		}
-		a := NewCounterArray(len(vals))
-		var want int64
-		for i, v := range vals {
-			a.Set(i, v)
-			want += CounterBits(v)
-		}
-		return a.ModelBits() == want
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
 	}
 }

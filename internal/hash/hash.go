@@ -139,45 +139,5 @@ func (s Sign) Hash(x uint64) int64 {
 	return 1
 }
 
-// Valid reports whether s is a sign function NewSign could have drawn.
-func (s Sign) Valid() bool { return s.f.Valid() && s.f.r == 2 }
-
 // ModelBits is the storage charged for the sign function.
 func (s Sign) ModelBits() int64 { return s.f.ModelBits() }
-
-// Tabulation is a simple tabulation hash over the 8 bytes of a uint64 key.
-// It is 3-independent [Pǎtrașcu–Thorup], far stronger than Carter–Wegman in
-// practice, and costs 8·256 random words of space.
-type Tabulation struct {
-	tables [8][256]uint64
-	r      uint64
-}
-
-// NewTabulation draws a tabulation hash with range [0, r).
-func NewTabulation(src *rng.Source, r uint64) *Tabulation {
-	if r == 0 {
-		panic("hash: range must be positive")
-	}
-	t := &Tabulation{r: r}
-	for i := range t.tables {
-		for j := range t.tables[i] {
-			t.tables[i][j] = src.Uint64()
-		}
-	}
-	return t
-}
-
-// Hash evaluates the tabulation hash on x.
-func (t *Tabulation) Hash(x uint64) uint64 {
-	var h uint64
-	for i := 0; i < 8; i++ {
-		h ^= t.tables[i][byte(x>>(8*uint(i)))]
-	}
-	return h % t.r
-}
-
-// Range returns the size of the hash range.
-func (t *Tabulation) Range() uint64 { return t.r }
-
-// ModelBits is the storage charged for the tabulation tables.
-func (t *Tabulation) ModelBits() int64 { return 8 * 256 * 64 }

@@ -180,40 +180,6 @@ func TestSignBalance(t *testing.T) {
 	}
 }
 
-func TestTabulationRange(t *testing.T) {
-	tab := NewTabulation(rng.New(7), 977)
-	for x := uint64(0); x < 2000; x++ {
-		if h := tab.Hash(x); h >= 977 {
-			t.Fatalf("tabulation hash %d out of range", h)
-		}
-	}
-}
-
-func TestTabulationCollisionRate(t *testing.T) {
-	src := rng.New(8)
-	const r = 64
-	coll := 0
-	const trials = 5000
-	for i := 0; i < trials; i++ {
-		tab := NewTabulation(src, r)
-		if tab.Hash(1) == tab.Hash(1<<63) {
-			coll++
-		}
-	}
-	if rate := float64(coll) / trials; rate > 2.0/r {
-		t.Fatalf("tabulation collision rate %v", rate)
-	}
-}
-
-func TestTabulationPanicsOnZeroRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewTabulation(rng.New(1), 0)
-}
-
 func TestModelBitsPositive(t *testing.T) {
 	f := NewFunc(rng.New(9), 100)
 	if f.ModelBits() <= 0 {
@@ -223,18 +189,11 @@ func TestModelBitsPositive(t *testing.T) {
 	if s.ModelBits() <= 0 {
 		t.Fatal("Sign.ModelBits not positive")
 	}
-	tab := NewTabulation(rng.New(9), 100)
-	if tab.ModelBits() <= 0 {
-		t.Fatal("Tabulation.ModelBits not positive")
-	}
 }
 
 func TestRangeAccessors(t *testing.T) {
 	if NewFunc(rng.New(1), 123).Range() != 123 {
 		t.Fatal("Func.Range mismatch")
-	}
-	if NewTabulation(rng.New(1), 321).Range() != 321 {
-		t.Fatal("Tabulation.Range mismatch")
 	}
 }
 
@@ -242,12 +201,5 @@ func BenchmarkFuncHash(b *testing.B) {
 	f := NewFunc(rng.New(1), 1<<20)
 	for i := 0; i < b.N; i++ {
 		_ = f.Hash(uint64(i))
-	}
-}
-
-func BenchmarkTabulationHash(b *testing.B) {
-	tab := NewTabulation(rng.New(1), 1<<20)
-	for i := 0; i < b.N; i++ {
-		_ = tab.Hash(uint64(i))
 	}
 }

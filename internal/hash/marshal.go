@@ -15,9 +15,3 @@ func DecodeFunc(r *wire.Reader) Func {
 	a, b, rng := r.U64(), r.U64(), r.U64()
 	return newFunc(a, b, rng)
 }
-
-// Encode appends the sign function's parameters to w.
-func (s Sign) Encode(w *wire.Writer) { s.f.Encode(w) }
-
-// DecodeSign reads a sign function written by Encode.
-func DecodeSign(r *wire.Reader) Sign { return Sign{f: DecodeFunc(r)} }

@@ -115,7 +115,4 @@ func TestValid(t *testing.T) {
 			t.Fatalf("%+v: Valid = %v, want %v", c.f, got, c.want)
 		}
 	}
-	if !NewSign(rng.New(1)).Valid() || (Sign{f: newFunc(1, 0, 3)}).Valid() {
-		t.Fatal("Sign.Valid must accept NewSign draws and reject ranges other than 2")
-	}
 }

@@ -14,6 +14,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"repro/internal/ckpt"
 )
 
 // Store is where the pool spills evicted tenants. Put must be durable
@@ -90,10 +92,11 @@ func (m *MemStore) Len() int {
 // name (prefix "t-"); names whose hex form would exceed the portable
 // filename budget fall back to a SHA-256 digest (prefix "h-") — the
 // digest only has to be collision-free, not reversible, because the
-// pool's manifest carries the real names. Writes are atomic: tmp file,
-// fsync, rename — a crash mid-spill leaves either the old frame or
-// none, never a torn one (and a torn rename survivor still fails the
-// ckpt frame checksum at revive).
+// pool's manifest carries the real names. Writes are atomic
+// (ckpt.WriteFileAtomic: tmp file, fsync, rename, directory fsync) — a
+// crash or power cut mid-spill leaves either the old frame or none,
+// never a torn one (and a torn rename survivor still fails the ckpt
+// frame checksum at revive).
 type DiskStore struct {
 	dir string
 }
@@ -121,31 +124,10 @@ func (d *DiskStore) path(tenant string) string {
 	return filepath.Join(d.dir, "t-"+h+".spill")
 }
 
-// Put implements Store with an atomic tmp-write + fsync + rename.
+// Put implements Store: the frame is durable, rename included, when it
+// returns.
 func (d *DiskStore) Put(tenant string, frame []byte) error {
-	f, err := os.CreateTemp(d.dir, ".spill-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	cleanup := func() { f.Close(); os.Remove(tmp) }
-	if _, err := f.Write(frame); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, d.path(tenant)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return ckpt.WriteFileAtomic(d.path(tenant), frame)
 }
 
 // Get implements Store; a missing file is a normal miss.

@@ -1,52 +1,9 @@
-// Package stats holds small numeric helpers used by the algorithms
-// (median-of-repetitions estimators) and by the benchmark harness (the
-// closed-form Table 1 bounds that measured space is compared against).
+// Package stats holds the closed-form Table 1 bounds the benchmark
+// harness compares measured space against, and the clamped log₂ they
+// are stated with.
 package stats
 
-import (
-	"math"
-	"sort"
-)
-
-// Median returns the median of xs (the mean of the two middle elements for
-// even length). It panics on empty input and does not modify xs.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: median of empty slice")
-	}
-	tmp := make([]float64, len(xs))
-	copy(tmp, xs)
-	sort.Float64s(tmp)
-	n := len(tmp)
-	if n%2 == 1 {
-		return tmp[n/2]
-	}
-	// Halve before adding so the sum cannot overflow for extreme doubles.
-	return tmp[n/2-1]/2 + tmp[n/2]/2
-}
-
-// Mean returns the arithmetic mean of xs. It panics on empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: mean of empty slice")
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// MaxAbs returns max |x| over xs (0 for empty input).
-func MaxAbs(xs []float64) float64 {
-	var m float64
-	for _, x := range xs {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
+import "math"
 
 // Log2 is log₂ clamped so that arguments ≤ 1 contribute at least 1 bit —
 // the convention used when instantiating the Table 1 formulas (every term
@@ -61,17 +18,6 @@ func Log2(x float64) float64 {
 // Bounds below instantiate the Table 1 rows with constant 1. The benchmark
 // harness reports measured ModelBits divided by these, so a flat ratio
 // across a parameter sweep demonstrates matching growth.
-
-// HHUpperBits is row 1's upper bound: ε⁻¹·log ϕ⁻¹ + ϕ⁻¹·log n + log log m.
-func HHUpperBits(eps, phi float64, n, m uint64) float64 {
-	return Log2(1/phi)/eps + Log2(float64(n))/phi + Log2(Log2(float64(m)))
-}
-
-// MGBaselineBits is the prior state of the art the paper improves on:
-// ε⁻¹·(log n + log m) for Misra-Gries [MG82].
-func MGBaselineBits(eps float64, n, m uint64) float64 {
-	return (Log2(float64(n)) + Log2(float64(m))) / eps
-}
 
 // MaxUpperBits is row 2's upper bound: ε⁻¹·log ε⁻¹ + log n + log log m.
 func MaxUpperBits(eps float64, n, m uint64) float64 {

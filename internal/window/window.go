@@ -157,8 +157,8 @@ type Stats struct {
 	ShareSkew float64
 	// Extrapolated reports whether sharded count-window reports are
 	// rate-extrapolated against the measured traffic shares (DESIGN.md
-	// §8); false on a single window, under WithRawShardWindows, and for
-	// time windows (whose wall-clock retirement is skew-immune).
+	// §8); false on a single window and for time windows (whose
+	// wall-clock retirement is skew-immune).
 	Extrapolated bool
 	// PerShardWindow is the count window each shard covers: the ⌈W/K⌉
 	// split when this Stats aggregates a sharded window, the window

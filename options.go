@@ -37,7 +37,6 @@ const (
 	optCountWindow
 	optTimeWindow
 	optClock
-	optRawWindows
 	optSentinel
 	optObserver
 	optProblem
@@ -50,7 +49,7 @@ const (
 // changes nothing the checkpoint records; WithAccuracySentinel does not
 // (a restored solver's history was never sampled, so its shadow would
 // report bogus violations).
-const runtimeOpts = optPaced | optQueueDepth | optMaxBatch | optClock | optRawWindows | optObserver
+const runtimeOpts = optPaced | optQueueDepth | optMaxBatch | optClock | optObserver
 
 // settings is the resolved option set New and Unmarshal dispatch on.
 type settings struct {
@@ -61,7 +60,6 @@ type settings struct {
 	window        uint64
 	windowDur     time.Duration
 	windowBuckets int
-	rawWindows    bool
 	clock         func() time.Time
 	sentinelRate  float64
 	timings       IngestTimings
@@ -241,23 +239,6 @@ func WithTimeWindow(d time.Duration, buckets int) Option {
 	}
 }
 
-// WithRawShardWindows disables the rate-extrapolated report fold on a
-// sharded count-window solver, restoring the raw pre-extrapolation
-// behaviour: per-shard estimates thresholded at face value. That
-// re-exposes the skew-induced deflation DESIGN.md §8 derives — a
-// dominant item inflates its own shard's traffic share, shrinks that
-// shard's ⌈w/k⌉-item suffix, and can be missed at large ϕ — so it
-// exists for comparison and for callers whose traffic is known-balanced.
-// Runtime tuning: valid on New with WithShards and WithCountWindow, and
-// on Unmarshal of sharded windowed (tag 5) checkpoints (the flag is not
-// serialized — pass it again on restore to keep the raw fold).
-func WithRawShardWindows() Option {
-	return func(st *settings) {
-		st.rawWindows = true
-		st.mark(optRawWindows)
-	}
-}
-
 // WithClock overrides the wall clock a windowed solver reads (nil means
 // time.Now): tests and simulations drive time windows deterministically.
 // Runtime tuning — not serialized; also valid on Unmarshal of windowed
@@ -403,9 +384,6 @@ func (st *settings) validateHeavyHitters() error {
 	}
 	if st.has(optClock) && !st.windowed() {
 		return errors.New("l1hh: WithClock needs a window (WithCountWindow or WithTimeWindow)")
-	}
-	if st.has(optRawWindows) && !(st.sharded() && st.has(optCountWindow)) {
-		return errors.New("l1hh: WithRawShardWindows needs WithShards and WithCountWindow (extrapolation only applies to sharded count windows)")
 	}
 	if st.has(optQueueDepth|optMaxBatch) && !st.sharded() {
 		return errors.New("l1hh: WithQueueDepth/WithMaxBatch need WithShards")

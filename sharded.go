@@ -40,13 +40,6 @@ type shardedConfig struct {
 	// WindowBuckets is the per-shard epoch granularity (0 = 8); see
 	// windowConfig.WindowBuckets.
 	WindowBuckets int
-	// RawShardWindows disables the rate-extrapolated count-window report
-	// fold (WithRawShardWindows) and restores the raw pre-extrapolation
-	// behaviour: per-shard estimates thresholded at face value, with the
-	// skew-induced deflation DESIGN.md §8 derives (a dominant item
-	// shrinks its own shard's window and can be missed). Runtime tuning,
-	// not serialized state. Only meaningful with a count window.
-	RawShardWindows bool
 }
 
 // windowed reports whether a sliding window is configured.
@@ -76,9 +69,6 @@ type shardedSolver struct {
 	window        uint64
 	windowDur     time.Duration
 	windowBuckets int
-	// rawWindows opts out of the rate-extrapolated count-window fold
-	// (WithRawShardWindows).
-	rawWindows bool
 }
 
 // Insert routes one item; prefer InsertBatch on hot paths.
@@ -176,9 +166,9 @@ func (s shareSample) weight(m, globalNow uint64) float64 {
 
 // extrapolating reports whether Report rate-extrapolates the per-shard
 // estimates: count windows only (time windows retire on the wall clock,
-// which is skew-immune), more than one shard, and not opted out.
+// which is skew-immune) over more than one shard.
 func (h *shardedSolver) extrapolating() bool {
-	return h.window > 0 && !h.rawWindows && h.s.Shards() > 1
+	return h.window > 0 && h.s.Shards() > 1
 }
 
 // collectShareSample fills out from a windowed shard engine during a
@@ -222,7 +212,6 @@ func globalArrivalNow(samples []shareSample) uint64 {
 // buckets would otherwise contribute at full weight. Shards whose
 // samples are too small to price (< shareMinSample covered items, or no
 // arrival accounting yet) fall back to raw weights.
-// WithRawShardWindows disables the extrapolation entirely.
 func (h *shardedSolver) Report() []ItemEstimate {
 	n := h.s.Shards()
 	reports := make([][]ItemEstimate, n)

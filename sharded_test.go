@@ -22,7 +22,7 @@ func newShardedSolver(cfg shardedConfig) (*shardedSolver, error) {
 // restoreSharded decodes a tag 3 or 5 checkpoint with default runtime
 // tuning.
 func restoreSharded(blob []byte) (*shardedSolver, error) {
-	return unmarshalSharded(blob, 0, 0, nil, 0, false, shard.Hooks{})
+	return unmarshalSharded(blob, 0, 0, nil, 0, shard.Hooks{})
 }
 
 func newShardedForTest(t *testing.T, shards int, seed uint64, m int) (*shardedSolver, []Item) {
@@ -278,7 +278,7 @@ func TestUnmarshalShardedRejectsCorrupt(t *testing.T) {
 	if _, err := restoreSharded(nil); err == nil {
 		t.Fatal("nil accepted")
 	}
-	if _, err := unmarshalSharded(blob[:len(blob)/2], 0, 0, nil, 0, false, shard.Hooks{}); err == nil {
+	if _, err := unmarshalSharded(blob[:len(blob)/2], 0, 0, nil, 0, shard.Hooks{}); err == nil {
 		t.Fatal("truncation accepted")
 	}
 	wrongTag := append([]byte{}, blob...)
@@ -286,7 +286,7 @@ func TestUnmarshalShardedRejectsCorrupt(t *testing.T) {
 	if _, err := restoreSharded(wrongTag); err == nil {
 		t.Fatal("wrong tag accepted")
 	}
-	if _, err := unmarshalSharded(append(blob, 0x00), 0, 0, nil, 0, false, shard.Hooks{}); err == nil {
+	if _, err := unmarshalSharded(append(blob, 0x00), 0, 0, nil, 0, shard.Hooks{}); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }

@@ -238,14 +238,13 @@ func buildHeavyHittersProblem(st *settings) (HeavyHitters, error) {
 	switch {
 	case st.sharded():
 		eng, err := buildSharded(shardedConfig{
-			config:          st.cfg,
-			Shards:          st.shards,
-			QueueDepth:      st.queueDepth,
-			MaxBatch:        st.maxBatch,
-			Window:          st.window,
-			WindowDuration:  st.windowDur,
-			WindowBuckets:   st.windowBuckets,
-			RawShardWindows: st.rawWindows,
+			config:         st.cfg,
+			Shards:         st.shards,
+			QueueDepth:     st.queueDepth,
+			MaxBatch:       st.maxBatch,
+			Window:         st.window,
+			WindowDuration: st.windowDur,
+			WindowBuckets:  st.windowBuckets,
 		}, st.clock, st.shardHooks())
 		if err != nil {
 			return nil, err
@@ -306,8 +305,6 @@ func (st *settings) newSentinel() *sentinel {
 //	                              engines are re-paced; windowed frames
 //	                              (4, 5) serialize their own budget
 //	WithClock                   — windowed containers (4, 5)
-//	WithRawShardWindows         — sharded windowed containers (5); the
-//	                              extrapolation opt-out is not serialized
 //	WithIngestObserver          — sharded containers (3, 5);
 //	                              instrumentation is never serialized
 func Unmarshal(data []byte, opts ...Option) (HeavyHitters, error) {
@@ -316,14 +313,14 @@ func Unmarshal(data []byte, opts ...Option) (HeavyHitters, error) {
 		return nil, err
 	}
 	if st.set&^runtimeOpts != 0 {
-		return nil, errors.New("l1hh: Unmarshal accepts runtime options only (WithPacedBudget, WithQueueDepth, WithMaxBatch, WithClock, WithRawShardWindows, WithIngestObserver) — problem parameters come from the checkpoint")
+		return nil, errors.New("l1hh: Unmarshal accepts runtime options only (WithPacedBudget, WithQueueDepth, WithMaxBatch, WithClock, WithIngestObserver) — problem parameters come from the checkpoint")
 	}
 	if len(data) < 2 {
 		return nil, errors.New("l1hh: truncated solver encoding")
 	}
 	switch data[0] {
 	case tagOptimal, tagSimple:
-		if err := st.rejectOpts(optQueueDepth|optMaxBatch|optClock|optRawWindows|optObserver, "a serial checkpoint"); err != nil {
+		if err := st.rejectOpts(optQueueDepth|optMaxBatch|optClock|optObserver, "a serial checkpoint"); err != nil {
 			return nil, err
 		}
 		eng, err := unmarshalSerial(data)
@@ -339,10 +336,10 @@ func Unmarshal(data []byte, opts ...Option) (HeavyHitters, error) {
 		}
 		return wrapSerial(eng, true, st.cfg.PacedBudget, nil), nil
 	case tagSharded:
-		if err := st.rejectOpts(optClock|optRawWindows, "a sharded checkpoint"); err != nil {
+		if err := st.rejectOpts(optClock, "a sharded checkpoint"); err != nil {
 			return nil, err
 		}
-		eng, err := unmarshalSharded(data, st.queueDepth, st.maxBatch, nil, st.cfg.PacedBudget, false, st.shardHooks())
+		eng, err := unmarshalSharded(data, st.queueDepth, st.maxBatch, nil, st.cfg.PacedBudget, st.shardHooks())
 		if err != nil {
 			return nil, err
 		}
@@ -351,21 +348,13 @@ func Unmarshal(data []byte, opts ...Option) (HeavyHitters, error) {
 		if err := st.rejectOpts(optPaced, "a sharded windowed checkpoint (the windowed frames serialize their own budget)"); err != nil {
 			return nil, err
 		}
-		eng, err := unmarshalSharded(data, st.queueDepth, st.maxBatch, st.clock, 0, st.rawWindows, st.shardHooks())
+		eng, err := unmarshalSharded(data, st.queueDepth, st.maxBatch, st.clock, 0, st.shardHooks())
 		if err != nil {
 			return nil, err
 		}
-		if st.has(optRawWindows) && eng.window == 0 {
-			// Mirror New's validation: the opt-out only exists for count
-			// windows, and silently accepting it here would let an
-			// operator believe the raw fold is active on a time-window
-			// container (which never extrapolates anyway).
-			eng.Close()
-			return nil, errors.New("l1hh: WithRawShardWindows does not apply to a time-window checkpoint (only count windows extrapolate)")
-		}
 		return wrapSharded(eng, nil), nil
 	case tagWindowed:
-		if err := st.rejectOpts(optQueueDepth|optMaxBatch|optPaced|optRawWindows|optObserver, "a windowed checkpoint"); err != nil {
+		if err := st.rejectOpts(optQueueDepth|optMaxBatch|optPaced|optObserver, "a windowed checkpoint"); err != nil {
 			return nil, err
 		}
 		eng, err := unmarshalWindowed(data, st.clock)

@@ -507,35 +507,6 @@ func TestUnmarshalOptionValidation(t *testing.T) {
 		t.Fatal("Unmarshal accepted WithPacedBudget on a windowed sharded checkpoint")
 	}
 
-	// WithRawShardWindows is runtime tuning for tag-5 COUNT windows
-	// only: serial/plain-sharded containers reject it outright, and a
-	// time-window tag-5 container rejects it too (mirroring New) — time
-	// windows never extrapolate, so silently accepting would mislead.
-	if _, err := Unmarshal(serialCP, WithRawShardWindows()); err == nil {
-		t.Fatal("Unmarshal accepted WithRawShardWindows on a serial checkpoint")
-	}
-	if _, err := Unmarshal(shardedCP, WithRawShardWindows()); err == nil {
-		t.Fatal("Unmarshal accepted WithRawShardWindows on an unwindowed sharded checkpoint")
-	}
-	if _, err := Unmarshal(winCP, WithRawShardWindows()); err != nil {
-		t.Fatalf("Unmarshal rejected WithRawShardWindows on a count-window checkpoint: %v", err)
-	}
-	now := time.Unix(3000, 0)
-	timeWin, err := New(WithEps(0.05), WithPhi(0.2), WithUniverse(1<<20),
-		WithAlgorithm(AlgorithmSimple), WithSeed(7), WithStreamLength(1000),
-		WithShards(2), WithTimeWindow(time.Hour, 4), WithClock(func() time.Time { return now }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer timeWin.Close()
-	timeCP, err := timeWin.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Unmarshal(timeCP, WithRawShardWindows()); err == nil {
-		t.Fatal("Unmarshal accepted WithRawShardWindows on a time-window checkpoint")
-	}
-
 	// The valid runtime pairings work.
 	hh, err := Unmarshal(shardedCP, WithQueueDepth(4), WithMaxBatch(128))
 	if err != nil {

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/exact"
+	"repro/internal/shard"
 )
 
 // Window conformance parameters.
@@ -300,24 +301,50 @@ func feedChunks(t *testing.T, sh *shardedSolver, items []Item) {
 	}
 }
 
-// newSkewSharded builds the skew-regime solver; raw selects the legacy
-// (pre-extrapolation) report fold.
-func newSkewSharded(t *testing.T, shards int, raw bool) *shardedSolver {
+// newSkewSharded builds the skew-regime solver.
+func newSkewSharded(t *testing.T, shards int) *shardedSolver {
 	t.Helper()
 	sh, err := newShardedSolver(shardedConfig{
 		config: config{
 			Eps: winSkewEps, Phi: winSkewPhi, Delta: 0.05,
 			Universe: 1 << 31, Algorithm: AlgorithmSimple, Seed: 7,
 		},
-		Shards:          shards,
-		Window:          winSkewW,
-		RawShardWindows: raw,
+		Shards: shards,
+		Window: winSkewW,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sh.Close() })
 	return sh
+}
+
+// faceValueFold is the raw count-window fold, kept as a test-local
+// control: every shard's estimates at weight 1 against the global
+// (ϕ − ε/2)·m threshold. It is what the extrapolated fold degrades to
+// when no shard's share is trusted (DESIGN.md §8).
+func faceValueFold(sh *shardedSolver) map[Item]float64 {
+	n := sh.s.Shards()
+	reports := make([][]ItemEstimate, n)
+	lens := make([]uint64, n)
+	sh.s.Do(func(i int, e shard.Engine) {
+		reports[i] = e.Report()
+		lens[i] = e.Len()
+	})
+	var m uint64
+	for _, l := range lens {
+		m += l
+	}
+	thresh := (sh.phi - sh.eps/2) * float64(m)
+	out := map[Item]float64{}
+	for _, rep := range reports {
+		for _, r := range rep {
+			if r.F >= thresh {
+				out[r.Item] = r.F
+			}
+		}
+	}
+	return out
 }
 
 // TestWindowedShardedSkew: a dominant item inflates its own shard's
@@ -327,15 +354,15 @@ func newSkewSharded(t *testing.T, shards int, raw bool) *shardedSolver {
 // item at ϕ = 0.2, K = 4. The rate-extrapolated fold must report every
 // item with window frequency ≥ ϕ·W regardless of K, exclude everything
 // under (ϕ−ε)·M, survive a checkpoint round-trip bit-identically, and
-// make the skew observable through WindowStats; the WithRawShardWindows
-// twin must reproduce the legacy inclusion boundary, counterexample
-// included.
+// make the skew observable through WindowStats; the face-value fold
+// over the same shards must reproduce the legacy inclusion boundary,
+// counterexample included.
 func TestWindowedShardedSkew(t *testing.T) {
 	for _, r := range []float64{0.3, 0.5} {
 		for _, shards := range []int{4, 8} {
 			t.Run(fmt.Sprintf("r=%.1f/K=%d", r, shards), func(t *testing.T) {
 				stream := skewStream(307+uint64(shards)+uint64(r*10), 11*winSkewW/4, r)
-				sh := newSkewSharded(t, shards, false)
+				sh := newSkewSharded(t, shards)
 				feedChunks(t, sh, stream)
 
 				rep := sh.Report()
@@ -402,18 +429,13 @@ func TestWindowedShardedSkew(t *testing.T) {
 					t.Error("checkpoint round-trip changed the extrapolated report")
 				}
 
-				// The legacy twin reproduces the DESIGN §8 inclusion
+				// The face-value fold reproduces the DESIGN §8 inclusion
 				// boundary: raw per-shard counts clear the global
 				// threshold only when r ≥ (ϕ−ε/2)(1+(K−1)r).
-				raw := newSkewSharded(t, shards, true)
-				feedChunks(t, raw, stream)
-				_, rawHas := reportedSet(raw.Report())[1]
+				_, rawHas := faceValueFold(sh)[1]
 				wantLegacy := r >= (winSkewPhi-winSkewEps/2)*(1+float64(shards-1)*r)
 				if rawHas != wantLegacy {
-					t.Errorf("raw fold reported dominant = %v, DESIGN §8 bound predicts %v", rawHas, wantLegacy)
-				}
-				if st, ok := raw.WindowStats(); !ok || st.Extrapolated {
-					t.Errorf("raw twin must report Extrapolated=false (ok=%v, got %v)", ok, st.Extrapolated)
+					t.Errorf("face-value fold reported dominant = %v, DESIGN §8 bound predicts %v", rawHas, wantLegacy)
 				}
 			})
 		}
@@ -430,7 +452,7 @@ func reportedSet(rep []ItemEstimate) map[Item]float64 {
 }
 
 // TestWindowedShardedStaleShard: a shard whose ids stop arriving stops
-// sliding (DESIGN.md §8) — under the raw fold its frozen buckets keep
+// sliding (DESIGN.md §8) — under a face-value fold its frozen buckets keep
 // contributing at full weight, so a long-gone heavy item stays in the
 // report indefinitely. The extrapolated fold prices the frozen shard's
 // coverage against the global arrivals it actually spans and
@@ -438,19 +460,15 @@ func reportedSet(rep []ItemEstimate) map[Item]float64 {
 // heavies; the skew is observable as a large ShareSkew.
 func TestWindowedShardedStaleShard(t *testing.T) {
 	const shards = 4
-	sh := newSkewSharded(t, shards, false)
-	raw := newSkewSharded(t, shards, true)
+	sh := newSkewSharded(t, shards)
 
-	// Phase 1: item 1 dominates at 60% — heavy enough that the raw fold
-	// reports it even from its self-skewed shard.
+	// Phase 1: item 1 dominates at 60% — heavy enough that the
+	// face-value fold reports it even from its self-skewed shard.
 	phase1 := skewStream(401, 3*winSkewW/2, 0.6)
 	// Phase 2: traffic that never routes to item 1's shard, so that
 	// shard freezes with item 1's buckets live. Item heavyB carries 30%
 	// of the new regime; the background is unique light ids.
 	shardA := sh.s.ShardOf(1)
-	if raw.s.ShardOf(1) != shardA {
-		t.Fatal("twins disagree on the partition — seeds diverged")
-	}
 	pick := func(start uint64) uint64 {
 		for id := start; ; id++ {
 			if sh.s.ShardOf(id) != shardA {
@@ -469,10 +487,8 @@ func TestWindowedShardedStaleShard(t *testing.T) {
 		next = pick(next + 1)
 		phase2 = append(phase2, next)
 	}
-	for _, eng := range []*shardedSolver{sh, raw} {
-		feedChunks(t, eng, phase1)
-		feedChunks(t, eng, phase2)
-	}
+	feedChunks(t, sh, phase1)
+	feedChunks(t, sh, phase2)
 
 	got := reportedSet(sh.Report())
 	if f, ok := got[1]; ok {
@@ -481,11 +497,11 @@ func TestWindowedShardedStaleShard(t *testing.T) {
 	if _, ok := got[heavyB]; !ok {
 		t.Errorf("live heavy item %d (30%% of current traffic) missing from extrapolated report", heavyB)
 	}
-	// Regression expectation: the raw fold exhibits the §8 staleness bug
-	// — the frozen buckets contribute at full weight and item 1 (absent
-	// from the last 5·W global items) is still reported.
-	if _, ok := reportedSet(raw.Report())[1]; !ok {
-		t.Error("raw fold no longer reproduces the stale-shard bug the extrapolated fold fixes")
+	// Control: the face-value fold exhibits the §8 staleness bug — the
+	// frozen buckets contribute at full weight and item 1 (absent from
+	// the last 5·W global items) is still reported.
+	if _, ok := faceValueFold(sh)[1]; !ok {
+		t.Error("face-value fold no longer reproduces the stale-shard bug the extrapolated fold fixes")
 	}
 	st, ok := sh.WindowStats()
 	if !ok {
