@@ -59,9 +59,12 @@
 // snapshots cover the whole pool (every serializable tenant). The
 // metrics gain hhd_pool{field=...} and the pool_spill / pool_revive
 // stage histograms, and lose the engine families (hhd_items_total,
-// hhd_model_bits, hhd_shards, hhd_queue_depth): hhd_pool carries
+// hhd_model_bits, hhd_shards, hhd_queue_depth, hhd_window,
+// hhd_sentinel, hhd_guarantee_violations_total): hhd_pool carries
 // items_total and model_bits_in_use. -peers is incompatible: pool
-// states are per-node and do not merge.
+// states are per-node and do not merge, so the merge families
+// (hhd_merges_total, hhd_merge_errors_total, hhd_merge_latency_seconds,
+// hhd_merge_staleness_seconds, hhd_peers) are absent too.
 //
 // Observability: -log-format text|json and -log-level pick the slog
 // handler (debug turns on the per-request access log, one line per

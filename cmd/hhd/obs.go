@@ -48,7 +48,9 @@ type serverObs struct {
 	observedEps *obs.Histogram
 
 	// Event counts and last-value gauges the handlers, the aggregator
-	// loop and the checkpoint coordinator write directly.
+	// loop and the checkpoint coordinator write directly. The merge
+	// ones are registered with the default engine and stay nil on a
+	// tenant server, which neither serves /merge nor pulls peers.
 	shed          *obs.Counter
 	votes         *obs.Counter
 	ckpt          *obs.Counter
@@ -87,8 +89,6 @@ func newServerObs(s *server) *serverObs {
 
 	reg.GaugeFunc("hhd_uptime_seconds", "Seconds since the server started.",
 		nil, func() float64 { return time.Since(s.start).Seconds() })
-	reg.GaugeFunc("hhd_peers", "Configured aggregator peers (0 on workers).",
-		nil, func() float64 { return float64(len(s.peers)) })
 	reg.GaugeFunc("hhd_ready", "1 when /readyz answers 200, else 0.",
 		nil, func() float64 { return bit(s.isReady()) })
 	o.shed = reg.Counter("hhd_ingest_shed_total", "Ingest requests shed with 429 on saturated shard queues (with -shed-wait).", nil)
@@ -100,16 +100,6 @@ func newServerObs(s *server) *serverObs {
 	reg.GaugeFunc("hhd_checkpoint_age_seconds", "Age of the last stored snapshot; -1 = never.",
 		nil, func() float64 {
 			if last := s.ckptLastUnix.Load(); last > 0 {
-				return time.Since(time.Unix(0, last)).Seconds()
-			}
-			return -1
-		})
-	o.merges = reg.Counter("hhd_merges_total", "Successful checkpoint merges.", nil)
-	o.mergeErrors = reg.Counter("hhd_merge_errors_total", "Failed checkpoint merges or pulls.", nil)
-	o.mergeLatency = reg.Gauge("hhd_merge_latency_seconds", "Wall time of the last successful merge.", nil)
-	reg.GaugeFunc("hhd_merge_staleness_seconds", "Age of the last successful merge; -1 = never.",
-		nil, func() float64 {
-			if last := s.mergeLastUnix.Load(); last > 0 {
 				return time.Since(time.Unix(0, last)).Seconds()
 			}
 			return -1
@@ -143,13 +133,26 @@ func newServerObs(s *server) *serverObs {
 	return o
 }
 
-// registerEngine adds the families that read the default engine
-// (finish): a tenant server has no default engine, so they are absent
-// there, and hhd_pool carries the pool's items_total and
-// model_bits_in_use instead. Every one reads through s.scrapeStats, so
-// one scrape costs at most one engine barrier (the statsTTL cache).
+// registerEngine adds the families that read or merge into the default
+// engine (finish): a tenant server has no default engine, no /merge and
+// no peers, so they are absent there and its merge counters stay nil,
+// and hhd_pool carries the pool's items_total and model_bits_in_use
+// instead. Every engine read goes through s.scrapeStats, so one scrape
+// costs at most one engine barrier (the statsTTL cache).
 func (o *serverObs) registerEngine(s *server) {
 	reg := o.reg
+	reg.GaugeFunc("hhd_peers", "Configured aggregator peers (0 on workers).",
+		nil, func() float64 { return float64(len(s.peers)) })
+	o.merges = reg.Counter("hhd_merges_total", "Successful checkpoint merges.", nil)
+	o.mergeErrors = reg.Counter("hhd_merge_errors_total", "Failed checkpoint merges or pulls.", nil)
+	o.mergeLatency = reg.Gauge("hhd_merge_latency_seconds", "Wall time of the last successful merge.", nil)
+	reg.GaugeFunc("hhd_merge_staleness_seconds", "Age of the last successful merge; -1 = never.",
+		nil, func() float64 {
+			if last := s.mergeLastUnix.Load(); last > 0 {
+				return time.Since(time.Unix(0, last)).Seconds()
+			}
+			return -1
+		})
 	reg.CounterFunc("hhd_items_total", "Items accepted by the engine.",
 		nil, func() float64 { return float64(s.scrapeStats().Items) })
 	reg.GaugeFunc("hhd_model_bits", "Sketch size under the paper's accounting.",

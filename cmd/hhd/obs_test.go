@@ -242,10 +242,10 @@ func TestMetricsViewsAgree(t *testing.T) {
 	}{
 		{"engine", eng,
 			[]string{"hhd_sentinel", "hhd_queue_depth", "hhd_stage_duration_seconds"},
-			[]string{"hhd_items_total", "hhd_model_bits", "hhd_shards"}},
+			[]string{"hhd_items_total", "hhd_model_bits", "hhd_shards", "hhd_peers"}},
 		{"tenants", tenants,
 			[]string{"hhd_pool", "hhd_stage_duration_seconds"},
-			[]string{"hhd_ready", "hhd_peers"}},
+			[]string{"hhd_ready", "hhd_checkpoint_total"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			w := do(t, c.s, "GET", "/metrics", "", nil)

@@ -178,9 +178,9 @@ func TestTenantRoutes(t *testing.T) {
 
 // TestTenantServerServesOnlyTenants drives the server newTenantServer
 // builds for -tenants at the default flags: no default engine, so the
-// root engine routes, /merge and /restore answer 404 and the engine
-// metric families are absent, while the /t/{tenant} routes, the probes
-// and hhd_pool serve.
+// root engine routes, /merge and /restore answer 404 and the engine and
+// merge metric families are absent, while the /t/{tenant} routes, the
+// probes and hhd_pool serve.
 func TestTenantServerServesOnlyTenants(t *testing.T) {
 	s, err := newTenantServer(l1hh.AlgorithmOptimal, l1hh.HeavyHittersProblem, nil, 0)
 	if err != nil {
@@ -213,7 +213,11 @@ func TestTenantServerServesOnlyTenants(t *testing.T) {
 	}
 
 	sc := scrapePrometheus(t, s)
-	for _, family := range []string{"hhd_items_total", "hhd_model_bits", "hhd_shards", "hhd_queue_depth"} {
+	for _, family := range []string{
+		"hhd_items_total", "hhd_model_bits", "hhd_shards", "hhd_queue_depth",
+		"hhd_merges_total", "hhd_merge_errors_total", "hhd_merge_latency_seconds",
+		"hhd_merge_staleness_seconds", "hhd_peers",
+	} {
 		if _, ok := sc.types[family]; ok {
 			t.Errorf("engine family %s exposed without an engine", family)
 		}

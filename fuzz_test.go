@@ -135,8 +135,9 @@ func FuzzUnmarshalWindowed(f *testing.F) {
 }
 
 // anySeedBlobs produces one valid checkpoint per container tag (1–5 and
-// the problem tags 7–10) so FuzzUnmarshalAny starts from decodable
-// encodings of every kind.
+// the problem tags 7–10), plus a tag 1 blob whose Algorithm 2 T2 holds
+// escaped cells, so FuzzUnmarshalAny starts from decodable encodings of
+// every kind.
 func anySeedBlobs(tb testing.TB) [][]byte {
 	tb.Helper()
 	base := []Option{
@@ -167,6 +168,26 @@ func anySeedBlobs(tb testing.TB) [][]byte {
 		hh.Close()
 		blobs = append(blobs, blob)
 	}
+
+	// The tag 1 engine again, fed 6,000 arrivals of one id: at sample
+	// rate 1 they lift the id's T2 cell past 255 in every repetition, so
+	// the cells escape their byte rows.
+	hot, err := New(append(append([]Option{}, base...),
+		WithStreamLength(1000), WithAlgorithm(AlgorithmOptimal))...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 6000; i++ {
+		if err := hot.Insert(7); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	blob, err := hot.MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hot.Close()
+	blobs = append(blobs, blob)
 
 	// The problem engines (tags 7–10): voting ingests rankings, extremes
 	// ingest bounded items — both through the same problem-keyed front

@@ -33,16 +33,17 @@ const minEpochBase = 16
 // O(ϕ) by the median over repetitions.
 //
 // The per-sample work hashes all R buckets in one batch before the
-// coin/T2/epoch/T3 loop, T1 is a flat open-addressing table, and T3
-// holds only its non-empty rows. None of that layout changes a random
-// draw or a table value, so checkpoints, reports and ModelBits do not
-// depend on it (DESIGN.md §2).
+// coin/T2/epoch/T3 loop, T1 is a flat open-addressing table, T2 and the
+// merge credit hold one byte per cell with an escape table for the rare
+// large ones, and T3 holds only its non-empty rows. None of that layout
+// changes a random draw or a table value, so checkpoints, reports and
+// ModelBits do not depend on it (DESIGN.md §2).
 type Optimal struct {
 	cfg     Config
 	sampler *sample.Skip
 	t1      *mg.Summary
 	hashes  []hash.Func
-	t2      [][]uint32 // [rep][bucket] subsampled running counts
+	t2      cellGrid // [rep][bucket] subsampled running counts
 	// t3 maps rep·u + bucket to that bucket's accelerated counters, one
 	// per epoch. Only non-empty rows are present: most buckets never
 	// reach epoch 0.
@@ -61,6 +62,7 @@ type Optimal struct {
 	// sampled path. Derived from base; rebuilt on restore.
 	epochThresh []uint32
 	epochStart  [33]int8
+	epochByte   [256]int8 // epoch(v) for every narrow T2 value v
 	src         *rng.Source
 	s           uint64
 	offered     uint64
@@ -72,9 +74,10 @@ type Optimal struct {
 	// covers that single blind window. Merging K instances unions K blind
 	// windows, of which min(T2₁+T2₂, B) covers only one — the surplus
 	// min(T2₁,B) + min(T2₂,B) − min(T2₁+T2₂,B) accumulates here so the
-	// merged estimate stays unbiased (DESIGN.md §7). nil rows mean zero:
-	// an instance that never merged pays nothing for the field.
-	pre [][]uint32
+	// merged estimate stays unbiased (DESIGN.md §7). Its rows are
+	// allocated on first credit: an instance that never merged holds
+	// none.
+	pre cellGrid
 }
 
 // NewOptimal returns an Algorithm 2 instance for cfg.
@@ -101,7 +104,7 @@ func NewOptimal(src *rng.Source, cfg Config) (*Optimal, error) {
 		sampler: sample.NewSkip(src.Split(), p),
 		t1:      mg.New(k, cfg.N),
 		hashes:  make([]hash.Func, reps),
-		t2:      make([][]uint32, reps),
+		t2:      newCellGrid(reps, u),
 		t3:      make(map[uint64][]uint32),
 		buckets: make([]uint64, reps),
 		u:       u,
@@ -110,10 +113,11 @@ func NewOptimal(src *rng.Source, cfg Config) (*Optimal, error) {
 		epsEff:  epsEff,
 		base:    base,
 		src:     src.Split(),
+		pre:     newCellGrid(reps, u),
 	}
 	for j := 0; j < reps; j++ {
 		o.hashes[j] = hash.NewFunc(src, u)
-		o.t2[j] = make([]uint32, u)
+		o.t2.row(j) // T2 is dense: processSample indexes its rows directly
 	}
 	o.initEpochs()
 	return o, nil
@@ -173,6 +177,9 @@ func (o *Optimal) initEpochs() {
 			}
 		}
 	}
+	for v := range o.epochByte {
+		o.epochByte[v] = int8(o.epoch(uint32(v)))
+	}
 }
 
 // epoch returns refEpoch(t2, base) via the precomputed tables: start at
@@ -199,17 +206,35 @@ func (o *Optimal) Insert(x uint64) {
 
 // processSample performs the per-sample work: the T1 Misra-Gries update
 // and one accelerated-counter step per repetition, after hashing x into
-// all R buckets at once.
+// all R buckets at once. Only an escaped T2 cell reads the escape table.
 func (o *Optimal) processSample(x uint64) {
 	o.s++
 	o.t1.Insert(x)
 	hash.HashAll(o.hashes, x, o.buckets)
 	mask := (uint64(1) << o.epsK) - 1
+	rows := o.t2.rows
 	for j, i := range o.buckets {
-		if o.src.Uint64()&mask == 0 { // probability ε (power-of-two)
-			o.t2[j][i]++
+		key := uint64(j)*o.u + i
+		c := rows[j][i]
+		coin := o.src.Uint64()&mask == 0 // probability ε (power-of-two)
+		var t int
+		if c < escapeByte-1 { // narrow before and after the coin
+			if coin {
+				c++
+				rows[j][i] = c
+			}
+			t = int(o.epochByte[c])
+		} else {
+			v := uint32(c)
+			if c == escapeByte {
+				v = o.t2.esc.get(key)
+			}
+			if coin {
+				v++
+				o.t2.set(j, i, v)
+			}
+			t = o.epoch(v)
 		}
-		t := o.epoch(o.t2[j][i])
 		if t < 0 {
 			continue
 		}
@@ -223,7 +248,6 @@ func (o *Optimal) processSample(x uint64) {
 		if !ok {
 			continue
 		}
-		key := uint64(j)*o.u + i
 		row := o.t3[key]
 		if len(row) <= t {
 			row = append(row, make([]uint32, t+1-len(row))...)
@@ -252,31 +276,8 @@ func (o *Optimal) estimate(j int, x uint64) float64 {
 		p := math.Min(o.epsEff*math.Ldexp(1, t), 1)
 		f += float64(c) / p
 	}
-	pre := math.Min(float64(o.t2[j][i]), o.base) + float64(o.preAt(j, i))
+	pre := math.Min(float64(o.t2.at(j, i)), o.base) + float64(o.pre.at(j, i))
 	return f + pre/o.epsEff
-}
-
-// preAt returns the merge credit for bucket i of repetition j (0 unless a
-// merge deposited one).
-func (o *Optimal) preAt(j int, i uint64) uint32 {
-	if o.pre == nil || o.pre[j] == nil {
-		return 0
-	}
-	return o.pre[j][i]
-}
-
-// addPre deposits merge credit, allocating the row lazily.
-func (o *Optimal) addPre(j int, i uint64, v uint32) {
-	if v == 0 {
-		return
-	}
-	if o.pre == nil {
-		o.pre = make([][]uint32, o.reps)
-	}
-	if o.pre[j] == nil {
-		o.pre[j] = make([]uint32, o.u)
-	}
-	o.pre[j][i] = satAdd32(o.pre[j][i], v)
 }
 
 // Report returns every T1 candidate whose median accelerated-counter
@@ -328,15 +329,7 @@ func (o *Optimal) Buckets() uint64 { return o.u }
 func (o *Optimal) ModelBits() int64 {
 	b := o.t1.ModelBits()
 	for j := 0; j < o.reps; j++ {
-		for _, v := range o.t2[j] {
-			b += cellBits(uint64(v))
-		}
-		if o.pre != nil && o.pre[j] != nil {
-			for _, v := range o.pre[j] {
-				b += cellBits(uint64(v))
-			}
-		}
-		b += o.hashes[j].ModelBits()
+		b += o.t2.bits(j) + o.pre.bits(j) + o.hashes[j].ModelBits()
 	}
 	for _, row := range o.t3 {
 		for _, v := range row {

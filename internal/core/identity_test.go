@@ -14,8 +14,11 @@ import (
 // The digests below pin Algorithm 2's observable behaviour: every random
 // draw, table cell and report value. They were recorded on the dense
 // reference layout (a map-based T1, a DIV per bucket hash, one T3 row per
-// bucket), so any layout of the per-sample work must reproduce them bit
-// for bit.
+// bucket, a uint32 per T2 cell), so any layout of the per-sample work must
+// reproduce them bit for bit. Each case also pins ModelBits, which the
+// digests do not cover: it charges every cell at its full value, so a
+// layout that charged an escaped cell at its byte would pass the digests
+// and still under-charge.
 
 // identityStream is a Zipf(1.1) stream over 2²⁰ ranks, scattered over
 // 2³⁰ ids by a fixed bijection so hot items do not cluster.
@@ -60,6 +63,7 @@ func TestOptimalIdentityDigests(t *testing.T) {
 		name         string
 		build        func(t *testing.T) *Optimal
 		ckpt, report string
+		modelBits    int64
 	}{
 		{
 			name: "sampled p=1",
@@ -70,8 +74,9 @@ func TestOptimalIdentityDigests(t *testing.T) {
 				}
 				return o
 			},
-			ckpt:   "27ab9379157f20633b68c6efbdb19a95aa7d469a0ae69ed6b38767971ad4f58c",
-			report: "9bef8e91fe99d6eb8c99c9958c717d892901b3203ec7541c63b732ed5ba1fdc8",
+			ckpt:      "27ab9379157f20633b68c6efbdb19a95aa7d469a0ae69ed6b38767971ad4f58c",
+			report:    "9bef8e91fe99d6eb8c99c9958c717d892901b3203ec7541c63b732ed5ba1fdc8",
+			modelBits: 664619,
 		},
 		{
 			name: "skip path",
@@ -82,8 +87,9 @@ func TestOptimalIdentityDigests(t *testing.T) {
 				}
 				return o
 			},
-			ckpt:   "c82a917317bf1e3c30937c2d9e991313067800f651c4a1c72f3328be98bd659f",
-			report: "5c484b0a4c533d183085b287fd42380e9d1d0dae06232b74e9f590c87b3092cd",
+			ckpt:      "c82a917317bf1e3c30937c2d9e991313067800f651c4a1c72f3328be98bd659f",
+			report:    "5c484b0a4c533d183085b287fd42380e9d1d0dae06232b74e9f590c87b3092cd",
+			modelBits: 114754,
 		},
 		{
 			name: "two-instance merge",
@@ -101,8 +107,9 @@ func TestOptimalIdentityDigests(t *testing.T) {
 				}
 				return a
 			},
-			ckpt:   "72d9569dae1135d274845e64ad4a9e5d402617896cded7033d3e8571ef5f12ae",
-			report: "0186953154d92d430e38157ee3c04c2f82323b1749cae481c87b34a42374f198",
+			ckpt:      "72d9569dae1135d274845e64ad4a9e5d402617896cded7033d3e8571ef5f12ae",
+			report:    "0186953154d92d430e38157ee3c04c2f82323b1749cae481c87b34a42374f198",
+			modelBits: 1247163,
 		},
 		{
 			name: "paced perInsert=1",
@@ -115,8 +122,9 @@ func TestOptimalIdentityDigests(t *testing.T) {
 				p.Flush()
 				return o
 			},
-			ckpt:   "70f15370605fc51faacaec66635c8b022d1e9367338415e444c76682bf4dec3e",
-			report: "357ae9e962772a6acea3986e2c67a9813cf304a766373e5a313683b7a41399c1",
+			ckpt:      "70f15370605fc51faacaec66635c8b022d1e9367338415e444c76682bf4dec3e",
+			report:    "357ae9e962772a6acea3986e2c67a9813cf304a766373e5a313683b7a41399c1",
+			modelBits: 641020,
 		},
 		{
 			name: "restore then keep inserting",
@@ -139,8 +147,9 @@ func TestOptimalIdentityDigests(t *testing.T) {
 				}
 				return &r
 			},
-			ckpt:   "8f17b89aa60fdd05d1fdef383b977fc58828a50d8d92c7f2d1d7a696d6eb298b",
-			report: "29e3e941439cf74e729eb93738498c83fb41c33023118891f5f5b4cba819701d",
+			ckpt:      "8f17b89aa60fdd05d1fdef383b977fc58828a50d8d92c7f2d1d7a696d6eb298b",
+			report:    "29e3e941439cf74e729eb93738498c83fb41c33023118891f5f5b4cba819701d",
+			modelBits: 642422,
 		},
 	}
 	for _, c := range cases {
@@ -155,6 +164,9 @@ func TestOptimalIdentityDigests(t *testing.T) {
 			}
 			if report != c.report {
 				t.Errorf("report digest %s, want %s", report, c.report)
+			}
+			if bits := o.ModelBits(); bits != c.modelBits {
+				t.Errorf("ModelBits %d, want %d", bits, c.modelBits)
 			}
 		})
 	}

@@ -176,7 +176,7 @@ func (o *Optimal) MarshalBinary() ([]byte, error) {
 	keys := slices.Sorted(maps.Keys(o.t3))
 	for j := 0; j < o.reps; j++ {
 		o.hashes[j].Encode(w)
-		w.U32s(o.t2[j])
+		o.t2.encodeRow(w, j)
 		next, end := uint64(j)*o.u, uint64(j+1)*o.u
 		for ; len(keys) > 0 && keys[0] < end; keys = keys[1:] {
 			w.EmptySlices(int(keys[0] - next))
@@ -184,7 +184,7 @@ func (o *Optimal) MarshalBinary() ([]byte, error) {
 			next = keys[0] + 1
 		}
 		w.EmptySlices(int(end - next))
-		encodeSparseU32(w, preRow(o.pre, j))
+		o.pre.encodeSparseRow(w, j)
 	}
 	w.U64(uint64(o.epsK))
 	w.F64(o.epsEff)
@@ -217,33 +217,24 @@ func (o *Optimal) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("core: %w", wire.ErrCorrupt)
 	}
 	hashes := make([]hash.Func, reps)
-	t2 := make([][]uint32, reps)
+	t2 := newCellGrid(int(reps), u)
 	t3 := make(map[uint64][]uint32)
-	var pre [][]uint32
-	for j := uint64(0); j < reps; j++ {
+	pre := newCellGrid(int(reps), u)
+	for j := 0; j < int(reps); j++ {
 		hashes[j] = hash.DecodeFunc(r)
-		t2[j] = r.U32s()
 		// The bucket hash indexes the T2 rows and keys T3 directly, so it
 		// must be a member of the family with range exactly u.
-		if r.Err() != nil || uint64(len(t2[j])) != u || !hashes[j].Valid() || hashes[j].Range() != u {
+		if !t2.decodeRow(r, j) || !hashes[j].Valid() || hashes[j].Range() != u {
 			return fmt.Errorf("core: %w", wire.ErrCorrupt)
 		}
 		for i := uint64(0); i < u; i++ {
 			if row := r.U32s(); len(row) > 0 {
-				t3[j*u+i] = row
+				t3[uint64(j)*u+i] = row
 			}
 		}
-		if version >= 2 { // v1 predates the pre-credit rows
-			preRow, ok := decodeSparseU32(r, u)
-			if !ok {
-				return fmt.Errorf("core: %w", wire.ErrCorrupt)
-			}
-			if preRow != nil {
-				if pre == nil {
-					pre = make([][]uint32, reps)
-				}
-				pre[j] = preRow
-			}
+		// v1 predates the pre-credit rows.
+		if version >= 2 && !pre.decodeSparseRow(r, j) {
+			return fmt.Errorf("core: %w", wire.ErrCorrupt)
 		}
 	}
 	epsK := r.U64()
@@ -273,58 +264,4 @@ func (o *Optimal) UnmarshalBinary(data []byte) error {
 	}
 	o.initEpochs()
 	return nil
-}
-
-// preRow returns row j of a lazily-allocated pre-credit table (nil when
-// the table or the row was never populated).
-func preRow(pre [][]uint32, j int) []uint32 {
-	if pre == nil {
-		return nil
-	}
-	return pre[j]
-}
-
-// encodeSparseU32 writes the non-zero cells of row as (index, value)
-// pairs in ascending index order; a nil or all-zero row encodes as a
-// bare zero count, so unmerged instances pay one byte per repetition.
-func encodeSparseU32(w *wire.Writer, row []uint32) {
-	var n uint64
-	for _, v := range row {
-		if v != 0 {
-			n++
-		}
-	}
-	w.U64(n)
-	for i, v := range row {
-		if v != 0 {
-			w.U64(uint64(i))
-			w.U64(uint64(v))
-		}
-	}
-}
-
-// decodeSparseU32 reads a row written by encodeSparseU32 into a dense
-// slice of length u; nil (with ok) for an empty row, ok=false on corrupt
-// input (read error, index out of range or out of order, zero or
-// oversized value).
-func decodeSparseU32(r *wire.Reader, u uint64) ([]uint32, bool) {
-	n := r.U64()
-	if r.Err() != nil || n > u {
-		return nil, false
-	}
-	if n == 0 {
-		return nil, r.Err() == nil
-	}
-	row := make([]uint32, u)
-	last := int64(-1)
-	for ; n > 0; n-- {
-		i := r.U64()
-		v := r.U64()
-		if r.Err() != nil || i >= u || int64(i) <= last || v == 0 || v > math.MaxUint32 {
-			return nil, false
-		}
-		row[i] = uint32(v)
-		last = int64(i)
-	}
-	return row, true
 }

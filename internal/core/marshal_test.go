@@ -128,7 +128,7 @@ func marshalOptimalV1(o *Optimal) []byte {
 	w.U64(o.u)
 	for j := 0; j < o.reps; j++ {
 		o.hashes[j].Encode(w)
-		w.U32s(o.t2[j])
+		o.t2.encodeRow(w, j)
 		for i := uint64(0); i < o.u; i++ {
 			w.U32s(o.t3[uint64(j)*o.u+i])
 		}

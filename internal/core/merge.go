@@ -136,20 +136,16 @@ func (o *Optimal) Merge(other *Optimal) error {
 	if err := o.t1.Merge(other.t1); err != nil {
 		return err
 	}
+	// T2 and the credit fold row against row. A cell where other holds
+	// neither T2 nor credit would keep its value and gain no credit, so
+	// only the cells other has touched are visited.
 	for j := 0; j < o.reps; j++ {
-		for i := uint64(0); i < o.u; i++ {
-			ta, tb := uint64(o.t2[j][i]), uint64(other.t2[j][i])
-			sum := ta + tb
-			if sum > math.MaxUint32 {
-				sum = math.MaxUint32
+		t2, pre := other.t2.rows[j], other.pre.rows[j]
+		for i, c := range t2 {
+			if c == 0 && (pre == nil || pre[i] == 0) {
+				continue
 			}
-			o.t2[j][i] = uint32(sum)
-			// Blind-window credit: the surplus of the two per-instance
-			// pre-epoch covers over what min(T2, B) covers post-merge.
-			surplus := math.Min(float64(ta), o.base) + math.Min(float64(tb), o.base) -
-				math.Min(float64(sum), o.base)
-			credit := satAdd32(other.preAt(j, i), uint32(surplus+0.5))
-			o.addPre(j, i, credit)
+			o.mergeCell(other, j, uint64(i))
 		}
 	}
 	// T3 rows add cell-wise; other holds only non-empty rows, and a row
@@ -172,6 +168,23 @@ func (o *Optimal) Merge(other *Optimal) error {
 		o.maxEpoch = other.maxEpoch
 	}
 	return nil
+}
+
+// mergeCell folds other's T2 cell (j, i) and its credit into o's.
+func (o *Optimal) mergeCell(other *Optimal, j int, i uint64) {
+	ta, tb := uint64(o.t2.at(j, i)), uint64(other.t2.at(j, i))
+	sum := ta + tb
+	if sum > math.MaxUint32 {
+		sum = math.MaxUint32
+	}
+	o.t2.set(j, i, uint32(sum))
+	// Blind-window credit: the surplus of the two per-instance pre-epoch
+	// covers over what min(T2, B) covers post-merge.
+	surplus := math.Min(float64(ta), o.base) + math.Min(float64(tb), o.base) -
+		math.Min(float64(sum), o.base)
+	if credit := satAdd32(other.pre.at(j, i), uint32(surplus+0.5)); credit != 0 {
+		o.pre.set(j, i, satAdd32(o.pre.at(j, i), credit))
+	}
 }
 
 // satAdd32 adds with saturation at MaxUint32 so pathological merges clamp

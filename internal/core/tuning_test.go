@@ -116,10 +116,10 @@ func TestOptimalT3EpochsMonotone(t *testing.T) {
 			if len(row) == 0 {
 				continue
 			}
-			maxAdmissible := a.epoch(a.t2[j][i])
+			maxAdmissible := a.epoch(a.t2.at(j, i))
 			if len(row)-1 > maxAdmissible {
 				t.Fatalf("bucket (%d,%d): recorded epoch %d exceeds admissible %d (T2=%d)",
-					j, i, len(row)-1, maxAdmissible, a.t2[j][i])
+					j, i, len(row)-1, maxAdmissible, a.t2.at(j, i))
 			}
 		}
 	}

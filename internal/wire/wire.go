@@ -160,15 +160,25 @@ func (r *Reader) F64() float64 {
 	return v
 }
 
+// Length reads the length prefix of a run of elements that take at least
+// one byte each, failing when the remaining input is too short to hold
+// them, so a caller can allocate for the run before reading it. It
+// returns 0 on failure.
+func (r *Reader) Length() uint64 {
+	n := r.U64()
+	if r.err == nil && n > uint64(len(r.buf))+1 {
+		r.err = ErrCorrupt
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
 // U64s reads a length-prefixed slice.
 func (r *Reader) U64s() []uint64 {
-	n := r.U64()
-	if r.err != nil || n > uint64(len(r.buf))+1 {
-		// A length larger than the remaining bytes cannot be valid
-		// (every element takes ≥ 1 byte); fail before allocating.
-		if r.err == nil {
-			r.err = ErrCorrupt
-		}
+	n := r.Length()
+	if r.err != nil {
 		return nil
 	}
 	out := make([]uint64, n)
@@ -180,11 +190,8 @@ func (r *Reader) U64s() []uint64 {
 
 // U32s reads a length-prefixed slice of uint32.
 func (r *Reader) U32s() []uint32 {
-	n := r.U64()
-	if r.err != nil || n > uint64(len(r.buf))+1 {
-		if r.err == nil {
-			r.err = ErrCorrupt
-		}
+	n := r.Length()
+	if r.err != nil {
 		return nil
 	}
 	out := make([]uint32, n)
@@ -217,11 +224,8 @@ func (r *Reader) Blob() []byte {
 
 // Map reads a map written by Writer.Map.
 func (r *Reader) Map() map[uint64]uint64 {
-	n := r.U64()
-	if r.err != nil || n > uint64(len(r.buf))+1 {
-		if r.err == nil {
-			r.err = ErrCorrupt
-		}
+	n := r.Length()
+	if r.err != nil {
 		return nil
 	}
 	out := make(map[uint64]uint64, n)
