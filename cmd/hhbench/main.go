@@ -481,10 +481,12 @@ func expPool() {
 	probe, err := l1hh.NewPool(l1hh.WithTenantDefaults(defaults...))
 	must(err)
 	must(probe.InsertBatch("probe", batch))
-	pst, err := probe.TenantStats("probe")
-	must(err)
+	var perTenantBits int64
+	must(probe.View("probe", func(hh l1hh.HeavyHitters) error {
+		perTenantBits = hh.ModelBits()
+		return nil
+	}))
 	must(probe.Close())
-	perTenantBits := pst.ModelBits
 
 	names := make([]string, tenants)
 	for i := range names {

@@ -87,8 +87,8 @@ func (s *server) pullAndMerge(ctx context.Context, client *http.Client) error {
 	}
 	merger, ok := fresh.(l1hh.Merger)
 	if !ok {
-		// Unreachable: startup refuses -peers with windows, and every
-		// non-windowed sharded engine merges.
+		// Unreachable: startup refuses -peers with windows and at -m 0,
+		// and every known-length non-windowed sharded engine merges.
 		fresh.Close()
 		return fmt.Errorf("aggregator engine %T does not merge", fresh)
 	}

@@ -147,6 +147,41 @@ func TestMergeKindMismatch(t *testing.T) {
 	}
 }
 
+// TestUnknownLengthRefusesPointAndMerge: at the default -m 0 the daemon
+// serves an unknown-length sharded engine, which can neither bound a
+// per-item estimate nor fold a peer's checkpoint. /point answers 409
+// rather than an estimate of 0 for an item /report lists, and /merge of
+// a valid known-length checkpoint answers 409 rather than 400.
+func TestUnknownLengthRefusesPointAndMerge(t *testing.T) {
+	s := newTestServer(t, 0)
+	items := make([]uint64, 20_000)
+	for i := range items {
+		items[i] = uint64(1000 + i)
+		if i%2 == 0 {
+			items[i] = 7
+		}
+	}
+	if w := do(t, s, "POST", "/ingest", "application/octet-stream", binaryBody(items)); w.Code != http.StatusOK {
+		t.Fatalf("ingest status %d: %s", w.Code, w.Body)
+	}
+	if rep := decodeReport(t, do(t, s, "GET", "/report", "", nil)); len(rep.HeavyHitters) == 0 || rep.HeavyHitters[0].Item != 7 {
+		t.Fatalf("report %+v does not lead with the planted item 7", rep.HeavyHitters)
+	}
+	if w := do(t, s, "GET", "/point?item=7", "", nil); w.Code != http.StatusConflict {
+		t.Fatalf("point on an unknown-length engine: status %d, want 409 (%s)", w.Code, w.Body)
+	}
+
+	peer := newTestServer(t, 50_000)
+	do(t, peer, "POST", "/ingest", "application/octet-stream", binaryBody(items[:100]))
+	cp := do(t, peer, "POST", "/checkpoint", "", nil)
+	if cp.Code != http.StatusOK {
+		t.Fatalf("peer checkpoint status %d: %s", cp.Code, cp.Body)
+	}
+	if w := do(t, s, "POST", "/merge", "application/octet-stream", cp.Body.Bytes()); w.Code != http.StatusConflict {
+		t.Fatalf("merge into an unknown-length engine: status %d, want 409 (%s)", w.Code, w.Body)
+	}
+}
+
 // TestClusterAggregatorLoop drives the aggregator against two live
 // worker HTTP servers while reports and metrics are scraped concurrently
 // (run under -race in CI): the merged view must converge to the full

@@ -8,6 +8,7 @@ package main
 // servers do not collide.
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"time"
@@ -107,7 +108,7 @@ func newServerObs(s *server) *serverObs {
 
 	// The multi-tenant pool's occupancy (with -tenants): nil without a
 	// pool omits the family, headers included. pool.Stats is cheap (a
-	// mutex, no engine barrier), so it needs no statsTTL cache.
+	// mutex, no engine barrier), so it is read per series.
 	reg.SeriesFunc("hhd_pool", "Multi-tenant pool occupancy, labeled by field (with -tenants).",
 		obs.TypeGauge, func() []obs.Sample {
 			p := s.pool
@@ -137,8 +138,9 @@ func newServerObs(s *server) *serverObs {
 // engine (finish): a tenant server has no default engine, no /merge and
 // no peers, so they are absent there and its merge counters stay nil,
 // and hhd_pool carries the pool's items_total and model_bits_in_use
-// instead. Every engine read goes through s.scrapeStats, so one scrape
-// costs at most one engine barrier (the statsTTL cache).
+// instead. Every engine read goes through s.scrape, the snapshot
+// handleMetrics takes once per scrape, so a scrape costs one engine
+// barrier.
 func (o *serverObs) registerEngine(s *server) {
 	reg := o.reg
 	reg.GaugeFunc("hhd_peers", "Configured aggregator peers (0 on workers).",
@@ -154,14 +156,14 @@ func (o *serverObs) registerEngine(s *server) {
 			return -1
 		})
 	reg.CounterFunc("hhd_items_total", "Items accepted by the engine.",
-		nil, func() float64 { return float64(s.scrapeStats().Items) })
+		nil, func() float64 { return float64(s.scrape.Items) })
 	reg.GaugeFunc("hhd_model_bits", "Sketch size under the paper's accounting.",
-		nil, func() float64 { return float64(s.scrapeStats().ModelBits) })
+		nil, func() float64 { return float64(s.scrape.ModelBits) })
 	reg.GaugeFunc("hhd_shards", "Shard count of the live engine.",
-		nil, func() float64 { return float64(s.scrapeStats().Shards) })
+		nil, func() float64 { return float64(s.scrape.Shards) })
 	reg.SeriesFunc("hhd_queue_depth", "Per-shard ingest queue occupancy in batches.",
 		obs.TypeGauge, func() []obs.Sample {
-			depths := s.scrapeStats().QueueDepths
+			depths := s.scrape.QueueDepths
 			out := make([]obs.Sample, len(depths))
 			for i, d := range depths {
 				out[i] = obs.Sample{Labels: obs.L("shard", fmt.Sprint(i)), Value: float64(d)}
@@ -179,7 +181,7 @@ func (o *serverObs) registerEngine(s *server) {
 	// report fold corrects for them.
 	reg.SeriesFunc("hhd_window", "Sliding-window coverage, labeled by field (with -window/-window-duration).",
 		obs.TypeGauge, func() []obs.Sample {
-			w := s.scrapeStats().Window
+			w := s.scrape.Window
 			if w == nil {
 				return nil
 			}
@@ -196,7 +198,7 @@ func (o *serverObs) registerEngine(s *server) {
 		})
 	reg.SeriesFunc("hhd_sentinel", "Accuracy sentinel audit state, labeled by field (with -sentinel).",
 		obs.TypeGauge, func() []obs.Sample {
-			sen := s.scrapeStats().Sentinel
+			sen := s.scrape.Sentinel
 			if sen == nil {
 				return nil
 			}
@@ -216,7 +218,7 @@ func (o *serverObs) registerEngine(s *server) {
 	reg.CounterFunc("hhd_guarantee_violations_total",
 		"Accuracy sentinel: cumulative (ε,ϕ)-guarantee violations (with -sentinel).",
 		nil, func() float64 {
-			if sen := s.scrapeStats().Sentinel; sen != nil {
+			if sen := s.scrape.Sentinel; sen != nil {
 				return float64(sen.Violations)
 			}
 			return 0
@@ -267,14 +269,22 @@ func (o *serverObs) observeSentinel(st l1hh.Stats) {
 
 // handleMetrics serves GET /metrics from the server's registry: JSON
 // by default, Prometheus text exposition format with
-// ?format=prometheus. A failed write means the client is gone; there is
-// nothing useful left to send.
+// ?format=prometheus. An engine server first takes the scrape's one
+// Stats snapshot. The registry renders into a buffer under scrapeMu, so
+// a slow client never holds up the next scrape. A failed write means
+// the client is gone; there is nothing useful left to send.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	render, ctype := s.obs.reg.WriteJSON, "application/json; charset=utf-8"
 	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", obs.ContentType)
-		s.obs.reg.WritePrometheus(w)
-		return
+		render, ctype = s.obs.reg.WritePrometheus, obs.ContentType
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	s.obs.reg.WriteJSON(w)
+	var buf bytes.Buffer
+	s.scrapeMu.Lock()
+	if s.pool == nil {
+		s.scrape = s.engineStats()
+	}
+	render(&buf)
+	s.scrapeMu.Unlock()
+	w.Header().Set("Content-Type", ctype)
+	w.Write(buf.Bytes())
 }

@@ -366,7 +366,11 @@ func TestPoolCoordinatorResume(t *testing.T) {
 		t.Fatalf("restored pool census: %+v", st)
 	}
 	for i := 0; i < 3; i++ {
-		rep, err := restored.Report(fmt.Sprintf("t%d", i))
+		var rep []l1hh.ItemEstimate
+		err := restored.View(fmt.Sprintf("t%d", i), func(hh l1hh.HeavyHitters) error {
+			rep = hh.Report()
+			return nil
+		})
 		if err != nil || len(rep) == 0 || rep[0].Item != uint64(500+i) {
 			t.Fatalf("restored t%d: rep=%v err=%v", i, rep, err)
 		}

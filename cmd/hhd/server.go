@@ -75,13 +75,12 @@ type server struct {
 	// reqSeq numbers requests for the access log and X-Request-Id.
 	reqSeq atomic.Uint64
 
-	// One engine Stats barrier serves every gauge of a metrics scrape:
-	// the registry reads each GaugeFunc independently, so without the
-	// cache a single GET /metrics would pay one all-shards barrier per
+	// scrape is the engine Stats snapshot handleMetrics takes once per
+	// scrape, under scrapeMu; every engine family of that scrape reads
+	// it, so a GET /metrics pays one all-shards barrier, not one per
 	// gauge.
-	statsMu    sync.Mutex
-	statsAt    time.Time
-	statsCache l1hh.Stats
+	scrapeMu sync.Mutex
+	scrape   l1hh.Stats
 
 	// peers is the aggregator configuration: worker base URLs this node
 	// pulls checkpoints from. Set once before the server starts serving;
@@ -138,10 +137,6 @@ const maxSnapshotBody = 1 << 30
 // cannot pin a handler expanding it (the expansion is item-by-item).
 const maxLineCount = 1 << 24
 
-// statsTTL is how long a metrics-scrape Stats snapshot is reused; it
-// spans one registry pass without making dashboards visibly stale.
-const statsTTL = 250 * time.Millisecond
-
 // newServer builds the engine for spec and the routing table.
 func newServer(spec engineSpec) (*server, error) {
 	s := newShell(spec)
@@ -195,8 +190,7 @@ func (s *server) unmarshal(blob []byte) (l1hh.HeavyHitters, error) {
 // swap installs eng as the serving engine (/restore, the aggregator's
 // pull cycle) and closes the one it replaces. The write lock waits out
 // every withEngine call in flight — an ingest batch, a merge, a report
-// — so none of them runs on a closed engine. The cached scrape
-// snapshot is dropped, so the next scrape reads eng.
+// — so none of them runs on a closed engine.
 func (s *server) swap(eng l1hh.HeavyHitters) l1hh.Stats {
 	st := eng.Stats()
 	s.mu.Lock()
@@ -204,9 +198,6 @@ func (s *server) swap(eng l1hh.HeavyHitters) l1hh.Stats {
 	s.eng = eng
 	s.mu.Unlock()
 	old.Close()
-	s.statsMu.Lock()
-	s.statsAt = time.Time{}
-	s.statsMu.Unlock()
 	return st
 }
 
@@ -386,19 +377,6 @@ func (s *server) marshalEngine() ([]byte, error) {
 	)
 	s.withEngine(func(eng l1hh.HeavyHitters) { blob, err = eng.MarshalBinary() })
 	return blob, err
-}
-
-// scrapeStats returns the engine's Stats, reusing a snapshot younger
-// than statsTTL so one metrics scrape costs one barrier.
-func (s *server) scrapeStats() l1hh.Stats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	if !s.statsAt.IsZero() && time.Since(s.statsAt) < statsTTL {
-		return s.statsCache
-	}
-	s.statsCache = s.engineStats()
-	s.statsAt = time.Now()
-	return s.statsCache
 }
 
 // shutdown stops accepting state changes and drains the default engine,

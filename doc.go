@@ -72,7 +72,7 @@
 //	min := e.(l1hh.Extremes)                 // MinFrequencyProblem, MaxFrequencyProblem
 //	est, bound, _ := min.MinItem()           // estimate within bound = ε·m
 //
-//	if q, ok := hh.(l1hh.PointQuerier); ok { // serial and sharded heavy hitters
+//	if q, ok := hh.(l1hh.PointQuerier); ok { // heavy hitters with a known stream length
 //		_ = q.Estimate(17)                   // any item's frequency ± ε·m
 //	}
 //
@@ -93,17 +93,22 @@
 // (DESIGN.md §13). One budget of B bits serves far more than
 // B/ModelBits tenants; only the hot set is resident.
 //
+//	store, err := l1hh.NewDiskSpillStore(spillDir)
+//	if err != nil { ... }
 //	p, err := l1hh.NewPool(
 //		l1hh.WithTenantDefaults(
 //			l1hh.WithEps(0.01), l1hh.WithPhi(0.05),
 //			l1hh.WithStreamLength(1_000_000), l1hh.WithSeed(42)),
-//		l1hh.WithPoolBudget(50_000_000),                      // bits; 0 = never evict
-//		l1hh.WithPoolSpill(l1hh.NewDiskSpillStore(spillDir)), // default: in-memory
+//		l1hh.WithPoolBudget(50_000_000), // bits; 0 = never evict
+//		l1hh.WithPoolSpill(store),       // default: in-memory
 //	)
 //	if err != nil { ... }
-//	_ = p.Insert("alice", 17)                 // first touch builds alice's engine
-//	rep, err := p.Report("alice")             // revives alice if she was spilled
-//	blob, _ := p.MarshalBinary()              // whole pool, spilled tenants included
+//	_ = p.Insert("alice", 17) // first touch builds alice's engine
+//	err = p.View("alice", func(hh l1hh.HeavyHitters) error {
+//		rep := hh.Report() // revives alice if she was spilled
+//		...
+//	})
+//	blob, _ := p.MarshalBinary() // whole pool, spilled tenants included
 //	restored, err := l1hh.UnmarshalPool(blob, l1hh.WithTenantDefaults( /* same */ ))
 //
 // Time-window and accuracy-sentinel tenants are pinned resident (their

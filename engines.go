@@ -6,6 +6,7 @@ package l1hh
 // serial solver or a window of serial solvers (DESIGN.md §9).
 
 import (
+	"encoding"
 	"errors"
 	"fmt"
 	"time"
@@ -53,7 +54,7 @@ const (
 )
 
 // taggedMarshal prefixes the engine tag to the engine's own encoding.
-func taggedMarshal(tag byte, m interface{ MarshalBinary() ([]byte, error) }) ([]byte, error) {
+func taggedMarshal(tag byte, m encoding.BinaryMarshaler) ([]byte, error) {
 	blob, err := m.MarshalBinary()
 	if err != nil {
 		return nil, err
@@ -67,65 +68,31 @@ func taggedMarshal(tag byte, m interface{ MarshalBinary() ([]byte, error) }) ([]
 func buildSerial(cfg config) (*serialSolver, error) {
 	cfg.fill()
 	src := rng.New(cfg.Seed)
-	if cfg.StreamLength == 0 {
-		// The staggering technique of Theorem 7 applies to Algorithm 1
-		// (the paper notes it does not transfer to Algorithm 2).
-		u, err := unknown.NewListHH(src, cfg.Eps, cfg.Phi, cfg.Delta, cfg.Universe)
-		if err != nil {
-			return nil, err
-		}
-		return &serialSolver{
-			insert: u.Insert, report: u.Report, bits: u.ModelBits, length: u.Len,
-			marshal: func() ([]byte, error) {
-				return nil, errors.New("l1hh: unknown-length solvers are not serializable")
-			},
-			eps: cfg.Eps, phi: cfg.Phi,
-		}, nil
-	}
 	ccfg := core.Config{
 		Eps: cfg.Eps, Phi: cfg.Phi, Delta: cfg.Delta,
 		M: cfg.StreamLength, N: cfg.Universe,
 	}
-	switch cfg.Algorithm {
-	case AlgorithmOptimal:
-		a, err := core.NewOptimal(src, ccfg)
-		if err != nil {
-			return nil, err
-		}
-		h := newSerialOver(a, tagOptimal, cfg.Eps, cfg.Phi)
-		h.applyPacing(cfg.PacedBudget, a)
-		return h, nil
-	case AlgorithmSimple:
-		a, err := core.NewSimpleList(src, ccfg)
-		if err != nil {
-			return nil, err
-		}
-		h := newSerialOver(a, tagSimple, cfg.Eps, cfg.Phi)
-		h.applyPacing(cfg.PacedBudget, a)
-		return h, nil
+	h := &serialSolver{eps: cfg.Eps, phi: cfg.Phi}
+	var err error
+	switch {
+	case cfg.StreamLength == 0:
+		// The staggering technique of Theorem 7 applies to Algorithm 1
+		// (the paper notes it does not transfer to Algorithm 2).
+		h.e, err = unknown.NewListHH(src, cfg.Eps, cfg.Phi, cfg.Delta, cfg.Universe)
+	case cfg.Algorithm == AlgorithmOptimal:
+		h.tag = tagOptimal
+		h.e, err = core.NewOptimal(src, ccfg)
+	case cfg.Algorithm == AlgorithmSimple:
+		h.tag = tagSimple
+		h.e, err = core.NewSimpleList(src, ccfg)
 	default:
 		return nil, errors.New("l1hh: unknown algorithm")
 	}
-}
-
-// serialEngine is what a known-length serial solver wraps: the shared
-// method set of *core.Optimal and *core.SimpleList.
-type serialEngine interface {
-	Insert(x uint64)
-	Report() []ItemEstimate
-	ModelBits() int64
-	Len() uint64
-	MarshalBinary() ([]byte, error)
-}
-
-// newSerialOver wires a serialSolver over a known-length core engine.
-func newSerialOver(a serialEngine, tag byte, eps, phi float64) *serialSolver {
-	return &serialSolver{
-		insert: a.Insert, report: a.Report, bits: a.ModelBits, length: a.Len,
-		marshal: func() ([]byte, error) { return taggedMarshal(tag, a) },
-		engine:  a,
-		eps:     eps, phi: phi,
+	if err != nil {
+		return nil, err
 	}
+	h.applyPacing(cfg.PacedBudget)
+	return h, nil
 }
 
 // unmarshalSerial reconstructs a known-length serial solver from a tag
@@ -135,24 +102,24 @@ func unmarshalSerial(data []byte) (*serialSolver, error) {
 	if len(data) < 2 {
 		return nil, errors.New("l1hh: truncated solver encoding")
 	}
+	var e interface {
+		hhEngine
+		encoding.BinaryUnmarshaler
+		Params() core.Config
+	}
 	switch data[0] {
 	case tagOptimal:
-		a := new(core.Optimal)
-		if err := a.UnmarshalBinary(data[1:]); err != nil {
-			return nil, err
-		}
-		p := a.Params()
-		return newSerialOver(a, tagOptimal, p.Eps, p.Phi), nil
+		e = new(core.Optimal)
 	case tagSimple:
-		a := new(core.SimpleList)
-		if err := a.UnmarshalBinary(data[1:]); err != nil {
-			return nil, err
-		}
-		p := a.Params()
-		return newSerialOver(a, tagSimple, p.Eps, p.Phi), nil
+		e = new(core.SimpleList)
 	default:
 		return nil, errors.New("l1hh: unrecognized solver encoding")
 	}
+	if err := e.UnmarshalBinary(data[1:]); err != nil {
+		return nil, err
+	}
+	p := e.Params()
+	return &serialSolver{e: e, tag: data[0], eps: p.Eps, phi: p.Phi}, nil
 }
 
 // minWindowEps is the smallest ε a windowed solver accepts: 2⁻¹³ ≈
@@ -449,11 +416,7 @@ func unmarshalSharded(data []byte, queueDepth, maxBatch int, clock func() time.T
 		if err != nil {
 			return nil, err
 		}
-		if pacedBudget > 0 {
-			if p, ok := e.engine.(core.Pacable); ok {
-				e.applyPacing(pacedBudget, p)
-			}
-		}
+		e.applyPacing(pacedBudget)
 		return e, nil
 	}, shard.Options{QueueDepth: queueDepth, MaxBatch: maxBatch, Hooks: hooks})
 	if err != nil {

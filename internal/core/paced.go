@@ -81,6 +81,9 @@ func (p *Paced) Flush() {
 	p.head = 0
 }
 
+// PerInsert returns the per-insert work budget the queue was built with.
+func (p *Paced) PerInsert() int { return p.perInsert }
+
 // Pending returns the current queue backlog (diagnostics).
 func (p *Paced) Pending() int { return len(p.queue) - p.head }
 

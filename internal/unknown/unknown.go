@@ -40,13 +40,18 @@ const milestoneSafety = 0.5
 // maxGuess caps guessed lengths to keep arithmetic in range.
 const maxGuess = uint64(1) << 62
 
+// instance is the method set the scheduler drives on the solvers it
+// staggers.
+type instance[T any] interface {
+	Insert(x T)
+	ModelBits() int64
+}
+
 // scheduler runs the staggered-instance lifecycle for any solver type I
 // fed items of type T.
-type scheduler[T any, I any] struct {
+type scheduler[T any, I instance[T]] struct {
 	r        float64
 	spawn    func(guess uint64) (I, error)
-	insert   func(I, T)
-	bits     func(I) int64
 	counter  *morris.Ensemble
 	older    I
 	newer    I
@@ -56,12 +61,8 @@ type scheduler[T any, I any] struct {
 	offered  uint64  // diagnostics only; not part of the space accounting
 }
 
-func newScheduler[T any, I any](
-	src *rng.Source,
-	eps float64,
-	spawn func(guess uint64) (I, error),
-	insert func(I, T),
-	bits func(I) int64,
+func newScheduler[T any, I instance[T]](
+	src *rng.Source, eps float64, spawn func(guess uint64) (I, error),
 ) (*scheduler[T, I], error) {
 	if eps <= 0 || eps > 0.5 {
 		return nil, fmt.Errorf("unknown: eps = %v out of (0, 0.5]", eps)
@@ -70,8 +71,6 @@ func newScheduler[T any, I any](
 	s := &scheduler[T, I]{
 		r:       r,
 		spawn:   spawn,
-		insert:  insert,
-		bits:    bits,
 		counter: morris.NewEnsemble(src.Split(), morrisEnsemble),
 		mileIdx: 2,
 	}
@@ -104,9 +103,9 @@ func guessFor(r float64, k int) uint64 {
 func (s *scheduler[T, I]) Insert(x T) {
 	s.offered++
 	s.counter.Inc()
-	s.insert(s.older, x)
+	s.older.Insert(x)
 	if s.haveNew {
-		s.insert(s.newer, x)
+		s.newer.Insert(x)
 	}
 	if float64(s.counter.Estimate()) >= milestoneSafety*s.nextMile {
 		s.advance()
@@ -141,9 +140,9 @@ func (s *scheduler[T, I]) Offered() uint64 { return s.offered }
 // ModelBits charges the live instances plus the Morris counter — the
 // "+O(log log m)" of Theorems 7 and 8.
 func (s *scheduler[T, I]) ModelBits() int64 {
-	b := s.counter.ModelBits() + s.bits(s.older)
+	b := s.counter.ModelBits() + s.older.ModelBits()
 	if s.haveNew {
-		b += s.bits(s.newer)
+		b += s.newer.ModelBits()
 	}
 	return b
 }

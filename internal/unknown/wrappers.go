@@ -23,8 +23,7 @@ func NewListHH(src *rng.Source, eps, phi, delta float64, n uint64) (*ListHH, err
 			Eps: eps, Phi: phi, Delta: delta, M: guess, N: n, Tuning: tun,
 		})
 	}
-	sched, err := newScheduler[uint64](src, eps, spawn,
-		(*core.SimpleList).Insert, (*core.SimpleList).ModelBits)
+	sched, err := newScheduler[uint64](src, eps, spawn)
 	if err != nil {
 		return nil, err
 	}
@@ -59,8 +58,7 @@ func NewMaximum(src *rng.Source, eps, delta float64, n uint64) (*Maximum, error)
 			Eps: eps, Delta: delta, M: guess, N: n, Tuning: tun,
 		})
 	}
-	sched, err := newScheduler[uint64](src, eps, spawn,
-		(*core.Maximum).Insert, (*core.Maximum).ModelBits)
+	sched, err := newScheduler[uint64](src, eps, spawn)
 	if err != nil {
 		return nil, err
 	}
@@ -98,8 +96,7 @@ func NewMinimum(src *rng.Source, eps, delta float64, n uint64) (*Minimum, error)
 			Eps: eps, Delta: delta, M: guess, N: n, Tuning: tun,
 		})
 	}
-	sched, err := newScheduler[uint64](src, eps, spawn,
-		(*minimum.Solver).Insert, (*minimum.Solver).ModelBits)
+	sched, err := newScheduler[uint64](src, eps, spawn)
 	if err != nil {
 		return nil, err
 	}
@@ -131,8 +128,7 @@ func NewBorda(src *rng.Source, n int, eps, delta float64) (*Borda, error) {
 			SampleConst: 6 / eps, // Theorem 8's 1/ε boost
 		})
 	}
-	sched, err := newScheduler[voting.Ranking](src, eps, spawn,
-		(*voting.BordaSketch).Insert, (*voting.BordaSketch).ModelBits)
+	sched, err := newScheduler[voting.Ranking](src, eps, spawn)
 	if err != nil {
 		return nil, err
 	}
@@ -168,8 +164,7 @@ func NewMaximin(src *rng.Source, n int, eps, delta float64) (*Maximin, error) {
 			SampleConst: 8 / eps,
 		})
 	}
-	sched, err := newScheduler[voting.Ranking](src, eps, spawn,
-		(*voting.MaximinSketch).Insert, (*voting.MaximinSketch).ModelBits)
+	sched, err := newScheduler[voting.Ranking](src, eps, spawn)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,11 @@
 package l1hh
 
-import "repro/internal/core"
+import (
+	"encoding"
+
+	"repro/internal/core"
+	"repro/internal/shard"
+)
 
 // Item identifies a universe element; items are ids in [0, Universe).
 type Item = uint64
@@ -64,18 +69,15 @@ func (c *config) fill() {
 // serial adapters (solver.go), and the sharded and windowed containers
 // run one per shard or bucket.
 type serialSolver struct {
-	insert  func(Item)
-	report  func() []ItemEstimate
-	bits    func() int64
-	length  func() uint64
-	marshal func() ([]byte, error)
-
-	// engine is the concrete solver (*core.Optimal or *core.SimpleList)
-	// behind the closures; nil for unknown-length solvers. mergeFrom
-	// folds engines directly.
-	engine any
+	// e is the engine: *core.Optimal, *core.SimpleList, or the
+	// unknown-length *unknown.ListHH.
+	e hhEngine
+	// tag is the engine's checkpoint tag (tagOptimal or tagSimple); 0
+	// marks the unknown-length engine, which neither serializes nor
+	// merges.
+	tag byte
 	// paced is non-nil when inserts are routed through a de-amortization
-	// queue; merging flushes it first so no table work is outstanding.
+	// queue; every read flushes it first, so results are unchanged.
 	paced *core.Paced
 
 	// eps and phi are the problem parameters the solver was built with,
@@ -83,46 +85,62 @@ type serialSolver struct {
 	eps, phi float64
 }
 
-// applyPacing routes inserts through a core.Paced queue when a budget is
-// set, flushing before every report or checkpoint so results are
-// unchanged.
-func (h *serialSolver) applyPacing(budget int, inner core.Pacable) {
-	if budget <= 0 {
-		return
+// hhEngine is the method set the heavy hitters engines share —
+// *core.Optimal, *core.SimpleList and *unknown.ListHH — which is also
+// the shard layer's engine contract.
+type hhEngine = shard.Engine
+
+// applyPacing routes inserts through a core.Paced queue of budget units
+// per insert; a non-positive budget, or an engine without the pacing
+// seam (unknown length), leaves the solver unpaced.
+func (h *serialSolver) applyPacing(budget int) {
+	if p, ok := h.e.(core.Pacable); ok && budget > 0 {
+		h.paced = core.NewPaced(p, budget)
 	}
-	p := core.NewPaced(inner, budget)
-	h.paced = p
-	baseReport, baseMarshal := h.report, h.marshal
-	h.insert = p.Insert
-	h.report = func() []ItemEstimate {
-		p.Flush()
-		return baseReport()
-	}
-	h.marshal = func() ([]byte, error) {
-		p.Flush()
-		return baseMarshal()
+}
+
+// flush drains deferred paced work so the engine reflects every accepted
+// item.
+func (h *serialSolver) flush() {
+	if h.paced != nil {
+		h.paced.Flush()
 	}
 }
 
 // MarshalBinary serializes the solver's complete state (tables, hash
 // seeds, sampler position) as a tag 1–2 checkpoint. Only
 // known-stream-length solvers are serializable.
-func (h *serialSolver) MarshalBinary() ([]byte, error) { return h.marshal() }
+func (h *serialSolver) MarshalBinary() ([]byte, error) {
+	if h.tag == 0 {
+		return nil, errNotSerializable
+	}
+	h.flush()
+	return taggedMarshal(h.tag, h.e.(encoding.BinaryMarshaler))
+}
 
 // Insert processes one stream item in O(1) time.
-func (h *serialSolver) Insert(x Item) { h.insert(x) }
+func (h *serialSolver) Insert(x Item) {
+	if h.paced != nil {
+		h.paced.Insert(x)
+		return
+	}
+	h.e.Insert(x)
+}
 
 // Report returns the heavy hitters with frequency estimates, in
 // decreasing-estimate order. With probability ≥ 1−δ: every item with
 // f ≥ ϕ·m appears, no item with f ≤ (ϕ−ε)·m appears, and every estimate
 // is within ε·m.
-func (h *serialSolver) Report() []ItemEstimate { return h.report() }
+func (h *serialSolver) Report() []ItemEstimate {
+	h.flush()
+	return h.e.Report()
+}
 
 // ModelBits reports the sketch size under the paper's accounting.
-func (h *serialSolver) ModelBits() int64 { return h.bits() }
+func (h *serialSolver) ModelBits() int64 { return h.e.ModelBits() }
 
 // Len returns the number of items inserted so far.
-func (h *serialSolver) Len() uint64 { return h.length() }
+func (h *serialSolver) Len() uint64 { return h.e.Len() }
 
 // Eps returns the additive-error parameter ε the solver was built with
 // (preserved across checkpoint restores).
@@ -133,17 +151,13 @@ func (h *serialSolver) Eps() float64 { return h.eps }
 func (h *serialSolver) Phi() float64 { return h.phi }
 
 // Estimate returns the frequency estimate for x over the whole stream,
-// within ε·m for ϕ-heavy items whp (the §3 point-query bound); 0 when
-// the engine cannot answer (unknown stream length). Paced work is
-// flushed first so the answer covers every accepted item.
+// within ε·m for ϕ-heavy items whp (the §3 point-query bound). Only the
+// known-length engines answer; the adapters that expose PointQuerier
+// wrap nothing else. Paced work is flushed first so the answer covers
+// every accepted item.
 func (h *serialSolver) Estimate(x Item) float64 {
-	if h.paced != nil {
-		h.paced.Flush()
-	}
-	if e, ok := h.engine.(interface{ Estimate(uint64) float64 }); ok {
-		return e.Estimate(x)
-	}
-	return 0
+	h.flush()
+	return h.e.(PointQuerier).Estimate(x)
 }
 
 // Stats returns the unified operational snapshot (see Stats).

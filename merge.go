@@ -70,25 +70,24 @@ func checkMergeTag(checkpoint []byte, own ...byte) error {
 }
 
 // canMergeFrom validates a mergeFrom without mutating either solver.
+// Unknown-length engines (tag 0) never reach it: their adapters are not
+// Mergers.
 func (h *serialSolver) canMergeFrom(other *serialSolver) error {
-	if h.engine == nil || other.engine == nil {
-		return errors.New("l1hh: unknown-length solvers are not mergeable")
-	}
-	switch a := h.engine.(type) {
+	switch a := h.e.(type) {
 	case *core.Optimal:
-		b, ok := other.engine.(*core.Optimal)
+		b, ok := other.e.(*core.Optimal)
 		if !ok {
 			return merge.Incompatiblef("l1hh: cannot merge AlgorithmOptimal with AlgorithmSimple")
 		}
 		return a.CanMerge(b)
 	case *core.SimpleList:
-		b, ok := other.engine.(*core.SimpleList)
+		b, ok := other.e.(*core.SimpleList)
 		if !ok {
 			return merge.Incompatiblef("l1hh: cannot merge AlgorithmSimple with AlgorithmOptimal")
 		}
 		return a.CanMerge(b)
 	default:
-		return fmt.Errorf("l1hh: engine %T is not mergeable", h.engine)
+		return fmt.Errorf("l1hh: engine %T is not mergeable", h.e)
 	}
 }
 
@@ -102,20 +101,12 @@ func (h *serialSolver) mergeFrom(other *serialSolver) error {
 	if err := h.canMergeFrom(other); err != nil {
 		return err
 	}
-	if h.paced != nil {
-		h.paced.Flush()
+	h.flush()
+	other.flush()
+	if a, ok := h.e.(*core.Optimal); ok {
+		return a.Merge(other.e.(*core.Optimal))
 	}
-	if other.paced != nil {
-		other.paced.Flush()
-	}
-	switch a := h.engine.(type) {
-	case *core.Optimal:
-		return a.Merge(other.engine.(*core.Optimal))
-	case *core.SimpleList:
-		return a.Merge(other.engine.(*core.SimpleList))
-	default: // unreachable: canMergeFrom vetted the type
-		return fmt.Errorf("l1hh: engine %T is not mergeable", h.engine)
-	}
+	return h.e.(*core.SimpleList).Merge(other.e.(*core.SimpleList))
 }
 
 // MergeEngine implements the shard-layer merge contract
@@ -159,25 +150,35 @@ func (h *shardedSolver) mergeCheckpoint(blob []byte) error {
 	})
 }
 
-// checkMergeCheckpoint reports whether mergeCheckpoint(blob) would
-// succeed, without mutating any live shard: the container frame checks,
-// the foreign rebuild, and the per-shard compatibility pass all run
-// exactly as in the merge's check phase. It backs the Merger.CheckMerge
-// capability of the unified front door.
-func (h *shardedSolver) checkMergeCheckpoint(blob []byte) error {
-	snap, err := h.parseMergeFrame(blob)
+// CheckMerge implements Merger without mutating any shard: the
+// container frame checks, the foreign rebuild, and the per-shard
+// compatibility pass all run exactly as in mergeCheckpoint's check
+// phase.
+func (s *shardedHH) CheckMerge(checkpoint []byte) error {
+	snap, err := s.parseMergeFrame(checkpoint)
 	if err != nil {
 		return err
 	}
-	return h.s.CheckSnapshot(snap, func(i, total int, b []byte) (shard.Engine, error) {
+	return s.s.CheckSnapshot(snap, func(i, total int, b []byte) (shard.Engine, error) {
 		return unmarshalSerial(b)
 	})
+}
+
+// Merge implements Merger, folding a peer node's checkpoint shard by
+// shard (DESIGN.md §7); failure is atomic. A successful merge marks the
+// accuracy sentinel incoherent — the folded stream was never sampled.
+func (s *shardedHH) Merge(checkpoint []byte) error {
+	if err := s.mergeCheckpoint(checkpoint); err != nil {
+		return err
+	}
+	s.sen.markForeign()
+	return nil
 }
 
 // parseMergeFrame validates a checkpoint container for merging into h —
 // sharded, non-windowed, matching problem parameters — and returns the
 // nested shard snapshot. h itself is never windowed: only shardedHH,
-// which wraps plain containers, is a Merger.
+// which wraps plain known-length containers, is a Merger.
 func (h *shardedSolver) parseMergeFrame(blob []byte) ([]byte, error) {
 	if err := checkMergeTag(blob, tagSharded); err != nil {
 		return nil, err

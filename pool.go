@@ -28,9 +28,8 @@ var (
 	// tenant's engine stayed busy past the bounded wait (per-tenant
 	// operations are serialized; cmd/hhd sheds these as 429).
 	ErrTenantBusy = pool.ErrBusy
-	// ErrUnknownTenant is returned by read operations (Report,
-	// TenantStats, Checkpoint, Evict) for tenants that were never
-	// inserted into.
+	// ErrUnknownTenant is returned by read operations (View, Evict)
+	// for tenants that were never inserted into.
 	ErrUnknownTenant = pool.ErrUnknownTenant
 	// ErrInvalidTenant rejects empty tenant names and names longer
 	// than MaxTenantName bytes.
@@ -399,47 +398,6 @@ func (p *Pool) View(tenant string, f func(hh HeavyHitters) error) error {
 	return p.inner.View(tenant, func(e pool.Engine) error {
 		return f(e.(HeavyHitters))
 	})
-}
-
-// Report returns tenant's heavy hitters under its engine's (ε,ϕ)
-// guarantee, reviving the tenant if it was spilled. Unknown tenants
-// get ErrUnknownTenant — a report never creates an engine.
-func (p *Pool) Report(tenant string) ([]ItemEstimate, error) {
-	var rep []ItemEstimate
-	err := p.inner.View(tenant, func(e pool.Engine) error {
-		rep = e.(HeavyHitters).Report()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// TenantStats returns one tenant's operational snapshot (reviving it
-// if spilled); ErrUnknownTenant for tenants never inserted into.
-func (p *Pool) TenantStats(tenant string) (Stats, error) {
-	var st Stats
-	err := p.inner.View(tenant, func(e pool.Engine) error {
-		st = e.(HeavyHitters).Stats()
-		return nil
-	})
-	return st, err
-}
-
-// Checkpoint serializes one tenant's engine — the same bytes Unmarshal
-// accepts, so a single tenant can be exported out of the pool.
-func (p *Pool) Checkpoint(tenant string) ([]byte, error) {
-	var blob []byte
-	err := p.inner.View(tenant, func(e pool.Engine) error {
-		var merr error
-		blob, merr = e.MarshalBinary()
-		return merr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return blob, nil
 }
 
 // Evict forces tenant out to the spill store regardless of budget

@@ -31,6 +31,26 @@ func feedTenant(t *testing.T, p *Pool, tenant string, heavy Item) {
 	}
 }
 
+// viewOf reads f of tenant's engine through Pool.View, reviving the
+// tenant if it was spilled; unknown tenants get ErrUnknownTenant.
+func viewOf[T any](p *Pool, tenant string, f func(HeavyHitters) T) (T, error) {
+	var out T
+	err := p.View(tenant, func(hh HeavyHitters) error {
+		out = f(hh)
+		return nil
+	})
+	return out, err
+}
+
+// checkpointOf serializes tenant's engine through Pool.View.
+func checkpointOf(p *Pool, tenant string) (blob []byte, err error) {
+	err = p.View(tenant, func(hh HeavyHitters) (merr error) {
+		blob, merr = hh.MarshalBinary()
+		return merr
+	})
+	return blob, err
+}
+
 // TestPoolEvictReviveBitIdentical: a tenant's engine checkpoint is bit
 // for bit identical before eviction and after revival, and its report
 // is unchanged.
@@ -41,11 +61,11 @@ func TestPoolEvictReviveBitIdentical(t *testing.T) {
 	}
 	defer p.Close()
 	feedTenant(t, p, "alice", 42)
-	before, err := p.Checkpoint("alice")
+	before, err := checkpointOf(p, "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	repBefore, err := p.Report("alice")
+	repBefore, err := viewOf(p, "alice", HeavyHitters.Report)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +75,14 @@ func TestPoolEvictReviveBitIdentical(t *testing.T) {
 	if st := p.Stats(); st.TenantsSpilled != 1 || st.TenantsLive != 0 {
 		t.Fatalf("after evict: %+v", st)
 	}
-	after, err := p.Checkpoint("alice") // revives
+	after, err := checkpointOf(p, "alice") // revives
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before, after) {
 		t.Fatal("engine checkpoint differs across evict/revive")
 	}
-	repAfter, err := p.Report("alice")
+	repAfter, err := viewOf(p, "alice", HeavyHitters.Report)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +103,7 @@ func TestPoolBudgetEvictsLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedTenant(t, probe, "probe", 1)
-	per, err := probe.TenantStats("probe")
+	per, err := viewOf(probe, "probe", HeavyHitters.Stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +125,7 @@ func TestPoolBudgetEvictsLRU(t *testing.T) {
 		t.Fatalf("resident bits %d exceed budget %d after settling", st.ModelBitsInUse, st.BudgetBits)
 	}
 	for i := 0; i < 6; i++ {
-		rep, err := p.Report(fmt.Sprintf("t%d", i))
+		rep, err := viewOf(p, fmt.Sprintf("t%d", i), HeavyHitters.Report)
 		if err != nil {
 			t.Fatalf("Report(t%d): %v", i, err)
 		}
@@ -137,7 +157,7 @@ func TestPoolModes(t *testing.T) {
 	if err := p.Evict("timed"); err == nil {
 		t.Fatal("time-window tenant must refuse eviction")
 	}
-	st, err := p.TenantStats("audited")
+	st, err := viewOf(p, "audited", HeavyHitters.Stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +229,7 @@ func TestPoolCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("restored budget: %d", st.BudgetBits)
 	}
 	for i := 0; i < 4; i++ {
-		rep, err := p2.Report(fmt.Sprintf("t%d", i))
+		rep, err := viewOf(p2, fmt.Sprintf("t%d", i), HeavyHitters.Report)
 		if err != nil {
 			t.Fatalf("restored Report(t%d): %v", i, err)
 		}
@@ -219,7 +239,7 @@ func TestPoolCheckpointRoundTrip(t *testing.T) {
 	}
 	// New tenants still work through the defaults.
 	feedTenant(t, p2, "fresh", 7)
-	if rep, _ := p2.Report("fresh"); len(rep) == 0 || rep[0].Item != 7 {
+	if rep, _ := viewOf(p2, "fresh", HeavyHitters.Report); len(rep) == 0 || rep[0].Item != 7 {
 		t.Fatalf("fresh tenant on restored pool: %v", rep)
 	}
 }
@@ -232,7 +252,7 @@ func TestPoolUnknownAndBusy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, err := p.Report("ghost"); !errors.Is(err, ErrUnknownTenant) {
+	if _, err := viewOf(p, "ghost", HeavyHitters.Report); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("Report(ghost): %v", err)
 	}
 	if err := p.Insert("", 1); !errors.Is(err, ErrInvalidTenant) {
@@ -270,7 +290,7 @@ func TestPoolVolatileTenant(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	if _, err := p2.Report("v"); !errors.Is(err, ErrUnknownTenant) {
+	if _, err := viewOf(p2, "v", HeavyHitters.Report); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("volatile tenant should be absent after restore: %v", err)
 	}
 }

@@ -27,6 +27,7 @@ package l1hh
 // routes built on the capability interfaces. DESIGN.md §14.
 
 import (
+	"encoding"
 	"errors"
 	"fmt"
 
@@ -243,28 +244,44 @@ func (st *settings) validateExtremes() error {
 	return nil
 }
 
-// errNotSerializable is the marshal closure of every unknown-length
-// problem engine (same contract as the heavy hitters path).
-func errNotSerializable() ([]byte, error) {
-	return nil, errors.New("l1hh: unknown-length solvers are not serializable")
+// errNotSerializable is what MarshalBinary returns on every
+// unknown-length engine (heavy hitters, voting and extremes alike): the
+// Theorem 7–8 machinery does not serialize.
+var errNotSerializable = errors.New("l1hh: unknown-length solvers are not serializable")
+
+// votingEngine is the method set the voting engines share: the Borda
+// and maximin sketches (Theorems 5–6) and their Theorem 8 unknown-length
+// wrappers.
+type votingEngine interface {
+	Insert(r Ranking)
+	Scores() []float64
+	Max() (int, float64)
+	Len() uint64
+	ModelBits() int64
 }
 
-// voterBase adapts a voting sketch (known- or unknown-length, Borda or
+// voterBase adapts a voting engine (known- or unknown-length, Borda or
 // maximin) to HeavyHitters + Voter. Single-owner, like every non-sharded
 // engine.
 type voterBase struct {
-	problem  Problem
+	e votingEngine
+	// tag is the engine's checkpoint tag (tagBorda or tagMaximin); 0
+	// marks the unknown-length engines, which neither serialize nor
+	// answer List.
+	tag      byte
 	n        int
 	eps, phi float64
 	closed   bool
+}
 
-	vote    func(Ranking)
-	scores  func() []float64
-	max     func() (int, float64)
-	list    func(float64) []ScoredCandidate // nil ⇒ unknown length, no List
-	length  func() uint64
-	bits    func() int64
-	marshal func() ([]byte, error)
+// wrapVoter picks the adapter for a voting engine: a known-length Borda
+// tally folds, so it is also a Merger; maximin and unknown-length
+// engines are Voters only.
+func wrapVoter(v voterBase) HeavyHitters {
+	if v.tag == tagBorda {
+		return &bordaHH{v}
+	}
+	return &v
 }
 
 // Insert implements HeavyHitters by refusing: voting engines ingest
@@ -284,22 +301,24 @@ func (v *voterBase) Vote(r Ranking) error {
 	if err := r.Validate(v.n); err != nil {
 		return fmt.Errorf("l1hh: invalid ranking: %w", err)
 	}
-	v.vote(r)
+	v.e.Insert(r)
 	return nil
 }
 
 // Winner implements Voter.
-func (v *voterBase) Winner() (candidate int, score float64) { return v.max() }
+func (v *voterBase) Winner() (candidate int, score float64) { return v.e.Max() }
 
 // Scores implements Voter.
-func (v *voterBase) Scores() []float64 { return v.scores() }
+func (v *voterBase) Scores() []float64 { return v.e.Scores() }
 
 // List implements Voter; nil when the stream length is unknown.
 func (v *voterBase) List(phi float64) []ScoredCandidate {
-	if v.list == nil {
-		return nil
+	if l, ok := v.e.(interface {
+		List(float64) []ScoredCandidate
+	}); ok {
+		return l.List(phi)
 	}
-	return v.list(phi)
+	return nil
 }
 
 // Candidates implements Voter.
@@ -307,27 +326,27 @@ func (v *voterBase) Candidates() int { return v.n }
 
 // Report maps the problem's scored answer into the generic ItemEstimate
 // shape (candidate id as the item) so report plumbing built for heavy
-// hitters — hhd's /report, the pool's Report — answers for voting
+// hitters — hhd's /report, a pool tenant's View — answers for voting
 // tenants too: the List at the configured ϕ when the stream length is
 // known, the winner alone otherwise.
 func (v *voterBase) Report() []ItemEstimate {
-	if v.list != nil {
-		sc := v.list(v.phi)
+	if v.tag != 0 {
+		sc := v.List(v.phi)
 		out := make([]ItemEstimate, len(sc))
 		for i, c := range sc {
 			out[i] = ItemEstimate{Item: uint64(c.Candidate), F: c.Score}
 		}
 		return out
 	}
-	if v.length() == 0 {
+	if v.e.Len() == 0 {
 		return nil
 	}
-	c, s := v.max()
+	c, s := v.e.Max()
 	return []ItemEstimate{{Item: uint64(c), F: s}}
 }
 
 // Len returns the number of votes counted so far.
-func (v *voterBase) Len() uint64 { return v.length() }
+func (v *voterBase) Len() uint64 { return v.e.Len() }
 
 // Eps returns the additive-error parameter ε.
 func (v *voterBase) Eps() float64 { return v.eps }
@@ -337,16 +356,30 @@ func (v *voterBase) Phi() float64 { return v.phi }
 
 // Stats returns the unified operational snapshot.
 func (v *voterBase) Stats() Stats {
-	n := v.length()
-	return Stats{Items: n, Len: n, Eps: v.eps, Phi: v.phi, Shards: 1, ModelBits: v.bits()}
+	n := v.e.Len()
+	return Stats{Items: n, Len: n, Eps: v.eps, Phi: v.phi, Shards: 1, ModelBits: v.e.ModelBits()}
 }
 
 // ModelBits reports the sketch size under the paper's accounting.
-func (v *voterBase) ModelBits() int64 { return v.bits() }
+func (v *voterBase) ModelBits() int64 { return v.e.ModelBits() }
 
-// MarshalBinary checkpoints the engine (tag 7 or 8); unknown-length
-// engines return an error.
-func (v *voterBase) MarshalBinary() ([]byte, error) { return v.marshal() }
+// MarshalBinary checkpoints the engine (tag 7 or 8): the container tag,
+// then the List threshold ϕ (wrapper state the sketch codec does not
+// carry) framing the sketch's own encoding. Unknown-length engines
+// return an error.
+func (v *voterBase) MarshalBinary() ([]byte, error) {
+	if v.tag == 0 {
+		return nil, errNotSerializable
+	}
+	blob, err := v.e.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	w := wire.NewWriter()
+	w.F64(v.phi)
+	w.Blob(blob)
+	return append([]byte{v.tag}, w.Bytes()...), nil
+}
 
 // Close stops ingest; queries and checkpoints keep working. Idempotent.
 func (v *voterBase) Close() error {
@@ -357,10 +390,7 @@ func (v *voterBase) Close() error {
 // bordaHH is the known-length Borda engine: voterBase plus the Merger
 // capability (exact Borda counters are linear, so same-configuration
 // sketches fold).
-type bordaHH struct {
-	voterBase
-	sk *voting.BordaSketch
-}
+type bordaHH struct{ voterBase }
 
 // CheckMerge implements Merger without mutating either solver.
 func (b *bordaHH) CheckMerge(checkpoint []byte) error {
@@ -376,7 +406,7 @@ func (b *bordaHH) Merge(checkpoint []byte) error {
 	if err != nil {
 		return err
 	}
-	return b.sk.Merge(peer)
+	return b.e.(*voting.BordaSketch).Merge(peer)
 }
 
 // decodePeer decodes and compatibility-checks a peer checkpoint for
@@ -387,52 +417,18 @@ func (b *bordaHH) decodePeer(checkpoint []byte) (*voting.BordaSketch, error) {
 	if err := checkMergeTag(checkpoint, tagBorda); err != nil {
 		return nil, err
 	}
-	phi, peer, err := decodeBordaFrame(checkpoint)
+	v, err := decodeVoter(checkpoint)
 	if err != nil {
 		return nil, err
 	}
-	if err := b.sk.CanMerge(peer); err != nil {
+	peer := v.e.(*voting.BordaSketch)
+	if err := b.e.(*voting.BordaSketch).CanMerge(peer); err != nil {
 		return nil, merge.Incompatiblef("%v", err)
 	}
-	if phi != b.phi {
-		return nil, merge.Incompatiblef("l1hh: cannot merge Borda solvers with different ϕ (%v vs %v)", b.phi, phi)
+	if v.phi != b.phi {
+		return nil, merge.Incompatiblef("l1hh: cannot merge Borda solvers with different ϕ (%v vs %v)", b.phi, v.phi)
 	}
 	return peer, nil
-}
-
-// maximinHH is the known-length maximin engine: voterBase plus
-// serialization. Deliberately not a Merger — see MaximinProblem.
-type maximinHH struct {
-	voterBase
-	sk *voting.MaximinSketch
-}
-
-// newBordaHH wires the adapter over a Borda sketch.
-func newBordaHH(sk *voting.BordaSketch, phi float64) *bordaHH {
-	cfg := sk.Params()
-	return &bordaHH{
-		voterBase: voterBase{
-			problem: BordaProblem, n: cfg.N, eps: cfg.Eps, phi: phi,
-			vote: sk.Insert, scores: sk.Scores, max: sk.Max, list: sk.List,
-			length: sk.Len, bits: sk.ModelBits,
-			marshal: func() ([]byte, error) { return marshalVoterFrame(tagBorda, phi, sk) },
-		},
-		sk: sk,
-	}
-}
-
-// newMaximinHH wires the adapter over a maximin sketch.
-func newMaximinHH(sk *voting.MaximinSketch, phi float64) *maximinHH {
-	cfg := sk.Params()
-	return &maximinHH{
-		voterBase: voterBase{
-			problem: MaximinProblem, n: cfg.N, eps: cfg.Eps, phi: phi,
-			vote: sk.Insert, scores: sk.Scores, max: sk.Max, list: sk.List,
-			length: sk.Len, bits: sk.ModelBits,
-			marshal: func() ([]byte, error) { return marshalVoterFrame(tagMaximin, phi, sk) },
-		},
-		sk: sk,
-	}
 }
 
 // buildVotingProblem constructs the Borda or maximin engine for st:
@@ -442,52 +438,47 @@ func buildVotingProblem(st *settings) (HeavyHitters, error) {
 	cfg := st.cfg
 	n := st.candidates
 	src := rng.New(cfg.Seed)
-	if cfg.StreamLength == 0 {
-		base := voterBase{
-			problem: st.problem, n: n, eps: cfg.Eps, phi: cfg.Phi,
-			marshal: errNotSerializable,
-		}
-		switch st.problem {
-		case BordaProblem:
-			u, err := unknown.NewBorda(src, n, cfg.Eps, cfg.Delta)
-			if err != nil {
-				return nil, err
-			}
-			base.vote, base.scores, base.max = u.Insert, u.Scores, u.Max
-			base.length, base.bits = u.Len, u.ModelBits
-		default:
-			u, err := unknown.NewMaximin(src, n, cfg.Eps, cfg.Delta)
-			if err != nil {
-				return nil, err
-			}
-			base.vote, base.scores, base.max = u.Insert, u.Scores, u.Max
-			base.length, base.bits = u.Len, u.ModelBits
-		}
-		return &base, nil
-	}
-	switch st.problem {
-	case BordaProblem:
-		sk, err := voting.NewBordaSketch(src, voting.BordaConfig{
+	v := voterBase{n: n, eps: cfg.Eps, phi: cfg.Phi}
+	var err error
+	switch {
+	case cfg.StreamLength == 0 && st.problem == BordaProblem:
+		v.e, err = unknown.NewBorda(src, n, cfg.Eps, cfg.Delta)
+	case cfg.StreamLength == 0:
+		v.e, err = unknown.NewMaximin(src, n, cfg.Eps, cfg.Delta)
+	case st.problem == BordaProblem:
+		v.tag = tagBorda
+		v.e, err = voting.NewBordaSketch(src, voting.BordaConfig{
 			N: n, Eps: cfg.Eps, Delta: cfg.Delta, M: cfg.StreamLength,
 		})
-		if err != nil {
-			return nil, err
-		}
-		return newBordaHH(sk, cfg.Phi), nil
 	default:
-		sk, err := voting.NewMaximinSketch(src, voting.MaximinConfig{
+		v.tag = tagMaximin
+		v.e, err = voting.NewMaximinSketch(src, voting.MaximinConfig{
 			N: n, Eps: cfg.Eps, Delta: cfg.Delta, M: cfg.StreamLength,
 		})
-		if err != nil {
-			return nil, err
-		}
-		return newMaximinHH(sk, cfg.Phi), nil
 	}
+	if err != nil {
+		return nil, err
+	}
+	return wrapVoter(v), nil
+}
+
+// extremesEngine is the method set the frequency-extreme solvers share:
+// ε-Minimum (*minimum.Solver, *unknown.Minimum) and ε-Maximum
+// (*core.Maximum, *unknown.Maximum). Their Report shapes differ, so
+// extremesHH.result switches on them.
+type extremesEngine interface {
+	Insert(x uint64)
+	Len() uint64
+	ModelBits() int64
 }
 
 // extremesHH adapts a frequency-extreme solver (ε-Minimum or ε-Maximum,
 // known- or unknown-length) to HeavyHitters + Extremes. Single-owner.
 type extremesHH struct {
+	e extremesEngine
+	// tag is the engine's checkpoint tag (tagMinimum or tagMaximum); 0
+	// marks the unknown-length engines, which do not serialize.
+	tag      byte
 	problem  Problem
 	eps      float64
 	universe uint64
@@ -496,12 +487,6 @@ type extremesHH struct {
 	// ε·len. See extreme.
 	m      uint64
 	closed bool
-
-	insert  func(Item)
-	result  func() (ItemEstimate, bool)
-	length  func() uint64
-	bits    func() int64
-	marshal func() ([]byte, error)
 }
 
 // Insert processes one stream item. Items must lie in [0, Universe) —
@@ -514,7 +499,7 @@ func (e *extremesHH) Insert(x Item) error {
 	if x >= e.universe {
 		return fmt.Errorf("l1hh: item %d outside the universe [0, %d)", x, e.universe)
 	}
-	e.insert(x)
+	e.e.Insert(x)
 	return nil
 }
 
@@ -552,11 +537,31 @@ func (e *extremesHH) extreme() (ItemEstimate, float64, error) {
 	}
 	// A known-length sampler's error is bounded against the configured m
 	// it was tuned for; quoting ε·len mid-stream would understate it.
-	n := e.length()
+	n := e.e.Len()
 	if e.m > n {
 		n = e.m
 	}
 	return est, e.eps * float64(n), nil
+}
+
+// result reads the extreme through the engine's own Report shape; ok is
+// false until the engine has something to report.
+func (e *extremesHH) result() (ItemEstimate, bool) {
+	if e.e.Len() == 0 {
+		return ItemEstimate{}, false
+	}
+	switch a := e.e.(type) {
+	case interface{ Report() minimum.Result }:
+		res := a.Report()
+		return ItemEstimate{Item: res.Item, F: res.F}, true
+	case interface {
+		Report() (item uint64, freq float64, ok bool)
+	}:
+		item, freq, ok := a.Report()
+		return ItemEstimate{Item: item, F: freq}, ok
+	default: // unreachable: extremesHH only wraps the four solvers above
+		return ItemEstimate{}, false
+	}
 }
 
 // Report returns the single extreme as a one-element list (empty before
@@ -569,7 +574,7 @@ func (e *extremesHH) Report() []ItemEstimate {
 }
 
 // Len returns the number of items inserted so far.
-func (e *extremesHH) Len() uint64 { return e.length() }
+func (e *extremesHH) Len() uint64 { return e.e.Len() }
 
 // Eps returns the additive-error parameter ε.
 func (e *extremesHH) Eps() float64 { return e.eps }
@@ -579,54 +584,26 @@ func (e *extremesHH) Phi() float64 { return 0 }
 
 // Stats returns the unified operational snapshot.
 func (e *extremesHH) Stats() Stats {
-	n := e.length()
-	return Stats{Items: n, Len: n, Eps: e.eps, Shards: 1, ModelBits: e.bits()}
+	n := e.e.Len()
+	return Stats{Items: n, Len: n, Eps: e.eps, Shards: 1, ModelBits: e.e.ModelBits()}
 }
 
 // ModelBits reports the sketch size under the paper's accounting.
-func (e *extremesHH) ModelBits() int64 { return e.bits() }
+func (e *extremesHH) ModelBits() int64 { return e.e.ModelBits() }
 
 // MarshalBinary checkpoints the engine (tag 9 or 10); unknown-length
 // engines return an error.
-func (e *extremesHH) MarshalBinary() ([]byte, error) { return e.marshal() }
+func (e *extremesHH) MarshalBinary() ([]byte, error) {
+	if e.tag == 0 {
+		return nil, errNotSerializable
+	}
+	return taggedMarshal(e.tag, e.e.(encoding.BinaryMarshaler))
+}
 
 // Close stops ingest; queries and checkpoints keep working. Idempotent.
 func (e *extremesHH) Close() error {
 	e.closed = true
 	return nil
-}
-
-// newMinimumHH wires the adapter over a known-length ε-Minimum solver.
-func newMinimumHH(a *minimum.Solver) *extremesHH {
-	cfg := a.Params()
-	return &extremesHH{
-		problem: MinFrequencyProblem, eps: cfg.Eps, universe: cfg.N, m: cfg.M,
-		insert: a.Insert,
-		result: func() (ItemEstimate, bool) {
-			if a.Len() == 0 {
-				return ItemEstimate{}, false
-			}
-			res := a.Report()
-			return ItemEstimate{Item: res.Item, F: res.F}, true
-		},
-		length: a.Len, bits: a.ModelBits,
-		marshal: func() ([]byte, error) { return taggedMarshal(tagMinimum, a) },
-	}
-}
-
-// newMaximumHH wires the adapter over a known-length ε-Maximum solver.
-func newMaximumHH(a *core.Maximum) *extremesHH {
-	cfg := a.Params()
-	return &extremesHH{
-		problem: MaxFrequencyProblem, eps: cfg.Eps, universe: cfg.N, m: cfg.M,
-		insert: a.Insert,
-		result: func() (ItemEstimate, bool) {
-			item, freq, ok := a.Report()
-			return ItemEstimate{Item: item, F: freq}, ok
-		},
-		length: a.Len, bits: a.ModelBits,
-		marshal: func() ([]byte, error) { return taggedMarshal(tagMaximum, a) },
-	}
 }
 
 // buildExtremesProblem constructs the ε-Minimum or ε-Maximum engine for
@@ -635,101 +612,61 @@ func newMaximumHH(a *core.Maximum) *extremesHH {
 func buildExtremesProblem(st *settings) (HeavyHitters, error) {
 	cfg := st.cfg
 	src := rng.New(cfg.Seed)
-	if cfg.StreamLength == 0 {
-		e := &extremesHH{
-			problem: st.problem, eps: cfg.Eps, universe: cfg.Universe,
-			marshal: errNotSerializable,
-		}
-		if st.problem == MinFrequencyProblem {
-			u, err := unknown.NewMinimum(src, cfg.Eps, cfg.Delta, cfg.Universe)
-			if err != nil {
-				return nil, err
-			}
-			e.insert, e.length, e.bits = u.Insert, u.Len, u.ModelBits
-			e.result = func() (ItemEstimate, bool) {
-				if u.Len() == 0 {
-					return ItemEstimate{}, false
-				}
-				res := u.Report()
-				return ItemEstimate{Item: res.Item, F: res.F}, true
-			}
-			return e, nil
-		}
-		u, err := unknown.NewMaximum(src, cfg.Eps, cfg.Delta, cfg.Universe)
-		if err != nil {
-			return nil, err
-		}
-		e.insert, e.length, e.bits = u.Insert, u.Len, u.ModelBits
-		e.result = func() (ItemEstimate, bool) {
-			item, freq, ok := u.Report()
-			return ItemEstimate{Item: item, F: freq}, ok
-		}
-		return e, nil
-	}
-	if st.problem == MinFrequencyProblem {
-		a, err := minimum.New(src, minimum.Config{
+	x := &extremesHH{problem: st.problem, eps: cfg.Eps, universe: cfg.Universe, m: cfg.StreamLength}
+	var err error
+	switch {
+	case cfg.StreamLength == 0 && st.problem == MinFrequencyProblem:
+		x.e, err = unknown.NewMinimum(src, cfg.Eps, cfg.Delta, cfg.Universe)
+	case cfg.StreamLength == 0:
+		x.e, err = unknown.NewMaximum(src, cfg.Eps, cfg.Delta, cfg.Universe)
+	case st.problem == MinFrequencyProblem:
+		x.tag = tagMinimum
+		x.e, err = minimum.New(src, minimum.Config{
 			Eps: cfg.Eps, Delta: cfg.Delta, M: cfg.StreamLength, N: cfg.Universe,
 		})
-		if err != nil {
-			return nil, err
-		}
-		return newMinimumHH(a), nil
+	default:
+		x.tag = tagMaximum
+		x.e, err = core.NewMaximum(src, core.Config{
+			Eps: cfg.Eps, Delta: cfg.Delta, M: cfg.StreamLength, N: cfg.Universe,
+		})
 	}
-	a, err := core.NewMaximum(src, core.Config{
-		Eps: cfg.Eps, Delta: cfg.Delta, M: cfg.StreamLength, N: cfg.Universe,
-	})
 	if err != nil {
 		return nil, err
 	}
-	return newMaximumHH(a), nil
+	return x, nil
 }
 
-// marshalVoterFrame encodes a voting checkpoint: the container tag,
-// then the List threshold ϕ (wrapper state the sketch codec does not
-// carry) framing the sketch's own encoding.
-func marshalVoterFrame(tag byte, phi float64, inner interface{ MarshalBinary() ([]byte, error) }) ([]byte, error) {
-	blob, err := inner.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	w := wire.NewWriter()
-	w.F64(phi)
-	w.Blob(blob)
-	return append([]byte{tag}, w.Bytes()...), nil
-}
-
-// decodeVoterFrame splits a tag 7/8 encoding into the ϕ threshold and
-// the inner sketch blob.
-func decodeVoterFrame(data []byte) (phi float64, blob []byte, err error) {
+// decodeVoter decodes a tag 7/8 checkpoint into a voting adapter base:
+// the frame's ϕ threshold and the sketch, cross-checking ϕ against the
+// sketch's own parameters (a tampered frame must not restore an engine
+// whose List threshold is out of range).
+func decodeVoter(data []byte) (voterBase, error) {
 	r := wire.NewReader(data[1:])
-	phi = r.F64()
-	blob = r.Blob()
+	v := voterBase{tag: data[0], phi: r.F64()}
+	blob := r.Blob()
 	if r.Err() != nil {
-		return 0, nil, fmt.Errorf("l1hh: corrupt voting encoding: %w", r.Err())
+		return v, fmt.Errorf("l1hh: corrupt voting encoding: %w", r.Err())
 	}
 	if !r.Done() {
-		return 0, nil, errors.New("l1hh: trailing bytes after voting encoding")
+		return v, errors.New("l1hh: trailing bytes after voting encoding")
 	}
-	return phi, blob, nil
-}
-
-// decodeBordaFrame decodes a tag-7 checkpoint into its ϕ threshold and
-// Borda sketch, cross-checking the frame's ϕ against the sketch's own
-// parameters (a tampered frame must not restore an engine whose List
-// threshold is out of range).
-func decodeBordaFrame(data []byte) (float64, *voting.BordaSketch, error) {
-	phi, blob, err := decodeVoterFrame(data)
-	if err != nil {
-		return 0, nil, err
+	if v.tag == tagBorda {
+		sk := new(voting.BordaSketch)
+		if err := sk.UnmarshalBinary(blob); err != nil {
+			return v, err
+		}
+		v.e, v.n, v.eps = sk, sk.Params().N, sk.Params().Eps
+	} else {
+		sk := new(voting.MaximinSketch)
+		if err := sk.UnmarshalBinary(blob); err != nil {
+			return v, err
+		}
+		v.e, v.n, v.eps = sk, sk.Params().N, sk.Params().Eps
 	}
-	sk := new(voting.BordaSketch)
-	if err := sk.UnmarshalBinary(blob); err != nil {
-		return 0, nil, err
+	if !(v.phi > v.eps && v.phi <= 1) {
+		return v, fmt.Errorf("l1hh: corrupt voting encoding: phi = %v out of (eps, 1]", v.phi)
 	}
-	if cfg := sk.Params(); !(phi > cfg.Eps && phi <= 1) {
-		return 0, nil, fmt.Errorf("l1hh: corrupt voting encoding: phi = %v out of (eps, 1]", phi)
-	}
-	return phi, sk, nil
+	return v, nil
 }
 
 // unmarshalProblem restores a problem-engine checkpoint (tags 7–10)
@@ -738,37 +675,28 @@ func decodeBordaFrame(data []byte) (float64, *voting.BordaSketch, error) {
 // rejected every option.
 func unmarshalProblem(data []byte) (HeavyHitters, error) {
 	switch data[0] {
-	case tagBorda:
-		phi, sk, err := decodeBordaFrame(data)
+	case tagBorda, tagMaximin:
+		v, err := decodeVoter(data)
 		if err != nil {
 			return nil, err
 		}
-		return newBordaHH(sk, phi), nil
-	case tagMaximin:
-		phi, blob, err := decodeVoterFrame(data)
-		if err != nil {
-			return nil, err
-		}
-		sk := new(voting.MaximinSketch)
-		if err := sk.UnmarshalBinary(blob); err != nil {
-			return nil, err
-		}
-		if cfg := sk.Params(); !(phi > cfg.Eps && phi <= 1) {
-			return nil, fmt.Errorf("l1hh: corrupt voting encoding: phi = %v out of (eps, 1]", phi)
-		}
-		return newMaximinHH(sk, phi), nil
+		return wrapVoter(v), nil
 	case tagMinimum:
 		a := new(minimum.Solver)
 		if err := a.UnmarshalBinary(data[1:]); err != nil {
 			return nil, err
 		}
-		return newMinimumHH(a), nil
+		cfg := a.Params()
+		return &extremesHH{e: a, tag: tagMinimum, problem: MinFrequencyProblem,
+			eps: cfg.Eps, universe: cfg.N, m: cfg.M}, nil
 	case tagMaximum:
 		a := new(core.Maximum)
 		if err := a.UnmarshalBinary(data[1:]); err != nil {
 			return nil, err
 		}
-		return newMaximumHH(a), nil
+		cfg := a.Params()
+		return &extremesHH{e: a, tag: tagMaximum, problem: MaxFrequencyProblem,
+			eps: cfg.Eps, universe: cfg.N, m: cfg.M}, nil
 	default:
 		return nil, errors.New("l1hh: unrecognized solver encoding")
 	}

@@ -346,26 +346,34 @@ func TestPointQuerierMatrix(t *testing.T) {
 	build := func(extra ...Option) HeavyHitters {
 		t.Helper()
 		hh, err := New(append([]Option{
-			WithEps(0.05), WithPhi(0.2), WithStreamLength(m),
-			WithUniverse(1 << 20), WithSeed(7),
+			WithEps(0.05), WithPhi(0.2), WithUniverse(1 << 20), WithSeed(7),
 		}, extra...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return hh
 	}
+	known := WithStreamLength(m)
 	for _, tc := range []struct {
 		name  string
 		extra []Option
 		want  bool
 	}{
-		{"serial", nil, true},
-		{"sharded", []Option{WithShards(2)}, true},
+		{"serial", []Option{known}, true},
+		{"sharded", []Option{known, WithShards(2)}, true},
+		// Unknown-length engines answer no point query: the staggered
+		// Theorem 7 instances forget prefix mass.
+		{"serial unknown-m", nil, false},
+		{"sharded unknown-m", []Option{WithShards(2)}, false},
 	} {
 		hh := build(tc.extra...)
 		pq, ok := hh.(PointQuerier)
 		if ok != tc.want {
 			t.Fatalf("%s: PointQuerier = %v, want %v", tc.name, ok, tc.want)
+		}
+		if !ok {
+			hh.Close()
+			continue
 		}
 		// Alternate items 0 and 7, so 7 owns exactly half the stream.
 		for i := 0; i < 2000; i++ {
@@ -380,7 +388,7 @@ func TestPointQuerierMatrix(t *testing.T) {
 	}
 	// Windowed engines do not answer point queries (bucket residuals do
 	// not compose into a per-item bound).
-	win := build(WithCountWindow(256, 4))
+	win := build(known, WithCountWindow(256, 4))
 	if _, ok := win.(PointQuerier); ok {
 		t.Error("windowed engine unexpectedly answers point queries")
 	}

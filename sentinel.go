@@ -237,3 +237,14 @@ func (s *sentinel) snapshot() SentinelStats {
 		Incoherent:     s.foreign,
 	}
 }
+
+// attach adds the audit snapshot to a solver's Stats; a no-op without a
+// sentinel.
+func (s *sentinel) attach(st *Stats) {
+	if s == nil {
+		return
+	}
+	ss := s.snapshot()
+	st.Sentinel = &ss
+	st.ObservedEps = ss.ObservedEps
+}

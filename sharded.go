@@ -1,6 +1,7 @@
 package l1hh
 
 import (
+	"errors"
 	"time"
 
 	"repro/internal/core"
@@ -50,8 +51,10 @@ func (c *shardedConfig) windowed() bool { return c.Window > 0 || c.WindowDuratio
 // entire frequency lands in exactly one shard and per-shard reports
 // union cleanly. Any number of goroutines may call Insert and
 // InsertBatch concurrently; Report, ModelBits, Len, Stats, MarshalBinary
-// and Close are barriers that may run concurrently with ingest. New
-// wraps it in shardedHH or shardedWindowedHH (solver.go).
+// and Close are barriers that may run concurrently with ingest. Its
+// methods already have the HeavyHitters shapes, so New serves an
+// unknown-length container bare and embeds the others in shardedHH or
+// shardedWindowedHH (solver.go), which add their capabilities.
 //
 // Guarantees (DESIGN.md §3): each shard runs the configured engine at
 // (ε, ϕ, δ/Shards) against its partition; the merged Report applies the
@@ -63,6 +66,10 @@ func (c *shardedConfig) windowed() bool { return c.Window > 0 || c.WindowDuratio
 type shardedSolver struct {
 	s        *shard.Sharded
 	eps, phi float64
+	// sen is the optional accuracy sentinel (never on windowed
+	// containers); it serializes concurrent producers through its own
+	// mutex, amortized per batch, never through the engine.
+	sen *sentinel
 
 	// Window geometry when the per-shard engines are windowed (zero
 	// values otherwise); serialized in the tagShardedWindowed frame.
@@ -72,13 +79,23 @@ type shardedSolver struct {
 }
 
 // Insert routes one item; prefer InsertBatch on hot paths.
-func (h *shardedSolver) Insert(x Item) error { return h.s.Insert(x) }
+func (h *shardedSolver) Insert(x Item) error {
+	if err := h.s.Insert(x); err != nil {
+		return err
+	}
+	h.sen.observe(x)
+	return nil
+}
 
 // InsertBatch partitions items across the shard queues. Safe for
 // concurrent callers; blocks when a queue is full. Returns ErrClosed
 // after Close.
 func (h *shardedSolver) InsertBatch(items []Item) error {
-	return h.s.InsertBatch(items)
+	if err := h.s.InsertBatch(items); err != nil {
+		return err
+	}
+	h.sen.observeBatch(items)
+	return nil
 }
 
 // InsertBatchBounded is InsertBatch with load shedding instead of
@@ -87,9 +104,18 @@ func (h *shardedSolver) InsertBatch(items []Item) error {
 // non-saturated shards before the full queue was hit have been
 // enqueued, so a caller that retries the whole batch gets at-least-once
 // delivery with possible duplicates (DESIGN.md §12). The wait budget
-// covers the whole call.
+// covers the whole call. A saturated call marks the accuracy sentinel
+// incoherent: the engines may have applied a prefix of the batch the
+// shadow never sampled, so audits would report bogus violations.
 func (h *shardedSolver) InsertBatchBounded(items []Item, wait time.Duration) error {
-	return h.s.InsertBatchBounded(items, wait)
+	if err := h.s.InsertBatchBounded(items, wait); err != nil {
+		if errors.Is(err, ErrSaturated) {
+			h.sen.markForeign()
+		}
+		return err
+	}
+	h.sen.observeBatch(items)
+	return nil
 }
 
 // SpareCapacity reports the smallest spare ingest-queue capacity across
@@ -211,7 +237,8 @@ func globalArrivalNow(samples []shareSample) uint64 {
 // ⌈W/K⌉-item suffix, and down-weighting stale shards whose frozen
 // buckets would otherwise contribute at full weight. Shards whose
 // samples are too small to price (< shareMinSample covered items, or no
-// arrival accounting yet) fall back to raw weights.
+// arrival accounting yet) fall back to raw weights. The result is
+// audited against the accuracy sentinel's shadow when one is installed.
 func (h *shardedSolver) Report() []ItemEstimate {
 	n := h.s.Shards()
 	reports := make([][]ItemEstimate, n)
@@ -251,33 +278,13 @@ func (h *shardedSolver) Report() []ItemEstimate {
 		}
 	}
 	core.SortEstimates(out)
+	h.sen.check(out, h.eps, h.phi)
 	return out
 }
 
 // Len returns the total number of items processed across all shards
 // (a barrier; Stats.Items is the cheap accepted-count).
 func (h *shardedSolver) Len() uint64 { return h.s.Len() }
-
-// Estimate returns the frequency estimate for x over the whole stream,
-// within ε·m for ϕ-heavy items whp (the §3 point-query bound). Hash
-// partitioning routes every occurrence of x to one shard, so that
-// shard's whole-stream estimate is the global one — no cross-shard
-// combination is needed. A barrier, like Report. Windowed containers
-// cannot answer point queries and return 0 (their adapters do not
-// expose PointQuerier).
-func (h *shardedSolver) Estimate(x Item) float64 {
-	target := h.s.ShardOf(x)
-	var est float64
-	h.s.Do(func(i int, e shard.Engine) {
-		if i != target {
-			return
-		}
-		if q, ok := e.(interface{ Estimate(uint64) float64 }); ok {
-			est = q.Estimate(x)
-		}
-	})
-	return est
-}
 
 // Shards returns the partition width.
 func (h *shardedSolver) Shards() int { return h.s.Shards() }
@@ -384,7 +391,8 @@ func shareSkew(samples []shareSample) float64 {
 // Stats returns the unified operational snapshot (see Stats). All
 // barrier-derived fields — Len, ModelBits, Window — come from one pass
 // over the shards, so they are mutually coherent; Items and QueueDepths
-// are the cheap queue-side counters read at the same moment.
+// are the cheap queue-side counters read at the same moment. The
+// accuracy sentinel's audit snapshot is attached when one is installed.
 func (h *shardedSolver) Stats() Stats {
 	st := Stats{
 		Items:       h.s.Items(),
@@ -413,6 +421,7 @@ func (h *shardedSolver) Stats() Stats {
 		w := h.sumWindowStats(wins, samples)
 		st.Window = &w
 	}
+	h.sen.attach(&st)
 	return st
 }
 

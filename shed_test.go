@@ -35,7 +35,7 @@ func newShedder(t *testing.T, extra ...Option) (HeavyHitters, Shedder, *shard.Sh
 	if !ok {
 		t.Fatalf("New returned %T, want *shardedHH", h)
 	}
-	return h, sh, concrete.shardedBase.s.s
+	return h, sh, concrete.s
 }
 
 // stallWorker parks the single shard worker until release is called.

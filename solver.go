@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/shard"
 )
@@ -249,7 +248,8 @@ func buildHeavyHittersProblem(st *settings) (HeavyHitters, error) {
 		if err != nil {
 			return nil, err
 		}
-		return wrapSharded(eng, st.newSentinel()), nil
+		eng.sen = st.newSentinel()
+		return wrapSharded(eng, st.cfg.StreamLength > 0), nil
 	case st.windowed():
 		eng, err := buildWindowed(windowConfig{
 			config:         st.cfg,
@@ -261,13 +261,13 @@ func buildHeavyHittersProblem(st *settings) (HeavyHitters, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newWindowedHH(eng), nil
+		return &windowedHH{singleOwnerBase[*windowedSolver]{e: eng}}, nil
 	default:
 		eng, err := buildSerial(st.cfg)
 		if err != nil {
 			return nil, err
 		}
-		return wrapSerial(eng, st.cfg.StreamLength > 0, st.cfg.PacedBudget, st.newSentinel()), nil
+		return wrapSerial(eng, st.newSentinel()), nil
 	}
 }
 
@@ -327,14 +327,8 @@ func Unmarshal(data []byte, opts ...Option) (HeavyHitters, error) {
 		if err != nil {
 			return nil, err
 		}
-		if st.has(optPaced) {
-			p, ok := eng.engine.(core.Pacable)
-			if !ok { // unreachable: tags 1–2 decode to pacable engines
-				return nil, fmt.Errorf("l1hh: engine %T does not support pacing", eng.engine)
-			}
-			eng.applyPacing(st.cfg.PacedBudget, p)
-		}
-		return wrapSerial(eng, true, st.cfg.PacedBudget, nil), nil
+		eng.applyPacing(st.cfg.PacedBudget)
+		return wrapSerial(eng, nil), nil
 	case tagSharded:
 		if err := st.rejectOpts(optClock, "a sharded checkpoint"); err != nil {
 			return nil, err
@@ -343,7 +337,7 @@ func Unmarshal(data []byte, opts ...Option) (HeavyHitters, error) {
 		if err != nil {
 			return nil, err
 		}
-		return wrapSharded(eng, nil), nil
+		return wrapSharded(eng, true), nil
 	case tagShardedWindowed:
 		if err := st.rejectOpts(optPaced, "a sharded windowed checkpoint (the windowed frames serialize their own budget)"); err != nil {
 			return nil, err
@@ -352,7 +346,7 @@ func Unmarshal(data []byte, opts ...Option) (HeavyHitters, error) {
 		if err != nil {
 			return nil, err
 		}
-		return wrapSharded(eng, nil), nil
+		return wrapSharded(eng, true), nil
 	case tagWindowed:
 		if err := st.rejectOpts(optQueueDepth|optMaxBatch|optPaced|optObserver, "a windowed checkpoint"); err != nil {
 			return nil, err
@@ -361,7 +355,7 @@ func Unmarshal(data []byte, opts ...Option) (HeavyHitters, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newWindowedHH(eng), nil
+		return &windowedHH{singleOwnerBase[*windowedSolver]{e: eng}}, nil
 	case tagBorda, tagMaximin, tagMinimum, tagMaximum:
 		if err := st.rejectOpts(runtimeOpts, "a problem-engine checkpoint (the voting and extremes engines take no runtime tuning)"); err != nil {
 			return nil, err
@@ -384,29 +378,36 @@ func (st *settings) rejectOpts(bits uint32, kind string) error {
 }
 
 // wrapSerial picks the adapter whose capability set matches a serial
-// engine: unknown-length solvers expose no extras, paced solvers add
-// Flusher and Pacable, and every known-length solver is a Merger. sen
-// is the optional accuracy sentinel (nil when not requested).
-func wrapSerial(eng *serialSolver, known bool, budget int, sen *sentinel) HeavyHitters {
+// engine: unknown-length solvers are served by the bare base (no
+// extras), every known-length solver is a Merger and PointQuerier, and
+// paced solvers add Flusher and Pacable. sen is the optional accuracy
+// sentinel (nil when not requested).
+func wrapSerial(eng *serialSolver, sen *sentinel) HeavyHitters {
+	base := singleOwnerBase[*serialSolver]{e: eng, sen: sen}
 	switch {
-	case !known:
-		return &unknownSerialHH{newSerialBase(eng, sen)}
-	case budget > 0 && eng.paced != nil:
-		return &pacedSerialHH{serialHH: serialHH{newSerialBase(eng, sen)}, budget: budget}
+	case eng.tag == 0:
+		return &base
+	case eng.paced != nil:
+		return &pacedSerialHH{serialHH{base}}
 	default:
-		return &serialHH{newSerialBase(eng, sen)}
+		return &serialHH{base}
 	}
 }
 
 // wrapSharded picks the adapter whose capability set matches a sharded
-// container: windowed containers expose Windower, everything else is a
-// Merger; both flush. sen is the optional accuracy sentinel (nil when
-// not requested; never set on windowed containers).
-func wrapSharded(eng *shardedSolver, sen *sentinel) HeavyHitters {
-	if eng.Windowed() {
-		return &shardedWindowedHH{shardedBase{s: eng}}
+// container: windowed containers add Windower, known-length ones Merger
+// and PointQuerier, and an unknown-length container is served bare —
+// Flusher, Sharder and Shedder only (its staggered shard engines neither
+// fold nor bound a per-item estimate).
+func wrapSharded(eng *shardedSolver, known bool) HeavyHitters {
+	switch {
+	case eng.Windowed():
+		return &shardedWindowedHH{eng}
+	case known:
+		return &shardedHH{eng}
+	default:
+		return eng
 	}
-	return &shardedHH{shardedBase{s: eng, sen: sen}}
 }
 
 // singleOwnerEngine is the method set the single-owner concrete engines
@@ -427,13 +428,13 @@ type singleOwnerEngine interface {
 // interface: error-returning inserts with a closed state, delegation
 // everywhere else. sen is the optional accuracy sentinel; every use is
 // nil-safe, so the disabled path costs one nil check.
-type singleOwnerBase struct {
-	e      singleOwnerEngine
+type singleOwnerBase[E singleOwnerEngine] struct {
+	e      E
 	sen    *sentinel
 	closed bool
 }
 
-func (s *singleOwnerBase) Insert(x Item) error {
+func (s *singleOwnerBase[E]) Insert(x Item) error {
 	if s.closed {
 		return ErrClosed
 	}
@@ -442,7 +443,7 @@ func (s *singleOwnerBase) Insert(x Item) error {
 	return nil
 }
 
-func (s *singleOwnerBase) InsertBatch(items []Item) error {
+func (s *singleOwnerBase[E]) InsertBatch(items []Item) error {
 	if s.closed {
 		return ErrClosed
 	}
@@ -455,69 +456,40 @@ func (s *singleOwnerBase) InsertBatch(items []Item) error {
 
 // Report additionally audits the result against the accuracy sentinel's
 // shadow when one is installed.
-func (s *singleOwnerBase) Report() []ItemEstimate {
+func (s *singleOwnerBase[E]) Report() []ItemEstimate {
 	rep := s.e.Report()
 	s.sen.check(rep, s.e.Eps(), s.e.Phi())
 	return rep
 }
 
-func (s *singleOwnerBase) Len() uint64  { return s.e.Len() }
-func (s *singleOwnerBase) Eps() float64 { return s.e.Eps() }
-func (s *singleOwnerBase) Phi() float64 { return s.e.Phi() }
+func (s *singleOwnerBase[E]) Len() uint64  { return s.e.Len() }
+func (s *singleOwnerBase[E]) Eps() float64 { return s.e.Eps() }
+func (s *singleOwnerBase[E]) Phi() float64 { return s.e.Phi() }
 
-// Stats delegates to the engine and, when the accuracy sentinel is
-// installed, attaches its audit snapshot.
-func (s *singleOwnerBase) Stats() Stats {
+// Stats delegates to the engine and attaches the accuracy sentinel's
+// audit snapshot when one is installed.
+func (s *singleOwnerBase[E]) Stats() Stats {
 	st := s.e.Stats()
-	if s.sen != nil {
-		ss := s.sen.snapshot()
-		st.Sentinel = &ss
-		st.ObservedEps = ss.ObservedEps
-	}
+	s.sen.attach(&st)
 	return st
 }
 
-func (s *singleOwnerBase) ModelBits() int64               { return s.e.ModelBits() }
-func (s *singleOwnerBase) MarshalBinary() ([]byte, error) { return s.e.MarshalBinary() }
+func (s *singleOwnerBase[E]) ModelBits() int64               { return s.e.ModelBits() }
+func (s *singleOwnerBase[E]) MarshalBinary() ([]byte, error) { return s.e.MarshalBinary() }
 
 // Close stops ingest; Report, Stats and MarshalBinary keep working,
 // mirroring the sharded drain semantics. Idempotent.
-func (s *singleOwnerBase) Close() error {
+func (s *singleOwnerBase[E]) Close() error {
 	s.closed = true
 	return nil
 }
 
-// serialBase is the single-owner base over a *serialSolver, keeping the
-// concrete handle the merge and pacing paths need.
-type serialBase struct {
-	singleOwnerBase
-	h *serialSolver
-}
-
-func newSerialBase(h *serialSolver, sen *sentinel) serialBase {
-	return serialBase{singleOwnerBase: singleOwnerBase{e: h, sen: sen}, h: h}
-}
-
-// Close additionally flushes deferred paced work so the final state
-// covers every accepted item.
-func (s *serialBase) Close() error {
-	if s.h.paced != nil {
-		s.h.paced.Flush()
-	}
-	return s.singleOwnerBase.Close()
-}
-
-// unknownSerialHH is the adapter for unknown-stream-length solvers
-// (Theorem 7 machinery): no Merger (staggered instances do not fold),
-// no serialization.
-type unknownSerialHH struct{ serialBase }
-
 // serialHH is the adapter for known-length serial solvers; it adds the
 // Merger and PointQuerier capabilities.
-type serialHH struct{ serialBase }
+type serialHH struct{ singleOwnerBase[*serialSolver] }
 
 // Estimate implements PointQuerier with the §3 per-item ε·m bound.
-func (s *serialHH) Estimate(x Item) float64 { return s.h.Estimate(x) }
+func (s *serialHH) Estimate(x Item) float64 { return s.e.Estimate(x) }
 
 // CheckMerge implements Merger without mutating either solver.
 func (s *serialHH) CheckMerge(checkpoint []byte) error {
@@ -525,7 +497,7 @@ func (s *serialHH) CheckMerge(checkpoint []byte) error {
 	if err != nil {
 		return err
 	}
-	return s.h.canMergeFrom(other)
+	return s.e.canMergeFrom(other)
 }
 
 // Merge implements Merger: it folds the checkpointed solver's state into
@@ -536,7 +508,7 @@ func (s *serialHH) Merge(checkpoint []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := s.h.mergeFrom(other); err != nil {
+	if err := s.e.mergeFrom(other); err != nil {
 		return err
 	}
 	s.sen.markForeign()
@@ -555,153 +527,61 @@ func decodeSerialPeer(checkpoint []byte) (*serialSolver, error) {
 
 // pacedSerialHH is the adapter for paced serial solvers; it adds Flusher
 // and Pacable on top of the Merger capability.
-type pacedSerialHH struct {
-	serialHH
-	budget int
-}
+type pacedSerialHH struct{ serialHH }
 
 // Flush implements Flusher: it drains the deferred-work queue so the
 // inner tables reflect every accepted item.
-func (s *pacedSerialHH) Flush() { s.h.paced.Flush() }
+func (s *pacedSerialHH) Flush() { s.e.paced.Flush() }
 
 // PacedBudget implements Pacable.
-func (s *pacedSerialHH) PacedBudget() int { return s.budget }
+func (s *pacedSerialHH) PacedBudget() int { return s.e.paced.PerInsert() }
+
+// Close additionally flushes deferred paced work so the final state
+// covers every accepted item.
+func (s *pacedSerialHH) Close() error {
+	s.Flush()
+	return s.serialHH.Close()
+}
 
 // windowedHH adapts a single-owner *windowedSolver; it adds the
 // Windower capability.
 type windowedHH struct {
-	singleOwnerBase
-	w *windowedSolver
-}
-
-func newWindowedHH(w *windowedSolver) *windowedHH {
-	return &windowedHH{singleOwnerBase: singleOwnerBase{e: w}, w: w}
+	singleOwnerBase[*windowedSolver]
 }
 
 // WindowStats implements Windower.
-func (s *windowedHH) WindowStats() WindowStats { return s.w.WindowStats() }
+func (s *windowedHH) WindowStats() WindowStats { return s.e.WindowStats() }
 
 // Window implements Windower.
-func (s *windowedHH) Window() (w uint64, d time.Duration, buckets int) { return s.w.Window() }
+func (s *windowedHH) Window() (w uint64, d time.Duration, buckets int) { return s.e.Window() }
 
-// shardedBase adapts a *shardedSolver: the concrete type already has the
-// error-returning concurrent ingest path, so the base delegates and the
-// two outer adapters add the honest capability set.
-// sen is the optional accuracy sentinel; it serializes concurrent
-// producers through its own mutex (amortized per batch), never through
-// the engine.
-type shardedBase struct {
-	s   *shardedSolver
-	sen *sentinel
-}
-
-func (s *shardedBase) Insert(x Item) error {
-	if err := s.s.Insert(x); err != nil {
-		return err
-	}
-	s.sen.observe(x)
-	return nil
-}
-
-func (s *shardedBase) InsertBatch(items []Item) error {
-	if err := s.s.InsertBatch(items); err != nil {
-		return err
-	}
-	s.sen.observeBatch(items)
-	return nil
-}
-
-// InsertBatchBounded implements Shedder. A saturated call marks the
-// accuracy sentinel incoherent: the engines may have applied a prefix
-// of the batch the shadow never sampled, so audits would report bogus
-// violations.
-func (s *shardedBase) InsertBatchBounded(items []Item, wait time.Duration) error {
-	if err := s.s.InsertBatchBounded(items, wait); err != nil {
-		if errors.Is(err, ErrSaturated) {
-			s.sen.markForeign()
-		}
-		return err
-	}
-	s.sen.observeBatch(items)
-	return nil
-}
-
-// SpareCapacity implements Shedder.
-func (s *shardedBase) SpareCapacity() int { return s.s.SpareCapacity() }
-
-// Report additionally audits the result against the accuracy sentinel's
-// shadow when one is installed.
-func (s *shardedBase) Report() []ItemEstimate {
-	rep := s.s.Report()
-	s.sen.check(rep, s.s.Eps(), s.s.Phi())
-	return rep
-}
-
-func (s *shardedBase) Len() uint64  { return s.s.Len() }
-func (s *shardedBase) Eps() float64 { return s.s.Eps() }
-func (s *shardedBase) Phi() float64 { return s.s.Phi() }
-
-// Stats delegates to the container and, when the accuracy sentinel is
-// installed, attaches its audit snapshot.
-func (s *shardedBase) Stats() Stats {
-	st := s.s.Stats()
-	if s.sen != nil {
-		ss := s.sen.snapshot()
-		st.Sentinel = &ss
-		st.ObservedEps = ss.ObservedEps
-	}
-	return st
-}
-
-func (s *shardedBase) ModelBits() int64               { return s.s.ModelBits() }
-func (s *shardedBase) MarshalBinary() ([]byte, error) { return s.s.MarshalBinary() }
-func (s *shardedBase) Close() error                   { return s.s.Close() }
-
-// Flush implements Flusher: it blocks until every accepted item has
-// reached its shard engine.
-func (s *shardedBase) Flush() { s.s.Flush() }
-
-// Shards implements Sharder: sharded adapters are the concurrent-safe
-// ones.
-func (s *shardedBase) Shards() int { return s.s.Shards() }
-
-// shardedHH is the adapter for non-windowed sharded containers; it adds
-// the Merger and PointQuerier capabilities.
-type shardedHH struct{ shardedBase }
+// shardedHH is the adapter for known-length, non-windowed sharded
+// containers; it adds the Merger (merge.go) and PointQuerier
+// capabilities.
+type shardedHH struct{ *shardedSolver }
 
 // Estimate implements PointQuerier: hash partitioning routes every
 // occurrence of x to one shard, so the owning shard's whole-stream
-// estimate is the global one.
-func (s *shardedHH) Estimate(x Item) float64 { return s.s.Estimate(x) }
-
-// CheckMerge implements Merger without mutating any shard.
-func (s *shardedHH) CheckMerge(checkpoint []byte) error {
-	return s.s.checkMergeCheckpoint(checkpoint)
-}
-
-// Merge implements Merger, folding a peer node's checkpoint shard by
-// shard (DESIGN.md §7); failure is atomic. A successful merge marks the
-// accuracy sentinel incoherent — the folded stream was never sampled.
-func (s *shardedHH) Merge(checkpoint []byte) error {
-	if err := s.s.mergeCheckpoint(checkpoint); err != nil {
-		return err
-	}
-	s.sen.markForeign()
-	return nil
+// estimate is the global one — no cross-shard combination is needed.
+// A barrier, like Report.
+func (s *shardedHH) Estimate(x Item) float64 {
+	target := s.s.ShardOf(x)
+	var est float64
+	s.s.Do(func(i int, e shard.Engine) {
+		if i == target {
+			est = e.(*serialSolver).Estimate(x)
+		}
+	})
+	return est
 }
 
 // shardedWindowedHH is the adapter for sharded containers whose shards
 // run sliding windows; it adds the Windower capability (and, like every
 // windowed solver, is deliberately not a Merger — DESIGN.md §8).
-type shardedWindowedHH struct{ shardedBase }
+type shardedWindowedHH struct{ *shardedSolver }
 
 // WindowStats implements Windower, summing the per-shard statistics.
 func (s *shardedWindowedHH) WindowStats() WindowStats {
-	st, _ := s.s.WindowStats()
+	st, _ := s.shardedSolver.WindowStats()
 	return st
-}
-
-// Window implements Windower.
-func (s *shardedWindowedHH) Window() (w uint64, d time.Duration, buckets int) {
-	return s.s.Window()
 }

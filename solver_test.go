@@ -22,6 +22,9 @@ type frontDoorScenario struct {
 	flusher  bool
 	pacable  bool
 	sharder  bool
+	// unknownLen marks the Theorem 7 scenarios (no WithStreamLength),
+	// which do not serialize.
+	unknownLen bool
 }
 
 func frontDoorScenarios() []frontDoorScenario {
@@ -32,11 +35,13 @@ func frontDoorScenarios() []frontDoorScenario {
 	with := func(extra ...Option) []Option { return append(append([]Option{}, base...), extra...) }
 	return []frontDoorScenario{
 		{name: "serial known-m", opts: with(WithStreamLength(4000)), merger: true},
-		{name: "serial unknown-m", opts: with()},
+		{name: "serial unknown-m", opts: with(), unknownLen: true},
 		{name: "paced", opts: with(WithStreamLength(4000), WithPacedBudget(1)),
 			merger: true, flusher: true, pacable: true},
 		{name: "sharded", opts: with(WithStreamLength(4000), WithShards(2)),
 			merger: true, flusher: true, sharder: true},
+		{name: "sharded unknown-m", opts: with(WithShards(2)),
+			flusher: true, sharder: true, unknownLen: true},
 		{name: "windowed", opts: with(WithCountWindow(512, 4)), windower: true},
 		{name: "sharded windowed", opts: with(WithShards(2), WithCountWindow(512, 4)),
 			windower: true, flusher: true, sharder: true},
@@ -527,7 +532,7 @@ func TestUnmarshalOptionValidation(t *testing.T) {
 // and report intact.
 func TestUnmarshalScenarios(t *testing.T) {
 	for _, sc := range frontDoorScenarios() {
-		if sc.name == "serial unknown-m" {
+		if sc.unknownLen {
 			continue // not serializable
 		}
 		t.Run(sc.name, func(t *testing.T) {

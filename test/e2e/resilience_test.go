@@ -353,9 +353,10 @@ func poolSnapshotLens(t *testing.T, dir string, tenants []string) map[string]uin
 	defer p.Close()
 	lens := make(map[string]uint64, len(tenants))
 	for _, tenant := range tenants {
-		if st, err := p.TenantStats(tenant); err == nil {
-			lens[tenant] = st.Len
-		}
+		p.View(tenant, func(hh l1hh.HeavyHitters) error {
+			lens[tenant] = hh.Len()
+			return nil
+		})
 	}
 	return lens
 }
