@@ -547,14 +547,14 @@ func run() error {
 		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			if err := http.ListenAndServe(*pprofFlag, pmux); err != nil {
+			if err := newHTTPServer(*pprofFlag, pmux).ListenAndServe(); err != nil {
 				slog.Warn("pprof server stopped", "err", err)
 			}
 		}()
 		slog.Info("pprof listening", "addr", *pprofFlag)
 	}
 
-	httpSrv := &http.Server{Addr: *addrFlag, Handler: srv}
+	httpSrv := newHTTPServer(*addrFlag, srv)
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	win := ""
@@ -606,6 +606,27 @@ func run() error {
 			"dir", *ckptDirFlag, "seq", coord.seq, "items", coord.lastItems)
 	}
 	return nil
+}
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request header, and idleTimeout how long a keep-alive connection may
+// wait for its next request. Without them a client that never finishes
+// its header holds a goroutine and a file descriptor forever.
+// idleTimeout outlasts the 90 s idle timeout of Go's default client
+// transport, so a client on those defaults closes an idle connection
+// before the server would.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns a server for h on addr under the header and
+// idle timeouts above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr: addr, Handler: h,
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout,
+	}
 }
 
 // newEngineServer builds the single-engine server, resumed from resume

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -14,6 +15,7 @@ import (
 	"sync"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	l1hh "repro"
 )
@@ -353,5 +355,41 @@ func TestValidateTenantFlags(t *testing.T) {
 	set := map[string]bool{"tenants": true, "eps": true, "phi": true, "m": true, "tenant-budget-bits": true}
 	if err := validateTenantFlags(set); err != nil {
 		t.Errorf("problem and pool flags refused: %v", err)
+	}
+}
+
+// TestStalledHeaderIsClosed: a client that sends a request line and a
+// header but never the blank line that ends the header is disconnected
+// once readHeaderTimeout passes, instead of holding its connection, a
+// goroutine and a file descriptor open for good.
+func TestStalledHeaderIsClosed(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer("", newTestServer(t, 10_000))
+	go hs.Serve(ln)
+	defer hs.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	const slack = 3 * time.Second
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + slack)); err != nil {
+		t.Fatal(err)
+	}
+	// ReadAll returns nil at EOF, when the server closes the connection,
+	// and a timeout error if it is still open at the deadline.
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection with a stalled header still open after %v: %v", time.Since(start).Round(time.Millisecond), err)
+	}
+	if took := time.Since(start); took < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout could apply", took, readHeaderTimeout)
 	}
 }

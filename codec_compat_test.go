@@ -5,12 +5,15 @@ package l1hh
 // testdata/checkpoints and must keep restoring through the universal
 // Unmarshal; fresh builds through New must reproduce them byte for byte
 // where the build is deterministic; and a restore→re-marshal cycle must
-// return the bytes it was given. Regenerate the golden files with
+// return the bytes it was given. Regenerate a golden file, for example
+// tag 1's, with
 //
-//	go test -run TestGoldenCheckpoints -update-golden .
+//	go test -run 'TestGoldenCheckpoints/tag1_' -update-golden .
 //
-// (only when the codec version legitimately moves — the whole point of
-// the files is that old bytes keep working).
+// only when its codec version legitimately moves, and keep the old file
+// under a versioned name that a legacy test decodes: the whole point of
+// the files is that old bytes keep working. A bare -update-golden also
+// rewrites the restore-only tag 3 and tag 5 files.
 
 import (
 	"bytes"
@@ -378,6 +381,42 @@ func TestLegacyWindowCheckpoints(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLegacyOptimalCheckpoint: the tag 1 golden written before marshal
+// v3, whose Algorithm 2 frame is v2 (every T2 cell a uvarint, every T3
+// bucket a row), keeps decoding through the universal Unmarshal into
+// the state the current golden holds: it re-marshals to the v3 golden
+// byte for byte.
+func TestLegacyOptimalCheckpoint(t *testing.T) {
+	dir := filepath.Join("testdata", "checkpoints")
+	blob, err := os.ReadFile(filepath.Join(dir, "tag1_serial_optimal_v2.bin"))
+	if err != nil {
+		t.Fatalf("legacy golden file missing (it is frozen history — never regenerate it): %v", err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "tag1_serial_optimal.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob[0] != tagOptimal {
+		t.Fatalf("tag = %d, want %d", blob[0], tagOptimal)
+	}
+	hh, err := Unmarshal(blob)
+	if err != nil {
+		t.Fatalf("v2 checkpoint no longer decodes: %v", err)
+	}
+	defer hh.Close()
+	if hh.Len() != 2000 {
+		t.Fatalf("restored Len = %d, want 2000", hh.Len())
+	}
+	got, err := hh.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("v2 golden re-marshals to %d bytes, not the %d-byte v3 golden", len(got), len(want))
+	}
+	checkGoldenRestore(t, goldenCase{}, hh)
 }
 
 // TestCheckpointInterchange: bytes built through New restore via the

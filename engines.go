@@ -68,10 +68,7 @@ func taggedMarshal(tag byte, m encoding.BinaryMarshaler) ([]byte, error) {
 func buildSerial(cfg config) (*serialSolver, error) {
 	cfg.fill()
 	src := rng.New(cfg.Seed)
-	ccfg := core.Config{
-		Eps: cfg.Eps, Phi: cfg.Phi, Delta: cfg.Delta,
-		M: cfg.StreamLength, N: cfg.Universe,
-	}
+	ccfg := coreConfig(cfg)
 	h := &serialSolver{eps: cfg.Eps, phi: cfg.Phi}
 	var err error
 	switch {
@@ -93,6 +90,95 @@ func buildSerial(cfg config) (*serialSolver, error) {
 	}
 	h.applyPacing(cfg.PacedBudget)
 	return h, nil
+}
+
+// coreConfig is the engine config buildSerial passes to the core
+// constructors.
+func coreConfig(cfg config) core.Config {
+	return core.Config{
+		Eps: cfg.Eps, Phi: cfg.Phi, Delta: cfg.Delta,
+		M: cfg.StreamLength, N: cfg.Universe,
+	}
+}
+
+// checkGrid refuses a solver of n serial engines built from cfg whose
+// Algorithm 2 grids would hold more than core.MaxGridCells cells
+// between them. Unmarshal refuses a checkpoint claiming more
+// (checkGridBudget), so New refuses the solver rather than build one
+// that cannot restore.
+func checkGrid(cfg config, n int) error {
+	if cfg.StreamLength == 0 || cfg.Algorithm != AlgorithmOptimal {
+		return nil // only Algorithm 2 keeps grids
+	}
+	return core.CheckGrid(coreConfig(cfg), uint64(n))
+}
+
+// checkGridBudget refuses a container checkpoint (tag 3, 4 or 5) whose
+// Algorithm 2 frames, its shards and window buckets, declare more than
+// core.MaxGridCells grid cells between them. It reads frame headers
+// only, so it refuses before any grid is allocated: a frame writes an
+// all-zero row in a few bytes, so without it a short checkpoint nesting
+// many frames could demand gigabytes. A lone tag-1 frame needs no scan,
+// since its own decoder applies the bound.
+func checkGridBudget(data []byte) error {
+	if len(data) > 0 && data[0] == tagOptimal {
+		return nil
+	}
+	cells, err := gridCells(data)
+	if err != nil {
+		return err
+	}
+	if cells > core.MaxGridCells {
+		return fmt.Errorf("l1hh: checkpoint engines declare more than %d Algorithm 2 grid cells between them", core.MaxGridCells)
+	}
+	return nil
+}
+
+// gridCells sums core.FrameGridCells over the Algorithm 2 frames data
+// nests at any depth, stopping once the sum passes core.MaxGridCells.
+func gridCells(data []byte) (uint64, error) {
+	if len(data) > 0 && data[0] == tagOptimal {
+		return core.FrameGridCells(data[1:])
+	}
+	frames, err := nestedFrames(data)
+	if err != nil {
+		return 0, err
+	}
+	var sum uint64
+	for _, f := range frames {
+		c, err := gridCells(f)
+		if err != nil {
+			return 0, err
+		}
+		if sum += c; sum > core.MaxGridCells {
+			break
+		}
+	}
+	return sum, nil
+}
+
+// nestedFrames returns the engine frames a container nests: a sharded
+// frame's shards, a windowed frame's live buckets, none for any other
+// tag.
+func nestedFrames(data []byte) ([][]byte, error) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	switch data[0] {
+	case tagWindowed:
+		_, blob, err := parseWindowed(data)
+		if err != nil {
+			return nil, err
+		}
+		return window.Blobs(blob)
+	case tagSharded, tagShardedWindowed:
+		_, snap, err := parseSharded(data)
+		if err != nil {
+			return nil, err
+		}
+		return shard.Blobs(snap)
+	}
+	return nil, nil
 }
 
 // unmarshalSerial reconstructs a known-length serial solver from a tag
@@ -174,12 +260,30 @@ func windowEngineConfig(cfg windowConfig) (config, error) {
 	return c, nil
 }
 
+// windowGrid checks the grids of n windows of cfg, each holding up to
+// window.MaxLive bucket engines. A cfg windowEngineConfig refuses
+// passes, for the caller to report.
+func windowGrid(cfg windowConfig, n int) error {
+	ecfg, err := windowEngineConfig(cfg)
+	if err != nil {
+		return nil
+	}
+	b := cfg.WindowBuckets
+	if b == 0 {
+		b = window.DefaultBuckets
+	}
+	return checkGrid(ecfg, n*window.MaxLive(b))
+}
+
 // buildWindowed constructs the sliding-window decorator: a window of
 // serial engines, every bucket built from the same derived config.
 func buildWindowed(cfg windowConfig) (*windowedSolver, error) {
 	cfg.fill()
 	ecfg, err := windowEngineConfig(cfg)
 	if err != nil {
+		return nil, err
+	}
+	if err := windowGrid(cfg, 1); err != nil {
 		return nil, err
 	}
 	factory := func() (shard.Engine, error) { return buildSerial(ecfg) }
@@ -196,16 +300,14 @@ func buildWindowed(cfg windowConfig) (*windowedSolver, error) {
 	return &windowedSolver{w: w, cfg: cfg, eps: cfg.Eps, phi: cfg.Phi}, nil
 }
 
-// unmarshalWindowed reconstructs a windowed solver from a tag-4
-// encoding. clock overrides the wall clock the restored window runs on
-// (nil means time.Now); time-based windows then retire what aged out
-// while the checkpoint sat on disk on the first operation.
-func unmarshalWindowed(data []byte, clock func() time.Time) (*windowedSolver, error) {
+// parseWindowed reads a tag-4 frame: the window configuration and the
+// window snapshot it nests.
+func parseWindowed(data []byte) (windowConfig, []byte, error) {
+	var cfg windowConfig
 	if len(data) < 1 || data[0] != tagWindowed {
-		return nil, errors.New("l1hh: not a windowed solver encoding")
+		return cfg, nil, errors.New("l1hh: not a windowed solver encoding")
 	}
 	r := wire.NewReader(data[1:])
-	var cfg windowConfig
 	cfg.Eps = r.F64()
 	cfg.Phi = r.F64()
 	cfg.Delta = r.F64()
@@ -219,19 +321,36 @@ func unmarshalWindowed(data []byte, clock func() time.Time) (*windowedSolver, er
 	cfg.WindowBuckets = int(r.U64())
 	blob := r.Blob()
 	if r.Err() != nil {
-		return nil, fmt.Errorf("l1hh: corrupt windowed encoding: %w", r.Err())
+		return cfg, nil, fmt.Errorf("l1hh: corrupt windowed encoding: %w", r.Err())
 	}
 	if !r.Done() {
-		return nil, errors.New("l1hh: trailing bytes after windowed encoding")
+		return cfg, nil, errors.New("l1hh: trailing bytes after windowed encoding")
 	}
 	if algo > uint64(AlgorithmSimple) {
-		return nil, fmt.Errorf("l1hh: unknown algorithm %d in windowed encoding", algo)
+		return cfg, nil, fmt.Errorf("l1hh: unknown algorithm %d in windowed encoding", algo)
 	}
 	cfg.Algorithm = Algorithm(algo)
 	cfg.PacedBudget = int(paced)
+	return cfg, blob, nil
+}
+
+// unmarshalWindowed reconstructs a windowed solver from a tag-4
+// encoding. clock overrides the wall clock the restored window runs on
+// (nil means time.Now); time-based windows then retire what aged out
+// while the checkpoint sat on disk on the first operation. The window
+// builds bucket engines from the frame's config as it slides, so the
+// frame must pass the grid bound New applies.
+func unmarshalWindowed(data []byte, clock func() time.Time) (*windowedSolver, error) {
+	cfg, blob, err := parseWindowed(data)
+	if err != nil {
+		return nil, err
+	}
 	cfg.Clock = clock
 	ecfg, err := windowEngineConfig(cfg)
 	if err != nil {
+		return nil, err
+	}
+	if err := windowGrid(cfg, 1); err != nil {
 		return nil, err
 	}
 	factory := func() (shard.Engine, error) { return buildSerial(ecfg) }
@@ -340,9 +459,16 @@ func buildSharded(cfg shardedConfig, clock func() time.Time, hooks shard.Hooks) 
 	factory := func(i, total int) (shard.Engine, error) {
 		ecfg := shardEngineConfig(cfg.config, total, seeds.Uint64())
 		if !cfg.windowed() {
+			if err := checkGrid(ecfg, total); err != nil {
+				return nil, err
+			}
 			return buildSerial(ecfg)
 		}
-		return buildWindowed(shardWindowConfig(cfg, ecfg, total, clock))
+		wcfg := shardWindowConfig(cfg, ecfg, total, clock)
+		if err := windowGrid(wcfg, total); err != nil {
+			return nil, err
+		}
+		return buildWindowed(wcfg)
 	}
 	s, err := shard.New(factory, opts)
 	if err != nil {
@@ -365,27 +491,9 @@ func buildSharded(cfg shardedConfig, clock func() time.Time, hooks shard.Hooks) 
 // ingest stage-timing callbacks (WithIngestObserver), runtime
 // instrumentation that is never serialized.
 func unmarshalSharded(data []byte, queueDepth, maxBatch int, clock func() time.Time, pacedBudget int, hooks shard.Hooks) (*shardedSolver, error) {
-	if len(data) < 1 || (data[0] != tagSharded && data[0] != tagShardedWindowed) {
-		return nil, errors.New("l1hh: not a sharded solver encoding")
-	}
-	r := wire.NewReader(data[1:])
-	h := &shardedSolver{}
-	h.eps = r.F64()
-	h.phi = r.F64()
-	if data[0] == tagShardedWindowed {
-		h.window = r.U64()
-		h.windowDur = time.Duration(r.I64())
-		h.windowBuckets = int(r.U64())
-	}
-	snap := r.Blob()
-	if r.Err() != nil {
-		return nil, fmt.Errorf("l1hh: corrupt sharded encoding: %w", r.Err())
-	}
-	if !r.Done() {
-		return nil, errors.New("l1hh: trailing bytes after sharded encoding")
-	}
-	if data[0] == tagShardedWindowed && !h.Windowed() {
-		return nil, errors.New("l1hh: windowed container encodes no window geometry")
+	h, snap, err := parseSharded(data)
+	if err != nil {
+		return nil, err
 	}
 	// The container tag must agree with the nested engine types, and a
 	// windowed container's frame geometry with each shard's own window
@@ -398,6 +506,9 @@ func unmarshalSharded(data []byte, queueDepth, maxBatch int, clock func() time.T
 			}
 			w, err := unmarshalWindowed(blob, clock)
 			if err != nil {
+				return nil, err
+			}
+			if err := windowGrid(w.cfg, total); err != nil {
 				return nil, err
 			}
 			want := shardWindowConfig(shardedConfig{
@@ -424,4 +535,33 @@ func unmarshalSharded(data []byte, queueDepth, maxBatch int, clock func() time.T
 	}
 	h.s = s
 	return h, nil
+}
+
+// parseSharded reads a tag 3 or 5 frame: the container's problem
+// parameters, its window geometry (tag 5 only) and the shard snapshot
+// it nests.
+func parseSharded(data []byte) (*shardedSolver, []byte, error) {
+	if len(data) < 1 || (data[0] != tagSharded && data[0] != tagShardedWindowed) {
+		return nil, nil, errors.New("l1hh: not a sharded solver encoding")
+	}
+	r := wire.NewReader(data[1:])
+	h := &shardedSolver{}
+	h.eps = r.F64()
+	h.phi = r.F64()
+	if data[0] == tagShardedWindowed {
+		h.window = r.U64()
+		h.windowDur = time.Duration(r.I64())
+		h.windowBuckets = int(r.U64())
+	}
+	snap := r.Blob()
+	if r.Err() != nil {
+		return nil, nil, fmt.Errorf("l1hh: corrupt sharded encoding: %w", r.Err())
+	}
+	if !r.Done() {
+		return nil, nil, errors.New("l1hh: trailing bytes after sharded encoding")
+	}
+	if data[0] == tagShardedWindowed && !h.Windowed() {
+		return nil, nil, errors.New("l1hh: windowed container encodes no window geometry")
+	}
+	return h, snap, nil
 }

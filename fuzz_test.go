@@ -246,7 +246,8 @@ func FuzzUnmarshalAny(f *testing.F) {
 		f.Add(b)
 		f.Add(b[:len(b)/2])
 	}
-	seedLegacyCheckpoints(f, "tag4_windowed_v1.bin", "tag5_sharded_windowed_v1.bin")
+	seedLegacyCheckpoints(f, "tag4_windowed_v1.bin", "tag5_sharded_windowed_v1.bin",
+		"tag1_serial_optimal_v2.bin")
 	f.Add([]byte{})
 	for tag := byte(0); tag <= 10; tag++ {
 		f.Add([]byte{tag})

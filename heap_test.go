@@ -7,13 +7,15 @@ import (
 )
 
 // TestOptimalHeapNearModelBits bounds what a serial Algorithm 2 engine
-// holds on the heap against what the paper's accounting charges it
-// (ModelBits, DESIGN.md §4), at the two space probe rows of ROADMAP.md:
-// a pool-tenant-sized engine and the embed-sampled benchmark's. The
-// bound is ≤ 10× ModelBits/8 bytes. The input stream stays alive
-// across both readings so only the engine's growth is measured.
+// holds on the heap, and the checkpoint frame it writes, against what
+// the paper's accounting charges it (ModelBits, DESIGN.md §4), at the
+// two space probe rows of ROADMAP.md: a pool-tenant-sized engine and
+// the embed-sampled benchmark's. The bounds are ≤ 10× ModelBits/8 bytes
+// of heap and ≤ 4× ModelBits/8 bytes of frame. The input stream stays
+// alive across both heap readings so only the engine's growth is
+// measured.
 func TestOptimalHeapNearModelBits(t *testing.T) {
-	const maxRatio = 10
+	const maxRatio, maxFrameRatio = 10, 4
 	for _, c := range []struct {
 		eps, phi float64
 		m        int
@@ -46,6 +48,15 @@ func TestOptimalHeapNearModelBits(t *testing.T) {
 			t.Logf("heap %.1f KiB, model %.1f KiB: %.1f×", heap/1024, model/1024, ratio)
 			if ratio > maxRatio {
 				t.Errorf("engine heap is %.1f× its model bits, want ≤ %d×", ratio, maxRatio)
+			}
+			blob, err := hh.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame := float64(len(blob)) / model
+			t.Logf("frame %.1f KiB: %.2f×", float64(len(blob))/1024, frame)
+			if frame > maxFrameRatio {
+				t.Errorf("checkpoint frame is %.2f× its model bits, want ≤ %d×", frame, maxFrameRatio)
 			}
 		})
 	}

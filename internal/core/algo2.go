@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -16,6 +17,17 @@ import (
 // epoch (the paper's Claim 1 needs f_i ≳ 100/ε, i.e. T2 ≳ 100 under its
 // constants; 16 keeps the relative noise of f̄ at 25% under ours).
 const minEpochBase = 16
+
+// MaxGridCells bounds the Algorithm 2 grid cells one solver holds: R·u
+// for a lone engine, summed over every engine of a sharded or windowed
+// one. That is the T2 grid; the merge credit is at most as large again.
+// 2²⁸ one-byte cells admit ε down to 10⁻⁵ at any ϕ ≥ 10⁻³ under
+// DefaultTuning for a lone engine. A checkpoint writes an all-zero row
+// in a few bytes, so its length bounds nothing: UnmarshalBinary refuses
+// a frame whose header claims more, and a container decoder sums
+// FrameGridCells over its frames before decoding any. NewOptimal and
+// CheckGrid apply the same bound, so every solver they admit restores.
+const MaxGridCells = 1 << 28
 
 // Optimal is Algorithm 2 of the paper: the space-optimal (ε,ϕ)-List heavy
 // hitters solver (Theorem 2).
@@ -85,17 +97,13 @@ func NewOptimal(src *rng.Source, cfg Config) (*Optimal, error) {
 	if err := cfg.validate(true); err != nil {
 		return nil, err
 	}
+	if err := CheckGrid(cfg, 1); err != nil {
+		return nil, err
+	}
 	t := cfg.Tuning
 	ell := t.sampleSizeA2(cfg.Eps)
 	p := math.Min(1, ell/float64(cfg.M))
-	u := uint64(math.Ceil(t.A2BucketFactor / cfg.Eps))
-	reps := int(math.Ceil(t.A2RepFactor * math.Log2(12/cfg.Phi)))
-	if reps < 3 {
-		reps = 3
-	}
-	if reps%2 == 0 {
-		reps++
-	}
+	reps, u := gridShape(cfg)
 	epsEff, epsK := sample.PowerOfTwoFloor(cfg.Eps * t.T2Rate)
 	base := math.Max(minEpochBase, t.A2SampleConst/t.A2BucketFactor)
 	k := int(math.Ceil(2 / cfg.Phi))
@@ -121,6 +129,40 @@ func NewOptimal(src *rng.Source, cfg Config) (*Optimal, error) {
 	}
 	o.initEpochs()
 	return o, nil
+}
+
+// gridShape is Algorithm 2's grid for a validated cfg: reps
+// repetitions of u buckets each.
+func gridShape(cfg Config) (reps int, u uint64) {
+	t := cfg.Tuning
+	u = uint64(math.Ceil(t.A2BucketFactor / cfg.Eps))
+	reps = int(math.Ceil(t.A2RepFactor * math.Log2(12/cfg.Phi)))
+	if reps < 3 {
+		reps = 3
+	}
+	if reps%2 == 0 {
+		reps++
+	}
+	return reps, u
+}
+
+// CheckGrid errors when n Algorithm 2 engines built for cfg would hold
+// more than MaxGridCells grid cells between them; NewOptimal checks
+// n = 1. An invalid cfg passes, for NewOptimal to report.
+func CheckGrid(cfg Config, n uint64) error {
+	if cfg.validate(true) != nil || n == 0 {
+		return nil
+	}
+	reps, u := gridShape(cfg)
+	if u <= MaxGridCells/uint64(reps)/n {
+		return nil
+	}
+	if n == 1 {
+		return fmt.Errorf("core: eps = %v and phi = %v need %d×%d Algorithm 2 cells, above %d",
+			cfg.Eps, cfg.Phi, reps, u, MaxGridCells)
+	}
+	return fmt.Errorf("core: eps = %v and phi = %v need %d engines of %d×%d Algorithm 2 cells, above %d in total",
+		cfg.Eps, cfg.Phi, n, reps, u, MaxGridCells)
 }
 
 // refEpoch is the defining formula t = ⌊2·log₂(T2/B)⌋ (the paper's

@@ -228,6 +228,33 @@ func TestOptimalConfigValidation(t *testing.T) {
 	if _, err := NewOptimal(rng.New(1), Config{Eps: 0.2, Phi: 0.1, Delta: 0.1, M: 10, N: 10}); err == nil {
 		t.Fatal("eps ≥ phi accepted")
 	}
+	// ε = 10⁻⁷ needs 17 × 640,000,000 cells per grid, past MaxGridCells.
+	if _, err := NewOptimal(rng.New(1), Config{Eps: 1e-7, Phi: 0.05, Delta: 0.1, M: 10, N: 10}); err == nil {
+		t.Fatal("grid above MaxGridCells accepted")
+	}
+}
+
+// TestCheckGrid: CheckGrid admits n engines exactly while n·R·u stays
+// within MaxGridCells, and passes an invalid config on to NewOptimal.
+func TestCheckGrid(t *testing.T) {
+	cfg := Config{Eps: 1e-5, Phi: 0.05, Delta: 0.1, M: 10, N: 10}
+	if err := cfg.validate(true); err != nil {
+		t.Fatal(err)
+	}
+	reps, u := gridShape(cfg)
+	fit := MaxGridCells / (uint64(reps) * u)
+	if fit < 2 {
+		t.Fatalf("%d×%d grid: want room for two engines", reps, u)
+	}
+	if err := CheckGrid(cfg, fit); err != nil {
+		t.Fatalf("%d engines of %d×%d refused: %v", fit, reps, u, err)
+	}
+	if err := CheckGrid(cfg, fit+1); err == nil {
+		t.Fatalf("%d engines of %d×%d accepted", fit+1, reps, u)
+	}
+	if err := CheckGrid(Config{Eps: 0, Phi: 0.05, Delta: 0.1, M: 10, N: 10}, 1); err != nil {
+		t.Fatalf("invalid config: %v, want it left to NewOptimal", err)
+	}
 }
 
 func TestMedianInPlace(t *testing.T) {

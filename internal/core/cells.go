@@ -17,8 +17,7 @@ const escapeByte = math.MaxUint8
 // escaped cell keeps its escapeByte, and a stale table entry (left only
 // by a uint32 increment wrapping to zero) is never read and is
 // overwritten if the cell escapes again. The layout is invisible: every
-// reader goes through at, and the codec writes the same uvarint cells
-// as the widened row.
+// reader goes through at, and the codec writes each cell's full value.
 type cellGrid struct {
 	rows [][]uint8 // [rep][bucket]; a nil row holds only zeros
 	esc  escTable  // rep·u + bucket → value of each escaped cell
@@ -73,18 +72,53 @@ func (g *cellGrid) bits(j int) int64 {
 	return b
 }
 
-// encodeRow writes row j as wire.Writer.U32s writes the widened row: the
-// length u, then one uvarint per cell.
-func (g *cellGrid) encodeRow(w *wire.Writer, j int) {
-	w.U64(g.u)
+// encodeRuns writes row j as zero runs, the v3 layout of T2 and the
+// credit: each non-zero cell as the count of zero cells since the
+// previous non-zero one, then its value; a row that ends in zeros then
+// closes with the length of that last run. A nil or all-zero row is one
+// run of u. It walks the byte row once, since snapshots encode inside
+// the shard barrier.
+func (g *cellGrid) encodeRuns(w *wire.Writer, j int) {
+	next := 0
 	for i, c := range g.rows[j] {
+		if c == 0 {
+			continue
+		}
+		w.U64(uint64(i - next))
 		w.U64(uint64(g.value(j, uint64(i), c)))
+		next = i + 1
+	}
+	if uint64(next) < g.u {
+		w.U64(g.u - uint64(next))
 	}
 }
 
-// decodeRow reads a row written by encodeRow into row j; false on
-// corrupt input: a length other than u, a truncated row or a cell above
+// decodeRuns reads a row written by encodeRuns into row j, allocating
+// the row only for a non-zero cell; false on corrupt input: a read
+// error, a run past the end of the row, or a cell of zero or above
 // MaxUint32.
+func (g *cellGrid) decodeRuns(r *wire.Reader, j int) bool {
+	for i := uint64(0); i < g.u; i++ {
+		z := r.U64()
+		if z > g.u-i {
+			return false
+		}
+		if i += z; i == g.u {
+			break
+		}
+		v := r.U64()
+		if v == 0 || v > math.MaxUint32 {
+			return false
+		}
+		g.set(j, i, uint32(v))
+	}
+	return r.Err() == nil
+}
+
+// decodeRow reads a v1 or v2 T2 row into row j: the length u, then one
+// uvarint per cell, as wire.Writer.U32s writes the widened row. It is
+// false on corrupt input: a length other than u, a truncated row or a
+// cell above MaxUint32.
 func (g *cellGrid) decodeRow(r *wire.Reader, j int) bool {
 	if r.Length() != g.u {
 		return false
@@ -104,28 +138,10 @@ func (g *cellGrid) decodeRow(r *wire.Reader, j int) bool {
 	return r.Err() == nil
 }
 
-// encodeSparseRow writes the non-zero cells of row j as (index, value)
-// pairs in ascending index order; a nil or all-zero row encodes as a
-// bare zero count, so unmerged instances pay one byte per repetition.
-func (g *cellGrid) encodeSparseRow(w *wire.Writer, j int) {
-	var n uint64
-	for _, c := range g.rows[j] {
-		if c != 0 {
-			n++
-		}
-	}
-	w.U64(n)
-	for i, c := range g.rows[j] {
-		if c != 0 {
-			w.U64(uint64(i))
-			w.U64(uint64(g.value(j, uint64(i), c)))
-		}
-	}
-}
-
-// decodeSparseRow reads a row written by encodeSparseRow into row j,
-// leaving an empty row nil; false on corrupt input: a read error, an
-// index out of range or out of order, a zero or oversized value.
+// decodeSparseRow reads a v2 credit row into row j, leaving an empty
+// row nil: a count, then (index, value) pairs in ascending index order.
+// It is false on corrupt input: a read error, an index out of range or
+// out of order, a zero or oversized value.
 func (g *cellGrid) decodeSparseRow(r *wire.Reader, j int) bool {
 	n := r.U64()
 	if r.Err() != nil || n > g.u {

@@ -41,8 +41,9 @@ func widen(g *cellGrid) [][]uint32 {
 
 // checkGrid verifies g's layout invariants against its widened values:
 // a cell below escapeByte is its own byte, any other cell is escapeByte
-// with its value in the table, and each row encodes to the bytes
-// wire.Writer.U32s writes for the widened row.
+// with its value in the table, each row encodes in the v2 layout to the
+// bytes wire.Writer.U32s writes for the widened row, and its v3 zero
+// runs decode back to the same cells.
 func checkGrid(t *testing.T, g *cellGrid) {
 	t.Helper()
 	for j, row := range widen(g) {
@@ -60,6 +61,18 @@ func checkGrid(t *testing.T, g *cellGrid) {
 		g.encodeRow(got, j)
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("row %d encodes differently from its widened form", j)
+		}
+		runs := wire.NewWriter()
+		g.encodeRuns(runs, j)
+		back := newCellGrid(len(g.rows), g.u)
+		r := wire.NewReader(runs.Bytes())
+		if !back.decodeRuns(r, j) || !r.Done() {
+			t.Fatalf("row %d: its zero runs do not decode", j)
+		}
+		for i, v := range row {
+			if got := back.at(j, uint64(i)); got != v {
+				t.Fatalf("cell (%d,%d) = %d after its zero runs, want %d", j, i, got, v)
+			}
 		}
 	}
 }

@@ -15,10 +15,13 @@ import (
 // draw, table cell and report value. They were recorded on the dense
 // reference layout (a map-based T1, a DIV per bucket hash, one T3 row per
 // bucket, a uint32 per T2 cell), so any layout of the per-sample work must
-// reproduce them bit for bit. Each case also pins ModelBits, which the
-// digests do not cover: it charges every cell at its full value, so a
-// layout that charged an escaped cell at its byte would pass the digests
-// and still under-charge.
+// reproduce them bit for bit. The recorded checkpoint digests are of the
+// v2 encoding, which the test-only marshalOptimalV2 still writes; each
+// case also pins the digest of the current (v3) frame, and decoding that
+// frame must give back the state the v2 digest was recorded over. Each
+// case also pins ModelBits, which the digests do not cover: it charges
+// every cell at its full value, so a layout that charged an escaped cell
+// at its byte would pass the digests and still under-charge.
 
 // identityStream is a Zipf(1.1) stream over 2²⁰ ranks, scattered over
 // 2³⁰ ids by a fixed bijection so hot items do not cluster.
@@ -31,22 +34,21 @@ func identityStream(seed uint64, n int) []uint64 {
 	return xs
 }
 
-// identityDigests returns the SHA-256 of o's checkpoint and of its report
-// (item and float64 bits per entry, in report order).
-func identityDigests(t *testing.T, o *Optimal) (ckpt, report string) {
-	t.Helper()
-	blob, err := o.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := sha256.Sum256(blob)
+// digest returns the hex SHA-256 of b.
+func digest(b []byte) string {
+	d := sha256.Sum256(b)
+	return hex.EncodeToString(d[:])
+}
+
+// reportDigest returns the digest of o's report: item and float64 bits
+// per entry, in report order.
+func reportDigest(o *Optimal) string {
 	var rep []byte
 	for _, e := range o.Report() {
 		rep = binary.LittleEndian.AppendUint64(rep, e.Item)
 		rep = binary.LittleEndian.AppendUint64(rep, math.Float64bits(e.F))
 	}
-	r := sha256.Sum256(rep)
-	return hex.EncodeToString(c[:]), hex.EncodeToString(r[:])
+	return digest(rep)
 }
 
 func TestOptimalIdentityDigests(t *testing.T) {
@@ -60,10 +62,10 @@ func TestOptimalIdentityDigests(t *testing.T) {
 		return o
 	}
 	cases := []struct {
-		name         string
-		build        func(t *testing.T) *Optimal
-		ckpt, report string
-		modelBits    int64
+		name             string
+		build            func(t *testing.T) *Optimal
+		ckpt, v3, report string
+		modelBits        int64
 	}{
 		{
 			name: "sampled p=1",
@@ -75,6 +77,7 @@ func TestOptimalIdentityDigests(t *testing.T) {
 				return o
 			},
 			ckpt:      "27ab9379157f20633b68c6efbdb19a95aa7d469a0ae69ed6b38767971ad4f58c",
+			v3:        "758b9963a0a825199360a25a3da7013109c6a6997648f4dd908843fbe314587d",
 			report:    "9bef8e91fe99d6eb8c99c9958c717d892901b3203ec7541c63b732ed5ba1fdc8",
 			modelBits: 664619,
 		},
@@ -88,6 +91,7 @@ func TestOptimalIdentityDigests(t *testing.T) {
 				return o
 			},
 			ckpt:      "c82a917317bf1e3c30937c2d9e991313067800f651c4a1c72f3328be98bd659f",
+			v3:        "f6a21bed9bf61a528d92a239a5411a02c3afde02dce9de787b8193659392fa33",
 			report:    "5c484b0a4c533d183085b287fd42380e9d1d0dae06232b74e9f590c87b3092cd",
 			modelBits: 114754,
 		},
@@ -108,6 +112,7 @@ func TestOptimalIdentityDigests(t *testing.T) {
 				return a
 			},
 			ckpt:      "72d9569dae1135d274845e64ad4a9e5d402617896cded7033d3e8571ef5f12ae",
+			v3:        "92b038560bdd3767f293746d5e0d5c6f2d06257c6abb63a272ac787dac1d722f",
 			report:    "0186953154d92d430e38157ee3c04c2f82323b1749cae481c87b34a42374f198",
 			modelBits: 1247163,
 		},
@@ -123,6 +128,7 @@ func TestOptimalIdentityDigests(t *testing.T) {
 				return o
 			},
 			ckpt:      "70f15370605fc51faacaec66635c8b022d1e9367338415e444c76682bf4dec3e",
+			v3:        "e63a6158172f9f9976ca2e6b2e35653a4d40a7071a8f0d0703b6945b0290175a",
 			report:    "357ae9e962772a6acea3986e2c67a9813cf304a766373e5a313683b7a41399c1",
 			modelBits: 641020,
 		},
@@ -148,6 +154,7 @@ func TestOptimalIdentityDigests(t *testing.T) {
 				return &r
 			},
 			ckpt:      "8f17b89aa60fdd05d1fdef383b977fc58828a50d8d92c7f2d1d7a696d6eb298b",
+			v3:        "ea0653c25262b5eb18e0b7e7ccf9f0d0ae659e07c596025e42ffc3c382451585",
 			report:    "29e3e941439cf74e729eb93738498c83fb41c33023118891f5f5b4cba819701d",
 			modelBits: 642422,
 		},
@@ -158,12 +165,28 @@ func TestOptimalIdentityDigests(t *testing.T) {
 			if len(o.Report()) == 0 {
 				t.Fatal("empty report: the case pins nothing")
 			}
-			ckpt, report := identityDigests(t, o)
-			if ckpt != c.ckpt {
-				t.Errorf("checkpoint digest %s, want %s", ckpt, c.ckpt)
+			if got := digest(marshalOptimalV2(o)); got != c.ckpt {
+				t.Errorf("v2 checkpoint digest %s, want %s", got, c.ckpt)
 			}
-			if report != c.report {
-				t.Errorf("report digest %s, want %s", report, c.report)
+			blob, err := o.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(blob); got != c.v3 {
+				t.Errorf("v3 checkpoint digest %s, want %s", got, c.v3)
+			}
+			var r Optimal
+			if err := r.UnmarshalBinary(blob); err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(marshalOptimalV2(&r)); got != c.ckpt {
+				t.Errorf("v3 frame decodes to a state of v2 digest %s, want %s", got, c.ckpt)
+			}
+			if bits := r.ModelBits(); bits != c.modelBits {
+				t.Errorf("decoded v3 frame: ModelBits %d, want %d", bits, c.modelBits)
+			}
+			if got := reportDigest(o); got != c.report {
+				t.Errorf("report digest %s, want %s", got, c.report)
 			}
 			if bits := o.ModelBits(); bits != c.modelBits {
 				t.Errorf("ModelBits %d, want %d", bits, c.modelBits)

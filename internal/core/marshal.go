@@ -21,11 +21,13 @@ import (
 
 const marshalVersion = 1
 
-// optimalMarshalVersion guards Algorithm 2's layout separately: v2 added
-// the sparse pre-credit rows deposited by Merge. Decoding still accepts
-// v1 (a pre-merge-tier checkpoint is a v2 one with no credit), so PR 1
-// era snapshots survive the upgrade.
-const optimalMarshalVersion = 2
+// optimalMarshalVersion guards Algorithm 2's layout separately. v2
+// added the sparse pre-credit rows deposited by Merge; v3 writes T2 and
+// the credit as zero runs and T3 as its present rows only, so a frame
+// grows with the cells in use rather than with R·u. Decoding still
+// accepts v1 (a pre-merge-tier checkpoint is a v2 one with no credit)
+// and v2, and a restored engine re-marshals as v3.
+const optimalMarshalVersion = 3
 
 func encodeConfig(w *wire.Writer, c Config) {
 	w.F64(c.Eps)
@@ -159,33 +161,53 @@ func (a *Maximum) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary encodes the full Algorithm 2 state, including every
-// accelerated counter epoch and any merge-deposited pre-credit (encoded
-// sparsely: the rows are nil unless the instance was merged, and non-zero
-// only in buckets both sides had populated).
+// accelerated counter epoch and any merge-deposited pre-credit. Each
+// repetition writes its bucket hash, its T2 row as zero runs, its
+// present T3 rows and its credit row as zero runs, so an empty cell
+// costs nothing beyond the run it extends.
 func (o *Optimal) MarshalBinary() ([]byte, error) {
 	w := wire.NewWriter()
-	w.U64(optimalMarshalVersion)
+	o.encodeHead(w, optimalMarshalVersion)
+	keys := slices.Sorted(maps.Keys(o.t3))
+	for j := 0; j < o.reps; j++ {
+		o.hashes[j].Encode(w)
+		o.t2.encodeRuns(w, j)
+		keys = o.encodeT3(w, j, keys)
+		o.pre.encodeRuns(w, j)
+	}
+	o.encodeTail(w)
+	return w.Bytes(), nil
+}
+
+// encodeHead writes the fields every Optimal layout opens with: the
+// version, the config, the sampler, T1 and the grid shape.
+func (o *Optimal) encodeHead(w *wire.Writer, version uint64) {
+	w.U64(version)
 	encodeConfig(w, o.cfg)
 	o.sampler.Encode(w)
 	o.t1.Encode(w)
 	w.U64(uint64(o.reps))
 	w.U64(o.u)
-	// T3 goes out densely, every bucket's row in (rep, bucket) order:
-	// walking the sorted keys, each run of absent rows between two
-	// present ones is written as that many empty rows at once.
-	keys := slices.Sorted(maps.Keys(o.t3))
-	for j := 0; j < o.reps; j++ {
-		o.hashes[j].Encode(w)
-		o.t2.encodeRow(w, j)
-		next, end := uint64(j)*o.u, uint64(j+1)*o.u
-		for ; len(keys) > 0 && keys[0] < end; keys = keys[1:] {
-			w.EmptySlices(int(keys[0] - next))
-			w.U32s(o.t3[keys[0]])
-			next = keys[0] + 1
-		}
-		w.EmptySlices(int(end - next))
-		o.pre.encodeSparseRow(w, j)
+}
+
+// encodeT3 writes repetition j's present T3 rows: their count, then
+// each as the gap from the previous present bucket and the row. keys
+// holds the sorted T3 keys from repetition j on; the rest is returned.
+func (o *Optimal) encodeT3(w *wire.Writer, j int, keys []uint64) []uint64 {
+	n, _ := slices.BinarySearch(keys, uint64(j+1)*o.u)
+	w.U64(uint64(n))
+	next := uint64(j) * o.u
+	for _, key := range keys[:n] {
+		w.U64(key - next)
+		w.U32s(o.t3[key])
+		next = key + 1
 	}
+	return keys[n:]
+}
+
+// encodeTail writes the fields every Optimal layout closes with: the
+// coin rate, the epoch base, the PRNG state and the counters.
+func (o *Optimal) encodeTail(w *wire.Writer) {
 	w.U64(uint64(o.epsK))
 	w.F64(o.epsEff)
 	w.F64(o.base)
@@ -193,29 +215,64 @@ func (o *Optimal) MarshalBinary() ([]byte, error) {
 	w.U64(o.s)
 	w.U64(o.offered)
 	w.U64(uint64(o.maxEpoch))
-	return w.Bytes(), nil
 }
 
-// UnmarshalBinary decodes state written by MarshalBinary (current or v1
-// layout).
+// optimalHead is the opening of every Optimal layout, as encodeHead
+// writes it.
+type optimalHead struct {
+	version uint64
+	cfg     Config
+	sampler *sample.Skip
+	t1      *mg.Summary
+	reps, u uint64
+}
+
+// decodeOptimalHead reads the fields encodeHead writes and bounds the
+// grid they declare by MaxGridCells, before anything proportional to
+// it is allocated.
+func decodeOptimalHead(r *wire.Reader) (optimalHead, error) {
+	var h optimalHead
+	h.version = r.U64()
+	if r.Err() != nil {
+		return h, fmt.Errorf("core: %w", wire.ErrCorrupt)
+	}
+	if h.version < 1 || h.version > optimalMarshalVersion {
+		return h, fmt.Errorf("core: unsupported solver encoding version %d", h.version)
+	}
+	h.cfg = decodeConfig(r)
+	h.sampler = sample.DecodeSkip(r)
+	h.t1 = mg.DecodeSummary(r)
+	h.reps = r.U64()
+	h.u = r.U64()
+	if r.Err() != nil || h.t1 == nil || h.sampler == nil ||
+		h.reps == 0 || h.reps > 1<<16 || h.u == 0 || h.u > MaxGridCells/h.reps {
+		return h, fmt.Errorf("core: %w", wire.ErrCorrupt)
+	}
+	return h, nil
+}
+
+// FrameGridCells returns R·u, the grid cells an Optimal frame of any
+// version declares, from its header alone; its error is the one
+// UnmarshalBinary returns for that header. A container sums it over its
+// frames to refuse, before decoding any, a set that together claims
+// more than MaxGridCells.
+func FrameGridCells(data []byte) (uint64, error) {
+	h, err := decodeOptimalHead(wire.NewReader(data))
+	if err != nil {
+		return 0, err
+	}
+	return h.reps * h.u, nil
+}
+
+// UnmarshalBinary decodes state written by MarshalBinary (current, v2 or
+// v1 layout).
 func (o *Optimal) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
-	version := r.U64()
-	if r.Err() != nil {
-		return fmt.Errorf("core: %w", wire.ErrCorrupt)
+	h, err := decodeOptimalHead(r)
+	if err != nil {
+		return err
 	}
-	if version != 1 && version != optimalMarshalVersion {
-		return fmt.Errorf("core: unsupported solver encoding version %d", version)
-	}
-	cfg := decodeConfig(r)
-	sampler := sample.DecodeSkip(r)
-	t1 := mg.DecodeSummary(r)
-	reps := r.U64()
-	u := r.U64()
-	if r.Err() != nil || t1 == nil || sampler == nil ||
-		reps == 0 || reps > 1<<16 || u == 0 || u > 1<<30 {
-		return fmt.Errorf("core: %w", wire.ErrCorrupt)
-	}
+	version, reps, u := h.version, h.reps, h.u
 	hashes := make([]hash.Func, reps)
 	t2 := newCellGrid(int(reps), u)
 	t3 := make(map[uint64][]uint32)
@@ -224,16 +281,19 @@ func (o *Optimal) UnmarshalBinary(data []byte) error {
 		hashes[j] = hash.DecodeFunc(r)
 		// The bucket hash indexes the T2 rows and keys T3 directly, so it
 		// must be a member of the family with range exactly u.
-		if !t2.decodeRow(r, j) || !hashes[j].Valid() || hashes[j].Range() != u {
+		if !hashes[j].Valid() || hashes[j].Range() != u {
 			return fmt.Errorf("core: %w", wire.ErrCorrupt)
 		}
-		for i := uint64(0); i < u; i++ {
-			if row := r.U32s(); len(row) > 0 {
-				t3[uint64(j)*u+i] = row
-			}
+		var ok bool
+		if version < 3 {
+			// v1 predates the pre-credit rows.
+			ok = t2.decodeRow(r, j) && decodeDenseT3(r, t3, j, u) &&
+				(version == 1 || pre.decodeSparseRow(r, j))
+		} else {
+			t2.row(j) // T2 is dense in memory whatever its encoding
+			ok = t2.decodeRuns(r, j) && decodeT3(r, t3, j, u) && pre.decodeRuns(r, j)
 		}
-		// v1 predates the pre-credit rows.
-		if version >= 2 && !pre.decodeSparseRow(r, j) {
+		if !ok {
 			return fmt.Errorf("core: %w", wire.ErrCorrupt)
 		}
 	}
@@ -256,7 +316,7 @@ func (o *Optimal) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("core: %w", wire.ErrCorrupt)
 	}
 	*o = Optimal{
-		cfg: cfg, sampler: sampler, t1: t1, hashes: hashes,
+		cfg: h.cfg, sampler: h.sampler, t1: h.t1, hashes: hashes,
 		t2: t2, t3: t3, buckets: make([]uint64, reps), u: u, reps: int(reps),
 		epsK: uint(epsK), epsEff: epsEff, base: base,
 		src: rng.FromState(srcState), s: s, offered: offered,
@@ -264,4 +324,34 @@ func (o *Optimal) UnmarshalBinary(data []byte) error {
 	}
 	o.initEpochs()
 	return nil
+}
+
+// decodeT3 reads repetition j's T3 rows as MarshalBinary writes them: a
+// count, then (gap from the previous present bucket, row) pairs. It is
+// false on corrupt input: a bucket past u, which a count above u must
+// reach, or an empty row, which the encoder never writes.
+func decodeT3(r *wire.Reader, t3 map[uint64][]uint32, j int, u uint64) bool {
+	next := uint64(0)
+	for n := r.U64(); n > 0; n-- {
+		gap := r.U64()
+		row := r.U32s()
+		if r.Err() != nil || gap >= u-next || len(row) == 0 {
+			return false
+		}
+		next += gap
+		t3[uint64(j)*u+next] = row
+		next++
+	}
+	return r.Err() == nil
+}
+
+// decodeDenseT3 reads repetition j's T3 rows in the v1 and v2 layout:
+// one length-prefixed row per bucket, empty ones included.
+func decodeDenseT3(r *wire.Reader, t3 map[uint64][]uint32, j int, u uint64) bool {
+	for i := uint64(0); i < u && r.Err() == nil; i++ {
+		if row := r.U32s(); len(row) > 0 {
+			t3[uint64(j)*u+i] = row
+		}
+	}
+	return r.Err() == nil
 }

@@ -58,43 +58,69 @@ func (s *Sharded) Snapshot() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
+// snapshot is a Snapshot frame parsed but not yet rebuilt.
+type snapshot struct {
+	version, seed, items uint64
+	blobs                [][]byte // one engine blob per shard
+}
+
+// parseSnapshot reads a Snapshot frame, checking everything but the
+// engine blobs, which stay opaque.
+func parseSnapshot(data []byte) (snapshot, error) {
+	r := wire.NewReader(data)
+	var f snapshot
+	f.version = r.U64()
+	if f.version != snapshotVersion && f.version != snapshotVersionV1 {
+		if r.Err() != nil {
+			return f, fmt.Errorf("shard: corrupt snapshot: %w", r.Err())
+		}
+		return f, fmt.Errorf("shard: unsupported snapshot version %d", f.version)
+	}
+	shards := r.U64()
+	f.seed = r.U64()
+	if f.version >= 2 {
+		f.items = r.U64()
+	}
+	if r.Err() != nil {
+		return f, fmt.Errorf("shard: corrupt snapshot: %w", r.Err())
+	}
+	if shards == 0 || shards > 1<<20 {
+		return f, fmt.Errorf("shard: implausible shard count %d in snapshot", shards)
+	}
+	// Grow the blob list as blobs decode, so a short snapshot claiming
+	// many shards allocates little.
+	for i := uint64(0); i < shards && r.Err() == nil; i++ {
+		f.blobs = append(f.blobs, r.Blob())
+	}
+	if r.Err() != nil {
+		return f, fmt.Errorf("shard: corrupt snapshot: %w", r.Err())
+	}
+	if !r.Done() {
+		return f, errors.New("shard: trailing bytes after snapshot")
+	}
+	return f, nil
+}
+
+// Blobs returns the engine blobs of a Snapshot, one per shard, without
+// rebuilding anything: a caller can weigh what Restore would build
+// before it builds it.
+func Blobs(data []byte) ([][]byte, error) {
+	f, err := parseSnapshot(data)
+	return f.blobs, err
+}
+
 // Restore reconstructs a sharded engine from a Snapshot, rebuilding each
 // shard with factory and starting fresh workers. The shard count and
 // partition seed come from the snapshot; opts supplies the queue knobs
 // only (its Shards and Seed fields are ignored).
 func Restore(data []byte, factory RestoreFactory, opts Options) (*Sharded, error) {
-	r := wire.NewReader(data)
-	v := r.U64()
-	if v != snapshotVersion && v != snapshotVersionV1 {
-		if r.Err() != nil {
-			return nil, fmt.Errorf("shard: corrupt snapshot: %w", r.Err())
-		}
-		return nil, fmt.Errorf("shard: unsupported snapshot version %d", v)
+	f, err := parseSnapshot(data)
+	if err != nil {
+		return nil, err
 	}
-	shards := r.U64()
-	seed := r.U64()
-	var items uint64
-	if v >= 2 {
-		items = r.U64()
-	}
-	if r.Err() != nil {
-		return nil, fmt.Errorf("shard: corrupt snapshot: %w", r.Err())
-	}
-	if shards == 0 || shards > 1<<20 {
-		return nil, fmt.Errorf("shard: implausible shard count %d in snapshot", shards)
-	}
-	blobs := make([][]byte, shards)
-	for i := range blobs {
-		blobs[i] = r.Blob()
-	}
-	if r.Err() != nil {
-		return nil, fmt.Errorf("shard: corrupt snapshot: %w", r.Err())
-	}
-	if !r.Done() {
-		return nil, errors.New("shard: trailing bytes after snapshot")
-	}
-	opts.Shards = int(shards)
-	opts.Seed = seed
+	blobs, items := f.blobs, f.items
+	opts.Shards = len(blobs)
+	opts.Seed = f.seed
 	s, err := New(func(i, total int) (Engine, error) {
 		return factory(i, total, blobs[i])
 	}, opts)
@@ -105,7 +131,7 @@ func Restore(data []byte, factory RestoreFactory, opts Options) (*Sharded, error
 	// it ≥ every arrival stamp the engine blobs carry); v1 snapshots did
 	// not, so fall back to the engines' summed lengths, which keeps
 	// metrics coherent but resets windowed share accounting.
-	if v >= 2 {
+	if f.version >= 2 {
 		if l := s.Len(); items < l {
 			// A tampered counter below the engines' own mass would push
 			// stamps backward; clamp to the coherent floor.

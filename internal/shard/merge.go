@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/merge"
-	"repro/internal/wire"
 )
 
 // EngineMerger is the per-shard merge contract: MergeEngine folds a
@@ -79,45 +78,24 @@ func (s *Sharded) CheckSnapshot(data []byte, factory RestoreFactory) error {
 // foreign engines; added is their summed length. Shared by MergeSnapshot
 // and CheckSnapshot.
 func (s *Sharded) decodeForeign(data []byte, factory RestoreFactory) (foreign []Engine, added uint64, err error) {
-	r := wire.NewReader(data)
-	v := r.U64()
-	if v != snapshotVersion && v != snapshotVersionV1 {
-		if r.Err() != nil {
-			return nil, 0, fmt.Errorf("shard: corrupt snapshot: %w", r.Err())
-		}
-		return nil, 0, fmt.Errorf("shard: unsupported snapshot version %d", v)
+	f, err := parseSnapshot(data)
+	if err != nil {
+		return nil, 0, err
 	}
-	shards := r.U64()
-	seed := r.U64()
-	if v >= 2 {
-		// The accepted-items counter matters to Restore (it re-bases the
-		// arrival stamps); a merge only folds engine state, so the
-		// foreign counter is irrelevant here. (Windowed engines refuse
-		// merging anyway — DESIGN.md §8.)
-		_ = r.U64()
-	}
-	if r.Err() != nil {
-		return nil, 0, fmt.Errorf("shard: corrupt snapshot: %w", r.Err())
-	}
-	if int(shards) != len(s.engines) {
+	// The accepted-items counter matters to Restore (it re-bases the
+	// arrival stamps); a merge only folds engine state, so the foreign
+	// counter is irrelevant here. (Windowed engines refuse merging
+	// anyway — DESIGN.md §8.)
+	shards := len(f.blobs)
+	if shards != len(s.engines) {
 		return nil, 0, merge.Incompatiblef("shard: snapshot has %d shards, live engine has %d", shards, len(s.engines))
 	}
-	if seed != s.opts.Seed {
+	if f.seed != s.opts.Seed {
 		return nil, 0, merge.Incompatiblef("shard: partition seeds differ — ids route to different shards")
-	}
-	blobs := make([][]byte, shards)
-	for i := range blobs {
-		blobs[i] = r.Blob()
-	}
-	if r.Err() != nil {
-		return nil, 0, fmt.Errorf("shard: corrupt snapshot: %w", r.Err())
-	}
-	if !r.Done() {
-		return nil, 0, errors.New("shard: trailing bytes after snapshot")
 	}
 	foreign = make([]Engine, shards)
 	for i := range foreign {
-		e, err := factory(i, int(shards), blobs[i])
+		e, err := factory(i, shards, f.blobs[i])
 		if err != nil {
 			return nil, 0, fmt.Errorf("shard %d/%d: %w", i, shards, err)
 		}

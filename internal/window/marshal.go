@@ -65,6 +65,89 @@ func (w *Window) MarshalBinary() ([]byte, error) {
 	return enc.Bytes(), nil
 }
 
+// snapshot is a MarshalBinary frame parsed but not yet rebuilt.
+type snapshot struct {
+	lastN                          uint64
+	lastDuration                   time.Duration
+	buckets                        int
+	total, retired, retiredBuckets uint64
+	stamp, prevStamp               uint64
+	stampKnown                     bool
+	live                           []*bucket // engine not yet restored
+	blobs                          [][]byte  // each live bucket's engine blob
+}
+
+// parseSnapshot reads a MarshalBinary frame, checking everything but the
+// engine blobs, which stay opaque.
+func parseSnapshot(data []byte) (snapshot, error) {
+	r := wire.NewReader(data)
+	var f snapshot
+	v := r.U64()
+	if v != snapshotVersion && v != snapshotVersionV1 {
+		if r.Err() != nil {
+			return f, fmt.Errorf("window: corrupt snapshot: %w", r.Err())
+		}
+		return f, fmt.Errorf("window: unsupported snapshot version %d", v)
+	}
+	f.lastN = r.U64()
+	f.lastDuration = time.Duration(r.I64())
+	buckets := r.U64()
+	f.total = r.U64()
+	f.retired = r.U64()
+	f.retiredBuckets = r.U64()
+	// v1 snapshots predate arrival stamps: the accounting starts unknown
+	// and re-establishes on the first observed stamp.
+	if v >= 2 {
+		f.stamp = r.U64()
+		f.prevStamp = r.U64()
+		f.stampKnown = r.Bool()
+	}
+	n := r.U64()
+	if r.Err() != nil {
+		return f, fmt.Errorf("window: corrupt snapshot: %w", r.Err())
+	}
+	// Bound the geometry before allocating anything proportional to it:
+	// a hostile snapshot must error, not exhaust memory. (Options.fill
+	// re-checks the granularity; this keeps the bucket-count bound
+	// meaningful even so.)
+	if buckets == 0 || buckets > maxBuckets {
+		return f, fmt.Errorf("window: implausible granularity %d in snapshot", buckets)
+	}
+	f.buckets = int(buckets)
+	if n == 0 || n > uint64(MaxLive(f.buckets)) {
+		return f, fmt.Errorf("window: implausible bucket count %d in snapshot", n)
+	}
+	// Grow the bucket list as buckets decode, so a short snapshot
+	// claiming many allocates little.
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		b := &bucket{count: r.U64()}
+		b.start = time.Unix(0, r.I64())
+		b.last = time.Unix(0, r.I64())
+		if v >= 2 {
+			b.startStamp = r.U64()
+			b.startGap = r.U64()
+			b.stamped = r.Bool()
+		}
+		f.live = append(f.live, b)
+		f.blobs = append(f.blobs, r.Blob())
+	}
+	if r.Err() != nil {
+		return f, fmt.Errorf("window: corrupt snapshot: %w", r.Err())
+	}
+	if !r.Done() {
+		return f, errors.New("window: trailing bytes after snapshot")
+	}
+	return f, nil
+}
+
+// Blobs returns the engine blobs of a MarshalBinary frame, one per live
+// bucket, without restoring anything: a caller can weigh what Restore
+// would build before it builds it.
+func Blobs(data []byte) ([][]byte, error) {
+	f, err := parseSnapshot(data)
+	return f.blobs, err
+}
+
 // Restore reconstructs a Window from a MarshalBinary blob (either
 // snapshot version — v1 blobs decode with share accounting reset). The
 // window geometry (mode, size, bucket count) comes from the blob; opts
@@ -72,69 +155,22 @@ func (w *Window) MarshalBinary() ([]byte, error) {
 // the engines for buckets opened after the restore; restore decodes the
 // checkpointed ones.
 func Restore(data []byte, factory Factory, restore Restorer, opts Options) (*Window, error) {
-	r := wire.NewReader(data)
-	v := r.U64()
-	if v != snapshotVersion && v != snapshotVersionV1 {
-		if r.Err() != nil {
-			return nil, fmt.Errorf("window: corrupt snapshot: %w", r.Err())
-		}
-		return nil, fmt.Errorf("window: unsupported snapshot version %d", v)
+	f, err := parseSnapshot(data)
+	if err != nil {
+		return nil, err
 	}
-	opts.LastN = r.U64()
-	opts.LastDuration = time.Duration(r.I64())
-	buckets := r.U64()
-	total := r.U64()
-	retired := r.U64()
-	retiredBuckets := r.U64()
-	var stamp, prevStamp uint64
-	var stampKnown bool
-	if v >= 2 {
-		stamp = r.U64()
-		prevStamp = r.U64()
-		stampKnown = r.Bool()
-	}
-	n := r.U64()
-	if r.Err() != nil {
-		return nil, fmt.Errorf("window: corrupt snapshot: %w", r.Err())
-	}
-	// Bound the geometry before allocating anything proportional to it:
-	// a hostile snapshot must error, not exhaust memory. (Options.fill
-	// re-checks the granularity; this keeps the bucket-count bound
-	// meaningful even so.)
-	if buckets == 0 || buckets > maxBuckets {
-		return nil, fmt.Errorf("window: implausible granularity %d in snapshot", buckets)
-	}
-	opts.Buckets = int(buckets)
-	if n == 0 || n > buckets+2 {
-		return nil, fmt.Errorf("window: implausible bucket count %d in snapshot", n)
-	}
+	opts.LastN, opts.LastDuration, opts.Buckets = f.lastN, f.lastDuration, f.buckets
 	// Build the shell only — the decoded buckets below supply the live
 	// engine, so opening a fresh one here would be a wasted allocation.
 	w, err := newWindow(factory, restore, opts)
 	if err != nil {
 		return nil, err
 	}
-	w.total, w.retired, w.retiredBuckets = total, retired, retiredBuckets
-	// v1 snapshots predate arrival stamps: the accounting starts unknown
-	// and re-establishes on the first observed stamp.
-	w.stamp, w.prevStamp, w.stampKnown = stamp, prevStamp, stampKnown
-	bs := make([]*bucket, n)
-	for i := range bs {
-		count := r.U64()
-		start := r.I64()
-		last := r.I64()
-		var startStamp, startGap uint64
-		var stamped bool
-		if v >= 2 {
-			startStamp = r.U64()
-			startGap = r.U64()
-			stamped = r.Bool()
-		}
-		blob := r.Blob()
-		if r.Err() != nil {
-			return nil, fmt.Errorf("window: corrupt snapshot: %w", r.Err())
-		}
-		eng, err := restore(blob)
+	w.total, w.retired, w.retiredBuckets = f.total, f.retired, f.retiredBuckets
+	w.stamp, w.prevStamp, w.stampKnown = f.stamp, f.prevStamp, f.stampKnown
+	bs, n := f.live, len(f.live)
+	for i, b := range bs {
+		eng, err := restore(f.blobs[i])
 		if err != nil {
 			return nil, fmt.Errorf("window: bucket %d/%d: %w", i, n, err)
 		}
@@ -142,25 +178,11 @@ func Restore(data []byte, factory Factory, restore Restorer, opts Options) (*Win
 		// the report threshold); it must agree with what the engine
 		// actually holds, or a tampered snapshot could poison every
 		// later report while decoding "successfully".
-		if got := eng.Len(); got != count {
+		if got := eng.Len(); got != b.count {
 			return nil, fmt.Errorf("window: bucket %d/%d count %d disagrees with engine length %d",
-				i, n, count, got)
+				i, n, b.count, got)
 		}
-		bs[i] = &bucket{
-			eng:        eng,
-			count:      count,
-			start:      time.Unix(0, start),
-			last:       time.Unix(0, last),
-			startStamp: startStamp,
-			startGap:   startGap,
-			stamped:    stamped,
-		}
-	}
-	if !r.Done() {
-		if r.Err() != nil {
-			return nil, fmt.Errorf("window: corrupt snapshot: %w", r.Err())
-		}
-		return nil, errors.New("window: trailing bytes after snapshot")
+		b.eng = eng
 	}
 	w.sealed = bs[:n-1]
 	w.live = bs[n-1]

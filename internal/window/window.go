@@ -74,6 +74,12 @@ const DefaultBuckets = 8
 // claiming more is hostile rather than configured.
 const maxBuckets = 1 << 20
 
+// MaxLive is the most buckets a window of granularity b holds at once —
+// b sealed epochs, one more straddling the window's edge, and the live
+// bucket — and so the most bucket engines one checkpoint of it carries;
+// Restore refuses more.
+func MaxLive(b int) int { return b + 2 }
+
 // MaxLastN bounds the count-window length. Beyond it the ceil-division
 // arithmetic (bucket capacity, slack) risks uint64 wraparound — a
 // wrapped capacity of 0 would silently degenerate the window — and no

@@ -71,12 +71,6 @@ func (w *Writer) U32s(vs []uint32) {
 	}
 }
 
-// EmptySlices appends n empty length-prefixed slices, the bytes n calls of
-// U32s(nil) or U64s(nil) write: one zero length byte each.
-func (w *Writer) EmptySlices(n int) {
-	w.buf = append(w.buf, make([]byte, n)...)
-}
-
 // Blob appends a length-prefixed opaque byte string. Nested encodings
 // (e.g. a sharded container framing the per-shard sketch encodings) use
 // it so inner formats stay self-describing without the outer format

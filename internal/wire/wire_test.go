@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -162,30 +161,5 @@ func TestQuickRoundTrip(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEmptySlicesMatchesNilSlices(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 300} {
-		a, b := NewWriter(), NewWriter()
-		a.U64(5)
-		b.U64(5)
-		a.EmptySlices(n)
-		for i := 0; i < n; i++ {
-			b.U32s(nil)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("n=%d: EmptySlices wrote %x, U32s(nil) ×n wrote %x", n, a.Bytes(), b.Bytes())
-		}
-		r := NewReader(a.Bytes())
-		r.U64()
-		for i := 0; i < n; i++ {
-			if vs := r.U32s(); len(vs) != 0 {
-				t.Fatalf("n=%d: slice %d has %d elements", n, i, len(vs))
-			}
-		}
-		if !r.Done() {
-			t.Fatalf("n=%d: trailing bytes", n)
-		}
 	}
 }

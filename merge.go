@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/merge"
 	"repro/internal/shard"
-	"repro/internal/wire"
 )
 
 // Distributed merge tier: the engine half of the Merger capability.
@@ -183,19 +182,16 @@ func (h *shardedSolver) parseMergeFrame(blob []byte) ([]byte, error) {
 	if err := checkMergeTag(blob, tagSharded); err != nil {
 		return nil, err
 	}
-	r := wire.NewReader(blob[1:])
-	eps := r.F64()
-	phi := r.F64()
-	snap := r.Blob()
-	if r.Err() != nil {
-		return nil, fmt.Errorf("l1hh: corrupt sharded encoding: %w", r.Err())
+	other, snap, err := parseSharded(blob)
+	if err != nil {
+		return nil, err
 	}
-	if !r.Done() {
-		return nil, errors.New("l1hh: trailing bytes after sharded encoding")
-	}
-	if eps != h.eps || phi != h.phi {
+	if other.eps != h.eps || other.phi != h.phi {
 		return nil, merge.Incompatiblef("l1hh: problem parameters differ: (ε=%g, ϕ=%g) vs (ε=%g, ϕ=%g)",
-			h.eps, h.phi, eps, phi)
+			h.eps, h.phi, other.eps, other.phi)
+	}
+	if err := checkGridBudget(blob); err != nil {
+		return nil, err
 	}
 	return snap, nil
 }

@@ -86,7 +86,9 @@ func (st *settings) windowed() bool { return st.has(optCountWindow | optTimeWind
 
 // WithEps sets the additive error ε ∈ (0,1). Required: together with
 // WithPhi it is the problem statement, and no default is universally
-// safe.
+// safe. With a known stream length and AlgorithmOptimal, ε has a floor
+// set by the solver's grid bound (see New): about 4·10⁻⁶ at ϕ = 0.05
+// for one engine, K times that for K shards.
 func WithEps(eps float64) Option {
 	return func(st *settings) { st.cfg.Eps = eps; st.mark(optEps) }
 }

@@ -219,6 +219,13 @@ type Shedder interface {
 //
 // Each problem validates its own option subset; see problems.go and
 // DESIGN.md §14 for the problem-keyed builder table.
+//
+// An AlgorithmOptimal solver holds at most 2²⁸ one-byte grid cells,
+// summed over its shards and, for a window of B buckets, the B+2
+// bucket engines each window may hold. New refuses a larger solver,
+// because Unmarshal refuses a checkpoint that claims more (a checkpoint
+// writes an empty cell in almost no bytes, so its length bounds
+// nothing). One engine reaches ε = 10⁻⁵ at any ϕ ≥ 10⁻³ (DESIGN.md §2).
 func New(opts ...Option) (HeavyHitters, error) {
 	st, err := resolveOptions(opts)
 	if err != nil {
@@ -307,6 +314,10 @@ func (st *settings) newSentinel() *sentinel {
 //	WithClock                   — windowed containers (4, 5)
 //	WithIngestObserver          — sharded containers (3, 5);
 //	                              instrumentation is never serialized
+//
+// A checkpoint whose Algorithm 2 engines claim more grid cells between
+// them than New admits (see New) is refused from its frame headers,
+// before any engine is decoded.
 func Unmarshal(data []byte, opts ...Option) (HeavyHitters, error) {
 	st, err := resolveOptions(opts)
 	if err != nil {
@@ -317,6 +328,9 @@ func Unmarshal(data []byte, opts ...Option) (HeavyHitters, error) {
 	}
 	if len(data) < 2 {
 		return nil, errors.New("l1hh: truncated solver encoding")
+	}
+	if err := checkGridBudget(data); err != nil {
+		return nil, err
 	}
 	switch data[0] {
 	case tagOptimal, tagSimple:
