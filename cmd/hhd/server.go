@@ -101,6 +101,10 @@ type server struct {
 	// oversized requests answer 413 instead of streaming forever.
 	maxIngestBytes int64
 
+	// bodyIdle is how long a request body may go without delivering a
+	// byte: bodyIdleTimeout, which tests may shorten.
+	bodyIdle time.Duration
+
 	// When the last merge succeeded and the last snapshot was stored
 	// (UnixNano; 0 = never): the age gauges derive from them at scrape
 	// time. The counts themselves live in obs.
@@ -236,7 +240,7 @@ func kindForProblem(p l1hh.Problem) string {
 // pool. finish or enablePool then installs the one engine family the
 // server serves.
 func newShell(spec engineSpec) *server {
-	s := &server{spec: spec, start: time.Now(), mux: http.NewServeMux()}
+	s := &server{spec: spec, start: time.Now(), mux: http.NewServeMux(), bodyIdle: bodyIdleTimeout}
 	s.obs = newServerObs(s)
 	if spec.problem == l1hh.HeavyHittersProblem {
 		// The problem engines take no runtime tuning — their option
@@ -328,6 +332,9 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 	r.bytes += n
 	return n, err
 }
+
+// Unwrap lets http.ResponseController reach the connection deadlines.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // isReady reports whether /readyz should answer 200: not draining, and
 // past any warm-up gate (aggregators wait for the first successful
@@ -492,12 +499,47 @@ func tenantError(w http.ResponseWriter, tenant string, err error) {
 	}
 }
 
-// ingestBody is the request body under the -max-ingest-bytes limit.
+// bodyIdleTimeout is how long a request body may go without delivering
+// a byte before the handler reading it gives up. It bounds the wait for
+// each read, not the whole body, so a /restore of any size completes
+// while its bytes keep arriving; a server-wide ReadTimeout would cut
+// such a body off.
+const bodyIdleTimeout = 30 * time.Second
+
+// idleBody is a request body under an idle deadline: each read first
+// moves the connection's read deadline idle ahead, so a body that stalls
+// fails its next read. Reaching the end clears the deadline, which the
+// server then leaves to its own header and idle timeouts.
+type idleBody struct {
+	io.ReadCloser
+	rc   *http.ResponseController
+	idle time.Duration
+}
+
+// Read moves the deadline, then reads. A writer with no connection
+// under it (an httptest recorder) has no deadline to move, so the
+// SetReadDeadline errors are dropped.
+func (b *idleBody) Read(p []byte) (int, error) {
+	_ = b.rc.SetReadDeadline(time.Now().Add(b.idle))
+	n, err := b.ReadCloser.Read(p)
+	if err == io.EOF {
+		_ = b.rc.SetReadDeadline(time.Time{})
+	}
+	return n, err
+}
+
+// body is r's body under the body idle deadline.
+func (s *server) body(w http.ResponseWriter, r *http.Request) io.ReadCloser {
+	return &idleBody{ReadCloser: r.Body, rc: http.NewResponseController(w), idle: s.bodyIdle}
+}
+
+// ingestBody is the request body under the body idle deadline and the
+// -max-ingest-bytes limit.
 func (s *server) ingestBody(w http.ResponseWriter, r *http.Request) io.Reader {
 	if s.maxIngestBytes > 0 {
-		return http.MaxBytesReader(w, r.Body, s.maxIngestBytes)
+		return http.MaxBytesReader(w, s.body(w, r), s.maxIngestBytes)
 	}
-	return r.Body
+	return s.body(w, r)
 }
 
 // handleIngest accepts a batch of items. Two body formats:
@@ -1192,7 +1234,7 @@ func (s *server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	if s.rejectOnAggregator(w) {
 		return
 	}
-	blob, err := io.ReadAll(io.LimitReader(r.Body, maxSnapshotBody+1))
+	blob, err := io.ReadAll(io.LimitReader(s.body(w, r), maxSnapshotBody+1))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "reading checkpoint: %v", err)
 		return
@@ -1268,7 +1310,7 @@ func (s *server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if s.rejectOnAggregator(w) {
 		return
 	}
-	blob, err := io.ReadAll(io.LimitReader(r.Body, maxSnapshotBody+1))
+	blob, err := io.ReadAll(io.LimitReader(s.body(w, r), maxSnapshotBody+1))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "reading snapshot: %v", err)
 		return

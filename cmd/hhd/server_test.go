@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -391,5 +392,85 @@ func TestStalledHeaderIsClosed(t *testing.T) {
 	}
 	if took := time.Since(start); took < readHeaderTimeout/2 {
 		t.Fatalf("connection closed after %v, before the %v header timeout could apply", took, readHeaderTimeout)
+	}
+}
+
+// TestStalledBodyIsCut: a body that stops short of its Content-Length
+// ends its request with 400 once it has gone bodyIdle without a byte, on
+// every route that reads a body, at the root and under /t/{tenant}. A
+// body that keeps arriving completes however long it takes in all,
+// because each read moves the deadline.
+func TestStalledBodyIsCut(t *testing.T) {
+	t.Parallel()
+	const idle = 500 * time.Millisecond
+	engine, tenants := newTestServer(t, 10_000), newTestPoolServer(t)
+	serve := func(s *server) string {
+		s.bodyIdle = idle
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := newHTTPServer("", s)
+		go hs.Serve(ln)
+		t.Cleanup(func() { hs.Close() })
+		return ln.Addr().String()
+	}
+	engineAddr, tenantAddr := serve(engine), serve(tenants)
+
+	// send declares a body of declared bytes, writes parts with gap
+	// between them, and returns the response status and how long after
+	// the last part it came.
+	send := func(addr, path string, declared int, parts [][]byte, gap time.Duration) (int, time.Duration) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: x\r\nContent-Type: application/octet-stream\r\nContent-Length: %d\r\n\r\n", path, declared)
+		for i, p := range parts {
+			if i > 0 {
+				time.Sleep(gap)
+			}
+			if _, err := conn.Write(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sent := time.Now()
+		conn.SetReadDeadline(sent.Add(idle + 3*time.Second))
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("POST %s: no response %v after its last byte: %v", path, time.Since(sent).Round(time.Millisecond), err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode, time.Since(sent)
+	}
+
+	for _, c := range []struct{ addr, path string }{
+		{engineAddr, "/ingest"}, {engineAddr, "/vote"}, {engineAddr, "/restore"}, {engineAddr, "/merge"},
+		{tenantAddr, "/t/a/ingest"}, {tenantAddr, "/t/a/vote"},
+	} {
+		status, took := send(c.addr, c.path, 800, [][]byte{make([]byte, 8)}, 0)
+		if status != http.StatusBadRequest || took < idle/2 {
+			t.Errorf("POST %s stalled after 8 of 800 bytes: status %d after %v, want 400 after about %v",
+				c.path, status, took.Round(time.Millisecond), idle)
+		}
+	}
+
+	// Ten items a fifth of the deadline apart take twice the deadline.
+	items := make([][]byte, 10)
+	for i := range items {
+		items[i] = binary.LittleEndian.AppendUint64(nil, 7)
+	}
+	if status, _ := send(engineAddr, "/ingest", 80, items, idle/5); status != http.StatusOK {
+		t.Errorf("a slow but steady /ingest answered %d, want 200", status)
+	}
+	ckpt := do(t, engine, "POST", "/checkpoint", "", nil).Body.Bytes()
+	var parts [][]byte
+	for b := ckpt; len(b) > 0; b = b[min(len(b), len(ckpt)/4+1):] {
+		parts = append(parts, b[:min(len(b), len(ckpt)/4+1)])
+	}
+	if status, _ := send(engineAddr, "/restore", len(ckpt), parts, idle/2); status != http.StatusOK {
+		t.Errorf("a slow but steady /restore in %d parts answered %d, want 200", len(parts), status)
 	}
 }

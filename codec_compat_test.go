@@ -17,14 +17,22 @@ package l1hh
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/hash"
+	"repro/internal/sample"
+	"repro/internal/wire"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/checkpoints golden files")
@@ -566,6 +574,134 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		if _, err := Unmarshal(blob); err == nil {
 			t.Errorf("Unmarshal(%v) succeeded on garbage", blob)
 		}
+	}
+}
+
+// simpleFrame is a tag 2 checkpoint split into the fields after its
+// head (the tag, version, config, sampler and hash bytes), so a test
+// can rewrite them one at a time.
+type simpleFrame struct {
+	head                         []byte
+	tableLen                     uint64
+	t1, t2                       map[uint64]uint64
+	t2Cap, s, offered, hashRange uint64
+}
+
+// parseSimpleFrame splits blob, a valid tag 2 checkpoint.
+func parseSimpleFrame(t testing.TB, blob []byte) *simpleFrame {
+	t.Helper()
+	r := wire.NewReader(blob[1:])
+	w := wire.NewWriter()
+	w.U64(r.U64()) // version
+	// The config: ε, ϕ, δ, then m and n, then the seven Tuning constants.
+	for i := 0; i < 12; i++ {
+		if i == 3 || i == 4 {
+			w.U64(r.U64())
+		} else {
+			w.F64(r.F64())
+		}
+	}
+	sample.DecodeSkip(r).Encode(w)
+	hash.DecodeFunc(r).Encode(w)
+	f := &simpleFrame{head: append([]byte{blob[0]}, w.Bytes()...)}
+	f.tableLen = r.U64()
+	f.t1, f.t2 = r.Map(), r.Map()
+	f.t2Cap, f.s, f.offered, f.hashRange = r.U64(), r.U64(), r.U64(), r.U64()
+	if !r.Done() {
+		t.Fatalf("tag 2 frame did not parse: %v", r.Err())
+	}
+	return f
+}
+
+func (f *simpleFrame) bytes() []byte {
+	w := wire.NewWriter()
+	w.U64(f.tableLen)
+	w.Map(f.t1)
+	w.Map(f.t2)
+	for _, v := range []uint64{f.t2Cap, f.s, f.offered, f.hashRange} {
+		w.U64(v)
+	}
+	return append(slices.Clone(f.head), w.Bytes()...)
+}
+
+// TestUnmarshalRefusesHostileSimpleFrame: a tag 2 checkpoint restores
+// only if a build could have written it. Each row rewrites one field of
+// a real checkpoint; the untouched row must restore, re-marshal to the
+// same bytes and merge into its own restore. A T1 width of 2⁶⁴−1 once
+// restored, and merging those bytes into their own restore panicked in
+// the Misra-Gries reduction; a T2 capacity of 2⁶⁴−1 reached a negative
+// slice index the same way.
+func TestUnmarshalRefusesHostileSimpleFrame(t *testing.T) {
+	blob, err := buildGoldenHH(goldenOpts(AlgorithmSimple)...)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// keyOf returns the smallest key of m for which in(key) holds.
+	keyOf := func(m map[uint64]uint64, in func(uint64) bool) uint64 {
+		keys := slices.Sorted(maps.Keys(m))
+		for _, k := range keys {
+			if in(k) {
+				return k
+			}
+		}
+		t.Fatal("golden frame lacks the key the row needs")
+		return 0
+	}
+	rows := []struct {
+		name string
+		edit func(f *simpleFrame)
+	}{
+		{"untouched", func(*simpleFrame) {}},
+		{"T1 width 0", func(f *simpleFrame) { f.tableLen = 0 }},
+		{"T1 width 2⁶⁴−1", func(f *simpleFrame) { f.tableLen = math.MaxUint64 }},
+		{"more T1 counters than its width", func(f *simpleFrame) { f.tableLen = uint64(len(f.t1)) - 1 }},
+		{"zero T1 counter", func(f *simpleFrame) {
+			f.t1[keyOf(f.t1, func(k uint64) bool { _, inT2 := f.t2[k]; return !inT2 })] = 0
+		}},
+		{"T2 capacity 0", func(f *simpleFrame) { f.t2Cap = 0 }},
+		{"T2 capacity 2⁶⁴−1", func(f *simpleFrame) { f.t2Cap = math.MaxUint64 }},
+		{"more T2 entries than its capacity", func(f *simpleFrame) { f.t2Cap = uint64(len(f.t2)) - 1 }},
+		{"T2 key absent from T1", func(f *simpleFrame) {
+			delete(f.t1, keyOf(f.t2, func(uint64) bool { return true }))
+		}},
+		{"ε out of range", func(f *simpleFrame) {
+			// ε is the first config field, after the tag and the
+			// one-byte version.
+			binary.LittleEndian.PutUint64(f.head[2:], math.Float64bits(2))
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			f := parseSimpleFrame(t, blob)
+			row.edit(f)
+			data := f.bytes()
+			hh, err := Unmarshal(data)
+			if row.name != "untouched" {
+				if err == nil {
+					hh.Close()
+					t.Fatal("Unmarshal restored a state no build produces")
+				}
+				live, err := New(goldenOpts(AlgorithmSimple)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer live.Close()
+				if live.(Merger).CheckMerge(data) == nil || live.(Merger).Merge(data) == nil {
+					t.Fatal("a live engine merged a state no build produces")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("the untouched frame: %v", err)
+			}
+			defer hh.Close()
+			if again, _ := hh.MarshalBinary(); !bytes.Equal(again, blob) {
+				t.Fatal("the untouched frame did not parse back to its own bytes")
+			}
+			if err := hh.(Merger).Merge(data); err != nil {
+				t.Fatalf("merging the untouched frame into its restore: %v", err)
+			}
+		})
 	}
 }
 

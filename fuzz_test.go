@@ -6,6 +6,7 @@ package l1hh
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -51,7 +52,7 @@ func seedBlobs(tb testing.TB) [][]byte {
 		sl.Insert(i % 37)
 	}
 	b1, _ := sl.MarshalBinary()
-	blobs = append(blobs, append([]byte{1}, b1...))
+	blobs = append(blobs, append([]byte{tagSimple}, b1...))
 
 	op, err := core.NewOptimal(rng.New(2), core.Config{
 		Eps: 0.1, Phi: 0.3, Delta: 0.1, M: 1000, N: 1000,
@@ -63,7 +64,7 @@ func seedBlobs(tb testing.TB) [][]byte {
 		op.Insert(i % 37)
 	}
 	b2, _ := op.MarshalBinary()
-	blobs = append(blobs, append([]byte{2}, b2...))
+	blobs = append(blobs, append([]byte{tagOptimal}, b2...))
 	return blobs
 }
 
@@ -363,16 +364,25 @@ var fuzzMergeTargets = sync.OnceValue(func() []HeavyHitters {
 // FuzzMergeCheckpoint feeds corrupt/truncated checkpoint containers to
 // the merge decode paths of every Merger kind — serial, sharded
 // (container frame + shard snapshot + per-shard solver decode) and
-// Borda — through both CheckMerge and Merge, and to the sharded restore
-// path. All must error on hostile bytes, never panic, and a
-// decodable-but-incompatible checkpoint must be rejected without
-// corrupting the live engine.
+// Borda — through both CheckMerge and Merge, to the sharded restore
+// path, and to the merge of the bytes into their own restore. All must
+// error on hostile bytes, never panic, and a decodable-but-incompatible
+// checkpoint must be rejected without corrupting the live engine.
 func FuzzMergeCheckpoint(f *testing.F) {
 	for _, b := range anySeedBlobs(f) {
 		f.Add(b)
 		f.Add(b[:len(b)/2])
 	}
 	f.Add(poolSeedBlob(f))
+	// A tag 2 frame whose T1 width is 2⁶⁴−1: it matches no live target,
+	// only its own restore.
+	golden, err := buildGoldenHH(goldenOpts(AlgorithmSimple)...)()
+	if err != nil {
+		f.Fatal(err)
+	}
+	wide := parseSimpleFrame(f, golden)
+	wide.tableLen = math.MaxUint64
+	f.Add(wide.bytes())
 	f.Add([]byte{})
 	f.Add([]byte{3})          // bare sharded tag
 	f.Add([]byte{3, 0, 0, 0}) // tag + garbage frame
@@ -391,6 +401,17 @@ func FuzzMergeCheckpoint(f *testing.F) {
 		if hh, err := restoreSharded(data); err == nil {
 			hh.Insert(7)
 			_ = hh.Report()
+			hh.Close()
+		}
+		// The targets above are valid engines, so a hostile frame whose
+		// shape matches only itself never reaches their fold. Merging the
+		// bytes into their own restore does.
+		if hh, err := Unmarshal(data); err == nil {
+			if m, ok := hh.(Merger); ok {
+				_ = m.CheckMerge(data)
+				_ = m.Merge(data)
+				_ = hh.Report()
+			}
 			hh.Close()
 		}
 	})

@@ -40,11 +40,14 @@ func digest(b []byte) string {
 	return hex.EncodeToString(d[:])
 }
 
-// reportDigest returns the digest of o's report: item and float64 bits
+// reportDigest returns the digest of o's report.
+func reportDigest(o *Optimal) string { return estimatesDigest(o.Report()) }
+
+// estimatesDigest returns the digest of a report: item and float64 bits
 // per entry, in report order.
-func reportDigest(o *Optimal) string {
+func estimatesDigest(es []ItemEstimate) string {
 	var rep []byte
-	for _, e := range o.Report() {
+	for _, e := range es {
 		rep = binary.LittleEndian.AppendUint64(rep, e.Item)
 		rep = binary.LittleEndian.AppendUint64(rep, math.Float64bits(e.F))
 	}
@@ -189,6 +192,188 @@ func TestOptimalIdentityDigests(t *testing.T) {
 				t.Errorf("report digest %s, want %s", got, c.report)
 			}
 			if bits := o.ModelBits(); bits != c.modelBits {
+				t.Errorf("ModelBits %d, want %d", bits, c.modelBits)
+			}
+		})
+	}
+}
+
+// The digests below pin Algorithm 1 and ε-Maximum the same way. They
+// were recorded when both solvers kept T1 in a Go map of their own.
+// Algorithm 1 then broke a tie among T2's smallest T1 counts in map
+// order, so its bytes could differ between runs, and its cases use
+// streams on which no T2 eviction ties: stairStream sampled at p = 1.
+
+// stairStream interleaves two heavy ids, at the positions divisible by
+// 3 and at the other positions divisible by 5, with runs of fresh ids,
+// each run one longer than the last. Every fresh id then ends its run with a larger T1
+// count than any older one, so the T2 members' counts stay distinct.
+func stairStream(n int) []uint64 {
+	xs := make([]uint64, 0, n)
+	id, run, left := uint64(0), 1, 1
+	for i := 0; len(xs) < n; i++ {
+		switch {
+		case i%3 == 0:
+			xs = append(xs, 0x5EED)
+		case i%5 == 0:
+			xs = append(xs, 0xF00D)
+		default:
+			if left == 0 {
+				id++
+				run++
+				left = run
+			}
+			xs = append(xs, (id*0x2545F491+0x1B873593)&(1<<30-1))
+			left--
+		}
+	}
+	return xs
+}
+
+func TestSimpleIdentityDigests(t *testing.T) {
+	// M ≤ 6ℓ, so every item is sampled.
+	cfg := Config{Eps: 0.05, Phi: 0.1, Delta: 0.05, M: 1 << 16, N: 1 << 30}
+	newSimple := func(t *testing.T, seed uint64) *SimpleList {
+		a, err := NewSimpleList(rng.New(seed), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	newMax := func(t *testing.T, cfg Config, seed uint64) *Maximum {
+		a, err := NewMaximum(rng.New(seed), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	// pinned is what a case exposes: its bytes, its report and its bits.
+	type pinned interface {
+		MarshalBinary() ([]byte, error)
+		ModelBits() int64
+	}
+	report := func(p pinned) string {
+		switch a := p.(type) {
+		case *SimpleList:
+			return estimatesDigest(a.Report())
+		case *Maximum:
+			item, f, ok := a.Report()
+			if !ok {
+				return ""
+			}
+			return estimatesDigest([]ItemEstimate{{Item: item, F: f}})
+		}
+		panic("unreachable")
+	}
+	cases := []struct {
+		name         string
+		build        func(t *testing.T) pinned
+		ckpt, report string
+		modelBits    int64
+	}{
+		{
+			name: "simple serial",
+			build: func(t *testing.T) pinned {
+				a := newSimple(t, 7)
+				for _, x := range stairStream(1 << 16) {
+					a.Insert(x)
+				}
+				return a
+			},
+			ckpt:      "c1a595f6f2f568c930fb51b9e503c762db1aff909c18a769878a8bccb3899d05",
+			report:    "5887205aec54338f0c9fb32d05d7716b727c3bd2a27cb0b448ec061b8cbfaa43",
+			modelBits: 4705,
+		},
+		{
+			name: "simple same-seed merge",
+			build: func(t *testing.T) pinned {
+				a, b := newSimple(t, 9), newSimple(t, 9)
+				xs := stairStream(1 << 16)
+				for _, x := range xs[:len(xs)/2] {
+					a.Insert(x)
+				}
+				for _, x := range xs[len(xs)/2:] {
+					b.Insert(x)
+				}
+				if err := a.Merge(b); err != nil {
+					t.Fatal(err)
+				}
+				return a
+			},
+			ckpt:      "e2fd6adaf134e760248e55458b3929e9883d3f6b17a3ed0bcb6d2b3e2a286c6d",
+			report:    "5887205aec54338f0c9fb32d05d7716b727c3bd2a27cb0b448ec061b8cbfaa43",
+			modelBits: 4605,
+		},
+		{
+			name: "simple restore then keep inserting",
+			build: func(t *testing.T) pinned {
+				a := newSimple(t, 11)
+				xs := stairStream(1 << 16)
+				for _, x := range xs[:len(xs)/2] {
+					a.Insert(x)
+				}
+				blob, err := a.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var r SimpleList
+				if err := r.UnmarshalBinary(blob); err != nil {
+					t.Fatal(err)
+				}
+				for _, x := range xs[len(xs)/2:] {
+					r.Insert(x)
+				}
+				return &r
+			},
+			ckpt:      "a73af4a30f74ed64f292ef6617a454b5e81104e9a5130296d29af5afbab58ce8",
+			report:    "5887205aec54338f0c9fb32d05d7716b727c3bd2a27cb0b448ec061b8cbfaa43",
+			modelBits: 4705,
+		},
+		{
+			name: "maximum p=1",
+			build: func(t *testing.T) pinned {
+				a := newMax(t, cfg, 12)
+				for _, x := range stairStream(1 << 16) {
+					a.Insert(x)
+				}
+				return a
+			},
+			ckpt:      "b107aa4350a5f1f5cc814f372a6a63b6e22e9d50687e52465c3947a8019ac4ce",
+			report:    "54bedc0966e88c814aa486a80255ce5be31292b40738fd9b2ae6201691a5d814",
+			modelBits: 4075,
+		},
+		{
+			name: "maximum skip path",
+			build: func(t *testing.T) pinned {
+				a := newMax(t, Config{Eps: 0.01, Delta: 0.1, M: 1 << 26, N: 1 << 30}, 13)
+				for _, x := range identityStream(50, 1<<22) {
+					a.Insert(x)
+				}
+				return a
+			},
+			ckpt:      "6871161788ec5eebf856f3c227e7d6a3849525b24f9769bd3fdd5d4e5c4162b5",
+			report:    "c02dff9601b403e81d3be7c06fbc70916023b475eb937dcfad14bd6e358aaf96",
+			modelBits: 11680,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := c.build(t)
+			rep := report(p)
+			if rep == "" || rep == digest(nil) {
+				t.Fatal("empty report: the case pins nothing")
+			}
+			blob, err := p.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(blob); got != c.ckpt {
+				t.Errorf("checkpoint digest %s, want %s", got, c.ckpt)
+			}
+			if rep != c.report {
+				t.Errorf("report digest %s, want %s", rep, c.report)
+			}
+			if bits := p.ModelBits(); bits != c.modelBits {
 				t.Errorf("ModelBits %d, want %d", bits, c.modelBits)
 			}
 		})

@@ -61,102 +61,102 @@ func decodeConfig(r *wire.Reader) Config {
 	return c
 }
 
+// encodeHead writes the fields Algorithm 1 and ε-Maximum checkpoints
+// open with: the version, the config, the sampler, the hash, the T1
+// width and T1's counters, the last as wire.Writer.Map writes a map.
+func (c *hashedMG) encodeHead(w *wire.Writer) {
+	w.U64(marshalVersion)
+	encodeConfig(w, c.cfg)
+	c.sampler.Encode(w)
+	c.h.Encode(w)
+	w.U64(uint64(c.t1.K()))
+	c.t1.EncodeCounters(w)
+}
+
+// encodeTail writes the fields both layouts close with: the sample
+// size, the stream positions and the hash range.
+func (c *hashedMG) encodeTail(w *wire.Writer) {
+	w.U64(c.t1.Len())
+	w.U64(c.offered)
+	w.U64(c.h.Range())
+}
+
+// decodeHashedMG reads a checkpoint encodeHead, then the solver's own
+// fields (which body reads), then encodeTail wrote. It is false on any
+// shared state no constructor produces: a Config that validate(needPhi)
+// refuses or would change, a hash whose range is not the stored one,
+// and a T1 that mg.FromCounters refuses.
+func decodeHashedMG(data []byte, needPhi bool, body func(*wire.Reader)) (c hashedMG, ok bool) {
+	r := wire.NewReader(data)
+	version := r.U64()
+	c.cfg = decodeConfig(r)
+	c.sampler = sample.DecodeSkip(r)
+	c.h = hash.DecodeFunc(r)
+	k, counters := r.U64(), r.Map()
+	body(r)
+	s, offered, hashRange := r.U64(), r.U64(), r.U64()
+	valid := c.cfg
+	if version != marshalVersion || !r.Done() || c.sampler == nil ||
+		hashRange < 2 || !c.h.Valid() || c.h.Range() != hashRange ||
+		valid.validate(needPhi) != nil || valid != c.cfg {
+		return c, false
+	}
+	c.t1, c.offered = mg.FromCounters(k, hashRange, s, counters), offered
+	return c, c.t1 != nil
+}
+
 // MarshalBinary encodes the full Algorithm 1 state.
 func (a *SimpleList) MarshalBinary() ([]byte, error) {
 	w := wire.NewWriter()
-	w.U64(marshalVersion)
-	encodeConfig(w, a.cfg)
-	a.sampler.Encode(w)
-	a.h.Encode(w)
-	w.U64(uint64(a.tableLen))
-	w.Map(a.t1)
+	a.encodeHead(w)
 	w.Map(a.t2)
 	w.U64(uint64(a.t2Cap))
-	w.U64(a.s)
-	w.U64(a.offered)
-	w.U64(a.hashRange)
+	a.encodeTail(w)
 	return w.Bytes(), nil
 }
 
 // UnmarshalBinary decodes state written by MarshalBinary, replacing the
-// receiver.
+// receiver. Besides decodeHashedMG's checks it refuses what no build
+// reaches and a merge would index T2 by: a T2 capacity of 0 or above
+// MaxInt, more T2 entries than that, and a T2 entry T1 does not hold.
 func (a *SimpleList) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	if r.U64() != marshalVersion {
+	var t2 map[uint64]uint64
+	var t2Cap uint64
+	base, ok := decodeHashedMG(data, true, func(r *wire.Reader) { t2, t2Cap = r.Map(), r.U64() })
+	ok = ok && t2Cap > 0 && t2Cap <= math.MaxInt && uint64(len(t2)) <= t2Cap
+	for hx := range t2 {
+		ok = ok && base.t1.Estimate(hx) != 0
+	}
+	if !ok {
 		return fmt.Errorf("core: %w", wire.ErrCorrupt)
 	}
-	cfg := decodeConfig(r)
-	sampler := sample.DecodeSkip(r)
-	h := hash.DecodeFunc(r)
-	tableLen := r.U64()
-	t1 := r.Map()
-	t2 := r.Map()
-	t2Cap := r.U64()
-	s := r.U64()
-	offered := r.U64()
-	hashRange := r.U64()
-	if r.Err() != nil || !r.Done() || sampler == nil ||
-		hashRange < 2 || !h.Valid() || h.Range() != hashRange {
-		return fmt.Errorf("core: %w", wire.ErrCorrupt)
-	}
-	*a = SimpleList{
-		cfg: cfg, sampler: sampler, h: h, tableLen: int(tableLen),
-		t1: t1, t2: t2, t2Cap: int(t2Cap), s: s, offered: offered,
-		hashRange: hashRange,
-	}
+	*a = SimpleList{hashedMG: base, t2: t2, t2Cap: int(t2Cap)}
 	return nil
 }
 
 // MarshalBinary encodes the full ε-Maximum state.
 func (a *Maximum) MarshalBinary() ([]byte, error) {
 	w := wire.NewWriter()
-	w.U64(marshalVersion)
-	encodeConfig(w, a.cfg)
-	a.sampler.Encode(w)
-	a.h.Encode(w)
-	w.U64(uint64(a.tableLen))
-	w.Map(a.t1)
+	a.encodeHead(w)
 	w.U64(a.maxID)
 	w.U64(a.maxHash)
 	w.Bool(a.haveMax)
-	w.U64(a.s)
-	w.U64(a.offered)
-	w.U64(a.hashRng)
+	a.encodeTail(w)
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary decodes state written by MarshalBinary.
+// UnmarshalBinary decodes state written by MarshalBinary. Besides
+// decodeHashedMG's checks it refuses an argmax T1 does not hold.
 func (a *Maximum) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	if r.U64() != marshalVersion {
+	var maxID, maxHash uint64
+	var haveMax bool
+	base, ok := decodeHashedMG(data, false, func(r *wire.Reader) {
+		maxID, maxHash, haveMax = r.U64(), r.U64(), r.Bool()
+	})
+	if !ok || haveMax && base.t1.Estimate(maxHash) == 0 {
 		return fmt.Errorf("core: %w", wire.ErrCorrupt)
 	}
-	cfg := decodeConfig(r)
-	sampler := sample.DecodeSkip(r)
-	h := hash.DecodeFunc(r)
-	tableLen := r.U64()
-	t1 := r.Map()
-	maxID := r.U64()
-	maxHash := r.U64()
-	haveMax := r.Bool()
-	s := r.U64()
-	offered := r.U64()
-	hashRng := r.U64()
-	// Reject parameter combinations no constructor could have produced
-	// (mirroring NewMaximum's validation): the decoded cfg feeds the
-	// wrapper's universe bound and error bars, so hostile values must not
-	// restore.
-	if r.Err() != nil || !r.Done() || sampler == nil ||
-		hashRng < 2 || !h.Valid() || h.Range() != hashRng ||
-		cfg.Eps <= 0 || cfg.Eps >= 1 || cfg.Delta <= 0 || cfg.Delta >= 1 ||
-		cfg.M == 0 || cfg.N == 0 {
-		return fmt.Errorf("core: %w", wire.ErrCorrupt)
-	}
-	*a = Maximum{
-		cfg: cfg, sampler: sampler, h: h, tableLen: int(tableLen), t1: t1,
-		maxID: maxID, maxHash: maxHash, haveMax: haveMax,
-		s: s, offered: offered, hashRng: hashRng,
-	}
+	*a = Maximum{hashedMG: base, maxID: maxID, maxHash: maxHash, haveMax: haveMax}
 	return nil
 }
 

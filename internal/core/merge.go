@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/merge"
-	"repro/internal/mg"
 )
 
 // Same-seed state folding for the paper's solvers (DESIGN.md §7).
@@ -48,7 +48,7 @@ func (a *SimpleList) CanMerge(other *SimpleList) error {
 	if a.h != other.h {
 		return merge.Incompatiblef("core: hash functions differ (different seeds?)")
 	}
-	if a.tableLen != other.tableLen || a.t2Cap != other.t2Cap || a.hashRange != other.hashRange {
+	if a.t1.K() != other.t1.K() || a.t2Cap != other.t2Cap {
 		return merge.Incompatiblef("core: derived table shapes differ")
 	}
 	return nil
@@ -60,11 +60,11 @@ func (a *SimpleList) Merge(other *SimpleList) error {
 	if err := a.CanMerge(other); err != nil {
 		return err
 	}
-	// Fold T1 (Misra-Gries over hashed ids): sum counters, then reduce
-	// back to tableLen entries with the subtract-(k+1)-st-largest rule.
-	for hx, c := range other.t1 {
-		a.t1[hx] += c
+	// T1 is Misra-Gries over hashed ids and folds as one.
+	if err := a.t1.Merge(other.t1); err != nil {
+		return err
 	}
+	a.offered += other.offered
 	// Fold T2 (hashed id → real id). Same hash function means the same
 	// key space; on the δ-rare collision where the two nodes recorded
 	// different real ids for one hash, keep the smaller id so merging is
@@ -74,28 +74,24 @@ func (a *SimpleList) Merge(other *SimpleList) error {
 			a.t2[hx] = id
 		}
 	}
-	a.s += other.s
-	a.offered += other.offered
-	mg.ReduceTopK(a.t1, a.tableLen)
 	// Keep T2 consistent with the reduced T1 and at its capacity: the
 	// real ids of the highest-valued T1 entries, ties by ascending hashed
 	// id (deterministic, so A←B and B←A trim identically).
+	keys := make([]uint64, 0, len(a.t2))
 	for hx := range a.t2 {
-		if _, ok := a.t1[hx]; !ok {
+		if a.t1.Estimate(hx) == 0 {
 			delete(a.t2, hx)
-		}
-	}
-	if len(a.t2) > a.t2Cap {
-		keys := make([]uint64, 0, len(a.t2))
-		for hx := range a.t2 {
+		} else {
 			keys = append(keys, hx)
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			ci, cj := a.t1[keys[i]], a.t1[keys[j]]
-			if ci != cj {
-				return ci > cj
+	}
+	a.t2Floor = 0
+	if len(keys) > a.t2Cap {
+		slices.SortFunc(keys, func(x, y uint64) int {
+			if c := cmp.Compare(a.t1.Estimate(y), a.t1.Estimate(x)); c != 0 {
+				return c
 			}
-			return keys[i] < keys[j]
+			return cmp.Compare(x, y)
 		})
 		for _, hx := range keys[a.t2Cap:] {
 			delete(a.t2, hx)

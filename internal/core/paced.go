@@ -91,35 +91,7 @@ func (p *Paced) Pending() int { return len(p.queue) - p.head }
 // argument says this stays O(1) whp when perInsert = 1 and m ≫ ℓ).
 func (p *Paced) MaxBacklog() int { return p.maxQueue }
 
-// --- pacable implementations ---
-
-func (a *SimpleList) admit() bool {
-	a.offered++
-	return a.sampler.Next()
-}
-
-func (a *SimpleList) process(x uint64) {
-	a.s++
-	hx := a.h.Hash(x)
-	if _, ok := a.t1[hx]; ok {
-		a.t1[hx]++
-		a.refreshT2(hx, x)
-		return
-	}
-	if len(a.t1) < a.tableLen {
-		a.t1[hx] = 1
-		a.refreshT2(hx, x)
-		return
-	}
-	for k, c := range a.t1 {
-		if c == 1 {
-			delete(a.t1, k)
-			delete(a.t2, k)
-		} else {
-			a.t1[k] = c - 1
-		}
-	}
-}
+// --- pacable implementations (SimpleList and Maximum: algo1.go) ---
 
 func (o *Optimal) admit() bool {
 	o.offered++
@@ -128,13 +100,4 @@ func (o *Optimal) admit() bool {
 
 func (o *Optimal) process(x uint64) {
 	o.processSample(x)
-}
-
-func (m *Maximum) admit() bool {
-	m.offered++
-	return m.sampler.Next()
-}
-
-func (m *Maximum) process(x uint64) {
-	m.processSample(x)
 }

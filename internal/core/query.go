@@ -11,11 +11,10 @@ package core
 // the usual probability; for untracked items it returns the table's
 // (possibly zero) residual knowledge, an undercount.
 func (a *SimpleList) Estimate(x uint64) float64 {
-	if a.s == 0 {
+	if a.t1.Len() == 0 {
 		return 0
 	}
-	scale := float64(a.offered) / float64(a.s)
-	return float64(a.t1[a.h.Hash(x)]) * scale
+	return float64(a.t1.Estimate(a.h.Hash(x))) * a.scale()
 }
 
 // Estimate returns the accelerated-counter frequency estimate for x,

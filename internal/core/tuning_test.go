@@ -85,7 +85,7 @@ func TestSimpleListT2Invariants(t *testing.T) {
 			}
 		}
 		for hx := range a.t2 {
-			if _, ok := a.t1[hx]; !ok {
+			if a.t1.Estimate(hx) == 0 {
 				return false // T2 entry not backed by T1
 			}
 		}
@@ -93,6 +93,54 @@ func TestSimpleListT2Invariants(t *testing.T) {
 	}, &quick.Config{MaxCount: 60})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSimpleListT2FloorBound: t2Floor, below which refreshT2 skips its
+// scan, never exceeds a T2 member's T1 count, through global
+// decrements and merges alike. A floor above a member's count would
+// skip an eviction the scan makes.
+func TestSimpleListT2FloorBound(t *testing.T) {
+	// M ≤ 6ℓ, so every item is sampled into 40 T1 counters and a T2
+	// of 10.
+	cfg := Config{Eps: 0.1, Phi: 0.25, Delta: 0.2, M: 1 << 10, N: 1 << 16}
+	holds := func(a *SimpleList) bool {
+		for hx := range a.t2 {
+			if a.t1.Estimate(hx) < a.t2Floor {
+				return false
+			}
+		}
+		return true
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		src := rng.New(seed)
+		feed := func(a *SimpleList, n int, id func() uint64) {
+			for i := 0; i < n; i++ {
+				a.Insert(id())
+				if !holds(a) {
+					t.Fatalf("seed %d: t2Floor %d above a T2 member's count after an insert", seed, a.t2Floor)
+				}
+			}
+		}
+		// 60 skewed ids: counts differ and global decrements recur.
+		skewed := func() uint64 { return src.Uint64n(1 + src.Uint64n(60)) }
+		// Merging 40 ids at about 25 each into 15 ids at about 65 each
+		// cuts the receiver's counts by about 25 in the reduction.
+		few := func() uint64 { return src.Uint64n(15) }
+		many := func() uint64 { return 100 + src.Uint64n(40) }
+		a, _ := NewSimpleList(rng.New(seed), cfg)
+		feed(a, 2000, skewed)
+		a, _ = NewSimpleList(rng.New(seed), cfg)
+		b, _ := NewSimpleList(rng.New(seed), cfg)
+		feed(a, 1000, few)
+		feed(b, 1000, many)
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		if !holds(a) {
+			t.Fatalf("seed %d: t2Floor %d above a T2 member's count after a merge", seed, a.t2Floor)
+		}
+		feed(a, 500, skewed)
 	}
 }
 

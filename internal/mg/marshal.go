@@ -34,13 +34,19 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// Encode appends the summary to w. The counters go out as wire.Writer.Map
-// writes them, ascending by id.
+// Encode appends the summary to w: a header, then the counters as
+// EncodeCounters writes them.
 func (s *Summary) Encode(w *wire.Writer) {
 	w.U64(marshalVersion)
 	w.U64(uint64(s.k))
 	w.U64(s.universe)
 	w.U64(s.m)
+	s.EncodeCounters(w)
+}
+
+// EncodeCounters appends the stored counters as wire.Writer.Map writes
+// a map: their number, then the (id, counter) pairs ascending by id.
+func (s *Summary) EncodeCounters(w *wire.Writer) {
 	cs := s.stored()
 	slices.SortFunc(cs, func(a, b slot) int { return cmp.Compare(a.id, b.id) })
 	w.U64(uint64(len(cs)))
@@ -51,7 +57,7 @@ func (s *Summary) Encode(w *wire.Writer) {
 }
 
 // DecodeSummary reads a summary written by Encode; nil on corrupt input,
-// including a zero counter, which no summary stores.
+// including any state FromCounters refuses.
 func DecodeSummary(r *wire.Reader) *Summary {
 	if r.U64() != marshalVersion {
 		return nil
@@ -60,7 +66,17 @@ func DecodeSummary(r *wire.Reader) *Summary {
 	universe := r.U64()
 	m := r.U64()
 	counters := r.Map()
-	if r.Err() != nil || k == 0 || k > math.MaxInt || uint64(len(counters)) > k {
+	if r.Err() != nil {
+		return nil
+	}
+	return FromCounters(k, universe, m, counters)
+}
+
+// FromCounters returns the summary with k counters over universe that
+// has processed m items and holds counters; nil if no summary holds
+// that: k of 0 or above MaxInt, more than k counters, a zero counter.
+func FromCounters(k, universe, m uint64, counters map[uint64]uint64) *Summary {
+	if k == 0 || k > math.MaxInt || uint64(len(counters)) > k {
 		return nil
 	}
 	for _, c := range counters {
@@ -113,17 +129,16 @@ func (s *Summary) Merge(other *Summary) error {
 		}
 	}
 	s.m += other.m
-	ReduceTopK(counters, s.k)
+	reduceTopK(counters, s.k)
 	s.fill(counters)
 	return nil
 }
 
-// ReduceTopK applies the Misra-Gries merge reduction in place: when
+// reduceTopK applies the Misra-Gries merge reduction in place: when
 // counters holds more than k entries, subtract the (k+1)-st largest
 // value from every entry and drop the non-positive ones, leaving at most
-// k. Exported for the solvers whose hashed candidate tables follow the
-// same discipline (core.SimpleList's T1).
-func ReduceTopK(counters map[uint64]uint64, k int) {
+// k.
+func reduceTopK(counters map[uint64]uint64, k int) {
 	if len(counters) <= k {
 		return
 	}

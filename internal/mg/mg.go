@@ -7,8 +7,11 @@
 //	f(x) − m/(k+1)  ≤  Estimate(x)  ≤  f(x)
 //
 // and costs O(k·(log n + log m)) bits — the O(ε⁻¹(log n + log m)) baseline
-// of the paper's introduction when k = ⌈1/ε⌉. It also serves as the
-// candidate-tracking component (table T1) inside the paper's Algorithm 2.
+// of the paper's introduction when k = ⌈1/ε⌉. It is also the table T1 of
+// all three of the paper's sampling solvers (package core): Algorithm 2
+// runs it over raw ids to track candidates, while Algorithm 1 and
+// ε-Maximum run it over hashed ids, so a stored id costs the log of the
+// hash range rather than log n.
 //
 // Updates are O(1) amortized: a full-table decrement costs O(k) but is paid
 // for by the k increments that preceded it.

@@ -41,7 +41,7 @@ func (r *refSummary) merge(o *refSummary) {
 		r.counters[x] += c
 	}
 	r.m += o.m
-	ReduceTopK(r.counters, r.k)
+	reduceTopK(r.counters, r.k)
 }
 
 func (r *refSummary) encode(universe uint64) []byte {
