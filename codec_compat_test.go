@@ -705,6 +705,86 @@ func TestUnmarshalRefusesHostileSimpleFrame(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRefusesHostileOptimalFrame: a tag 1 checkpoint restores
+// only with a Config a build could have written. Each row rewrites one
+// config field of a real checkpoint; the untouched row must restore,
+// re-marshal to the same bytes and merge into its own restore. ε = 2,
+// −1 or NaN once restored, and the engine answered Eps() with it.
+func TestUnmarshalRefusesHostileOptimalFrame(t *testing.T) {
+	blob, err := buildGoldenHH(goldenOpts(AlgorithmOptimal)...)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The tag and the one-byte version precede the config: ε, ϕ and δ as
+	// fixed 8-byte floats, then m and n as uvarints.
+	float := func(at int, v float64) func([]byte) []byte {
+		return func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[at:], math.Float64bits(v))
+			return b
+		}
+	}
+	count := func(which int, v uint64) func([]byte) []byte {
+		return func(b []byte) []byte {
+			var mn [2]uint64
+			at := 26
+			for i := range mn {
+				x, k := binary.Uvarint(b[at:])
+				mn[i], at = x, at+k
+			}
+			mn[which] = v
+			out := binary.AppendUvarint(binary.AppendUvarint(slices.Clone(b[:26]), mn[0]), mn[1])
+			return append(out, b[at:]...)
+		}
+	}
+	rows := []struct {
+		name string
+		edit func([]byte) []byte
+	}{
+		{"untouched", func(b []byte) []byte { return b }},
+		{"ε = 2", float(2, 2)},
+		{"ε = −1", float(2, -1)},
+		{"ε = NaN", float(2, math.NaN())},
+		{"ϕ below ε", float(10, 0.01)},
+		{"ϕ = 2", float(10, 2)},
+		{"δ = 0", float(18, 0)},
+		{"δ = NaN", float(18, math.NaN())},
+		{"m = 0", count(0, 0)},
+		{"n = 0", count(1, 0)},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			data := row.edit(slices.Clone(blob))
+			hh, err := Unmarshal(data)
+			if row.name != "untouched" {
+				if err == nil {
+					eps := hh.Eps()
+					hh.Close()
+					t.Fatalf("Unmarshal restored a config no build produces (Eps() = %v)", eps)
+				}
+				live, err := New(goldenOpts(AlgorithmOptimal)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer live.Close()
+				if live.(Merger).CheckMerge(data) == nil || live.(Merger).Merge(data) == nil {
+					t.Fatal("a live engine merged a config no build produces")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("the untouched frame: %v", err)
+			}
+			defer hh.Close()
+			if again, _ := hh.MarshalBinary(); !bytes.Equal(again, blob) {
+				t.Fatal("the untouched frame did not parse back to its own bytes")
+			}
+			if err := hh.(Merger).Merge(data); err != nil {
+				t.Fatalf("merging the untouched frame into its restore: %v", err)
+			}
+		})
+	}
+}
+
 // TestUnmarshalUnknownTagError: an unrecognized tag names the valid tag
 // range and the one decoder that lives outside it (UnmarshalPool), so
 // an operator holding a mystery blob knows where to send it next.

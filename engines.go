@@ -117,8 +117,9 @@ func checkGrid(cfg config, n int) error {
 // Algorithm 2 frames, its shards and window buckets, declare more than
 // core.MaxGridCells grid cells between them. It reads frame headers
 // only, so it refuses before any grid is allocated: a frame writes an
-// all-zero row in a few bytes, so without it a short checkpoint nesting
-// many frames could demand gigabytes. A lone tag-1 frame needs no scan,
+// all-zero row in a few bytes, and one non-zero cell allocates its
+// grid's page table, so without it a short checkpoint nesting many
+// frames could demand gigabytes. A lone tag-1 frame needs no scan,
 // since its own decoder applies the bound.
 func checkGridBudget(data []byte) error {
 	if len(data) > 0 && data[0] == tagOptimal {

@@ -3,7 +3,10 @@ package l1hh
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -136,6 +139,44 @@ func TestUnmarshalBoundsContainerGrid(t *testing.T) {
 	}
 	if err := checkGridBudget(over); err == nil {
 		t.Fatalf("%d cells accepted", 17*(maxFrameU+1))
+	}
+}
+
+// TestUnmarshalZeroGridFrame: the committed FuzzUnmarshalAny seed
+// seed_tag1_zero_grid_at_cap.bin, a fresh engine's checkpoint declaring
+// 11 × 24,402,334 grid cells, just under the bound, in 495 bytes,
+// restores through Unmarshal in under 1 MiB and re-encodes to its own
+// bytes. A decoder that allocated every row spent 256 MiB on it.
+func TestUnmarshalZeroGridFrame(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzUnmarshalAny", "seed_tag1_zero_grid_at_cap.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A corpus file is a header line, then []byte("…") in Go syntax.
+	_, lit, _ := strings.Cut(string(raw), "\n")
+	lit, ok := strings.CutPrefix(strings.TrimSpace(lit), "[]byte(")
+	str, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if !ok || err != nil {
+		t.Fatalf("corpus file does not parse: %v", err)
+	}
+	blob := []byte(str)
+	if cells, err := core.FrameGridCells(blob[1:]); err != nil || cells != 11*24402334 {
+		t.Fatalf("the seed declares %d grid cells, err %v", cells, err)
+	}
+	var hh HeavyHitters
+	grew := allocated(func() { hh, err = Unmarshal(blob) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hh.Close()
+	if grew > 1<<20 {
+		t.Fatalf("restoring the %d-byte frame allocated %d bytes, want under 1 MiB", len(blob), grew)
+	}
+	if again, _ := hh.MarshalBinary(); !bytes.Equal(again, blob) {
+		t.Fatal("the restored engine re-encodes differently")
+	}
+	if got := hh.Eps(); got != 2.6227e-6 || hh.Len() != 0 || len(hh.Report()) != 0 {
+		t.Fatalf("restored engine: ε = %v, %d items, report %v", got, hh.Len(), hh.Report())
 	}
 }
 

@@ -166,6 +166,9 @@ func TestSimpleListConfigValidation(t *testing.T) {
 		{Eps: 0.05, Phi: 0.1, Delta: 1, M: 10, N: 10},
 		{Eps: 0.05, Phi: 0.1, Delta: 0.1, M: 0, N: 10},
 		{Eps: 0.05, Phi: 0.1, Delta: 0.1, M: 10, N: 0},
+		{Eps: math.NaN(), Phi: 0.1, Delta: 0.1, M: 10, N: 10},
+		{Eps: 0.05, Phi: math.NaN(), Delta: 0.1, M: 10, N: 10},
+		{Eps: 0.05, Phi: 0.1, Delta: math.NaN(), M: 10, N: 10},
 	}
 	for i, cfg := range bad {
 		if _, err := NewSimpleList(rng.New(1), cfg); err == nil {

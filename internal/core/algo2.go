@@ -22,11 +22,14 @@ const minEpochBase = 16
 // for a lone engine, summed over every engine of a sharded or windowed
 // one. That is the T2 grid; the merge credit is at most as large again.
 // 2²⁸ one-byte cells admit ε down to 10⁻⁵ at any ϕ ≥ 10⁻³ under
-// DefaultTuning for a lone engine. A checkpoint writes an all-zero row
-// in a few bytes, so its length bounds nothing: UnmarshalBinary refuses
-// a frame whose header claims more, and a container decoder sums
-// FrameGridCells over its frames before decoding any. NewOptimal and
-// CheckGrid apply the same bound, so every solver they admit restores.
+// DefaultTuning for a lone engine. The grid is paged, so an engine
+// holds memory for the cells written, but its first write allocates a
+// page table of R·u/8 bytes, 32 MiB at the bound. A checkpoint writes
+// an all-zero row in a few bytes, so its length bounds nothing:
+// UnmarshalBinary refuses a frame whose header claims more, and a
+// container decoder sums FrameGridCells over its frames before decoding
+// any. NewOptimal and CheckGrid apply the same bound, so every solver
+// they admit restores.
 const MaxGridCells = 1 << 28
 
 // Optimal is Algorithm 2 of the paper: the space-optimal (ε,ϕ)-List heavy
@@ -46,8 +49,9 @@ const MaxGridCells = 1 << 28
 //
 // The per-sample work hashes all R buckets in one batch before the
 // coin/T2/epoch/T3 loop, T1 is a flat open-addressing table, T2 and the
-// merge credit hold one byte per cell with an escape table for the rare
-// large ones, and T3 holds only its non-empty rows. None of that layout
+// merge credit hold one byte per cell in 64-cell pages over a shared
+// zero page, with an escape table for the rare large cells, and T3
+// holds only its non-empty rows. None of that layout
 // changes a random draw or a table value, so checkpoints, reports and
 // ModelBits do not depend on it (DESIGN.md §2).
 type Optimal struct {
@@ -55,7 +59,7 @@ type Optimal struct {
 	sampler *sample.Skip
 	t1      *mg.Summary
 	hashes  []hash.Func
-	t2      cellGrid // [rep][bucket] subsampled running counts
+	t2      cellGrid // rep·u + bucket → subsampled running count
 	// t3 maps rep·u + bucket to that bucket's accelerated counters, one
 	// per epoch. Only non-empty rows are present: most buckets never
 	// reach epoch 0.
@@ -86,7 +90,7 @@ type Optimal struct {
 	// covers that single blind window. Merging K instances unions K blind
 	// windows, of which min(T2₁+T2₂, B) covers only one — the surplus
 	// min(T2₁,B) + min(T2₂,B) − min(T2₁+T2₂,B) accumulates here so the
-	// merged estimate stays unbiased (DESIGN.md §7). Its rows are
+	// merged estimate stays unbiased (DESIGN.md §7). Its pages are
 	// allocated on first credit: an instance that never merged holds
 	// none.
 	pre cellGrid
@@ -125,7 +129,6 @@ func NewOptimal(src *rng.Source, cfg Config) (*Optimal, error) {
 	}
 	for j := 0; j < reps; j++ {
 		o.hashes[j] = hash.NewFunc(src, u)
-		o.t2.row(j) // T2 is dense: processSample indexes its rows directly
 	}
 	o.initEpochs()
 	return o, nil
@@ -248,22 +251,26 @@ func (o *Optimal) Insert(x uint64) {
 
 // processSample performs the per-sample work: the T1 Misra-Gries update
 // and one accelerated-counter step per repetition, after hashing x into
-// all R buckets at once. Only an escaped T2 cell reads the escape table.
+// all R buckets at once. Only an escaped T2 cell reads the escape table,
+// and only a coin landing on an unwritten page allocates.
 func (o *Optimal) processSample(x uint64) {
 	o.s++
 	o.t1.Insert(x)
 	hash.HashAll(o.hashes, x, o.buckets)
 	mask := (uint64(1) << o.epsK) - 1
-	rows := o.t2.rows
 	for j, i := range o.buckets {
 		key := uint64(j)*o.u + i
-		c := rows[j][i]
+		page := o.t2.page(key)
+		c := page[key&pageMask]
 		coin := o.src.Uint64()&mask == 0 // probability ε (power-of-two)
 		var t int
 		if c < escapeByte-1 { // narrow before and after the coin
 			if coin {
 				c++
-				rows[j][i] = c
+				if page == &zeroPage {
+					page = o.t2.own(key)
+				}
+				page[key&pageMask] = c
 			}
 			t = int(o.epochByte[c])
 		} else {
@@ -273,7 +280,7 @@ func (o *Optimal) processSample(x uint64) {
 			}
 			if coin {
 				v++
-				o.t2.set(j, i, v)
+				o.t2.set(key, v)
 			}
 			t = o.epoch(v)
 		}
@@ -309,16 +316,16 @@ func (o *Optimal) processSample(x uint64) {
 // unbiased estimate of that prefix — T2 counts it at rate ε until it
 // saturates at B — and makes the estimator usable on short streams too).
 func (o *Optimal) estimate(j int, x uint64) float64 {
-	i := o.hashes[j].Hash(x)
+	key := uint64(j)*o.u + o.hashes[j].Hash(x)
 	var f float64
-	for t, c := range o.t3[uint64(j)*o.u+i] {
+	for t, c := range o.t3[key] {
 		if c == 0 {
 			continue
 		}
 		p := math.Min(o.epsEff*math.Ldexp(1, t), 1)
 		f += float64(c) / p
 	}
-	pre := math.Min(float64(o.t2.at(j, i)), o.base) + float64(o.pre.at(j, i))
+	pre := math.Min(float64(o.t2.at(key)), o.base) + float64(o.pre.at(key))
 	return f + pre/o.epsEff
 }
 
@@ -367,11 +374,11 @@ func (o *Optimal) Buckets() uint64 { return o.u }
 
 // ModelBits charges T1 (raw ids, Θ(ϕ⁻¹·log n)), the T2/T3 cells at their
 // variable-length cost (1 bit per empty cell, per the proof of Claim 3),
-// the hash seeds and the sampler.
+// the credit rows holding a credit, the hash seeds and the sampler.
 func (o *Optimal) ModelBits() int64 {
-	b := o.t1.ModelBits()
+	b := o.t1.ModelBits() + o.t2.bits(true) + o.pre.bits(false)
 	for j := 0; j < o.reps; j++ {
-		b += o.t2.bits(j) + o.pre.bits(j) + o.hashes[j].ModelBits()
+		b += o.hashes[j].ModelBits()
 	}
 	for _, row := range o.t3 {
 		for _, v := range row {

@@ -232,6 +232,9 @@ func TestOptimalConfigValidation(t *testing.T) {
 	if _, err := NewOptimal(rng.New(1), Config{Eps: 1e-7, Phi: 0.05, Delta: 0.1, M: 10, N: 10}); err == nil {
 		t.Fatal("grid above MaxGridCells accepted")
 	}
+	if _, err := NewOptimal(rng.New(1), Config{Eps: 0.05, Phi: 0.1, Delta: math.NaN(), M: 10, N: 10}); err == nil {
+		t.Fatal("delta = NaN accepted")
+	}
 }
 
 // TestCheckGrid: CheckGrid admits n engines exactly while n·R·u stays

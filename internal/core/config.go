@@ -25,18 +25,18 @@ type Config struct {
 	Tuning Tuning
 }
 
-// validate checks the ranges shared by all solvers. needPhi is false for
-// Maximum, which has no ϕ.
+// validate checks the ranges shared by all solvers, refusing NaN in
+// each. needPhi is false for Maximum, which has no ϕ.
 func (c *Config) validate(needPhi bool) error {
-	if c.Eps <= 0 || c.Eps >= 1 {
+	if !(c.Eps > 0 && c.Eps < 1) {
 		return fmt.Errorf("core: eps = %v out of (0,1)", c.Eps)
 	}
 	if needPhi {
-		if c.Phi <= c.Eps || c.Phi > 1 {
+		if !(c.Phi > c.Eps && c.Phi <= 1) {
 			return fmt.Errorf("core: phi = %v out of (eps, 1]", c.Phi)
 		}
 	}
-	if c.Delta <= 0 || c.Delta >= 1 {
+	if !(c.Delta > 0 && c.Delta < 1) {
 		return fmt.Errorf("core: delta = %v out of (0,1)", c.Delta)
 	}
 	if c.M == 0 {

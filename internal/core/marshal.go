@@ -227,9 +227,10 @@ type optimalHead struct {
 	reps, u uint64
 }
 
-// decodeOptimalHead reads the fields encodeHead writes and bounds the
-// grid they declare by MaxGridCells, before anything proportional to
-// it is allocated.
+// decodeOptimalHead reads the fields encodeHead writes. It refuses a
+// Config that validate refuses or would change, as decodeHashedMG does,
+// and bounds the grid the fields declare by MaxGridCells, before
+// anything proportional to it is allocated.
 func decodeOptimalHead(r *wire.Reader) (optimalHead, error) {
 	var h optimalHead
 	h.version = r.U64()
@@ -244,7 +245,9 @@ func decodeOptimalHead(r *wire.Reader) (optimalHead, error) {
 	h.t1 = mg.DecodeSummary(r)
 	h.reps = r.U64()
 	h.u = r.U64()
+	valid := h.cfg
 	if r.Err() != nil || h.t1 == nil || h.sampler == nil ||
+		valid.validate(true) != nil || valid != h.cfg ||
 		h.reps == 0 || h.reps > 1<<16 || h.u == 0 || h.u > MaxGridCells/h.reps {
 		return h, fmt.Errorf("core: %w", wire.ErrCorrupt)
 	}
@@ -290,7 +293,6 @@ func (o *Optimal) UnmarshalBinary(data []byte) error {
 			ok = t2.decodeRow(r, j) && decodeDenseT3(r, t3, j, u) &&
 				(version == 1 || pre.decodeSparseRow(r, j))
 		} else {
-			t2.row(j) // T2 is dense in memory whatever its encoding
 			ok = t2.decodeRuns(r, j) && decodeT3(r, t3, j, u) && pre.decodeRuns(r, j)
 		}
 		if !ok {

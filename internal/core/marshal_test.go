@@ -126,26 +126,25 @@ func TestOptimalMarshalMidStream(t *testing.T) {
 // uvarint per cell.
 func (g *cellGrid) encodeRow(w *wire.Writer, j int) {
 	w.U64(g.u)
-	for i, c := range g.rows[j] {
-		w.U64(uint64(g.value(j, uint64(i), c)))
+	for key := uint64(j) * g.u; key < uint64(j+1)*g.u; key++ {
+		w.U64(uint64(g.at(key)))
 	}
 }
 
 // encodeSparseRow writes row j in the v2 credit layout: the count of
 // non-zero cells, then (index, value) pairs in ascending index order.
 func (g *cellGrid) encodeSparseRow(w *wire.Writer, j int) {
-	var n uint64
-	for _, c := range g.rows[j] {
-		if c != 0 {
-			n++
+	lo := uint64(j) * g.u
+	var keys []uint64
+	for key := range g.cells() {
+		if key >= lo && key < lo+g.u {
+			keys = append(keys, key)
 		}
 	}
-	w.U64(n)
-	for i, c := range g.rows[j] {
-		if c != 0 {
-			w.U64(uint64(i))
-			w.U64(uint64(g.value(j, uint64(i), c)))
-		}
+	w.U64(uint64(len(keys)))
+	for _, key := range keys {
+		w.U64(key - lo)
+		w.U64(uint64(g.at(key)))
 	}
 }
 
@@ -323,6 +322,7 @@ func TestUnmarshalRejectsCorruptV3(t *testing.T) {
 			if !c.ok && !errors.Is(err, wire.ErrCorrupt) {
 				t.Fatalf("err = %v, want ErrCorrupt", err)
 			}
+			checkZeroPage(t)
 		})
 	}
 }

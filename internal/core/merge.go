@@ -132,16 +132,16 @@ func (o *Optimal) Merge(other *Optimal) error {
 	if err := o.t1.Merge(other.t1); err != nil {
 		return err
 	}
-	// T2 and the credit fold row against row. A cell where other holds
+	// T2 and the credit fold cell against cell. A cell where other holds
 	// neither T2 nor credit would keep its value and gain no credit, so
-	// only the cells other has touched are visited.
-	for j := 0; j < o.reps; j++ {
-		t2, pre := other.t2.rows[j], other.pre.rows[j]
-		for i, c := range t2 {
-			if c == 0 && (pre == nil || pre[i] == 0) {
-				continue
-			}
-			o.mergeCell(other, j, uint64(i))
+	// only other's non-zero cells are visited: its T2 cells, then its
+	// credit cells whose T2 is zero.
+	for key := range other.t2.cells() {
+		o.mergeCell(other, key)
+	}
+	for key := range other.pre.cells() {
+		if other.t2.at(key) == 0 {
+			o.mergeCell(other, key)
 		}
 	}
 	// T3 rows add cell-wise; other holds only non-empty rows, and a row
@@ -166,20 +166,20 @@ func (o *Optimal) Merge(other *Optimal) error {
 	return nil
 }
 
-// mergeCell folds other's T2 cell (j, i) and its credit into o's.
-func (o *Optimal) mergeCell(other *Optimal, j int, i uint64) {
-	ta, tb := uint64(o.t2.at(j, i)), uint64(other.t2.at(j, i))
+// mergeCell folds other's T2 cell at key and its credit into o's.
+func (o *Optimal) mergeCell(other *Optimal, key uint64) {
+	ta, tb := uint64(o.t2.at(key)), uint64(other.t2.at(key))
 	sum := ta + tb
 	if sum > math.MaxUint32 {
 		sum = math.MaxUint32
 	}
-	o.t2.set(j, i, uint32(sum))
+	o.t2.set(key, uint32(sum))
 	// Blind-window credit: the surplus of the two per-instance pre-epoch
 	// covers over what min(T2, B) covers post-merge.
 	surplus := math.Min(float64(ta), o.base) + math.Min(float64(tb), o.base) -
 		math.Min(float64(sum), o.base)
-	if credit := satAdd32(other.pre.at(j, i), uint32(surplus+0.5)); credit != 0 {
-		o.pre.set(j, i, satAdd32(o.pre.at(j, i), credit))
+	if credit := satAdd32(other.pre.at(key), uint32(surplus+0.5)); credit != 0 {
+		o.pre.set(key, satAdd32(o.pre.at(key), credit))
 	}
 }
 

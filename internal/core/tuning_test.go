@@ -160,14 +160,15 @@ func TestOptimalT3EpochsMonotone(t *testing.T) {
 	}
 	for j := 0; j < a.reps; j++ {
 		for i := uint64(0); i < a.u; i++ {
-			row := a.t3[uint64(j)*a.u+i]
+			key := uint64(j)*a.u + i
+			row := a.t3[key]
 			if len(row) == 0 {
 				continue
 			}
-			maxAdmissible := a.epoch(a.t2.at(j, i))
+			maxAdmissible := a.epoch(a.t2.at(key))
 			if len(row)-1 > maxAdmissible {
 				t.Fatalf("bucket (%d,%d): recorded epoch %d exceeds admissible %d (T2=%d)",
-					j, i, len(row)-1, maxAdmissible, a.t2.at(j, i))
+					j, i, len(row)-1, maxAdmissible, a.t2.at(key))
 			}
 		}
 	}
