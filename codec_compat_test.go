@@ -13,7 +13,8 @@ package l1hh
 // only when its codec version legitimately moves, and keep the old file
 // under a versioned name that a legacy test decodes: the whole point of
 // the files is that old bytes keep working. A bare -update-golden also
-// rewrites the restore-only tag 3 and tag 5 files.
+// rewrites the restore-only tag 3 and tag 5 files, and BENCH_ingest.json
+// (see TestIngestLedger).
 
 import (
 	"bytes"
@@ -35,7 +36,7 @@ import (
 	"repro/internal/wire"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/checkpoints golden files")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/checkpoints golden files, and BENCH_ingest.json from TestIngestLedger's run")
 
 // goldenClock pins windowed bucket timestamps so regenerated golden
 // files do not churn on wall-clock noise.

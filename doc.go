@@ -154,12 +154,10 @@
 //     at most one retired epoch's mass (DESIGN.md §8).
 //
 // Plus synthetic workload generators and the paper's lower-bound
-// reductions as executable artifacts (internal/commlower). The classic
-// baselines the paper compares against (Misra-Gries, Space-Saving,
-// Count-Min, CountSketch, Lossy Counting, Sticky Sampling) are benchmark
-// fixtures, not API: cmd/hhbench runs them beside the paper's solvers.
-// cmd/hhd serves the whole stack over HTTP; cmd/hhcli runs it over
-// files and pipes.
+// reductions as executable artifacts (internal/commlower). Misra-Gries,
+// the classic baseline, is internal: it backs the solvers' tables and
+// the E1a benchmark rows, not the API. cmd/hhd serves the whole stack
+// over HTTP; cmd/hhcli runs it over files and pipes.
 //
 // # Choosing an engine
 //

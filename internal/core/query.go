@@ -2,9 +2,8 @@ package core
 
 // Point queries. The paper's Report interface answers the list problem;
 // exposing the underlying per-item estimators additionally turns the
-// sketches into general frequency estimators over the stream, matching
-// the query surface of the Count-Min/CountSketch baselines so the
-// benchmark harness can compare them item for item.
+// sketches into general frequency estimators over the stream, which the
+// front door serves as PointQuerier.Estimate.
 
 // Estimate returns the solver's frequency estimate for x, scaled to the
 // full stream. For items tracked by the table it is accurate to ±ε·m with

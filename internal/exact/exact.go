@@ -93,21 +93,3 @@ func (c *Counter) MinOver(universe []uint64) (item, freq uint64) {
 	}
 	return item, freq
 }
-
-// TopK returns the k most frequent items in decreasing frequency order
-// (ties by ascending id). If fewer than k distinct items exist, all are
-// returned.
-func (c *Counter) TopK(k int) []uint64 {
-	items := c.Items()
-	sort.Slice(items, func(i, j int) bool {
-		fi, fj := c.freq[items[i]], c.freq[items[j]]
-		if fi != fj {
-			return fi > fj
-		}
-		return items[i] < items[j]
-	})
-	if k > len(items) {
-		k = len(items)
-	}
-	return items[:k]
-}

@@ -103,17 +103,6 @@ func TestMinOverPanicsEmpty(t *testing.T) {
 	New().MinOver(nil)
 }
 
-func TestTopK(t *testing.T) {
-	c := feed(1, 1, 1, 2, 2, 3)
-	top := c.TopK(2)
-	if len(top) != 2 || top[0] != 1 || top[1] != 2 {
-		t.Fatalf("top2 = %v", top)
-	}
-	if got := c.TopK(10); len(got) != 3 {
-		t.Fatalf("topK larger than distinct: %v", got)
-	}
-}
-
 func TestTotalMatchesSumQuick(t *testing.T) {
 	err := quick.Check(func(xs []uint64) bool {
 		c := New()

@@ -119,25 +119,3 @@ func modMersenne61(x uint64) uint64 {
 	}
 	return x
 }
-
-// Sign is a member of a universal family mapping keys to {−1, +1}; used by
-// the CountSketch baseline [CCFC04].
-type Sign struct {
-	f Func
-}
-
-// NewSign draws a sign hash using randomness from src.
-func NewSign(src *rng.Source) Sign {
-	return Sign{f: NewFunc(src, 2)}
-}
-
-// Hash returns −1 or +1 for x.
-func (s Sign) Hash(x uint64) int64 {
-	if s.f.Hash(x) == 0 {
-		return -1
-	}
-	return 1
-}
-
-// ModelBits is the storage charged for the sign function.
-func (s Sign) ModelBits() int64 { return s.f.ModelBits() }

@@ -154,40 +154,10 @@ func mulModRef(a, b uint64) uint64 {
 	return res
 }
 
-func TestSignValues(t *testing.T) {
-	src := rng.New(5)
-	s := NewSign(src)
-	for x := uint64(0); x < 1000; x++ {
-		v := s.Hash(x)
-		if v != -1 && v != 1 {
-			t.Fatalf("sign hash returned %d", v)
-		}
-	}
-}
-
-func TestSignBalance(t *testing.T) {
-	src := rng.New(6)
-	// Over random functions, a fixed key should be ±1 with equal probability.
-	plus := 0
-	const trials = 20000
-	for i := 0; i < trials; i++ {
-		if NewSign(src).Hash(42) == 1 {
-			plus++
-		}
-	}
-	if r := float64(plus) / trials; math.Abs(r-0.5) > 0.02 {
-		t.Fatalf("sign balance %v", r)
-	}
-}
-
 func TestModelBitsPositive(t *testing.T) {
 	f := NewFunc(rng.New(9), 100)
 	if f.ModelBits() <= 0 {
 		t.Fatal("Func.ModelBits not positive")
-	}
-	s := NewSign(rng.New(9))
-	if s.ModelBits() <= 0 {
-		t.Fatal("Sign.ModelBits not positive")
 	}
 }
 

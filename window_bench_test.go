@@ -27,17 +27,18 @@ func BenchmarkWindowedInsert(b *testing.B) {
 	const w = 1 << 17
 	b.Run("whole-stream", func(b *testing.B) {
 		cfg := windowBenchConfig()
-		cfg.StreamLength = uint64(max(b.N, len(benchStream)))
-		hh, err := buildSerial(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			hh.Insert(benchStream[i&(1<<20-1)])
-		}
-		b.StopTimer()
-		reportBits(b, hh)
+		cfg.StreamLength = uint64(len(benchStream))
+		benchPasses(b, len(benchStream), func() (func(int), func() int64) {
+			hh, err := buildSerial(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return func(k int) {
+				for _, x := range benchStream[:k] {
+					hh.Insert(x)
+				}
+			}, hh.ModelBits
+		})
 	})
 	for _, buckets := range []int{4, 8, 16} {
 		b.Run(fmt.Sprintf("window/buckets=%d", buckets), func(b *testing.B) {
@@ -102,7 +103,6 @@ func BenchmarkWindowedReport(b *testing.B) {
 // BenchmarkWindowedShardedInsert: the windowed engines behind the
 // concurrent sharded ingest path, as cmd/hhd runs them.
 func BenchmarkWindowedShardedInsert(b *testing.B) {
-	const chunk = 8192
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			hh, err := newShardedSolver(shardedConfig{
@@ -113,24 +113,9 @@ func BenchmarkWindowedShardedInsert(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for off := 0; off < b.N; off += chunk {
-				end := off + chunk
-				if end > b.N {
-					end = b.N
-				}
-				lo, hi := off&(1<<20-1), end&(1<<20-1)
-				if hi <= lo {
-					hi = 1 << 20
-				}
-				if err := hh.InsertBatch(benchStream[lo:hi]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			hh.Flush()
-			b.StopTimer()
-			b.ReportMetric(float64(hh.ModelBits()), "model-bits")
-			hh.Close()
+			defer hh.Close()
+			benchInsertChunks(b, hh, benchStream)
+			reportBits(b, hh)
 		})
 	}
 }
