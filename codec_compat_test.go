@@ -33,6 +33,8 @@ import (
 
 	"repro/internal/hash"
 	"repro/internal/sample"
+	"repro/internal/shard"
+	"repro/internal/window"
 	"repro/internal/wire"
 )
 
@@ -783,6 +785,112 @@ func TestUnmarshalRefusesHostileOptimalFrame(t *testing.T) {
 				t.Fatalf("merging the untouched frame into its restore: %v", err)
 			}
 		})
+	}
+}
+
+// TestUnmarshalRefusesCorruptSealedBucket: a window keeps each sealed
+// bucket as its checkpoint frame and decodes it again only to fold a
+// report, so Unmarshal must decode every bucket of a tag 4 or tag 5
+// checkpoint and refuse a bad one then, not leave it to the first
+// Report (whose failure the front door would hide behind the per-bucket
+// union). Each row rewrites the oldest sealed bucket of one shard's
+// window: its frame truncated, or its frame swapped for the open
+// bucket's, whose engine has seen fewer items than the recorded count.
+// The untouched rows put the frame back as it was and must restore.
+func TestUnmarshalRefusesCorruptSealedBucket(t *testing.T) {
+	// splice replaces the one length-prefixed occurrence of old in outer.
+	splice := func(t *testing.T, outer, old, repl []byte) []byte {
+		t.Helper()
+		prefixed := binary.AppendUvarint(nil, uint64(len(old)))
+		prefixed = append(prefixed, old...)
+		if n := bytes.Count(outer, prefixed); n != 1 {
+			t.Fatalf("the nested frame occurs %d times in its container", n)
+		}
+		at := bytes.Index(outer, prefixed)
+		out := binary.AppendUvarint(slices.Clone(outer[:at]), uint64(len(repl)))
+		out = append(out, repl...)
+		return append(out, outer[at+len(prefixed):]...)
+	}
+	// rewrite returns the checkpoint with the oldest sealed bucket of one
+	// window replaced by edit's output, given that bucket's frame and the
+	// open bucket's. chain runs from the checkpoint to the window's tag 4
+	// frame, each nested in the one before it; every length prefix on
+	// the way is rewritten.
+	rewrite := func(t *testing.T, chain [][]byte, edit func(sealed, open []byte) []byte) []byte {
+		t.Helper()
+		_, snap, err := parseWindowed(chain[len(chain)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames, err := window.Blobs(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frames) < 3 {
+			t.Fatalf("the window holds %d buckets; the row needs sealed ones", len(frames))
+		}
+		levels := append(slices.Clip(chain), snap)
+		old, repl := frames[0], edit(frames[0], frames[len(frames)-1])
+		for i := len(levels) - 1; i >= 0; i-- {
+			old, repl = levels[i], splice(t, levels[i], old, repl)
+		}
+		return repl
+	}
+	edits := []struct {
+		name string
+		edit func(sealed, open []byte) []byte
+	}{
+		{"untouched", func(sealed, _ []byte) []byte { return sealed }},
+		{"truncated frame", func(sealed, _ []byte) []byte { return sealed[:len(sealed)/2] }},
+		{"count disagrees with frame", func(_, open []byte) []byte { return open }},
+	}
+	for _, algo := range []struct {
+		name string
+		algo Algorithm
+	}{{"algo1", AlgorithmSimple}, {"algo2", AlgorithmOptimal}} {
+		for _, shards := range []int{1, 2} {
+			opts := append(goldenOpts(algo.algo), WithCountWindow(512, 4), WithClock(goldenClock))
+			if shards > 1 {
+				opts = append(opts, WithShards(shards))
+			}
+			blob, err := buildGoldenHH(opts...)()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The window of the first shard, or the whole frame at tag 4.
+			chain := [][]byte{blob}
+			if shards > 1 {
+				_, snap, err := parseSharded(blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shardFrames, err := shard.Blobs(snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				chain = append(chain, snap, shardFrames[0])
+			}
+			for _, e := range edits {
+				t.Run(fmt.Sprintf("tag%d/%s/%s", blob[0], algo.name, e.name), func(t *testing.T) {
+					data := rewrite(t, chain, e.edit)
+					hh, err := Unmarshal(data)
+					if e.name == "untouched" {
+						if err != nil {
+							t.Fatalf("the untouched checkpoint: %v", err)
+						}
+						hh.Close()
+						return
+					}
+					if err == nil {
+						hh.Close()
+						t.Fatal("Unmarshal restored a window whose sealed bucket is corrupt")
+					}
+					if !strings.Contains(err.Error(), "bucket 0/") {
+						t.Fatalf("Unmarshal refused the checkpoint, but not for its sealed bucket: %v", err)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -287,8 +287,8 @@ func buildWindowed(cfg windowConfig) (*windowedSolver, error) {
 	if err := windowGrid(cfg, 1); err != nil {
 		return nil, err
 	}
-	factory := func() (shard.Engine, error) { return buildSerial(ecfg) }
-	restorer := func(blob []byte) (shard.Engine, error) { return unmarshalSerial(blob) }
+	factory := func() (window.Engine, error) { return buildSerial(ecfg) }
+	restorer := func(blob []byte) (window.Engine, error) { return unmarshalSerial(blob) }
 	w, err := window.New(factory, restorer, window.Options{
 		LastN:        cfg.Window,
 		LastDuration: cfg.WindowDuration,
@@ -354,8 +354,8 @@ func unmarshalWindowed(data []byte, clock func() time.Time) (*windowedSolver, er
 	if err := windowGrid(cfg, 1); err != nil {
 		return nil, err
 	}
-	factory := func() (shard.Engine, error) { return buildSerial(ecfg) }
-	restorer := func(b []byte) (shard.Engine, error) { return unmarshalSerial(b) }
+	factory := func() (window.Engine, error) { return buildSerial(ecfg) }
+	restorer := func(b []byte) (window.Engine, error) { return unmarshalSerial(b) }
 	w, err := window.Restore(blob, factory, restorer, window.Options{Now: clock})
 	if err != nil {
 		return nil, err

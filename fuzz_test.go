@@ -16,6 +16,7 @@ import (
 	"repro/internal/mg"
 	"repro/internal/minimum"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/voting"
 	"repro/internal/wire"
 )
@@ -94,7 +95,11 @@ func FuzzUnmarshalListHeavyHitters(f *testing.F) {
 // path: the tag-4 frame, the window snapshot (geometry, bucket
 // metadata) and the nested per-bucket solver encodings. Hostile bytes
 // must error — never panic, never allocate proportionally to a claimed
-// geometry — and a successful decode must yield a usable window.
+// geometry — and a successful decode must yield a usable window. The
+// seeds are an Algorithm 1 window, an Algorithm 2 window and the
+// per-shard windows of its two-shard twin, each fed past several
+// seals, so the sealed Algorithm 2 frames a Report decodes get mutated
+// too.
 func FuzzUnmarshalWindowed(f *testing.F) {
 	mk := func() *windowedSolver {
 		hh, err := buildWindowed(windowConfig{
@@ -117,6 +122,22 @@ func FuzzUnmarshalWindowed(f *testing.F) {
 		f.Add(blob)
 		f.Add(blob[:len(blob)/2])
 	}
+	for _, blob := range algo2WindowSeeds(f) {
+		frames := [][]byte{blob}
+		if blob[0] == tagShardedWindowed {
+			_, snap, err := parseSharded(blob)
+			if err != nil {
+				f.Fatal(err)
+			}
+			if frames, err = shard.Blobs(snap); err != nil {
+				f.Fatal(err)
+			}
+		}
+		for _, frame := range frames {
+			f.Add(frame)
+			f.Add(frame[:len(frame)/2])
+		}
+	}
 	seedLegacyCheckpoints(f, "tag4_windowed_v1.bin")
 	f.Add([]byte{4})
 	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -135,10 +156,42 @@ func FuzzUnmarshalWindowed(f *testing.F) {
 	})
 }
 
+// algo2WindowSeeds returns the checkpoints of an Algorithm 2 count
+// window (tag 4) and of its two-shard twin (tag 5), each fed 500 items
+// of a 64-item window in 16-item buckets, so each shard's window has
+// sealed and retired several buckets.
+func algo2WindowSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	var blobs [][]byte
+	for _, extra := range [][]Option{nil, {WithShards(2)}} {
+		opts := append([]Option{
+			WithEps(0.1), WithPhi(0.3), WithDelta(0.1), WithUniverse(1 << 16), WithSeed(5),
+			WithAlgorithm(AlgorithmOptimal), WithCountWindow(64, 4),
+		}, extra...)
+		hh, err := New(opts...)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for i := uint64(0); i < 500; i++ {
+			if err := hh.Insert(i % 37); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		blob, err := hh.MarshalBinary()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		hh.Close()
+		blobs = append(blobs, blob)
+	}
+	return blobs
+}
+
 // anySeedBlobs produces one valid checkpoint per container tag (1–5 and
 // the problem tags 7–10), plus a tag 1 blob whose Algorithm 2 T2 holds
-// escaped cells, so FuzzUnmarshalAny starts from decodable encodings of
-// every kind.
+// escaped cells and Algorithm 2 twins of the tag 4 and 5 windows
+// (algo2WindowSeeds), so FuzzUnmarshalAny starts from decodable
+// encodings of every kind.
 func anySeedBlobs(tb testing.TB) [][]byte {
 	tb.Helper()
 	base := []Option{
@@ -189,6 +242,7 @@ func anySeedBlobs(tb testing.TB) [][]byte {
 	}
 	hot.Close()
 	blobs = append(blobs, blob)
+	blobs = append(blobs, algo2WindowSeeds(tb)...)
 
 	// The problem engines (tags 7–10): voting ingests rankings, extremes
 	// ingest bounded items — both through the same problem-keyed front

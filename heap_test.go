@@ -69,3 +69,65 @@ func TestOptimalHeapNearModelBits(t *testing.T) {
 		})
 	}
 }
+
+// TestWindowHeapFollowsFrames bounds what a sliding window holds on the
+// heap by the checkpoint it writes: at most 4× its checkpoint bytes, for
+// the embed-window benchmark's engine (a 2²⁰-item count window of 16
+// buckets on two shards) after 2²² Zipf items, and for the engine
+// Unmarshal restores from that checkpoint. A sealed bucket never changes
+// again, so a window keeps it as its checkpoint frame and decodes it
+// only to fold a report (DESIGN.md §8): one decoded engine per window.
+// Heap is measured as in TestOptimalHeapNearModelBits, with the input
+// and the checkpoint alive across both readings.
+func TestWindowHeapFollowsFrames(t *testing.T) {
+	const maxRatio = 4
+	xs := Generate(NewZipfStream(7, 1<<20, 1.1), 1<<22)
+	heapOf := func(build func() HeavyHitters) (HeavyHitters, float64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		hh := build()
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return hh, float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	}
+	var blob []byte
+	hh, heap := heapOf(func() HeavyHitters {
+		hh, err := New(WithEps(0.01), WithPhi(0.05), WithDelta(0.1),
+			WithCountWindow(1<<20, 16), WithShards(2), WithUniverse(1<<30), WithSeed(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hh.InsertBatch(xs); err != nil {
+			t.Fatal(err)
+		}
+		if blob, err = hh.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+		return hh
+	})
+	defer hh.Close()
+	twin, twinHeap := heapOf(func() HeavyHitters {
+		twin, err := Unmarshal(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return twin
+	})
+	defer twin.Close()
+	runtime.KeepAlive(xs)
+	frame := float64(len(blob))
+	t.Logf("model %.1f KiB", float64(hh.ModelBits())/8/1024)
+	for _, c := range []struct {
+		name string
+		heap float64
+	}{{"built", heap - frame}, {"restored", twinHeap}} {
+		ratio := c.heap / frame
+		t.Logf("%s: heap %.1f KiB, checkpoint %.1f KiB: %.1f×", c.name, c.heap/1024, frame/1024, ratio)
+		if ratio > maxRatio {
+			t.Errorf("%s window holds %.1f× its checkpoint bytes on the heap, want ≤ %d×", c.name, ratio, maxRatio)
+		}
+	}
+}

@@ -12,17 +12,12 @@
 // this model; DESIGN.md §4 states the full set of rules.
 package compact
 
+import "math/bits"
+
 // BitsFor returns ⌈log₂(v+1)⌉ with a minimum of 1 — the width of a
 // variable-length register holding v.
 func BitsFor(v uint64) int64 {
-	var n int64
-	for ; v > 0; v >>= 1 {
-		n++
-	}
-	if n == 0 {
-		return 1
-	}
-	return n
+	return int64(max(1, bits.Len64(v)))
 }
 
 // CounterBits is the BB08 charge for one counter holding v: its width plus

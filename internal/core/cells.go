@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"iter"
 	"math"
+	"math/bits"
 
 	"repro/internal/wire"
 )
@@ -23,6 +25,31 @@ const (
 
 // cellPage is one page of a cellGrid's cells.
 type cellPage [pageCells]uint8
+
+// next returns the offset of p's first non-zero cell at or after k, or
+// pageCells if there is none. It reads the page eight cells at a time:
+// a written page of a sparse grid holds a few non-zero cells, so the
+// walks that look for them (Merge, ModelBits, the encoder) would
+// otherwise spend their time testing zero bytes one by one.
+func (p *cellPage) next(k int) int {
+	for w := k &^ 7; w < pageCells; w += 8 {
+		x := binary.LittleEndian.Uint64(p[w:])
+		if w < k {
+			x &^= 1<<(8*(k-w)) - 1
+		}
+		if x != 0 {
+			return w + bits.TrailingZeros64(x)/8
+		}
+	}
+	return pageCells
+}
+
+// maxSlabPages caps the pages a cellGrid allocates at once. A grid takes
+// its pages from slabs that double from one page up to this size, so a
+// decode or merge that writes many pages makes one allocation per 16 of
+// them, and a grid holds at most 15 unwritten pages (960 bytes) or, below
+// 16 written pages, fewer unwritten ones than written.
+const maxSlabPages = 16
 
 // zeroPage backs every page of every cellGrid that no write has
 // reached. Nothing writes it: a cell on it takes a page of its own
@@ -47,6 +74,8 @@ var zeroPage cellPage
 // cell's full value.
 type cellGrid struct {
 	pages []*cellPage // key>>pageShift → page; nil until the first non-zero write
+	slab  []cellPage  // pages allocated but not yet written
+	owned int         // pages written
 	esc   escTable    // key → value of each escaped cell
 	u     uint64
 	n     uint64 // cells: reps·u
@@ -66,7 +95,8 @@ func (g *cellGrid) page(key uint64) *cellPage {
 }
 
 // own returns the page holding key's cell, allocating the page table
-// and the page on first use, so the caller may write it.
+// on first use and taking the page from the slab, so the caller may
+// write it.
 func (g *cellGrid) own(key uint64) *cellPage {
 	if g.pages == nil {
 		g.pages = make([]*cellPage, (g.n+pageMask)>>pageShift)
@@ -76,7 +106,12 @@ func (g *cellGrid) own(key uint64) *cellPage {
 	}
 	p := g.pages[key>>pageShift]
 	if p == &zeroPage {
-		p = new(cellPage)
+		if len(g.slab) == 0 {
+			g.slab = make([]cellPage, min(maxSlabPages, max(1, g.owned)))
+		}
+		p = &g.slab[0]
+		g.slab = g.slab[1:]
+		g.owned++
 		g.pages[key>>pageShift] = p
 	}
 	return p
@@ -121,9 +156,9 @@ func (g *cellGrid) cells() iter.Seq2[uint64, uint32] {
 			if p == &zeroPage {
 				continue
 			}
-			for k, c := range p {
+			for k := p.next(0); k < pageCells; k = p.next(k + 1) {
 				key := uint64(i)<<pageShift | uint64(k)
-				if c != 0 && !yield(key, g.value(key, c)) {
+				if !yield(key, g.value(key, p[k])) {
 					return
 				}
 			}
@@ -131,21 +166,46 @@ func (g *cellGrid) cells() iter.Seq2[uint64, uint32] {
 	}
 }
 
-// bits charges the grid's cells under cellBits: every row's when
-// emptyRows is true, else only the rows holding a non-zero cell, as a
-// credit row costs nothing before its first credit.
-func (g *cellGrid) bits(emptyRows bool) int64 {
-	var b, rows int64
-	row := uint64(math.MaxUint64)
-	for key, v := range g.cells() {
-		b += cellBits(uint64(v)) - 1
-		if r := key / g.u; r != row {
-			row = r
-			rows++
+// row yields the key and byte of each non-zero cell of row j in key
+// order, skipping unwritten pages.
+func (g *cellGrid) row(j uint64) iter.Seq2[uint64, uint8] {
+	return func(yield func(uint64, uint8) bool) {
+		lo, hi := j*g.u, (j+1)*g.u
+		for key := lo; key < hi && g.pages != nil; {
+			p := g.pages[key>>pageShift]
+			end := min(hi, (key|pageMask)+1)
+			if p == &zeroPage {
+				key = end
+				continue
+			}
+			base := key &^ pageMask
+			for k := p.next(int(key - base)); base+uint64(k) < end; k = p.next(k + 1) {
+				if !yield(base+uint64(k), p[k]) {
+					return
+				}
+			}
+			key = end
 		}
 	}
-	if emptyRows {
-		rows = int64(g.n / g.u)
+}
+
+// bits charges the grid's cells under cellBits: every row's when
+// emptyRows is true, else only the rows holding a non-zero cell, as a
+// credit row costs nothing before its first credit. It walks row by row:
+// a window charges every bucket it seals (§8), and the cells iterator,
+// with a division per cell to find its row, cost nearly as much as the
+// bucket's encode.
+func (g *cellGrid) bits(emptyRows bool) int64 {
+	var b, rows int64
+	for j := uint64(0); j < g.n/g.u; j++ {
+		written := false
+		for key, c := range g.row(j) {
+			b += cellBits(uint64(g.value(key, c))) - 1
+			written = true
+		}
+		if written || emptyRows {
+			rows++
+		}
 	}
 	return b + rows*int64(g.u)
 }
@@ -154,26 +214,16 @@ func (g *cellGrid) bits(emptyRows bool) int64 {
 // credit: each non-zero cell as the count of zero cells since the
 // previous non-zero one, then its value; a row that ends in zeros then
 // closes with the length of that last run. An all-zero row is one run
-// of u. It walks the row's pages itself, skipping unwritten ones, since
-// snapshots encode inside the shard barrier: a walk through a cells
-// iterator cost a full engine's frame 7–10% more encode time.
+// of u. It walks the row alone, not every cell through the cells
+// iterator, since snapshots encode inside the shard barrier: a walk
+// through a cells iterator cost a full engine's frame 7–10% more encode
+// time.
 func (g *cellGrid) encodeRuns(w *wire.Writer, j int) {
-	lo, hi := uint64(j)*g.u, uint64(j+1)*g.u
-	next := lo
-	for key := lo; key < hi && g.pages != nil; {
-		p := g.pages[key>>pageShift]
-		end := min(hi, (key|pageMask)+1)
-		if p == &zeroPage {
-			key = end
-			continue
-		}
-		for ; key < end; key++ {
-			if c := p[key&pageMask]; c != 0 {
-				w.U64(key - next)
-				w.U64(uint64(g.value(key, c)))
-				next = key + 1
-			}
-		}
+	next, hi := uint64(j)*g.u, uint64(j+1)*g.u
+	for key, c := range g.row(uint64(j)) {
+		w.U64(key - next)
+		w.U64(uint64(g.value(key, c)))
+		next = key + 1
 	}
 	if next < hi {
 		w.U64(hi - next)

@@ -120,11 +120,9 @@ func (m *MaximinSketch) MarshalBinary() ([]byte, error) {
 			w.U64s(row)
 		}
 	} else {
-		w.U64(uint64(len(m.votes)))
-		for _, v := range m.votes {
-			for _, c := range v {
-				w.U64(uint64(c))
-			}
+		w.U64(uint64(len(m.votes) / m.cfg.N))
+		for _, c := range m.votes {
+			w.U64(uint64(c))
 		}
 	}
 	w.U64(m.s)
@@ -169,22 +167,21 @@ func (m *MaximinSketch) UnmarshalBinary(data []byte) error {
 		nv := r.U64()
 		// Every stored vote takes ≥ N bytes (one varint per candidate),
 		// so a vote count or arity beyond the remaining data is corrupt;
-		// checking both before allocating bounds the per-vote Θ(N)
-		// ranking allocations by the input size.
+		// checking both before allocating bounds the one nv·N sample
+		// allocation by the input size.
 		if r.Err() != nil || nv > uint64(len(data)) ||
-			(nv > 0 && uint64(cfg.N) > uint64(len(data))) {
+			(nv > 0 && uint64(cfg.N) > uint64(len(data))/nv) {
 			return fmt.Errorf("voting: %w", wire.ErrCorrupt)
 		}
-		out.votes = make([]Ranking, nv)
-		for i := range out.votes {
-			v := make(Ranking, cfg.N)
+		out.votes = make([]uint32, nv*uint64(cfg.N))
+		for off := 0; off < len(out.votes); off += cfg.N {
+			v := Ranking(out.votes[off : off+cfg.N])
 			for j := range v {
 				v[j] = uint32(r.U64())
 			}
 			if r.Err() != nil || v.Validate(cfg.N) != nil {
 				return fmt.Errorf("voting: %w", wire.ErrCorrupt)
 			}
-			out.votes[i] = v
 		}
 	}
 	out.s = r.U64()

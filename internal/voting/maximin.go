@@ -39,7 +39,9 @@ type MaximinConfig struct {
 type MaximinSketch struct {
 	cfg     MaximinConfig
 	sampler *sample.Skip
-	votes   []Ranking  // stored sample (default variant)
+	// votes is the stored sample of the default variant: the sampled
+	// rankings back to back, N candidate ids each.
+	votes   []uint32
 	pair    [][]uint64 // pairwise matrix (ablation variant)
 	s       uint64
 	offered uint64
@@ -96,7 +98,7 @@ func (m *MaximinSketch) Insert(r Ranking) {
 		}
 		return
 	}
-	m.votes = append(m.votes, r.Clone())
+	m.votes = append(m.votes, r...)
 }
 
 // margins returns D_S over the sample.
@@ -108,7 +110,8 @@ func (m *MaximinSketch) margins() [][]uint64 {
 	for i := range pair {
 		pair[i] = make([]uint64, m.cfg.N)
 	}
-	for _, r := range m.votes {
+	for off := 0; off < len(m.votes); off += m.cfg.N {
+		r := m.votes[off : off+m.cfg.N]
 		for pos, c := range r {
 			for _, d := range r[pos+1:] {
 				pair[c][d]++
@@ -193,6 +196,5 @@ func (m *MaximinSketch) ModelBits() int64 {
 		}
 		return bits + samplerBits(m.offered)
 	}
-	perVote := int64(m.cfg.N) * compact.IDBits(uint64(m.cfg.N))
-	return int64(len(m.votes))*perVote + samplerBits(m.offered)
+	return int64(len(m.votes))*compact.IDBits(uint64(m.cfg.N)) + samplerBits(m.offered)
 }

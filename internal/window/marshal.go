@@ -1,18 +1,19 @@
 package window
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
 
-	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
 // Checkpointing: the frame records the window configuration, the
 // retirement counters, and each live bucket's metadata plus its engine's
 // own MarshalBinary blob (opaque to this layer, exactly as in the shard
-// container). Time-mode bucket timestamps are wall-clock UnixNano, so a
+// container). A sealed bucket's blob is the frame it keeps, written
+// verbatim. Time-mode bucket timestamps are wall-clock UnixNano, so a
 // restore in a new process retires what aged out while the checkpoint
 // sat on disk.
 
@@ -29,7 +30,8 @@ const (
 )
 
 // MarshalBinary serializes the window configuration and every live
-// bucket. Every bucket engine must implement shard.Marshaler.
+// bucket: the sealed buckets' frames as they are, and the open bucket's
+// engine freshly marshaled.
 func (w *Window) MarshalBinary() ([]byte, error) {
 	_ = w.advance()
 	enc := wire.NewWriter()
@@ -43,26 +45,27 @@ func (w *Window) MarshalBinary() ([]byte, error) {
 	enc.U64(w.stamp)
 	enc.U64(w.prevStamp)
 	enc.Bool(w.stampKnown)
-	bs := w.buckets()
-	enc.U64(uint64(len(bs)))
-	for _, b := range bs {
-		m, ok := b.eng.(shard.Marshaler)
-		if !ok {
-			return nil, fmt.Errorf("window: engine %T does not implement MarshalBinary", b.eng)
-		}
-		blob, err := m.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		enc.U64(b.count)
-		enc.I64(b.start.UnixNano())
-		enc.I64(b.last.UnixNano())
-		enc.U64(b.startStamp)
-		enc.U64(b.startGap)
-		enc.Bool(b.stamped)
-		enc.Blob(blob)
+	live, err := w.live.eng.MarshalBinary()
+	if err != nil {
+		return nil, err
 	}
+	enc.U64(uint64(len(w.sealed) + 1))
+	for _, b := range w.sealed {
+		writeBucket(enc, b, b.frame)
+	}
+	writeBucket(enc, w.live, live)
 	return enc.Bytes(), nil
+}
+
+// writeBucket writes one bucket's metadata and its engine's frame.
+func writeBucket(enc *wire.Writer, b *bucket, frame []byte) {
+	enc.U64(b.count)
+	enc.I64(b.start.UnixNano())
+	enc.I64(b.last.UnixNano())
+	enc.U64(b.startStamp)
+	enc.U64(b.startGap)
+	enc.Bool(b.stamped)
+	enc.Blob(frame)
 }
 
 // snapshot is a MarshalBinary frame parsed but not yet rebuilt.
@@ -153,7 +156,10 @@ func Blobs(data []byte) ([][]byte, error) {
 // window geometry (mode, size, bucket count) comes from the blob; opts
 // supplies only the clock (its other fields are ignored). factory builds
 // the engines for buckets opened after the restore; restore decodes the
-// checkpointed ones.
+// checkpointed ones. Every bucket's frame is decoded here, once, so a
+// corrupt sealed bucket is refused now rather than by a later Report; a
+// sealed bucket then keeps a copy of its frame, and only the open
+// bucket keeps its decoded engine.
 func Restore(data []byte, factory Factory, restore Restorer, opts Options) (*Window, error) {
 	f, err := parseSnapshot(data)
 	if err != nil {
@@ -182,7 +188,12 @@ func Restore(data []byte, factory Factory, restore Restorer, opts Options) (*Win
 			return nil, fmt.Errorf("window: bucket %d/%d count %d disagrees with engine length %d",
 				i, n, b.count, got)
 		}
-		b.eng = eng
+		if i == n-1 {
+			b.eng = eng
+		} else {
+			// The blob aliases data, which the caller owns.
+			b.frame, b.bits = bytes.Clone(f.blobs[i]), eng.ModelBits()
+		}
 	}
 	w.sealed = bs[:n-1]
 	w.live = bs[n-1]

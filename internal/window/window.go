@@ -8,10 +8,12 @@
 // combination exact: the stream is chopped into consecutive epochs, each
 // ingested by a fresh engine built from the same configuration (same
 // seed). A ring of the most recent buckets covers the window; buckets
-// whose entire content has aged out are retired wholesale. A report
-// clones one live bucket (via its checkpoint codec) and folds the others
-// into the clone with the same state-merge rules the distributed tier
-// uses (DESIGN.md §7), so the combined answer carries the serial solver's
+// whose entire content has aged out are retired wholesale. A sealed
+// bucket never changes again, so it is kept as its engine's checkpoint
+// frame; only the open bucket holds a decoded engine. A report decodes
+// the oldest frame and folds the other buckets into it, one frame at a
+// time, with the same state-merge rules the distributed tier uses
+// (DESIGN.md §7), so the combined answer carries the serial solver's
 // (ε,ϕ) guarantees against the concatenation of the live buckets.
 //
 // That concatenation is the window plus at most one partial epoch: the
@@ -35,16 +37,23 @@ import (
 	"repro/internal/shard"
 )
 
+// Engine is what a bucket runs: a shard engine that writes the
+// checkpoint frame its bucket keeps once sealed.
+type Engine interface {
+	shard.Engine
+	shard.Marshaler
+}
+
 // Factory builds one fresh bucket engine. Every bucket must be built
 // from the same configuration — seed included — because reports fold
 // buckets with the state-merge rules, which require identical random
 // choices across the states being folded.
-type Factory func() (shard.Engine, error)
+type Factory func() (Engine, error)
 
-// Restorer rebuilds a bucket engine from the blob its MarshalBinary
-// produced; Report uses it to clone a bucket before folding, and Restore
-// uses it to decode checkpoints.
-type Restorer func(blob []byte) (shard.Engine, error)
+// Restorer rebuilds a bucket engine from the frame its MarshalBinary
+// produced; Report uses it to decode sealed buckets for the fold, and
+// Restore uses it to decode checkpoints.
+type Restorer func(frame []byte) (Engine, error)
 
 // Options configures a Window. Exactly one of LastN and LastDuration
 // must be non-zero.
@@ -108,9 +117,13 @@ func (o *Options) fill() error {
 	return nil
 }
 
-// bucket is one epoch: an engine plus the metadata retirement needs.
+// bucket is one epoch: its sketch plus the metadata retirement needs.
+// The live bucket's sketch is its engine; a sealed bucket's is the
+// engine's checkpoint frame and the ModelBits that engine was charged.
 type bucket struct {
-	eng   shard.Engine
+	eng   Engine // live bucket only
+	frame []byte // sealed buckets only
+	bits  int64  // sealed buckets only
 	count uint64
 	// start is when the bucket was opened; last is the arrival time of
 	// its most recent item. Retirement in time mode keys on last: a
@@ -294,22 +307,28 @@ func (w *Window) ObserveArrivalStamp(stamp uint64) {
 // snapshot and the oldest covered bucket predates the reset.
 func (w *Window) ArrivalStamps() (oldest, latest, gap uint64, ok bool) {
 	_ = w.advance()
-	bs := w.buckets()
-	if !w.stampKnown || !bs[0].stamped {
+	b := w.oldest()
+	if !w.stampKnown || !b.stamped {
 		return 0, 0, 0, false
 	}
-	return bs[0].startStamp, w.stamp, bs[0].startGap, true
+	return b.startStamp, w.stamp, b.startGap, true
 }
 
-// seal moves the live bucket onto the sealed ring and opens a new one.
-// The new bucket is opened first: if the factory fails, the live bucket
-// must stay live-only — appending it to sealed before knowing the
-// outcome would alias it on both lists and double-count its mass.
+// seal freezes the live bucket into its checkpoint frame, moves it onto
+// the sealed ring and opens a new one. The frame is written and the new
+// bucket opened before anything moves: if either fails, the live bucket
+// stays live-only — appending it to sealed before knowing the outcome
+// would alias it on both lists and double-count its mass.
 func (w *Window) seal() error {
 	old := w.live
+	frame, err := old.eng.MarshalBinary()
+	if err != nil {
+		return fmt.Errorf("window: sealing bucket: %w", err)
+	}
 	if err := w.openLive(); err != nil {
 		return err
 	}
+	old.frame, old.bits, old.eng = frame, old.eng.ModelBits(), nil
 	w.sealed = append(w.sealed, old)
 	return nil
 }
@@ -369,11 +388,11 @@ func (w *Window) advanceAt(now time.Time) error {
 // covered is the summed live-bucket mass (maintained incrementally).
 func (w *Window) covered() uint64 { return w.cov }
 
-// Insert adds one stream item to the window. A factory failure on
-// bucket rotation keeps ingesting into the current live bucket — the
-// window degrades (coarser epochs) rather than losing items; factories
-// that succeeded once do not fail later in practice (they only
-// allocate).
+// Insert adds one stream item to the window. A failed bucket rotation
+// (the live engine's frame or the factory erroring) keeps ingesting into
+// the current live bucket — the window degrades (coarser epochs) rather
+// than losing items; engines and factories that succeeded once do not
+// fail later in practice (they only encode and allocate).
 func (w *Window) Insert(x uint64) {
 	if w.interval > 0 {
 		// Only time mode needs arrival times; one clock read serves both
@@ -391,27 +410,30 @@ func (w *Window) Insert(x uint64) {
 	w.total++
 }
 
-// buckets returns the live buckets oldest-first (sealed, then live).
-func (w *Window) buckets() []*bucket {
-	out := make([]*bucket, 0, len(w.sealed)+1)
-	out = append(out, w.sealed...)
-	return append(out, w.live)
+// oldest returns the oldest live bucket: the first sealed one, or the
+// open one when nothing is sealed.
+func (w *Window) oldest() *bucket {
+	if len(w.sealed) > 0 {
+		return w.sealed[0]
+	}
+	return w.live
 }
 
 // Report answers (ε,ϕ)-heavy hitters for the covered mass — the window
-// plus at most one partial epoch (see Stats). It folds the live buckets
-// into a clone of the oldest with the distributed tier's state-merge
-// rules, so the answer carries the serial solver's guarantees at
-// m = Covered. The buckets themselves are never mutated.
+// plus at most one partial epoch (see Stats). It decodes the oldest
+// sealed frame and folds the other sealed frames, one decoded at a time,
+// and then the open bucket into it with the distributed tier's
+// state-merge rules, so the answer carries the serial solver's
+// guarantees at m = Covered while at most three engines are decoded at
+// once. The buckets themselves are never mutated.
 func (w *Window) Report() ([]core.ItemEstimate, error) {
 	if err := w.advance(); err != nil {
 		return nil, err
 	}
-	bs := w.buckets()
-	if len(bs) == 1 {
-		return bs[0].eng.Report(), nil
+	if len(w.sealed) == 0 {
+		return w.live.eng.Report(), nil
 	}
-	base, err := w.clone(bs[0].eng)
+	base, err := w.decode(w.sealed[0])
 	if err != nil {
 		return nil, err
 	}
@@ -419,51 +441,56 @@ func (w *Window) Report() ([]core.ItemEstimate, error) {
 	if !ok {
 		return nil, fmt.Errorf("window: engine %T cannot fold buckets (no merge support)", base)
 	}
-	for _, b := range bs[1:] {
-		if err := merger.MergeEngine(b.eng); err != nil {
+	for _, b := range w.sealed[1:] {
+		e, err := w.decode(b)
+		if err != nil {
+			return nil, err
+		}
+		if err := merger.MergeEngine(e); err != nil {
 			return nil, fmt.Errorf("window: folding bucket: %w", err)
 		}
 	}
+	if err := merger.MergeEngine(w.live.eng); err != nil {
+		return nil, fmt.Errorf("window: folding bucket: %w", err)
+	}
 	return base.Report(), nil
+}
+
+// decode rebuilds a sealed bucket's engine from its frame.
+func (w *Window) decode(b *bucket) (Engine, error) {
+	e, err := w.restore(b.frame)
+	if err != nil {
+		return nil, fmt.Errorf("window: decoding sealed bucket: %w", err)
+	}
+	return e, nil
 }
 
 // ReportUnion is the degraded fallback report: per-bucket reports with
 // estimates summed item-wise. It never fails, but an item missing from
 // some bucket's report loses that bucket's contribution, so estimates
-// may undercount by up to the per-bucket report thresholds. Callers use
-// it only when Report's fold path errors.
+// may undercount by up to the per-bucket report thresholds; so does a
+// sealed bucket whose frame does not decode. Callers use it only when
+// Report's fold path errors.
 func (w *Window) ReportUnion() []core.ItemEstimate {
 	_ = w.advance()
 	sums := make(map[uint64]float64)
-	for _, b := range w.buckets() {
-		for _, r := range b.eng.Report() {
+	add := func(e Engine) {
+		for _, r := range e.Report() {
 			sums[r.Item] += r.F
 		}
 	}
+	for _, b := range w.sealed {
+		if e, err := w.decode(b); err == nil {
+			add(e)
+		}
+	}
+	add(w.live.eng)
 	out := make([]core.ItemEstimate, 0, len(sums))
 	for item, f := range sums {
 		out = append(out, core.ItemEstimate{Item: item, F: f})
 	}
 	core.SortEstimates(out)
 	return out
-}
-
-// clone round-trips an engine through its checkpoint codec, yielding an
-// independent copy that folds can mutate.
-func (w *Window) clone(e shard.Engine) (shard.Engine, error) {
-	m, ok := e.(shard.Marshaler)
-	if !ok {
-		return nil, fmt.Errorf("window: engine %T cannot be cloned (no MarshalBinary)", e)
-	}
-	blob, err := m.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("window: cloning bucket: %w", err)
-	}
-	c, err := w.restore(blob)
-	if err != nil {
-		return nil, fmt.Errorf("window: restoring bucket clone: %w", err)
-	}
-	return c, nil
 }
 
 // Len is the covered mass — the stream length a Report answers for. It
@@ -486,12 +513,13 @@ func (w *Window) Geometry() (lastN uint64, lastDuration time.Duration, buckets i
 }
 
 // ModelBits sums the live buckets' sketch sizes under the paper's
-// accounting: a B-bucket window honestly costs B+1 sketches.
+// accounting: a B-bucket window honestly costs B+1 sketches. A sealed
+// bucket is charged what its engine was charged when it sealed.
 func (w *Window) ModelBits() int64 {
 	_ = w.advance()
-	var total int64
-	for _, b := range w.buckets() {
-		total += b.eng.ModelBits()
+	total := w.live.eng.ModelBits()
+	for _, b := range w.sealed {
+		total += b.bits
 	}
 	return total
 }
@@ -499,21 +527,21 @@ func (w *Window) ModelBits() int64 {
 // Stats describes the current window coverage.
 func (w *Window) Stats() Stats {
 	_ = w.advance()
-	bs := w.buckets()
+	oldest := w.oldest()
 	s := Stats{
 		Covered:        w.covered(),
 		Total:          w.total,
 		Retired:        w.retired,
 		RetiredBuckets: w.retiredBuckets,
-		Buckets:        len(bs),
-		OldestMass:     bs[0].count,
+		Buckets:        len(w.sealed) + 1,
+		OldestMass:     oldest.count,
 		CoveredMin:     w.covered(),
 		CoveredMax:     w.covered(),
 		ShareSkew:      1,
 		PerShardWindow: w.opts.LastN,
 	}
 	if w.total > 0 {
-		s.Span = w.opts.Now().Sub(bs[0].start)
+		s.Span = w.opts.Now().Sub(oldest.start)
 	}
 	return s
 }

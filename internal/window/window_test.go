@@ -20,7 +20,7 @@ type testEngine struct {
 	n    uint64
 }
 
-func newTestEngine() (shard.Engine, error) {
+func newTestEngine() (Engine, error) {
 	return &testEngine{freq: make(map[uint64]uint64)}, nil
 }
 
@@ -43,7 +43,7 @@ func (e *testEngine) MarshalBinary() ([]byte, error) {
 	w.Map(e.freq)
 	return w.Bytes(), nil
 }
-func restoreTestEngine(blob []byte) (shard.Engine, error) {
+func restoreTestEngine(blob []byte) (Engine, error) {
 	r := wire.NewReader(blob)
 	e := &testEngine{n: r.U64(), freq: r.Map()}
 	if r.Err() != nil || !r.Done() {
@@ -452,18 +452,21 @@ func TestRestoreV1ResetsStamps(t *testing.T) {
 	enc.U64(w.total)
 	enc.U64(w.retired)
 	enc.U64(w.retiredBuckets)
-	bs := w.buckets()
-	enc.U64(uint64(len(bs)))
-	for _, b := range bs {
-		blob, err := b.eng.(shard.Marshaler).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+	writeV1 := func(b *bucket, frame []byte) {
 		enc.U64(b.count)
 		enc.I64(b.start.UnixNano())
 		enc.I64(b.last.UnixNano())
-		enc.Blob(blob)
+		enc.Blob(frame)
 	}
+	enc.U64(uint64(len(w.sealed) + 1))
+	for _, b := range w.sealed {
+		writeV1(b, b.frame)
+	}
+	live, err := w.live.eng.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeV1(w.live, live)
 	r, err := Restore(enc.Bytes(), newTestEngine, restoreTestEngine, Options{})
 	if err != nil {
 		t.Fatalf("v1 snapshot must keep decoding: %v", err)
@@ -504,5 +507,65 @@ func TestRestoreV1ResetsStamps(t *testing.T) {
 	o2, l2, g2, ok2 := r2.ArrivalStamps()
 	if o1 != o2 || l1 != l2 || g1 != g2 || ok1 != ok2 {
 		t.Fatalf("v2 round-trip changed stamps: (%d,%d,%d,%v) vs (%d,%d,%d,%v)", o1, l1, g1, ok1, o2, l2, g2, ok2)
+	}
+}
+
+// TestSealedBucketsKeepFrames: a sealed bucket keeps its engine's frame
+// and the bits that engine was charged, and no engine; only the open
+// bucket holds one. Each frame decodes to an engine holding the
+// bucket's count and charged its bits.
+func TestSealedBucketsKeepFrames(t *testing.T) {
+	w := newCountWindow(t, 20, 4) // cap 5
+	for i := uint64(0); i < 47; i++ {
+		w.Insert(i % 9)
+	}
+	if len(w.sealed) < 2 {
+		t.Fatalf("only %d sealed buckets", len(w.sealed))
+	}
+	for i, b := range w.sealed {
+		if b.eng != nil || b.frame == nil {
+			t.Fatalf("sealed bucket %d holds an engine (%v) or no frame", i, b.eng != nil)
+		}
+		e, err := restoreTestEngine(b.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Len() != b.count || e.ModelBits() != b.bits {
+			t.Fatalf("sealed bucket %d: frame holds %d items and %d bits, bucket records %d and %d",
+				i, e.Len(), e.ModelBits(), b.count, b.bits)
+		}
+	}
+	if w.live.eng == nil || w.live.frame != nil {
+		t.Fatal("the open bucket must hold its engine and no frame")
+	}
+}
+
+// failingEngine is a testEngine whose frame cannot be written.
+type failingEngine struct{ testEngine }
+
+func (e *failingEngine) MarshalBinary() ([]byte, error) { return nil, errors.New("no frame") }
+
+// TestSealFailureKeepsBucketLive: a bucket whose frame cannot be written
+// stays the open bucket and keeps ingesting, as on a factory failure,
+// rather than sealing without a frame. Report surfaces the failed seal,
+// and the union fallback still answers for every item.
+func TestSealFailureKeepsBucketLive(t *testing.T) {
+	w, err := New(func() (Engine, error) {
+		return &failingEngine{testEngine{freq: make(map[uint64]uint64)}}, nil
+	}, restoreTestEngine, Options{LastN: 10, Buckets: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 30; i++ {
+		w.Insert(i)
+	}
+	if len(w.sealed) != 0 || w.Len() != 30 {
+		t.Fatalf("%d sealed buckets, covered %d; want 0 and all 30 items", len(w.sealed), w.Len())
+	}
+	if _, err := w.Report(); err == nil {
+		t.Fatal("Report hid the failed seal")
+	}
+	if got := w.ReportUnion(); len(got) != 30 {
+		t.Fatalf("union report has %d items, want 30", len(got))
 	}
 }

@@ -74,28 +74,55 @@ func BenchmarkWindowedInsert(b *testing.B) {
 	})
 }
 
-// BenchmarkWindowedReport measures the report-path fold: clone one
-// bucket through its checkpoint codec, merge the other B buckets in,
-// report on the combined state.
+// fullRingWindow builds a window of the given granularity over a
+// 2¹⁷-item count window and fills its ring: the steady state the report
+// and checkpoint rows measure.
+func fullRingWindow(b *testing.B, buckets int) *windowedSolver {
+	hh, err := buildWindowed(windowConfig{
+		config: windowBenchConfig(), Window: 1 << 17, WindowBuckets: buckets,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < (1<<17)+(1<<14); i++ {
+		hh.Insert(benchStream[i&(1<<20-1)])
+	}
+	return hh
+}
+
+// BenchmarkWindowedReport measures the report-path fold: decode the
+// oldest sealed frame, decode and merge the other sealed frames one at a
+// time, merge the open bucket, report on the combined state.
 func BenchmarkWindowedReport(b *testing.B) {
-	const w = 1 << 17
 	for _, buckets := range []int{4, 8, 16} {
 		b.Run(fmt.Sprintf("buckets=%d", buckets), func(b *testing.B) {
-			hh, err := buildWindowed(windowConfig{
-				config: windowBenchConfig(), Window: w, WindowBuckets: buckets,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < (1<<17)+(1<<14); i++ { // steady state: full ring
-				hh.Insert(benchStream[i&(1<<20-1)])
-			}
+			hh := fullRingWindow(b, buckets)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if rep := hh.Report(); len(rep) == 0 {
 					b.Fatal("empty report")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkWindowedMarshal measures a full-ring window's checkpoint
+// encode: the sealed buckets' frames and the open bucket's engine.
+func BenchmarkWindowedMarshal(b *testing.B) {
+	for _, buckets := range []int{4, 16} {
+		b.Run(fmt.Sprintf("buckets=%d", buckets), func(b *testing.B) {
+			hh := fullRingWindow(b, buckets)
+			var blob []byte
+			var err error
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if blob, err = hh.MarshalBinary(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(len(blob)), "frame-bytes")
 		})
 	}
 }

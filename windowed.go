@@ -61,8 +61,9 @@ type windowedSolver struct {
 	eps, phi float64
 }
 
-// Insert processes one stream item in amortized O(1) time (a bucket
-// rotation allocates a fresh solver every ⌈W/B⌉ items).
+// Insert processes one stream item in amortized O(1) time (every
+// ⌈W/B⌉ items a bucket rotation encodes the full bucket's solver as the
+// frame it keeps and allocates a fresh one).
 func (h *windowedSolver) Insert(x Item) { h.w.Insert(x) }
 
 // Report returns the heavy hitters of the covered window, in

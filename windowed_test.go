@@ -11,8 +11,12 @@ package l1hh
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -748,4 +752,119 @@ func TestWindowShardedRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh.Report() // post-close barrier runs inline
+}
+
+// TestWindowIdentityDigests pins what a window holds and answers, under
+// an injected clock: the SHA-256 of its checkpoint, a digest of its
+// report (item and float64 bits per entry, in report order) and its
+// ModelBits. The rows cover every bucket engine the front door builds
+// into a window, each fed far enough to seal and retire several
+// buckets, so the digests pin the fold over sealed buckets and not only
+// the live one. Each row also restores its checkpoint on the same clock
+// and requires the twin to write the same bytes, report the same items
+// and charge the same bits.
+func TestWindowIdentityDigests(t *testing.T) {
+	base := []Option{WithEps(0.02), WithPhi(0.1), WithDelta(0.1), WithUniverse(1 << 30), WithSeed(11)}
+	xs := Generate(NewZipfStream(13, 1<<16, 1.1), 1<<16)
+	const chunk = 4096
+	rows := []struct {
+		name string
+		opts []Option
+		// step is how far the clock moves after each chunk.
+		step         time.Duration
+		ckpt, report string
+		modelBits    int64
+	}{
+		{name: "algo2 serial", opts: []Option{WithAlgorithm(AlgorithmOptimal), WithCountWindow(1<<14, 8)},
+			ckpt:      "c81f05654d94771e68996102c1946b70a3b1fb035cf543493d9bfbfc6c9c4a21",
+			report:    "1ef8c22bf0a4865c6a8392a15789b58560f685e9ba47f2b1c758b707303d2fe3",
+			modelBits: 464006},
+		{name: "algo2 shards=2", opts: []Option{WithAlgorithm(AlgorithmOptimal), WithCountWindow(1<<14, 8), WithShards(2)},
+			ckpt:      "e255ed733455f223c0a469ff286454fc23eec4d9c546228c310fb21ea3acec61",
+			report:    "0915d48faa141e65045c96a3c30262c5b9aecc8b889364601208e941d5e41c07",
+			modelBits: 924575},
+		{name: "algo2 paced", opts: []Option{WithAlgorithm(AlgorithmOptimal), WithCountWindow(1<<14, 8), WithPacedBudget(1)},
+			ckpt:      "8690cde8d6f6bf29676ff7a244b5cb038bbd809a703d0359d63af21c03af1e44",
+			report:    "1ef8c22bf0a4865c6a8392a15789b58560f685e9ba47f2b1c758b707303d2fe3",
+			modelBits: 464006},
+		{name: "algo1 serial", opts: []Option{WithAlgorithm(AlgorithmSimple), WithCountWindow(1<<14, 8)},
+			ckpt:      "dc25811af7583661d65307e4b45b846fdb9cd24fa06221933b0ad0dedbddf89f",
+			report:    "eaab26ffbe47fa12004374df3a8e324ad5e7c974afc6ad013683d312a84cc601",
+			modelBits: 57095},
+		// 500 ms epochs, 300 ms per chunk: 16 chunks span 4.8 s, so
+		// buckets seal and retire as the clock passes them.
+		{name: "algo2 time window", step: 300 * time.Millisecond,
+			opts:      []Option{WithAlgorithm(AlgorithmOptimal), WithTimeWindow(2*time.Second, 4), WithStreamLength(3 * chunk * 4)},
+			ckpt:      "d2bd748190b1aa74ae93a2b3ec1e916671efad349c4144ce958e6a633fb2552f",
+			report:    "572ead7ba7535c3572060137ced74df4ef96a44b8e1c02b54262ce094bcf6039",
+			modelBits: 209279},
+	}
+	sha := func(b []byte) string {
+		d := sha256.Sum256(b)
+		return hex.EncodeToString(d[:])
+	}
+	reportDigest := func(rep []ItemEstimate) string {
+		var b []byte
+		for _, e := range rep {
+			b = binary.LittleEndian.AppendUint64(b, e.Item)
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.F))
+		}
+		return sha(b)
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			now := time.Unix(1_700_000_000, 0)
+			clock := func() time.Time { return now }
+			opts := append(append(append([]Option{}, base...), r.opts...), WithClock(clock))
+			hh, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hh.Close()
+			for off := 0; off < len(xs); off += chunk {
+				if err := hh.InsertBatch(xs[off : off+chunk]); err != nil {
+					t.Fatal(err)
+				}
+				if f, ok := hh.(Flusher); ok {
+					f.Flush()
+				}
+				now = now.Add(r.step)
+			}
+			if st := hh.(Windower).WindowStats(); st.RetiredBuckets < 2 {
+				t.Fatalf("only %d buckets retired; the row must retire several", st.RetiredBuckets)
+			}
+			blob, err := hh.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, bits := reportDigest(hh.Report()), hh.ModelBits()
+			if got := sha(blob); got != r.ckpt {
+				t.Errorf("checkpoint digest %s, want %s", got, r.ckpt)
+			}
+			if rep != r.report {
+				t.Errorf("report digest %s, want %s", rep, r.report)
+			}
+			if bits != r.modelBits {
+				t.Errorf("ModelBits %d, want %d", bits, r.modelBits)
+			}
+			twin, err := Unmarshal(blob, WithClock(clock))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer twin.Close()
+			again, err := twin.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, blob) {
+				t.Error("restored twin writes different checkpoint bytes")
+			}
+			if got := reportDigest(twin.Report()); got != rep {
+				t.Errorf("restored twin's report digest %s, want %s", got, rep)
+			}
+			if got := twin.ModelBits(); got != bits {
+				t.Errorf("restored twin's ModelBits %d, want %d", got, bits)
+			}
+		})
+	}
 }
