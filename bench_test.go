@@ -217,10 +217,10 @@ func ingestEngine(b *testing.B, shards int, extra ...Option) HeavyHitters {
 	return hh
 }
 
-// benchInsertChunks is the timed loop of the sharded ingest rows: b.N
+// benchInsertChunks is the timed loop of the batch ingest rows: b.N
 // items of xs, read cyclically, in 8,192-item InsertBatch calls, then a
-// Flush, so queued work counts inside the timer. len(xs) must be a
-// power of two and a multiple of the chunk.
+// Flush on a Flusher, so queued work counts inside the timer. len(xs)
+// must be a power of two and a multiple of the chunk.
 func benchInsertChunks(b *testing.B, hh HeavyHitters, xs []Item) {
 	const chunk = 8192
 	mask := len(xs) - 1
@@ -235,7 +235,9 @@ func benchInsertChunks(b *testing.B, hh HeavyHitters, xs []Item) {
 			b.Fatal(err)
 		}
 	}
-	hh.(Flusher).Flush()
+	if f, ok := hh.(Flusher); ok {
+		f.Flush()
+	}
 	b.StopTimer()
 }
 
@@ -268,17 +270,46 @@ func benchIngestSharded(shards int) func(*testing.B) {
 	}
 }
 
+// benchSkip returns a row at the embed-skip benchmark's engine: ε = 0.01,
+// ϕ = 0.05, δ = 0.1, m = 2²⁸, so p = 2⁻⁸ and under 1% of the items
+// reach the tables. shards = 0 is the serial InsertBatch path: the
+// hash plus skip-sampler row. The sharded rows add the ring hand-off
+// and the workers' partition pass. A run past 2²⁸ items samples a
+// little more than the declared rate plans for, at the same p.
+func benchSkip(shards int) func(*testing.B) {
+	return func(b *testing.B) {
+		opts := []Option{WithEps(0.01), WithPhi(0.05), WithDelta(0.1),
+			WithStreamLength(1 << 28), WithUniverse(1 << 30), WithSeed(7)}
+		if shards > 0 {
+			opts = append(opts, WithShards(shards))
+		}
+		hh, err := New(opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer hh.Close()
+		b.ReportAllocs()
+		benchInsertChunks(b, hh, benchZipfStream())
+		reportBits(b, hh)
+	}
+}
+
 // BenchmarkShardedInsert feeds a single producer through InsertBatch at
 // 1–8 shards against the serial Insert loop. ns/op is per item; on a
 // K-core machine the sharded rows should approach a K× speedup (the
 // acceptance target is ≥ 2× at 8 shards), since the partition loop is
 // cheap next to the per-item table work this config induces. The
 // serial, shards=1 and shards=4 rows are the BENCH_ingest.json ledger's.
+// The skip rows run the embed-skip engine (benchSkip), where the
+// partition and the sampler, not the tables, are the cost.
 func BenchmarkShardedInsert(b *testing.B) {
 	b.Run("serial", benchIngestSerial)
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), benchIngestSharded(shards))
 	}
+	b.Run("skip/serial", benchSkip(0))
+	b.Run("skip/shards=1", benchSkip(1))
+	b.Run("skip/shards=2", benchSkip(2))
 }
 
 // BenchmarkShardedInsertParallel is the many-producer story: GOMAXPROCS

@@ -168,8 +168,8 @@ var (
 	problemFlag    = flag.String("problem", "hh", "problem the engine solves: hh (heavy hitters), borda, maximin, minfreq, maxfreq (DESIGN.md §14); non-hh problems run a single-owner engine, so -shards, -algo, windows and the sentinel do not apply")
 	candidatesFlag = flag.Int("candidates", 0, "number of candidates for the voting problems (-problem borda|maximin); ballots are permutations of [0, candidates)")
 	seedFlag       = flag.Uint64("seed", 1, "RNG seed")
-	queueFlag      = flag.Int("queue-depth", 0, "per-shard queue depth in batches (0 = default; refused with -tenants)")
-	batchFlag      = flag.Int("max-batch", 0, "max items per dispatched batch (0 = default; refused with -tenants)")
+	queueFlag      = flag.Int("queue-depth", 0, "per-shard queue depth in batches (0 = default, at most 65536; refused with -tenants)")
+	batchFlag      = flag.Int("max-batch", 0, "items per shard batch; dispatch chunks hold shards × this (0 = default, at most 1048576; refused with -tenants)")
 	ckptDirFlag    = flag.String("checkpoint-dir", "", "snapshot directory for the async checkpoint coordinator: resumed from on start, written to every -checkpoint-every while serving and once more on shutdown")
 	ckptEveryFlag  = flag.Duration("checkpoint-every", 30*time.Second, "checkpoint coordinator snapshot interval (with -checkpoint-dir)")
 	ckptRetainFlag = flag.Int("checkpoint-retain", 4, "how many snapshots -checkpoint-dir keeps; older ones are pruned")

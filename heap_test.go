@@ -6,30 +6,40 @@ import (
 	"testing"
 )
 
-// TestOptimalHeapNearModelBits bounds what a serial Algorithm 2 engine
-// holds on the heap, and the checkpoint frame it writes, against what
-// the paper's accounting charges it (ModelBits, DESIGN.md §4), at the
-// two space probe rows of ROADMAP.md, a pool-tenant-sized engine and
-// the embed-sampled benchmark's, and at a short tenant: an engine
-// declared for 2¹⁹ items that has seen 2,048. The bounds are ≤ 10×
-// ModelBits/8 bytes of heap for the probe rows, ≤ 4× for the short
-// tenant, whose coin writes about 16 cells per row, and ≤ 4× of frame
-// for all three. The input stream stays alive across both heap
-// readings so only the engine's growth is measured.
+// TestOptimalHeapNearModelBits bounds what an Algorithm 2 engine holds
+// on the heap, and the checkpoint frame it writes, against what the
+// paper's accounting charges it (ModelBits, DESIGN.md §4), at the two
+// space probe rows of ROADMAP.md, a pool-tenant-sized engine and the
+// embed-sampled benchmark's, at a short tenant: an engine declared for
+// 2¹⁹ items that has seen 2,048, and at the embed-skip benchmark's
+// engine: two shards declared for 2²⁸ items (p = 2⁻⁸) fed 2²² items in
+// 8,192-item calls. The bounds are ≤ 10× ModelBits/8 bytes of heap for
+// the probe rows, ≤ 4× for the short tenant, whose coin writes about
+// 16 cells per row, ≤ 5.5× for the sharded engine, whose workers must
+// borrow their dispatch buffers (one kept 32 KiB buffer per worker
+// reads about 6.9×), and ≤ 4× of frame for all of them. The input
+// stream stays alive across both heap readings so only the engine's
+// growth is measured.
 func TestOptimalHeapNearModelBits(t *testing.T) {
 	const maxFrameRatio = 4
 	for _, c := range []struct {
 		eps, phi float64
 		m, items int
 		maxRatio float64
+		extra    []Option
 	}{
-		{0.01, 0.05, 1 << 14, 1 << 14, 10},
-		{0.002, 0.02, 1 << 21, 1 << 21, 10},
-		{0.01, 0.05, 1 << 19, 2048, 4},
+		{0.01, 0.05, 1 << 14, 1 << 14, 10, nil},
+		{0.002, 0.02, 1 << 21, 1 << 21, 10, nil},
+		{0.01, 0.05, 1 << 19, 2048, 4, nil},
+		// The embed-skip engine: its δ, its seed and two shards.
+		{0.01, 0.05, 1 << 28, 1 << 22, 5.5, []Option{WithDelta(0.1), WithSeed(7), WithShards(2)}},
 	} {
 		name := fmt.Sprintf("eps=%g/phi=%g/m=%d", c.eps, c.phi, c.m)
 		if c.items != c.m {
 			name += fmt.Sprintf("/items=%d", c.items)
+		}
+		if c.extra != nil {
+			name += "/shards=2"
 		}
 		t.Run(name, func(t *testing.T) {
 			xs := Generate(NewZipfStream(7, 1<<20, 1.1), c.items)
@@ -37,13 +47,19 @@ func TestOptimalHeapNearModelBits(t *testing.T) {
 			runtime.GC()
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			hh, err := New(WithAlgorithm(AlgorithmOptimal), WithEps(c.eps), WithPhi(c.phi),
-				WithStreamLength(uint64(c.m)), WithUniverse(1<<30), WithSeed(3))
+			hh, err := New(append([]Option{WithAlgorithm(AlgorithmOptimal), WithEps(c.eps), WithPhi(c.phi),
+				WithStreamLength(uint64(c.m)), WithUniverse(1 << 30), WithSeed(3)}, c.extra...)...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := hh.InsertBatch(xs); err != nil {
-				t.Fatal(err)
+			defer hh.Close()
+			for off := 0; off < len(xs); off += 8192 {
+				if err := hh.InsertBatch(xs[off:min(off+8192, len(xs))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if f, ok := hh.(Flusher); ok {
+				f.Flush()
 			}
 			runtime.GC()
 			runtime.GC()

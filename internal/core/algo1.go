@@ -39,11 +39,11 @@ func newHashedMG(src *rng.Source, cfg Config, tableLen int) hashedMG {
 	}
 }
 
-// admit advances the stream position and reports whether the item is
-// sampled.
-func (c *hashedMG) admit() bool {
-	c.offered++
-	return c.sampler.Next()
+// advance implements the Pacable seam for SimpleList and Maximum.
+func (c *hashedMG) advance(n int) int {
+	k := c.sampler.Advance(n)
+	c.offered += uint64(min(k+1, n)) // through the sample, or all n
+	return k
 }
 
 // sample runs T1's Misra-Gries update on x's hash and returns the hash
@@ -111,10 +111,14 @@ func NewSimpleList(src *rng.Source, cfg Config) (*SimpleList, error) {
 // wrap the solver in NewPaced, which defers the per-sample table work —
 // the §3.1 de-amortization.
 func (a *SimpleList) Insert(x uint64) {
-	if a.admit() {
+	if a.advance(1) == 0 {
 		a.process(x)
 	}
 }
+
+// InsertBatch processes items in order, as one Insert per item would,
+// with O(1) work per sampled item rather than per item.
+func (a *SimpleList) InsertBatch(items []uint64) { insertBatch(a, items) }
 
 // process performs the per-sample table work: the Misra-Gries update on
 // the hashed id, then T2 maintenance. A global decrement keeps T1's
@@ -222,10 +226,14 @@ func NewMaximum(src *rng.Source, cfg Config) (*Maximum, error) {
 
 // Insert processes one stream item in O(1) amortized time.
 func (a *Maximum) Insert(x uint64) {
-	if a.admit() {
+	if a.advance(1) == 0 {
 		a.process(x)
 	}
 }
+
+// InsertBatch processes items in order, as one Insert per item would,
+// with O(1) work per sampled item rather than per item.
+func (a *Maximum) InsertBatch(items []uint64) { insertBatch(a, items) }
 
 // process performs the per-sample table work: the hashed Misra-Gries
 // update and the running-argmax maintenance.

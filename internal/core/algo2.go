@@ -244,10 +244,14 @@ func (o *Optimal) epoch(t2 uint32) int {
 // which amortizes because samples are Θ(ε²)-rare (§3.1). For a strict
 // O(1) worst case, wrap in NewPaced.
 func (o *Optimal) Insert(x uint64) {
-	if o.admit() {
+	if o.advance(1) == 0 {
 		o.processSample(x)
 	}
 }
+
+// InsertBatch processes items in order, as one Insert per item would,
+// with O(1) work per sampled item rather than per item.
+func (o *Optimal) InsertBatch(items []uint64) { insertBatch(o, items) }
 
 // processSample performs the per-sample work: the T1 Misra-Gries update
 // and one accelerated-counter step per repetition, after hashing x into

@@ -22,9 +22,11 @@
 //   - Maximum is the ε-Maximum solver (§3.2, Theorem 3): Algorithm 1 with
 //     the T2 table replaced by a single running-argmax id.
 //
-// All three process updates in O(1) time (the Bernoulli sampler does one
-// PRNG draw on the common non-sampled path; per-sample work amortizes per
-// §3.1 of the paper) and report in time linear in the output.
+// All three process an Insert in O(1) time (one sampler decrement on the
+// common non-sampled path; per-sample work amortizes per §3.1 of the
+// paper), an InsertBatch in O(1) time per sampled item (the unsampled
+// runs between samples are skipped whole), and report in time linear in
+// the output.
 //
 // The numerical constants live in Tuning; PaperTuning carries the literal
 // constants from the pseudocode, DefaultTuning the smaller values the test

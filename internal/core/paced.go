@@ -20,11 +20,23 @@ package core
 // work. SimpleList, Optimal and Maximum implement it; the methods are
 // unexported so the seam stays internal to the solvers.
 type Pacable interface {
-	// admit advances the stream position and reports whether the item is
-	// sampled. O(1) worst case.
-	admit() bool
+	// advance offers the next n stream items and returns the offset of
+	// the first one sampled, or n when none is, consuming the items up
+	// to and including it (sample.Skip.Advance). O(1) worst case.
+	advance(n int) int
 	// process performs the per-sample table work for x.
 	process(x uint64)
+}
+
+// insertBatch feeds items to e in order, as one Insert per item would,
+// but jumps from one sampled item to the next: the unsampled items
+// between two samples cost one subtraction together, not one sampler
+// step each. It is the InsertBatch of SimpleList, Optimal and Maximum.
+func insertBatch(e Pacable, items []uint64) {
+	for k := e.advance(len(items)); k < len(items); k = e.advance(len(items)) {
+		e.process(items[k])
+		items = items[k+1:]
+	}
 }
 
 // Paced wraps a solver with a work queue bounding worst-case per-insert
@@ -53,7 +65,7 @@ func NewPaced(inner Pacable, perInsert int) *Paced {
 // samples. Worst-case work per call is O(perInsert) table operations plus
 // the O(1) admission step.
 func (p *Paced) Insert(x uint64) {
-	if p.inner.admit() {
+	if p.inner.advance(1) == 0 {
 		p.queue = append(p.queue, x)
 		if n := len(p.queue) - p.head; n > p.maxQueue {
 			p.maxQueue = n
@@ -93,9 +105,10 @@ func (p *Paced) MaxBacklog() int { return p.maxQueue }
 
 // --- pacable implementations (SimpleList and Maximum: algo1.go) ---
 
-func (o *Optimal) admit() bool {
-	o.offered++
-	return o.sampler.Next()
+func (o *Optimal) advance(n int) int {
+	k := o.sampler.Advance(n)
+	o.offered += uint64(min(k+1, n)) // through the sample, or all n
+	return k
 }
 
 func (o *Optimal) process(x uint64) {

@@ -5,9 +5,12 @@
 //   - Bernoulli: per-item sampling at a power-of-two rate. Footnote 3 of the
 //     paper rounds every sampling probability down to the nearest power of
 //     two so that Lemma 1 applies; PowerOfTwoFloor performs that rounding.
-//   - Skip: the same Bernoulli process realized by geometric gap-skipping,
-//     which does O(1) work per *sampled* item rather than per stream item —
-//     this is how the algorithms achieve O(1) worst-case update time
+//   - Skip: the same Bernoulli process realized by geometric gap-skipping.
+//     Next decides one item in O(1); Advance consumes a whole run of
+//     items with O(1) work per *sampled* item rather than per stream
+//     item — the batch ingest paths jump from one sample to the next
+//     with it, and the same O(1)-per-sample work is what the paper
+//     spreads across the following updates for its O(1) worst case
 //     ("the time ... can be spread out across the next O(1/ε) stream
 //     updates", §3.1).
 //   - Reservoir: classic size-k reservoir sampling, used by tests as an
@@ -122,8 +125,11 @@ func (b *Bernoulli) ModelBits() int64 {
 
 // Skip realizes the same Bernoulli(2^−k) process by drawing geometric gaps:
 // after each accepted item it draws the number of rejected items to skip.
-// Work is O(1) per accepted item and O(1) amortized overall, with only a
-// decrement on the fast path.
+// Advance skips a whole run of rejected items in one subtraction, so a
+// batch costs O(1) per accepted item; Next decides one item, a decrement
+// on the rejecting path. Both draw the same gaps from the same source,
+// so any mix of the two samples the same positions and encodes the same
+// state.
 type Skip struct {
 	p     float64
 	invLn float64 // 1 / ln(1-p), cached; 0 when p == 1
@@ -161,16 +167,24 @@ func (s *Skip) drawGap() uint64 {
 }
 
 // Next reports whether the next offered item is sampled.
-func (s *Skip) Next() bool {
-	if s.p >= 1 {
-		return true
+func (s *Skip) Next() bool { return s.Advance(1) == 0 }
+
+// Advance offers the next n items and returns the offset of the first
+// one sampled, or n when none is. It consumes the items up to and
+// including that one, exactly as that many calls of Next would: the
+// same gap draws, the same state after. A caller walks a batch by
+// calling it again on the rest.
+func (s *Skip) Advance(n int) int {
+	if n == 0 || s.p >= 1 {
+		return 0
 	}
-	if s.gap > 0 {
-		s.gap--
-		return false
+	if s.gap >= uint64(n) {
+		s.gap -= uint64(n)
+		return n
 	}
+	k := int(s.gap)
 	s.gap = s.drawGap()
-	return true
+	return k
 }
 
 // Probability returns the effective sampling probability.

@@ -1,11 +1,13 @@
 package sample
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 func TestPowerOfTwoFloor(t *testing.T) {
@@ -252,6 +254,50 @@ func TestBernoulliModelBitsGrowSlowly(t *testing.T) {
 	// accepted ≈ 5000 → register ≈ 13+1 bits; coin ≈ 2 bits. Far below 64.
 	if bits := b.ModelBits(); bits <= 0 || bits > 64 {
 		t.Fatalf("ModelBits = %d", bits)
+	}
+}
+
+// TestAdvanceMatchesNext: Advance consumes items exactly as Next does.
+// Two samplers on one seed walk the same positions, one a call of Next
+// per item, the other in Advance runs of 0 items, 1 item, the pending
+// gap (ending just before the next accept) and one past it; both must
+// accept the same positions and encode the same state after every run.
+func TestAdvanceMatchesNext(t *testing.T) {
+	for _, p := range []float64{1, 0.5, 1.0 / (1 << 8), 1.0 / (1 << 20)} {
+		next, adv := NewSkip(rng.New(9), p), NewSkip(rng.New(9), p)
+		var want, got []uint64
+		var pos uint64
+		for round := 0; round < 64; round++ {
+			n := [4]int{0, 1, int(adv.gap), int(adv.gap) + 1}[round%4]
+			for i := 0; i < n; i++ {
+				if next.Next() {
+					want = append(want, pos+uint64(i))
+				}
+			}
+			for off := 0; off < n; {
+				k := adv.Advance(n - off)
+				if k == n-off {
+					break
+				}
+				got = append(got, pos+uint64(off+k))
+				off += k + 1
+			}
+			pos += uint64(n)
+			a, b := wire.NewWriter(), wire.NewWriter()
+			next.Encode(a)
+			adv.Encode(b)
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("p=%g round %d (n=%d): Advance and Next encode different state", p, round, n)
+			}
+		}
+		if len(got) == 0 || len(got) != len(want) {
+			t.Fatalf("p=%g: Advance accepted %d positions, Next %d", p, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("p=%g: accept %d at position %d under Advance, %d under Next", p, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // Contracts the dispatch layer relies on:
 //
 //   - FIFO: pops observe pushes in claim order, so a barrier op pushed
-//     after a batch is popped after it (the barrier-ordering story).
+//     after a chunk is popped after it (the barrier-ordering story).
 //   - Backpressure: push blocks while the ring is full.
 //   - close-then-drain: after close, pop returns every already-pushed
 //     entry and then reports !ok; push reports !ok without enqueueing.
@@ -60,16 +60,17 @@ type ringSlot struct {
 	_   [64 - 8 - msgSize%64]byte
 }
 
-// msgSize is unsafe.Sizeof(msg{}) spelled out: a slice pointer, a
+// msgSize is unsafe.Sizeof(msg{}) spelled out: a chunk pointer, a
 // uint64 stamp and a func pointer. A compile-time check in ring_test.go
 // keeps it honest.
 const msgSize = 8 + 8 + 8
 
 // popSpins is how many empty polls the consumer burns (yielding the
 // processor between polls) before parking on the condvar. Small on
-// purpose: the repo's reference environment is single-core, where
-// spinning without yielding starves the producers that would refill
-// the ring, and each Gosched hands the core straight to one of them.
+// purpose: with fewer processors than goroutines — two vCPUs running a
+// producer and two workers — spinning without yielding starves the
+// goroutines that would refill the ring, and each Gosched hands the
+// processor straight to one of them.
 const popSpins = 32
 
 // newRing builds a ring with capacity ≥ want slots, rounded up to a
@@ -168,7 +169,7 @@ func (r *ring) pop() (m msg, ok bool) {
 		seq := slot.seq.Load()
 		if int64(seq)-int64(head+1) == 0 {
 			m = slot.m
-			slot.m = msg{} // drop the batch reference for GC
+			slot.m = msg{} // drop the chunk reference for GC
 			slot.seq.Store(head + r.mask + 1)
 			r.head.Store(head + 1)
 			if r.producerWaiters.Load() > 0 {

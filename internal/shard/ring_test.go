@@ -18,10 +18,9 @@ const (
 	_ = unsafe.Sizeof(msg{}) - msgSize
 )
 
-// mkBuf boxes a one-value batch for direct ring tests.
-func mkBuf(v uint64) *[]uint64 {
-	b := []uint64{v}
-	return &b
+// mkBuf boxes a one-value chunk for direct ring tests.
+func mkBuf(v uint64) *chunk {
+	return &chunk{items: []uint64{v}}
 }
 
 // TestRingFIFO: a single producer's entries pop in push order, batches
@@ -43,7 +42,7 @@ func TestRingFIFO(t *testing.T) {
 				m.op(nil)
 				continue
 			}
-			got = append(got, (*m.buf)[0])
+			got = append(got, m.buf.items[0])
 		}
 	}()
 	for i := uint64(0); i < n; i++ {
@@ -87,7 +86,7 @@ func TestRingMultiProducerStress(t *testing.T) {
 			if !ok {
 				return
 			}
-			seen[(*m.buf)[0]]++
+			seen[m.buf.items[0]]++
 		}
 	}()
 	var prod sync.WaitGroup
@@ -152,7 +151,7 @@ func TestRingBackpressure(t *testing.T) {
 		t.Fatal("push returned while the ring was still full")
 	default:
 	}
-	if m, ok := r.pop(); !ok || (*m.buf)[0] != 0 {
+	if m, ok := r.pop(); !ok || m.buf.items[0] != 0 {
 		t.Fatalf("pop = %v, %v; want entry 0", m, ok)
 	}
 	if !<-unblocked {
@@ -163,10 +162,10 @@ func TestRingBackpressure(t *testing.T) {
 		t.Fatal("push succeeded on a closed ring")
 	}
 	// Drain: both remaining entries then clean shutdown.
-	if m, ok := r.pop(); !ok || (*m.buf)[0] != 1 {
+	if m, ok := r.pop(); !ok || m.buf.items[0] != 1 {
 		t.Fatal("close lost a queued entry")
 	}
-	if m, ok := r.pop(); !ok || (*m.buf)[0] != 2 {
+	if m, ok := r.pop(); !ok || m.buf.items[0] != 2 {
 		t.Fatal("close lost the blocked push's entry")
 	}
 	if _, ok := r.pop(); ok {
@@ -284,7 +283,8 @@ func TestArrivalStampsAcrossRingHandoff(t *testing.T) {
 // dispatch layer's own allocation behaviour from sketch-table growth.
 type discardEngine struct{ n uint64 }
 
-func (d *discardEngine) Insert(uint64) { d.n++ }
+func (d *discardEngine) Insert(uint64)           { d.n++ }
+func (d *discardEngine) InsertBatch(xs []uint64) { d.n += uint64(len(xs)) }
 func (d *discardEngine) Report() []core.ItemEstimate {
 	return nil
 }

@@ -1,7 +1,7 @@
 // Package shard is the concurrent ingest engine: it hash-partitions the
 // item universe across N independent single-threaded sketches, each owned
 // by a dedicated worker goroutine fed through bounded lock-free rings
-// (cache-line padded, multi-producer single-consumer, batch-granularity
+// (cache-line padded, multi-producer single-consumer, chunk-granularity
 // handoff), and coordinates barrier operations — report, flush,
 // snapshot — against all of them.
 //
@@ -13,6 +13,14 @@
 // root package's sharded solver (sharded.go), and DESIGN.md §3 for the
 // error analysis and §11 for the ring protocol.
 //
+// The partition runs on the workers. InsertBatch copies a producer's
+// items into pooled chunks and pushes each chunk, reference-counted, to
+// every ring; each worker hashes the chunk, keeps the items its shard
+// owns in stream order and hands them to its engine's batch path. An
+// item thus costs the producer one copy and each worker one hash — K
+// hashes in all on K shards, which DESIGN.md §3 weighs against a
+// producer-side scatter.
+//
 // Concurrency model: any number of goroutines may call Insert/InsertBatch
 // concurrently; barrier operations (Report, Len, ModelBits, Snapshot, Do,
 // Flush) may run concurrently with ingest and observe some linearization
@@ -20,9 +28,8 @@
 // goroutine, so they need no locking. After Close, the workers have
 // exited and barrier operations run inline on the caller's goroutine.
 //
-// The ingest path is allocation-free in steady state: batch buffers and
-// partition scratch come from pools, and the dispatch loop pipelines the
-// partition hash over a chunk of items before touching the batches.
+// The ingest path is allocation-free in steady state: chunks and the
+// workers' own-item buffers come from one pool.
 package shard
 
 import (
@@ -42,6 +49,10 @@ import (
 // windowed solvers and the exact baseline all satisfy it.
 type Engine interface {
 	Insert(x uint64)
+	// InsertBatch inserts items in order, as one Insert per item would;
+	// the shard worker hands it each run of its own items. The slice is
+	// not retained.
+	InsertBatch(items []uint64)
 	Report() []core.ItemEstimate
 	ModelBits() int64
 	Len() uint64
@@ -54,15 +65,16 @@ type Marshaler interface {
 }
 
 // ArrivalObserver is the optional engine contract for global-arrival
-// accounting. Engines that implement it receive, before each batch is
-// inserted, a monotone stamp: the container-wide count of items accepted
-// so far (including the batch itself). A shard engine that records the
-// stamp alongside its own item count can measure its share of recent
-// global traffic — what the rate-extrapolated count-window report fold
-// needs (DESIGN.md §8) — without any per-item work on the insert path.
-// The stamp is batch-granular and, under concurrent producers, may
-// arrive slightly out of order; observers should treat it as a
-// monotone high-water mark.
+// accounting. Engines that implement it receive, before each batch of
+// their own items is inserted, a monotone stamp: the container-wide
+// count of items accepted up to the end of the chunk the batch came
+// from. A shard engine that records the stamp alongside its own item
+// count can measure its share of recent global traffic — what the
+// rate-extrapolated count-window report fold needs (DESIGN.md §8) —
+// without any per-item work on the insert path. The stamp is
+// chunk-granular and, under concurrent producers, may arrive slightly
+// out of order; observers should treat it as a monotone high-water
+// mark.
 type ArrivalObserver interface {
 	// ObserveArrivalStamp records the global accepted-items stamp
 	// carried by the batch about to be inserted.
@@ -75,13 +87,14 @@ type ArrivalObserver interface {
 // from hot loops, so implementations must be cheap, lock-free and
 // allocation-free (an atomic histogram observe, not a log line).
 type Hooks struct {
-	// EnqueueWait observes, once per dispatched batch, how long
-	// InsertBatch blocked waiting for space on a full shard ring.
-	// The fast path — ring had room — reports 0 without reading the
-	// clock, so an uncongested pipeline pays no timer cost.
+	// EnqueueWait observes, once per chunk pushed onto a ring, how long
+	// the producer blocked waiting for space on that full ring. The
+	// fast path — ring had room — reports 0 without reading the clock,
+	// so an uncongested pipeline pays no timer cost.
 	EnqueueWait func(d time.Duration)
-	// BatchApply observes how long a shard worker spent inserting one
-	// batch into its engine. Called from the worker goroutine.
+	// BatchApply observes, once per chunk a worker pops, how long the
+	// worker spent on it: hashing the chunk to keep its own items, and
+	// inserting them into its engine. Called from the worker goroutine.
 	BatchApply func(d time.Duration)
 }
 
@@ -96,22 +109,34 @@ var ErrClosed = errors.New("shard: engine closed")
 // ErrSaturated is returned by InsertBatchBounded when a shard ring
 // stayed full for the whole bounded wait: the ingest rate exceeds what
 // the shard workers drain, and the caller should shed load (back off
-// and retry) instead of queueing more. Items dispatched before the
-// saturated ring was hit HAVE been enqueued — delivery under shedding
-// is at-least-once, not atomic (DESIGN.md §12).
+// and retry) instead of queueing more. Items the reached rings own HAVE
+// been enqueued — delivery under shedding is at-least-once, not atomic
+// (DESIGN.md §12).
 var ErrSaturated = errors.New("shard: ingest queues saturated")
+
+// Bounds on the dispatch knobs. A ring slot is one cache line, so a
+// ring of MaxQueueDepth slots is 4 MiB; a chunk of MaxBatchLimit items
+// is 8 MiB. Larger requests are refused, not rounded.
+const (
+	MaxQueueDepth = 1 << 16
+	MaxBatchLimit = 1 << 20
+)
 
 // Options configures the ingest layer (not the sketches).
 type Options struct {
 	// Shards is the partition width; 0 defaults to GOMAXPROCS.
 	Shards int
-	// QueueDepth is the per-shard ring capacity in batches, rounded up
-	// to a power of two; 0 defaults to 64. Pushes block when a ring is
-	// full, which is the backpressure mechanism.
+	// QueueDepth is the per-shard ring capacity in chunks, rounded up
+	// to a power of two; 0 defaults to 64, and at most MaxQueueDepth.
+	// Pushes block when a ring is full, which is the backpressure
+	// mechanism.
 	QueueDepth int
-	// MaxBatch caps the items per dispatched batch; 0 defaults to 4096.
-	// Larger batches amortize the ring hand-off further at the cost
-	// of latency before a barrier can observe the items.
+	// MaxBatch sizes the dispatch chunk: InsertBatch cuts its items
+	// into chunks of Shards × MaxBatch (at most MaxBatchLimit), so each
+	// worker's batch holds about MaxBatch items on balanced traffic.
+	// 0 defaults to 4096, and at most MaxBatchLimit. Larger batches
+	// amortize the ring hand-off further at the cost of latency before
+	// a barrier can observe the items.
 	MaxBatch int
 	// Seed seeds the partition hash. The same seed must be used to
 	// restore a snapshot (Snapshot records it).
@@ -121,7 +146,8 @@ type Options struct {
 	Hooks Hooks
 }
 
-func (o *Options) fill() {
+// fill applies the defaults and refuses knobs out of range.
+func (o *Options) fill() error {
 	if o.Shards == 0 {
 		o.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -131,17 +157,33 @@ func (o *Options) fill() {
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 4096
 	}
+	switch {
+	case o.Shards < 1:
+		return fmt.Errorf("shard: invalid shard count %d", o.Shards)
+	case o.QueueDepth < 1 || o.QueueDepth > MaxQueueDepth:
+		return fmt.Errorf("shard: queue depth %d out of [1, %d]", o.QueueDepth, MaxQueueDepth)
+	case o.MaxBatch < 1 || o.MaxBatch > MaxBatchLimit:
+		return fmt.Errorf("shard: max batch %d out of [1, %d]", o.MaxBatch, MaxBatchLimit)
+	}
+	return nil
 }
 
-// msg is the unit of work on a shard ring: either a batch of items or a
-// barrier op. Ring FIFO order is what makes a barrier observe every
-// batch enqueued before it. Batches carry the global arrival stamp for
-// engines that observe it (ArrivalObserver), and travel as the pooled
-// buffer's own pointer so the worker can recycle it without
-// re-boxing (a *[]uint64 round-trips through sync.Pool with zero
-// allocations; a []uint64 would cost a header allocation per Put).
+// chunk is the unit of ingest: a pooled copy of up to chunkLen of one
+// producer's items, read by every worker it is pushed to. refs counts
+// the workers yet to release it; the last release returns it to the
+// pool. A worker borrows a chunk from the same pool as the buffer it
+// keeps its own items in.
+type chunk struct {
+	items []uint64
+	refs  atomic.Int32
+}
+
+// msg is the unit of work on a shard ring: either a chunk or a barrier
+// op. Ring FIFO order is what makes a barrier observe every chunk
+// enqueued before it. A chunk carries the global arrival stamp of its
+// last item for engines that observe it (ArrivalObserver).
 type msg struct {
-	buf   *[]uint64
+	buf   *chunk
 	stamp uint64
 	op    func(e Engine)
 }
@@ -157,9 +199,9 @@ type Sharded struct {
 	// odd so x*mix is a bijection on uint64.
 	mix uint64
 
-	pool    sync.Pool // *[]uint64 batch buffers, cap == MaxBatch
-	scratch sync.Pool // *dispatch partition state, one per in-flight InsertBatch
-	items   atomic.Uint64
+	chunkLen int       // items per chunk: Shards × MaxBatch, at most MaxBatchLimit
+	chunks   sync.Pool // *chunk, cap(items) == chunkLen
+	items    atomic.Uint64
 
 	// mu guards the closed transition: ingest and barriers hold it for
 	// read, Close holds it for write so nothing pushes on a closed ring.
@@ -167,34 +209,22 @@ type Sharded struct {
 	closed bool
 }
 
-// dispatch is the per-call partition state InsertBatch borrows from the
-// scratch pool: the open batch per shard (parts) and its pool container
-// (bufs), so the hot loop appends to plain slice headers and only
-// writes the header back into the container at send time.
-type dispatch struct {
-	parts [][]uint64
-	bufs  []*[]uint64
-}
-
-// New builds engines with factory and starts one worker per shard.
+// New builds engines with factory and starts one worker per shard. It
+// refuses options out of range before building anything.
 func New(factory Factory, opts Options) (*Sharded, error) {
-	opts.fill()
-	if opts.Shards < 1 {
-		return nil, fmt.Errorf("shard: invalid shard count %d", opts.Shards)
+	if err := opts.fill(); err != nil {
+		return nil, err
 	}
 	s := &Sharded{
-		opts: opts,
-		mix:  rng.New(opts.Seed).Uint64() | 1,
+		opts:     opts,
+		mix:      rng.New(opts.Seed).Uint64() | 1,
+		chunkLen: MaxBatchLimit,
 	}
-	s.pool.New = func() any {
-		b := make([]uint64, 0, opts.MaxBatch)
-		return &b
+	if opts.MaxBatch <= MaxBatchLimit/opts.Shards {
+		s.chunkLen = opts.Shards * opts.MaxBatch
 	}
-	s.scratch.New = func() any {
-		return &dispatch{
-			parts: make([][]uint64, opts.Shards),
-			bufs:  make([]*[]uint64, opts.Shards),
-		}
+	s.chunks.New = func() any {
+		return &chunk{items: make([]uint64, 0, s.chunkLen)}
 	}
 	s.engines = make([]Engine, opts.Shards)
 	s.rings = make([]*ring, opts.Shards)
@@ -213,17 +243,19 @@ func New(factory Factory, opts Options) (*Sharded, error) {
 	return s, nil
 }
 
-// worker owns engine i: it drains the ring, inserting batches and
-// running barrier ops in arrival order, until Close closes the ring.
-// The ArrivalObserver assertion happens once, outside the loop, so the
-// per-batch cost for engines without arrival accounting is one nil
-// check.
+// worker owns engine i: it drains the ring, running barrier ops and
+// applying chunks in arrival order, until Close closes the ring. For
+// each chunk it keeps its own items in a borrowed buffer, releases the
+// chunk, and — when it kept any — observes the chunk's stamp and hands
+// the items to the engine's batch path. The ArrivalObserver assertion
+// happens once, outside the loop.
 func (s *Sharded) worker(i int) {
 	defer s.workers.Done()
 	e := s.engines[i]
 	ao, _ := e.(ArrivalObserver)
 	ba := s.opts.Hooks.BatchApply
 	r := s.rings[i]
+	lo, span := s.hashRange(i)
 	for {
 		m, ok := r.pop()
 		if !ok {
@@ -233,59 +265,102 @@ func (s *Sharded) worker(i int) {
 			m.op(e)
 			continue
 		}
-		if ao != nil {
-			ao.ObserveArrivalStamp(m.stamp)
+		var start time.Time
+		if ba != nil {
+			start = time.Now()
 		}
-		if ba == nil {
-			for _, x := range *m.buf {
-				e.Insert(x)
+		own := s.chunks.Get().(*chunk)
+		mine := s.keep(own.items[:len(m.buf.items)], m.buf.items, lo, span)
+		s.release(m.buf, 1)
+		if len(mine) > 0 {
+			if ao != nil {
+				ao.ObserveArrivalStamp(m.stamp)
 			}
-		} else {
-			start := time.Now()
-			for _, x := range *m.buf {
-				e.Insert(x)
-			}
+			e.InsertBatch(mine)
+		}
+		s.chunks.Put(own)
+		if ba != nil {
 			ba(time.Since(start))
 		}
-		s.putBatch(m.buf)
 	}
 }
 
-// ShardOf returns the shard that owns id x: the high bits of a
-// multiplicative hash, range-reduced without bias toward low shards.
-// It is a pure function of (x, Options.Seed) for a fixed shard count.
+// partitionHash is the hash ShardOf range-reduces: a multiplicative
+// hash under the seeded key mix.
+func partitionHash(x, mix uint64) uint64 {
+	h := x * mix
+	return h ^ h>>29 // mixes the low input bits into the product's high bits
+}
+
+// ShardOf returns the shard that owns id x: the high bits of the
+// partition hash times the shard count, a range reduction without bias
+// toward low shards. It is a pure function of (x, Options.Seed) for a
+// fixed shard count.
 func (s *Sharded) ShardOf(x uint64) int {
-	h := x * s.mix
-	h ^= h >> 29 // mixes the low input bits into the product's high bits
-	hi, _ := bits.Mul64(h, uint64(len(s.engines)))
+	hi, _ := bits.Mul64(partitionHash(x, s.mix), uint64(len(s.engines)))
 	return int(hi)
+}
+
+// hashRange returns the partition hashes shard i owns as an interval:
+// ShardOf(x) == i exactly when partitionHash(x) − lo ≤ span in
+// unsigned arithmetic. Shard i's hashes start at ⌈i·2⁶⁴/K⌉, the least
+// h whose range reduction ⌊h·K/2⁶⁴⌋ is i, and the last shard's run to
+// 2⁶⁴ − 1. The workers test membership with one subtraction and one
+// compare instead of the reduction's 128-bit multiply.
+func (s *Sharded) hashRange(i int) (lo, span uint64) {
+	k := uint64(len(s.engines))
+	first := func(i uint64) uint64 {
+		q, r := bits.Div64(i, 0, k)
+		if r != 0 {
+			q++
+		}
+		return q
+	}
+	lo = first(uint64(i))
+	if i == len(s.engines)-1 {
+		return lo, ^lo
+	}
+	return lo, first(uint64(i)+1) - lo - 1
+}
+
+// keep copies into dst, in order, the items of src whose partition
+// hash lies in [lo, lo+span] (hashRange), and returns them; dst must
+// hold len(src) items. Every item is written and the write position
+// advances only for an owned one: the compiler turns that conditional
+// increment into a conditional move, so the loop has no data-dependent
+// branch to mispredict.
+func (s *Sharded) keep(dst, src []uint64, lo, span uint64) []uint64 {
+	mix := s.mix
+	n := 0
+	for _, x := range src {
+		dst[n] = x
+		if partitionHash(x, mix)-lo <= span {
+			n++
+		}
+	}
+	return dst[:n]
+}
+
+// release gives back n references to c, returning it to the pool once
+// none remain. A count below zero means a reference was given back
+// twice, so the chunk may already be refilled under a reader: that is a
+// bug in this package, and it panics rather than corrupt a stream.
+func (s *Sharded) release(c *chunk, n int32) {
+	switch r := c.refs.Add(-n); {
+	case r == 0:
+		s.chunks.Put(c)
+	case r < 0:
+		panic("shard: chunk released twice")
+	}
 }
 
 // Shards returns the partition width.
 func (s *Sharded) Shards() int { return len(s.engines) }
 
-func (s *Sharded) getBatch() *[]uint64 {
-	b := s.pool.Get().(*[]uint64)
-	*b = (*b)[:0]
-	return b
-}
-
-// putBatch recycles a batch buffer, unless its capacity no longer
-// matches the pool's — recycling an undersized slice would poison the
-// pool with buffers that force reallocation downstream, and an
-// oversized one would pin its large backing array forever.
-func (s *Sharded) putBatch(b *[]uint64) {
-	if cap(*b) != s.opts.MaxBatch {
-		return
-	}
-	*b = (*b)[:0]
-	s.pool.Put(b)
-}
-
-// Insert routes a single item: a one-entry batch cut from the buffer
-// pool, so even the slow path allocates nothing in steady state.
-// High-throughput producers should still call InsertBatch — the ring
-// handoff amortizes over the batch.
+// Insert routes a single item to its owner only: a one-item chunk with
+// one reference, so even the slow path allocates nothing in steady
+// state. High-throughput producers should still call InsertBatch — the
+// ring handoff amortizes over the chunk.
 func (s *Sharded) Insert(x uint64) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -293,84 +368,26 @@ func (s *Sharded) Insert(x uint64) error {
 		return ErrClosed
 	}
 	stamp := s.items.Add(1)
-	h := x * s.mix
-	h ^= h >> 29
-	i, _ := bits.Mul64(h, uint64(len(s.engines)))
-	buf := s.getBatch()
-	*buf = append(*buf, x)
-	s.send(int(i), msg{buf: buf, stamp: stamp})
+	c := s.chunks.Get().(*chunk)
+	c.items = append(c.items[:0], x)
+	c.refs.Store(1)
+	s.send(s.ShardOf(x), msg{buf: c, stamp: stamp}, time.Time{})
 	return nil
 }
 
-// hashChunk is how many items the dispatch loop hashes ahead of the
-// append pass. The first pass is pure arithmetic with no branches or
-// stores beyond the index buffer, so the multiplies pipeline; the
-// second pass then runs append-only. The buffer lives on the stack.
-const hashChunk = 512
-
-// InsertBatch partitions items by owning shard and enqueues one batch per
-// shard touched (splitting at MaxBatch). Safe for any number of
-// concurrent callers; blocks when a shard ring is full (backpressure).
-// The input slice is not retained.
+// InsertBatch enqueues items for the shards that own them: it copies
+// them into chunks of up to Shards × MaxBatch items and pushes each
+// chunk to every ring, where each worker keeps its own items in stream
+// order. Safe for any number of concurrent callers; blocks when a ring
+// is full (backpressure). The input slice is not retained.
 //
 // The accepted-items counter reserves the whole call's range up front;
-// each dispatched batch then carries, as its arrival stamp for
-// ArrivalObserver engines, the global position of the last item scanned
-// when it was cut. Stamps are therefore accurate to one dispatched batch
-// even when a single call delivers millions of items, at the cost of
-// one add per call and no per-item work.
+// each chunk carries, as its arrival stamp for ArrivalObserver
+// engines, the global position of its last item. Stamps are therefore
+// accurate to one chunk even when a single call delivers millions of
+// items, at the cost of one add per call and no per-item work.
 func (s *Sharded) InsertBatch(items []uint64) error {
-	if len(items) == 0 {
-		return nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	base := s.items.Add(uint64(len(items))) - uint64(len(items))
-	d := s.scratch.Get().(*dispatch)
-	parts := d.parts
-	mix, n := s.mix, uint64(len(s.engines))
-	maxBatch := s.opts.MaxBatch
-	var dst [hashChunk]uint32
-	for off := 0; off < len(items); off += hashChunk {
-		chunk := items[off:]
-		if len(chunk) > hashChunk {
-			chunk = chunk[:hashChunk]
-		}
-		for k, x := range chunk {
-			h := x * mix
-			h ^= h >> 29
-			hi, _ := bits.Mul64(h, n)
-			dst[k] = uint32(hi)
-		}
-		for k, x := range chunk {
-			i := dst[k]
-			p := parts[i]
-			if p == nil {
-				b := s.getBatch()
-				d.bufs[i], p = b, *b
-			}
-			p = append(p, x)
-			if len(p) >= maxBatch {
-				*d.bufs[i] = p
-				s.send(int(i), msg{buf: d.bufs[i], stamp: base + uint64(off+k) + 1})
-				parts[i], d.bufs[i] = nil, nil
-				continue
-			}
-			parts[i] = p
-		}
-	}
-	for i, p := range parts {
-		if p != nil {
-			*d.bufs[i] = p
-			s.send(i, msg{buf: d.bufs[i], stamp: base + uint64(len(items))})
-			parts[i], d.bufs[i] = nil, nil
-		}
-	}
-	s.scratch.Put(d)
-	return nil
+	return s.dispatch(items, time.Time{})
 }
 
 // InsertBatchBounded is InsertBatch with load shedding instead of
@@ -378,16 +395,26 @@ func (s *Sharded) InsertBatch(items []uint64) error {
 // returns ErrSaturated rather than blocking until space frees up. The
 // wait budget covers the whole call, not each enqueue.
 //
-// Shedding is not atomic: batches dispatched to non-saturated shards
-// before the full ring was hit have been enqueued and will be applied.
-// The accepted-items counter is rolled back for the unsent remainder,
-// so Items still tracks what the engines will eventually see; arrival
-// stamps handed out by concurrent calls in the shed window may exceed
-// the counter briefly, which ArrivalObserver engines already tolerate
-// (stamps are a monotone high-water mark). Callers that need exact
-// delivery accounting should treat a saturated call as "retry the whole
-// batch" — at-least-once, duplicates possible (DESIGN.md §12).
+// Shedding is not atomic: the chunks pushed before the full ring was
+// hit, and the items of the saturating chunk that the rings it reached
+// own, have been enqueued and will be applied. The accepted-items
+// counter is rolled back for the rest, so Items still tracks what the
+// engines will eventually see; arrival stamps handed out by concurrent
+// calls in the shed window may exceed the counter briefly, which
+// ArrivalObserver engines already tolerate (stamps are a monotone
+// high-water mark). Callers that need exact delivery accounting should
+// treat a saturated call as "retry the whole batch" — at-least-once,
+// duplicates possible (DESIGN.md §12).
 func (s *Sharded) InsertBatchBounded(items []uint64, wait time.Duration) error {
+	return s.dispatch(items, time.Now().Add(wait))
+}
+
+// dispatch is the one ingest loop behind InsertBatch (a zero deadline:
+// block on full rings) and InsertBatchBounded. A push that times out
+// hands back the references of the rings the chunk did not reach and
+// rolls the accepted-items counter back by the items those rings own
+// plus every item not yet copied.
+func (s *Sharded) dispatch(items []uint64, deadline time.Time) error {
 	if len(items) == 0 {
 		return nil
 	}
@@ -396,106 +423,34 @@ func (s *Sharded) InsertBatchBounded(items []uint64, wait time.Duration) error {
 	if s.closed {
 		return ErrClosed
 	}
-	deadline := time.Now().Add(wait)
 	total := uint64(len(items))
 	base := s.items.Add(total) - total
-	d := s.scratch.Get().(*dispatch)
-	parts := d.parts
-	mix, n := s.mix, uint64(len(s.engines))
-	maxBatch := s.opts.MaxBatch
-	var sent uint64
-	var dst [hashChunk]uint32
-	for off := 0; off < len(items); off += hashChunk {
-		chunk := items[off:]
-		if len(chunk) > hashChunk {
-			chunk = chunk[:hashChunk]
-		}
-		for k, x := range chunk {
-			h := x * mix
-			h ^= h >> 29
-			hi, _ := bits.Mul64(h, n)
-			dst[k] = uint32(hi)
-		}
-		for k, x := range chunk {
-			i := dst[k]
-			p := parts[i]
-			if p == nil {
-				b := s.getBatch()
-				d.bufs[i], p = b, *b
-			}
-			p = append(p, x)
-			if len(p) >= maxBatch {
-				*d.bufs[i] = p
-				if !s.sendBounded(int(i), msg{buf: d.bufs[i], stamp: base + uint64(off+k) + 1}, deadline) {
-					s.putBatch(d.bufs[i]) // the failed batch's items count as unsent
-					parts[i], d.bufs[i] = nil, nil
-					return s.abortDispatch(d, total-sent)
-				}
-				sent += uint64(len(p))
-				parts[i], d.bufs[i] = nil, nil
+	for off := 0; off < len(items); {
+		c := s.chunks.Get().(*chunk)
+		c.items = append(c.items[:0], items[off:min(off+s.chunkLen, len(items))]...)
+		off += len(c.items)
+		c.refs.Store(int32(len(s.rings)))
+		m := msg{buf: c, stamp: base + uint64(off)}
+		for i := range s.rings {
+			if s.send(i, m, deadline) {
 				continue
 			}
-			parts[i] = p
-		}
-	}
-	for i, p := range parts {
-		if p != nil {
-			*d.bufs[i] = p
-			if !s.sendBounded(i, msg{buf: d.bufs[i], stamp: base + total}, deadline) {
-				s.putBatch(d.bufs[i])
-				parts[i], d.bufs[i] = nil, nil
-				return s.abortDispatch(d, total-sent)
+			unsent := total - uint64(off)
+			for _, x := range c.items {
+				if s.ShardOf(x) >= i {
+					unsent++
+				}
 			}
-			sent += uint64(len(p))
-			parts[i], d.bufs[i] = nil, nil
+			s.release(c, int32(len(s.rings)-i))
+			s.items.Add(-unsent)
+			return ErrSaturated
 		}
 	}
-	s.scratch.Put(d)
 	return nil
 }
 
-// abortDispatch unwinds a saturated InsertBatchBounded call: open
-// per-shard buffers are recycled, the accepted-items counter gives back
-// the unsent remainder (the saturated batch itself plus everything not
-// yet dispatched), and the scratch state goes back to the pool.
-func (s *Sharded) abortDispatch(d *dispatch, unsent uint64) error {
-	for i, p := range d.parts {
-		if p != nil {
-			*d.bufs[i] = p
-			s.putBatch(d.bufs[i])
-			d.parts[i], d.bufs[i] = nil, nil
-		}
-	}
-	s.items.Add(^(unsent - 1)) // subtract: two's-complement add
-	s.scratch.Put(d)
-	return ErrSaturated
-}
-
-// sendBounded pushes one message with a deadline, reporting false on
-// timeout (the message was NOT enqueued). Same EnqueueWait hook
-// discipline as send: the non-blocking fast path observes 0 without a
-// clock read.
-func (s *Sharded) sendBounded(i int, m msg, deadline time.Time) bool {
-	r := s.rings[i]
-	ew := s.opts.Hooks.EnqueueWait
-	if r.tryPush(m) {
-		if ew != nil {
-			ew(0)
-		}
-		return true
-	}
-	if ew == nil {
-		ok, _ := r.pushWait(m, deadline)
-		return ok
-	}
-	start := time.Now()
-	ok, _ := r.pushWait(m, deadline)
-	ew(time.Since(start))
-	return ok
-}
-
 // SpareCapacity reports the smallest spare ring capacity across the
-// shards, in batches — the non-blocking saturation probe: 0 means at
+// shards, in chunks — the non-blocking saturation probe: 0 means at
 // least one shard ring is full and an unbounded InsertBatch would
 // block. Racy by nature (rings drain concurrently); treat it as a
 // monitoring signal, not a reservation.
@@ -512,31 +467,42 @@ func (s *Sharded) SpareCapacity() int {
 	return spare
 }
 
-// send pushes one message onto shard i's ring, timing the wait when the
-// EnqueueWait hook is set. The non-blocking attempt keeps the common
-// case — ring has room — free of clock reads; only a genuinely
-// blocking push pays for two timestamps.
-func (s *Sharded) send(i int, m msg) {
+// send pushes m onto ring i, timing the wait when the EnqueueWait hook
+// is set. A zero deadline blocks until the ring has room; otherwise send
+// gives up once deadline passes and reports false — m was not enqueued.
+// The non-blocking attempt keeps the common case — ring has room — free
+// of clock reads; only a genuinely blocking push pays for two
+// timestamps.
+func (s *Sharded) send(i int, m msg, deadline time.Time) bool {
 	r := s.rings[i]
 	ew := s.opts.Hooks.EnqueueWait
-	if ew == nil {
-		r.push(m)
-		return
-	}
 	if r.tryPush(m) {
-		ew(0)
-		return
+		if ew != nil {
+			ew(0)
+		}
+		return true
 	}
-	start := time.Now()
-	r.push(m)
-	ew(time.Since(start))
+	var start time.Time
+	if ew != nil {
+		start = time.Now()
+	}
+	var ok bool
+	if deadline.IsZero() {
+		ok, _ = r.push(m)
+	} else {
+		ok, _ = r.pushWait(m, deadline)
+	}
+	if ew != nil {
+		ew(time.Since(start))
+	}
+	return ok
 }
 
 // Items returns the number of items accepted by InsertBatch (they may
 // still be queued; Flush forces them into the engines).
 func (s *Sharded) Items() uint64 { return s.items.Load() }
 
-// QueueDepths reports the current per-shard ring occupancy in batches,
+// QueueDepths reports the current per-shard ring occupancy in chunks,
 // for monitoring.
 func (s *Sharded) QueueDepths() []int {
 	out := make([]int, len(s.rings))
@@ -547,7 +513,7 @@ func (s *Sharded) QueueDepths() []int {
 }
 
 // Do runs f against every shard's engine from the engine's owning
-// goroutine, after every batch enqueued before the call, and returns when
+// goroutine, after every chunk enqueued before the call, and returns when
 // all shards have run it. Calls for distinct shards run concurrently, so
 // f must only touch per-shard state (index its own slot by shard).
 func (s *Sharded) Do(f func(shard int, e Engine)) {

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 	"time"
@@ -22,7 +23,12 @@ type fake struct {
 func newFake() *fake { return &fake{counts: make(map[uint64]uint64)} }
 
 func (f *fake) Insert(x uint64) { f.counts[x]++; f.n++ }
-func (f *fake) Len() uint64     { return f.n }
+func (f *fake) InsertBatch(xs []uint64) {
+	for _, x := range xs {
+		f.Insert(x)
+	}
+}
+func (f *fake) Len() uint64 { return f.n }
 func (f *fake) ModelBits() int64 {
 	return int64(len(f.counts)) * 128
 }
@@ -124,6 +130,145 @@ func TestPartitionDisjointAndComplete(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// recorder is an engine that keeps every item it is handed, in order:
+// the fake counts items but cannot show their order.
+type recorder struct{ got []uint64 }
+
+func (r *recorder) Insert(x uint64)             { r.got = append(r.got, x) }
+func (r *recorder) InsertBatch(xs []uint64)     { r.got = append(r.got, xs...) }
+func (r *recorder) Report() []core.ItemEstimate { return nil }
+func (r *recorder) ModelBits() int64            { return 0 }
+func (r *recorder) Len() uint64                 { return uint64(len(r.got)) }
+
+// TestPartitionKeepsStreamOrder: one producer's items reach each shard
+// exactly as ShardOf assigns them, in stream order, through single
+// Inserts (owner only) and InsertBatch calls of 1, MaxBatch−1 and
+// Shards×MaxBatch+1 items — a call shorter than a worker's batch, and
+// one that spills into a second chunk.
+func TestPartitionKeepsStreamOrder(t *testing.T) {
+	const shards, maxBatch = 3, 64
+	recs := make([]*recorder, shards)
+	s, err := New(func(i, _ int) (Engine, error) {
+		recs[i] = &recorder{}
+		return recs[i], nil
+	}, Options{Shards: shards, MaxBatch: maxBatch, QueueDepth: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	src := rng.New(1)
+	var stream []uint64
+	for _, n := range []int{1, maxBatch - 1, shards*maxBatch + 1, 0, 1, shards*maxBatch + 1, maxBatch - 1} {
+		if n == 0 {
+			x := src.Uint64()
+			if err := s.Insert(x); err != nil {
+				t.Fatal(err)
+			}
+			stream = append(stream, x)
+			continue
+		}
+		batch := make([]uint64, n)
+		for j := range batch {
+			batch[j] = src.Uint64()
+		}
+		if err := s.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, batch...)
+	}
+	s.Flush()
+	want := make([][]uint64, shards)
+	for _, x := range stream {
+		want[s.ShardOf(x)] = append(want[s.ShardOf(x)], x)
+	}
+	for i, r := range recs {
+		if len(r.got) != len(want[i]) {
+			t.Fatalf("shard %d holds %d items, ShardOf assigns it %d", i, len(r.got), len(want[i]))
+		}
+		for j := range want[i] {
+			if r.got[j] != want[i][j] {
+				t.Fatalf("shard %d: item %d is %#x, want %#x in stream order", i, j, r.got[j], want[i][j])
+			}
+		}
+	}
+	if s.Items() != uint64(len(stream)) {
+		t.Fatalf("Items() = %d, want %d", s.Items(), len(stream))
+	}
+}
+
+// TestDispatchKnobBounds: New and Restore refuse a queue depth or a
+// batch size out of range before they build an engine or a ring. The
+// ring sizer doubles up to the depth, so past 2⁶² it overflowed and
+// never returned, and near 2⁴⁰ it asked for a 64 TiB slot array; a
+// huge batch size failed at the first chunk allocation.
+func TestDispatchKnobBounds(t *testing.T) {
+	built := 0
+	factory := func(int, int) (Engine, error) {
+		built++
+		return newFake(), nil
+	}
+	src := newFakeSharded(t, Options{Shards: 2})
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+	for _, o := range []Options{
+		{QueueDepth: MaxQueueDepth + 1},
+		{QueueDepth: 1<<62 + 1},
+		{QueueDepth: -1},
+		{MaxBatch: MaxBatchLimit + 1},
+		{MaxBatch: 1 << 40},
+		{MaxBatch: -1},
+	} {
+		if s, err := New(factory, Options{Shards: 2, QueueDepth: o.QueueDepth, MaxBatch: o.MaxBatch}); err == nil {
+			s.Close()
+			t.Errorf("New accepted queue depth %d, max batch %d", o.QueueDepth, o.MaxBatch)
+		}
+		if s, err := Restore(snap, fakeRestoreFactory, o); err == nil {
+			s.Close()
+			t.Errorf("Restore accepted queue depth %d, max batch %d", o.QueueDepth, o.MaxBatch)
+		}
+	}
+	if built != 0 {
+		t.Fatalf("a refused New built %d engines", built)
+	}
+	s, err := New(factory, Options{Shards: 1, QueueDepth: MaxQueueDepth, MaxBatch: MaxBatchLimit})
+	if err != nil {
+		t.Fatalf("New refused the bounds themselves: %v", err)
+	}
+	s.Close()
+}
+
+// TestHashRangeMatchesShardOf: the interval of partition hashes a
+// worker keeps is exactly the set ShardOf's range reduction maps to its
+// shard. The intervals tile the hash space in shard order, and each
+// one's first and last hash reduce to its shard; since the reduction is
+// monotone in the hash, every hash between reduces there too.
+func TestHashRangeMatchesShardOf(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 5, 7, 8, 1000, 1 << 20} {
+		s := &Sharded{engines: make([]Engine, k)}
+		reduce := func(h uint64) int {
+			hi, _ := bits.Mul64(h, uint64(k))
+			return int(hi)
+		}
+		next := uint64(0)
+		for i := 0; i < k; i++ {
+			lo, span := s.hashRange(i)
+			if lo != next {
+				t.Fatalf("K=%d: shard %d's hashes start at %#x, the previous shard's end at %#x", k, i, lo, next-1)
+			}
+			if reduce(lo) != i || reduce(lo+span) != i {
+				t.Fatalf("K=%d: shard %d's hashes [%#x, %#x] reduce to shards %d and %d", k, i, lo, lo+span, reduce(lo), reduce(lo+span))
+			}
+			next = lo + span + 1
+		}
+		if next != 0 {
+			t.Fatalf("K=%d: the last shard's hashes end at %#x, not 2⁶⁴ − 1", k, next-1)
+		}
 	}
 }
 
@@ -607,4 +752,33 @@ func TestZeroHooksPathUnchanged(t *testing.T) {
 	if got := s.Len(); got != 100 {
 		t.Fatalf("Len = %d, want 100", got)
 	}
+}
+
+// BenchmarkPartition prices the two halves of the partition per item,
+// at two shards over random ids: the producer's copy into a chunk, and
+// one worker's keep pass over it (a hash, a range compare and a
+// conditional increment per item). DESIGN.md §3 weighs them against a producer-side scatter.
+func BenchmarkPartition(b *testing.B) {
+	s, err := New(fakeFactory, Options{Shards: 2, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	src := make([]uint64, 8192)
+	r := rng.New(1)
+	for i := range src {
+		src[i] = r.Uint64()
+	}
+	dst := make([]uint64, len(src))
+	lo, span := s.hashRange(1)
+	b.Run("copy", func(b *testing.B) {
+		for i := 0; i < b.N; i += len(src) {
+			dst = append(dst[:0], src...)
+		}
+	})
+	b.Run("keep", func(b *testing.B) {
+		for i := 0; i < b.N; i += len(src) {
+			s.keep(dst[:len(src)], src, lo, span)
+		}
+	})
 }

@@ -52,16 +52,18 @@ func TestRingPushWaitExpiredDeadlineStillTriesOnce(t *testing.T) {
 	}
 }
 
-// stall parks shard 0's worker inside a barrier op until the returned
-// release func is called, so the test controls exactly when the ring
-// starts draining again.
-func stall(t *testing.T, s *Sharded) (release func()) {
+// stall parks shard i's worker inside a barrier op until the returned
+// release func is called, so the test controls exactly when its ring
+// starts draining again; the other workers run the op and go on.
+func stall(t *testing.T, s *Sharded, i int) (release func()) {
 	t.Helper()
 	started := make(chan struct{})
 	gate := make(chan struct{})
-	go s.Do(func(int, Engine) {
-		close(started)
-		<-gate
+	go s.Do(func(shard int, _ Engine) {
+		if shard == i {
+			close(started)
+			<-gate
+		}
 	})
 	select {
 	case <-started:
@@ -77,7 +79,7 @@ func TestInsertBatchBoundedShedsInsteadOfHanging(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	release := stall(t, s)
+	release := stall(t, s, 0)
 
 	// 3 batches of 4 against a depth-2 ring behind a stalled worker:
 	// two enqueue, the third must shed within the bounded wait.
@@ -110,6 +112,56 @@ func TestInsertBatchBoundedShedsInsteadOfHanging(t *testing.T) {
 	s.Flush()
 	if items, applied := s.Items(), s.Len(); items != applied {
 		t.Fatalf("post-drain Items() = %d, engines applied %d", items, applied)
+	}
+}
+
+// TestInsertBatchBoundedShedsPartwayAcrossShards: a chunk goes to
+// every ring in turn, so a bounded call can time out after reaching
+// some rings of a chunk. With the middle of three workers stalled
+// behind a two-slot ring, the third chunk reaches ring 0 and times out
+// on ring 1: the call gives back the references of rings 1 and 2 and
+// rolls Items back by the items they own. Once the worker drains,
+// Items must equal what the engines applied, and a retry must deliver
+// in full. Three rounds recycle the chunks through the pool; under
+// -race a chunk released twice shows as a panic in release or as a
+// race on its refill.
+func TestInsertBatchBoundedShedsPartwayAcrossShards(t *testing.T) {
+	s, err := New(fakeFactory, Options{Shards: 3, QueueDepth: 2, MaxBatch: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	items := make([]uint64, 4*s.chunkLen) // four chunks
+	for i := range items {
+		items[i] = uint64(i)
+	}
+	var ownedByRing0 uint64
+	for _, x := range items[2*s.chunkLen : 3*s.chunkLen] {
+		if s.ShardOf(x) == 0 {
+			ownedByRing0++
+		}
+	}
+	for round := 0; round < 3; round++ {
+		before := s.Items()
+		release := stall(t, s, 1)
+		if err := s.InsertBatchBounded(items, 500*time.Millisecond); !errors.Is(err, ErrSaturated) {
+			t.Fatalf("round %d: InsertBatchBounded behind a stalled worker = %v, want ErrSaturated", round, err)
+		}
+		if got, want := s.Items()-before, 2*uint64(s.chunkLen)+ownedByRing0; got != want {
+			t.Fatalf("round %d: a saturated call kept %d items accepted, want two chunks and ring 0's part of the third, %d", round, got, want)
+		}
+		release()
+		s.Flush()
+		if items, applied := s.Items(), s.Len(); items != applied {
+			t.Fatalf("round %d: Items() = %d but engines applied %d", round, items, applied)
+		}
+		if err := s.InsertBatchBounded(items, 5*time.Second); err != nil {
+			t.Fatalf("round %d: retry after the drain: %v", round, err)
+		}
+		s.Flush()
+		if items, applied := s.Items(), s.Len(); items != applied {
+			t.Fatalf("round %d: after the retry Items() = %d, engines applied %d", round, items, applied)
+		}
 	}
 }
 
@@ -154,7 +206,7 @@ func TestSpareCapacity(t *testing.T) {
 	if free := s.SpareCapacity(); free < 1 {
 		t.Fatalf("idle SpareCapacity = %d, want the full ring", free)
 	}
-	release := stall(t, s)
+	release := stall(t, s, 0)
 	defer release()
 	// Fill the ring behind the stalled worker; capacity must hit zero.
 	items := make([]uint64, 64)

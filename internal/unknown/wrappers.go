@@ -33,6 +33,15 @@ func NewListHH(src *rng.Source, eps, phi, delta float64, n uint64) (*ListHH, err
 // Insert processes one stream item.
 func (l *ListHH) Insert(x uint64) { l.sched.Insert(x) }
 
+// InsertBatch processes items in order, one Insert each: the staggered
+// instances are spawned and retired at item granularity, so there is no
+// run to skip in bulk.
+func (l *ListHH) InsertBatch(items []uint64) {
+	for _, x := range items {
+		l.sched.Insert(x)
+	}
+}
+
 // Report returns the heavy hitters with estimates scaled to the stream
 // seen by the reporting instance (its missed prefix is ≤ an ε² fraction of
 // the stream, inside the ε·m budget).

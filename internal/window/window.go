@@ -410,6 +410,33 @@ func (w *Window) Insert(x uint64) {
 	w.total++
 }
 
+// InsertBatch adds items in order, as one Insert per item would. A
+// count window hands its live engine runs that end where a bucket
+// seals, so the engine's batch path sees each run whole; a time window
+// reads its clock per item, as Insert does.
+func (w *Window) InsertBatch(items []uint64) {
+	if w.interval > 0 {
+		for _, x := range items {
+			w.Insert(x)
+		}
+		return
+	}
+	for len(items) > 0 {
+		_ = w.advance()
+		// A failed seal leaves the live bucket full; Insert then keeps
+		// retrying the seal per item, and so does a run of one.
+		n := uint64(1)
+		if w.live.count < w.bucketCap {
+			n = min(w.bucketCap-w.live.count, uint64(len(items)))
+		}
+		w.live.eng.InsertBatch(items[:n])
+		w.live.count += n
+		w.cov += n
+		w.total += n
+		items = items[n:]
+	}
+}
+
 // oldest returns the oldest live bucket: the first sealed one, or the
 // open one when nothing is sealed.
 func (w *Window) oldest() *bucket {

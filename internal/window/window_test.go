@@ -25,7 +25,12 @@ func newTestEngine() (Engine, error) {
 }
 
 func (e *testEngine) Insert(x uint64) { e.freq[x]++; e.n++ }
-func (e *testEngine) Len() uint64     { return e.n }
+func (e *testEngine) InsertBatch(xs []uint64) {
+	for _, x := range xs {
+		e.Insert(x)
+	}
+}
+func (e *testEngine) Len() uint64 { return e.n }
 func (e *testEngine) ModelBits() int64 {
 	return int64(len(e.freq)) * 128
 }

@@ -127,6 +127,19 @@ func (h *serialSolver) Insert(x Item) {
 	h.e.Insert(x)
 }
 
+// InsertBatch processes items in order, as one Insert per item would.
+// The engine's batch path jumps from one sampled item to the next; a
+// paced solver keeps its per-item queue, whose work bound is per item.
+func (h *serialSolver) InsertBatch(items []Item) {
+	if h.paced != nil {
+		for _, x := range items {
+			h.paced.Insert(x)
+		}
+		return
+	}
+	h.e.InsertBatch(items)
+}
+
 // Report returns the heavy hitters with frequency estimates, in
 // decreasing-estimate order. With probability ≥ 1−δ: every item with
 // f ≥ ϕ·m appears, no item with f ≤ (ϕ−ε)·m appears, and every estimate

@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/shard"
 )
 
 // Option configures New or Unmarshal. Options compose in any order; the
@@ -170,14 +172,14 @@ func WithShards(k int) Option {
 }
 
 // WithQueueDepth sets the per-shard ingest ring capacity in batches
-// (default 64), rounded up to a power of two with a floor of 2; full
-// rings block producers — that is the backpressure.
+// (default 64, at most 2¹⁶), rounded up to a power of two with a floor
+// of 2; full rings block producers — that is the backpressure.
 // Runtime tuning: valid on New with WithShards and on Unmarshal of
 // sharded checkpoints.
 func WithQueueDepth(depth int) Option {
 	return func(st *settings) {
-		if depth < 0 {
-			st.failf("l1hh: WithQueueDepth needs depth ≥ 0, got %d", depth)
+		if depth < 0 || depth > shard.MaxQueueDepth {
+			st.failf("l1hh: WithQueueDepth needs depth in [0, %d], got %d", shard.MaxQueueDepth, depth)
 			return
 		}
 		st.queueDepth = depth
@@ -185,13 +187,16 @@ func WithQueueDepth(depth int) Option {
 	}
 }
 
-// WithMaxBatch caps the items per dispatched shard batch (default 4096).
+// WithMaxBatch sets the items per shard batch (default 4096, at most
+// 2²⁰): InsertBatch cuts its items into chunks of shards × n (at most
+// 2²⁰), and each shard worker takes its own items of a chunk as one
+// batch, about n on balanced traffic.
 // Runtime tuning: valid on New with WithShards and on Unmarshal of
 // sharded checkpoints.
 func WithMaxBatch(n int) Option {
 	return func(st *settings) {
-		if n < 0 {
-			st.failf("l1hh: WithMaxBatch needs n ≥ 0, got %d", n)
+		if n < 0 || n > shard.MaxBatchLimit {
+			st.failf("l1hh: WithMaxBatch needs n in [0, %d], got %d", shard.MaxBatchLimit, n)
 			return
 		}
 		st.maxBatch = n
@@ -263,13 +268,14 @@ func WithClock(now func() time.Time) Option {
 // allocation-free (an atomic histogram observation, not a log line). A
 // nil field disables that hook at the cost of one predictable branch.
 type IngestTimings struct {
-	// EnqueueWait observes, once per dispatched batch, how long
-	// InsertBatch blocked on a full shard queue; 0 (reported without a
-	// clock read) when the queue had room. Sustained non-zero waits mean
-	// the ingest rate exceeds what the shard workers drain.
+	// EnqueueWait observes, once per dispatched batch and shard queue,
+	// how long InsertBatch blocked on that full queue; 0 (reported
+	// without a clock read) when the queue had room. Sustained non-zero
+	// waits mean the ingest rate exceeds what the shard workers drain.
 	EnqueueWait func(d time.Duration)
-	// BatchApply observes how long a shard worker spent inserting one
-	// batch into its engine.
+	// BatchApply observes how long a shard worker spent on one
+	// dispatched batch: picking out the items its shard owns, and
+	// inserting them into its engine.
 	BatchApply func(d time.Duration)
 }
 

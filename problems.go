@@ -504,12 +504,25 @@ func (e *extremesHH) Insert(x Item) error {
 }
 
 // InsertBatch processes a batch of items; on a bounds error the prefix
-// before the offending item has been applied.
+// before the offending item has been applied. An engine with a batch
+// path (the known-length ε-Maximum) takes the prefix on it.
 func (e *extremesHH) InsertBatch(items []Item) error {
-	for _, x := range items {
-		if err := e.Insert(x); err != nil {
-			return err
+	if e.closed {
+		return ErrClosed
+	}
+	n := 0
+	for n < len(items) && items[n] < e.universe {
+		n++
+	}
+	if b, ok := e.e.(interface{ InsertBatch([]uint64) }); ok {
+		b.InsertBatch(items[:n])
+	} else {
+		for _, x := range items[:n] {
+			e.e.Insert(x)
 		}
+	}
+	if n < len(items) {
+		return e.Insert(items[n]) // the bounds error
 	}
 	return nil
 }

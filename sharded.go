@@ -19,10 +19,12 @@ type shardedConfig struct {
 	// is hash-partitioned across, each owned by a worker goroutine; 0
 	// defaults to GOMAXPROCS.
 	Shards int
-	// QueueDepth is the per-shard queue capacity in batches (0 = 64).
-	// Full queues block producers — that is the backpressure.
+	// QueueDepth is the per-shard queue capacity in batches (0 = 64,
+	// at most shard.MaxQueueDepth). Full queues block producers — that
+	// is the backpressure.
 	QueueDepth int
-	// MaxBatch caps items per dispatched batch (0 = 4096).
+	// MaxBatch is the items per shard batch (0 = 4096, at most
+	// shard.MaxBatchLimit): dispatch chunks hold Shards × MaxBatch.
 	MaxBatch int
 	// Window, when non-zero, gives every shard a count-based sliding
 	// window over its substream — ⌈Window/Shards⌉ items each, so the

@@ -426,9 +426,12 @@ func wrapSharded(eng *shardedSolver, known bool) HeavyHitters {
 
 // singleOwnerEngine is the method set the single-owner concrete engines
 // share; *serialSolver and *windowedSolver both satisfy it, so one
-// adapter base serves serial and windowed solvers.
+// adapter base serves serial and windowed solvers. Its ingest methods
+// are the shard workers' (shard.Engine), so a batch takes one path
+// whether a worker or a single owner inserts it.
 type singleOwnerEngine interface {
 	Insert(x Item)
+	InsertBatch(items []Item)
 	Report() []ItemEstimate
 	Len() uint64
 	Eps() float64
@@ -461,9 +464,7 @@ func (s *singleOwnerBase[E]) InsertBatch(items []Item) error {
 	if s.closed {
 		return ErrClosed
 	}
-	for _, x := range items {
-		s.e.Insert(x)
-	}
+	s.e.InsertBatch(items)
 	s.sen.observeBatch(items)
 	return nil
 }

@@ -425,6 +425,11 @@ func TestNewValidation(t *testing.T) {
 		{"clock without window", append(base, WithClock(time.Now))},
 		{"queue depth without shards", append(base, WithQueueDepth(8))},
 		{"max batch without shards", append(base, WithMaxBatch(8))},
+		// The dispatch knobs' maxima: past 2⁶² the ring sizer overflowed
+		// and never returned, and near 2⁴⁰ it asked for 64 TiB.
+		{"queue depth above 2^16", append(base, WithShards(2), WithQueueDepth(1<<16+1))},
+		{"queue depth above 2^62", append(base, WithShards(2), WithQueueDepth(1<<62+1))},
+		{"max batch above 2^20", append(base, WithShards(2), WithMaxBatch(1<<20+1))},
 		{"paced without length", append(base, WithPacedBudget(1))},
 		{"time window without length", append(base, WithTimeWindow(time.Second, 0))},
 		{"zero count window", append(base, WithCountWindow(0, 0))},
@@ -473,6 +478,12 @@ func TestUnmarshalOptionValidation(t *testing.T) {
 	}
 	if _, err := Unmarshal(shardedCP, WithClock(time.Now)); err == nil {
 		t.Fatal("Unmarshal accepted WithClock on an unwindowed sharded checkpoint")
+	}
+	if _, err := Unmarshal(shardedCP, WithQueueDepth(1<<16+1)); err == nil {
+		t.Fatal("Unmarshal accepted a queue depth above 2^16")
+	}
+	if _, err := Unmarshal(shardedCP, WithMaxBatch(1<<20+1)); err == nil {
+		t.Fatal("Unmarshal accepted a max batch above 2^20")
 	}
 
 	// A paced sharded engine's checkpoint (tag 3, pacing not serialized)

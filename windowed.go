@@ -66,6 +66,10 @@ type windowedSolver struct {
 // frame it keeps and allocates a fresh one).
 func (h *windowedSolver) Insert(x Item) { h.w.Insert(x) }
 
+// InsertBatch processes items in order, as one Insert per item would;
+// a count window hands each bucket engine its run whole.
+func (h *windowedSolver) InsertBatch(items []Item) { h.w.InsertBatch(items) }
+
 // Report returns the heavy hitters of the covered window, in
 // decreasing-estimate order. With probability ≥ 1−δ every item whose
 // window frequency is ≥ ϕ·W appears, no item with covered frequency
