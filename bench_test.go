@@ -122,7 +122,7 @@ func BenchmarkE1aMisraGriesInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkE1cUpdateScaling verifies the O(1) worst-case update claim:
+// BenchmarkE1cUpdateScaling checks the O(1) amortized update claim:
 // with the stream length (hence sampling rate ℓ/m) varying over two
 // orders of magnitude, per-item cost must *fall* toward the constant
 // skip-sampler decrement, not grow.
@@ -145,8 +145,9 @@ func BenchmarkE1cUpdateScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkE1cPacedInsert measures the strict-worst-case variant: the
-// §3.1 de-amortization queue with a one-unit budget per insert.
+// BenchmarkE1cPacedInsert measures the paced variant: the §3.1
+// de-amortization queue, processing at most one sampled item per insert
+// (a mean, so it shows nothing of the worst case; ROADMAP.md item 7).
 func BenchmarkE1cPacedInsert(b *testing.B) {
 	hh, err := buildSerial(config{
 		Eps: 0.01, Phi: 0.1, Delta: 0.1,
@@ -273,7 +274,7 @@ func benchIngestSharded(shards int) func(*testing.B) {
 // benchSkip returns a row at the embed-skip benchmark's engine: ε = 0.01,
 // ϕ = 0.05, δ = 0.1, m = 2²⁸, so p = 2⁻⁸ and under 1% of the items
 // reach the tables. shards = 0 is the serial InsertBatch path: the
-// hash plus skip-sampler row. The sharded rows add the ring hand-off
+// hash plus skip-sampler row. The sharded rows add the queue hand-off
 // and the workers' partition pass. A run past 2²⁸ items samples a
 // little more than the declared rate plans for, at the same p.
 func benchSkip(shards int) func(*testing.B) {

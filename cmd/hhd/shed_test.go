@@ -39,7 +39,6 @@ func (e *shedEngine) InsertBatchBounded(items []l1hh.Item, wait time.Duration) e
 	e.items += uint64(len(items))
 	return nil
 }
-func (e *shedEngine) SpareCapacity() int             { return 0 }
 func (e *shedEngine) Report() []l1hh.ItemEstimate    { return nil }
 func (e *shedEngine) Len() uint64                    { return e.items }
 func (e *shedEngine) Eps() float64                   { return 0.02 }
@@ -201,7 +200,7 @@ func TestIngestShedsOnRealSaturatedEngine(t *testing.T) {
 	s.shedWait = 20 * time.Millisecond
 
 	// Hammer ingest with concurrent bursts: one worker drains a depth-2
-	// ring while 8 producers push at once, so the ring stays full and
+	// queue while 8 producers send at once, so the queue stays full and
 	// some request must exhaust its wait budget and shed. Which request
 	// sheds is scheduling-dependent; that none may hang is not.
 	const burst = 8

@@ -107,9 +107,10 @@ func NewSimpleList(src *rng.Source, cfg Config) (*SimpleList, error) {
 }
 
 // Insert processes one stream item in O(1) amortized time (one sampler
-// decrement on the non-sampled fast path). For a strict O(1) worst case,
-// wrap the solver in NewPaced, which defers the per-sample table work —
-// the §3.1 de-amortization.
+// decrement on the non-sampled fast path). NewPaced bounds the number of
+// sampled items one Insert processes — the §3.1 de-amortization's queue
+// — but not its worst case: one sample's Misra-Gries decrement can
+// sweep the whole table, O(1/ε) (ROADMAP.md item 7).
 func (a *SimpleList) Insert(x uint64) {
 	if a.advance(1) == 0 {
 		a.process(x)

@@ -241,8 +241,9 @@ func (o *Optimal) epoch(t2 uint32) int {
 
 // Insert processes one stream item in O(1) amortized time: one sampler
 // decrement on the non-sampled path, O(reps) = O(log ϕ⁻¹) when sampled,
-// which amortizes because samples are Θ(ε²)-rare (§3.1). For a strict
-// O(1) worst case, wrap in NewPaced.
+// which amortizes because samples are Θ(ε²)-rare (§3.1). NewPaced bounds
+// the number of sampled items one Insert processes, not its worst-case
+// time (ROADMAP.md item 7).
 func (o *Optimal) Insert(x uint64) {
 	if o.advance(1) == 0 {
 		o.processSample(x)

@@ -8,12 +8,15 @@ package core
 // among these next O(1/ε) stream updates. Therefore, we achieve
 // worst-case update time of O(1)."
 //
-// Paced implements exactly that: sampled items are queued, and every
-// Insert performs at most a constant amount of deferred table work. The
-// final state equals the unpaced solver's state (the sampler runs at
-// enqueue time, so sampling decisions land on the same stream positions;
-// only the table maintenance is deferred), hence reports are identical
-// once the queue is drained.
+// Paced implements the queue half of that: sampled items are queued,
+// and every Insert processes at most a constant number of them. It does
+// not split one sample's table work, which can itself be O(1/ε) — a
+// Misra-Gries decrement sweeps the whole table — so it bounds samples
+// per Insert, not worst-case time (ROADMAP.md item 7). The final state
+// equals the unpaced solver's state (the sampler runs at enqueue time,
+// so sampling decisions land on the same stream positions; only the
+// table maintenance is deferred), hence reports are identical once the
+// queue is drained.
 
 // Pacable is the seam between the solvers' O(1) admission step (position
 // bookkeeping + sampling decision) and their heavier per-sample table
@@ -39,8 +42,8 @@ func insertBatch(e Pacable, items []uint64) {
 	}
 }
 
-// Paced wraps a solver with a work queue bounding worst-case per-insert
-// table work.
+// Paced wraps a solver with a work queue bounding the number of sampled
+// items processed per insert.
 type Paced struct {
 	inner     Pacable
 	queue     []uint64
@@ -50,10 +53,9 @@ type Paced struct {
 }
 
 // NewPaced wraps inner (a *SimpleList, *Optimal or *Maximum) so that each
-// Insert performs at most perInsert units of deferred table work.
-// perInsert must be positive; 1 realizes the paper's O(1) worst case —
-// queue growth is then bounded whp because samples arrive every Θ(m/ℓ)
-// positions while draining happens every position.
+// Insert processes at most perInsert queued samples. perInsert must be
+// positive; at 1 queue growth is still bounded whp because samples
+// arrive every Θ(m/ℓ) positions while draining happens every position.
 func NewPaced(inner Pacable, perInsert int) *Paced {
 	if perInsert <= 0 {
 		panic("core: perInsert must be positive")
@@ -62,8 +64,8 @@ func NewPaced(inner Pacable, perInsert int) *Paced {
 }
 
 // Insert enqueues x if sampled and drains at most perInsert queued
-// samples. Worst-case work per call is O(perInsert) table operations plus
-// the O(1) admission step.
+// samples, plus the O(1) admission step. Each sample's table work is the
+// inner solver's, up to O(1/ε) for a Misra-Gries decrement.
 func (p *Paced) Insert(x uint64) {
 	if p.inner.advance(1) == 0 {
 		p.queue = append(p.queue, x)

@@ -1,9 +1,8 @@
 // Package shard is the concurrent ingest engine: it hash-partitions the
 // item universe across N independent single-threaded sketches, each owned
-// by a dedicated worker goroutine fed through bounded lock-free rings
-// (cache-line padded, multi-producer single-consumer, chunk-granularity
-// handoff), and coordinates barrier operations — report, flush,
-// snapshot — against all of them.
+// by a dedicated worker goroutine fed through a buffered channel of
+// chunks, and coordinates barrier operations — report, flush, snapshot —
+// against all of them.
 //
 // The partition is disjoint: every id is routed by a fixed seeded hash to
 // exactly one shard, so each item's full frequency lands in one sketch and
@@ -11,15 +10,15 @@
 // interface; the threshold semantics of the merged report (what counts as
 // heavy against the *global* stream length) belong to the caller — see the
 // root package's sharded solver (sharded.go), and DESIGN.md §3 for the
-// error analysis and §11 for the ring protocol.
+// error analysis and §11 for what the queue must guarantee.
 //
 // The partition runs on the workers. InsertBatch copies a producer's
-// items into pooled chunks and pushes each chunk, reference-counted, to
-// every ring; each worker hashes the chunk, keeps the items its shard
-// owns in stream order and hands them to its engine's batch path. An
-// item thus costs the producer one copy and each worker one hash — K
-// hashes in all on K shards, which DESIGN.md §3 weighs against a
-// producer-side scatter.
+// items into pooled chunks and sends each chunk, reference-counted, to
+// every worker's queue; each worker hashes the chunk, keeps the items
+// its shard owns in stream order and hands them to its engine's batch
+// path. An item thus costs the producer one copy and each worker one
+// hash — K hashes in all on K shards, which DESIGN.md §3 weighs against
+// a producer-side scatter.
 //
 // Concurrency model: any number of goroutines may call Insert/InsertBatch
 // concurrently; barrier operations (Report, Len, ModelBits, Snapshot, Do,
@@ -87,12 +86,12 @@ type ArrivalObserver interface {
 // from hot loops, so implementations must be cheap, lock-free and
 // allocation-free (an atomic histogram observe, not a log line).
 type Hooks struct {
-	// EnqueueWait observes, once per chunk pushed onto a ring, how long
-	// the producer blocked waiting for space on that full ring. The
-	// fast path — ring had room — reports 0 without reading the clock,
-	// so an uncongested pipeline pays no timer cost.
+	// EnqueueWait observes, once per chunk sent to a shard queue, how
+	// long the producer blocked waiting for space in that full queue.
+	// The fast path — queue had room — reports 0 without reading the
+	// clock, so an uncongested pipeline pays no timer cost.
 	EnqueueWait func(d time.Duration)
-	// BatchApply observes, once per chunk a worker pops, how long the
+	// BatchApply observes, once per chunk a worker receives, how long the
 	// worker spent on it: hashing the chunk to keep its own items, and
 	// inserting them into its engine. Called from the worker goroutine.
 	BatchApply func(d time.Duration)
@@ -106,17 +105,17 @@ type Factory func(shard, total int) (Engine, error)
 // ErrClosed is returned by ingest calls after Close.
 var ErrClosed = errors.New("shard: engine closed")
 
-// ErrSaturated is returned by InsertBatchBounded when a shard ring
+// ErrSaturated is returned by InsertBatchBounded when a shard queue
 // stayed full for the whole bounded wait: the ingest rate exceeds what
 // the shard workers drain, and the caller should shed load (back off
-// and retry) instead of queueing more. Items the reached rings own HAVE
+// and retry) instead of queueing more. Items the reached queues own HAVE
 // been enqueued — delivery under shedding is at-least-once, not atomic
 // (DESIGN.md §12).
 var ErrSaturated = errors.New("shard: ingest queues saturated")
 
-// Bounds on the dispatch knobs. A ring slot is one cache line, so a
-// ring of MaxQueueDepth slots is 4 MiB; a chunk of MaxBatchLimit items
-// is 8 MiB. Larger requests are refused, not rounded.
+// Bounds on the dispatch knobs. A queue slot holds one 24-byte msg, so a
+// queue of MaxQueueDepth slots is 1.5 MiB; a chunk of MaxBatchLimit
+// items is 8 MiB. Larger requests are refused, not rounded.
 const (
 	MaxQueueDepth = 1 << 16
 	MaxBatchLimit = 1 << 20
@@ -126,16 +125,15 @@ const (
 type Options struct {
 	// Shards is the partition width; 0 defaults to GOMAXPROCS.
 	Shards int
-	// QueueDepth is the per-shard ring capacity in chunks, rounded up
-	// to a power of two; 0 defaults to 64, and at most MaxQueueDepth.
-	// Pushes block when a ring is full, which is the backpressure
-	// mechanism.
+	// QueueDepth is the exact per-shard queue capacity in chunks; 0
+	// defaults to 64, and at most MaxQueueDepth. Sends block when a
+	// queue is full, which is the backpressure mechanism.
 	QueueDepth int
 	// MaxBatch sizes the dispatch chunk: InsertBatch cuts its items
 	// into chunks of Shards × MaxBatch (at most MaxBatchLimit), so each
 	// worker's batch holds about MaxBatch items on balanced traffic.
 	// 0 defaults to 4096, and at most MaxBatchLimit. Larger batches
-	// amortize the ring hand-off further at the cost of latency before
+	// amortize the queue hand-off further at the cost of latency before
 	// a barrier can observe the items.
 	MaxBatch int
 	// Seed seeds the partition hash. The same seed must be used to
@@ -169,7 +167,7 @@ func (o *Options) fill() error {
 }
 
 // chunk is the unit of ingest: a pooled copy of up to chunkLen of one
-// producer's items, read by every worker it is pushed to. refs counts
+// producer's items, read by every worker it is sent to. refs counts
 // the workers yet to release it; the last release returns it to the
 // pool. A worker borrows a chunk from the same pool as the buffer it
 // keeps its own items in.
@@ -178,8 +176,8 @@ type chunk struct {
 	refs  atomic.Int32
 }
 
-// msg is the unit of work on a shard ring: either a chunk or a barrier
-// op. Ring FIFO order is what makes a barrier observe every chunk
+// msg is the unit of work on a shard queue: either a chunk or a barrier
+// op. Channel FIFO order is what makes a barrier observe every chunk
 // enqueued before it. A chunk carries the global arrival stamp of its
 // last item for engines that observe it (ArrivalObserver).
 type msg struct {
@@ -192,7 +190,10 @@ type msg struct {
 type Sharded struct {
 	opts    Options
 	engines []Engine
-	rings   []*ring
+	// queues[i] feeds worker i. Its capacity, Options.QueueDepth, is
+	// the backpressure bound: how many chunks a producer may run ahead
+	// of a worker before it blocks.
+	queues  []chan msg
 	workers sync.WaitGroup
 
 	// mix is the partition-hash key, derived from Options.Seed; forced
@@ -204,7 +205,8 @@ type Sharded struct {
 	items    atomic.Uint64
 
 	// mu guards the closed transition: ingest and barriers hold it for
-	// read, Close holds it for write so nothing pushes on a closed ring.
+	// read, Close holds it for write so nothing sends on a closed
+	// channel.
 	mu     sync.RWMutex
 	closed bool
 }
@@ -227,14 +229,14 @@ func New(factory Factory, opts Options) (*Sharded, error) {
 		return &chunk{items: make([]uint64, 0, s.chunkLen)}
 	}
 	s.engines = make([]Engine, opts.Shards)
-	s.rings = make([]*ring, opts.Shards)
+	s.queues = make([]chan msg, opts.Shards)
 	for i := range s.engines {
 		e, err := factory(i, opts.Shards)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d/%d: %w", i, opts.Shards, err)
 		}
 		s.engines[i] = e
-		s.rings[i] = newRing(opts.QueueDepth)
+		s.queues[i] = make(chan msg, opts.QueueDepth)
 	}
 	s.workers.Add(opts.Shards)
 	for i := range s.engines {
@@ -243,8 +245,8 @@ func New(factory Factory, opts Options) (*Sharded, error) {
 	return s, nil
 }
 
-// worker owns engine i: it drains the ring, running barrier ops and
-// applying chunks in arrival order, until Close closes the ring. For
+// worker owns engine i: it drains its queue, running barrier ops and
+// applying chunks in arrival order, until Close closes the queue. For
 // each chunk it keeps its own items in a borrowed buffer, releases the
 // chunk, and — when it kept any — observes the chunk's stamp and hands
 // the items to the engine's batch path. The ArrivalObserver assertion
@@ -254,13 +256,8 @@ func (s *Sharded) worker(i int) {
 	e := s.engines[i]
 	ao, _ := e.(ArrivalObserver)
 	ba := s.opts.Hooks.BatchApply
-	r := s.rings[i]
 	lo, span := s.hashRange(i)
-	for {
-		m, ok := r.pop()
-		if !ok {
-			return
-		}
+	for m := range s.queues[i] {
 		if m.op != nil {
 			m.op(e)
 			continue
@@ -360,7 +357,7 @@ func (s *Sharded) Shards() int { return len(s.engines) }
 // Insert routes a single item to its owner only: a one-item chunk with
 // one reference, so even the slow path allocates nothing in steady
 // state. High-throughput producers should still call InsertBatch — the
-// ring handoff amortizes over the chunk.
+// queue hand-off amortizes over the chunk.
 func (s *Sharded) Insert(x uint64) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -376,10 +373,10 @@ func (s *Sharded) Insert(x uint64) error {
 }
 
 // InsertBatch enqueues items for the shards that own them: it copies
-// them into chunks of up to Shards × MaxBatch items and pushes each
-// chunk to every ring, where each worker keeps its own items in stream
-// order. Safe for any number of concurrent callers; blocks when a ring
-// is full (backpressure). The input slice is not retained.
+// them into chunks of up to Shards × MaxBatch items and sends each
+// chunk to every shard queue, where each worker keeps its own items in
+// stream order. Safe for any number of concurrent callers; blocks when
+// a queue is full (backpressure). The input slice is not retained.
 //
 // The accepted-items counter reserves the whole call's range up front;
 // each chunk carries, as its arrival stamp for ArrivalObserver
@@ -391,12 +388,12 @@ func (s *Sharded) InsertBatch(items []uint64) error {
 }
 
 // InsertBatchBounded is InsertBatch with load shedding instead of
-// unbounded backpressure: when a shard ring stays full past wait, it
+// unbounded backpressure: when a shard queue stays full past wait, it
 // returns ErrSaturated rather than blocking until space frees up. The
 // wait budget covers the whole call, not each enqueue.
 //
-// Shedding is not atomic: the chunks pushed before the full ring was
-// hit, and the items of the saturating chunk that the rings it reached
+// Shedding is not atomic: the chunks sent before the full queue was
+// hit, and the items of the saturating chunk that the queues it reached
 // own, have been enqueued and will be applied. The accepted-items
 // counter is rolled back for the rest, so Items still tracks what the
 // engines will eventually see; arrival stamps handed out by concurrent
@@ -410,9 +407,9 @@ func (s *Sharded) InsertBatchBounded(items []uint64, wait time.Duration) error {
 }
 
 // dispatch is the one ingest loop behind InsertBatch (a zero deadline:
-// block on full rings) and InsertBatchBounded. A push that times out
-// hands back the references of the rings the chunk did not reach and
-// rolls the accepted-items counter back by the items those rings own
+// block on full queues) and InsertBatchBounded. A send that times out
+// hands back the references of the queues the chunk did not reach and
+// rolls the accepted-items counter back by the items those queues own
 // plus every item not yet copied.
 func (s *Sharded) dispatch(items []uint64, deadline time.Time) error {
 	if len(items) == 0 {
@@ -429,9 +426,9 @@ func (s *Sharded) dispatch(items []uint64, deadline time.Time) error {
 		c := s.chunks.Get().(*chunk)
 		c.items = append(c.items[:0], items[off:min(off+s.chunkLen, len(items))]...)
 		off += len(c.items)
-		c.refs.Store(int32(len(s.rings)))
+		c.refs.Store(int32(len(s.queues)))
 		m := msg{buf: c, stamp: base + uint64(off)}
-		for i := range s.rings {
+		for i := range s.queues {
 			if s.send(i, m, deadline) {
 				continue
 			}
@@ -441,7 +438,7 @@ func (s *Sharded) dispatch(items []uint64, deadline time.Time) error {
 					unsent++
 				}
 			}
-			s.release(c, int32(len(s.rings)-i))
+			s.release(c, int32(len(s.queues)-i))
 			s.items.Add(-unsent)
 			return ErrSaturated
 		}
@@ -449,48 +446,39 @@ func (s *Sharded) dispatch(items []uint64, deadline time.Time) error {
 	return nil
 }
 
-// SpareCapacity reports the smallest spare ring capacity across the
-// shards, in chunks — the non-blocking saturation probe: 0 means at
-// least one shard ring is full and an unbounded InsertBatch would
-// block. Racy by nature (rings drain concurrently); treat it as a
-// monitoring signal, not a reservation.
-func (s *Sharded) SpareCapacity() int {
-	spare := -1
-	for _, r := range s.rings {
-		if f := r.free(); spare < 0 || f < spare {
-			spare = f
-		}
-	}
-	if spare < 0 {
-		return 0
-	}
-	return spare
-}
-
-// send pushes m onto ring i, timing the wait when the EnqueueWait hook
-// is set. A zero deadline blocks until the ring has room; otherwise send
+// send puts m on queue i, timing the wait when the EnqueueWait hook is
+// set. A zero deadline blocks until the queue has room; otherwise send
 // gives up once deadline passes and reports false — m was not enqueued.
-// The non-blocking attempt keeps the common case — ring has room — free
-// of clock reads; only a genuinely blocking push pays for two
-// timestamps.
+// The non-blocking attempt keeps the common case — queue has room —
+// free of clock reads and timers, and lets a call whose deadline has
+// already passed still enqueue into a queue with room; only a
+// genuinely blocking send pays for two timestamps.
 func (s *Sharded) send(i int, m msg, deadline time.Time) bool {
-	r := s.rings[i]
+	q := s.queues[i]
 	ew := s.opts.Hooks.EnqueueWait
-	if r.tryPush(m) {
+	select {
+	case q <- m:
 		if ew != nil {
 			ew(0)
 		}
 		return true
+	default:
 	}
 	var start time.Time
 	if ew != nil {
 		start = time.Now()
 	}
-	var ok bool
+	ok := true
 	if deadline.IsZero() {
-		ok, _ = r.push(m)
+		q <- m
 	} else {
-		ok, _ = r.pushWait(m, deadline)
+		t := time.NewTimer(time.Until(deadline))
+		select {
+		case q <- m:
+		case <-t.C:
+			ok = false
+		}
+		t.Stop()
 	}
 	if ew != nil {
 		ew(time.Since(start))
@@ -502,12 +490,12 @@ func (s *Sharded) send(i int, m msg, deadline time.Time) bool {
 // still be queued; Flush forces them into the engines).
 func (s *Sharded) Items() uint64 { return s.items.Load() }
 
-// QueueDepths reports the current per-shard ring occupancy in chunks,
+// QueueDepths reports the current per-shard queue occupancy in chunks,
 // for monitoring.
 func (s *Sharded) QueueDepths() []int {
-	out := make([]int, len(s.rings))
-	for i, r := range s.rings {
-		out[i] = r.len()
+	out := make([]int, len(s.queues))
+	for i, q := range s.queues {
+		out[i] = len(q)
 	}
 	return out
 }
@@ -528,15 +516,14 @@ func (s *Sharded) Do(f func(shard int, e Engine)) {
 		return
 	}
 	var wg sync.WaitGroup
-	wg.Add(len(s.rings))
-	for i := range s.rings {
-		i := i
-		// Pushed directly, not via send: barrier entries are control
+	wg.Add(len(s.queues))
+	for i, q := range s.queues {
+		// Sent directly, not via send: barrier entries are control
 		// traffic, and must not feed the EnqueueWait ingest histogram.
-		s.rings[i].push(msg{op: func(e Engine) {
+		q <- msg{op: func(e Engine) {
 			f(i, e)
 			wg.Done()
-		}})
+		}}
 	}
 	wg.Wait()
 }
@@ -584,7 +571,7 @@ func (s *Sharded) ModelBits() int64 {
 	return total
 }
 
-// Close drains every ring, stops the workers and waits for them. After
+// Close drains every queue, stops the workers and waits for them. After
 // Close, ingest calls return ErrClosed but barrier operations (Report,
 // Snapshot, …) still work, running inline — this is the graceful-shutdown
 // path: stop accepting, Close to drain, then take a final report or
@@ -596,8 +583,8 @@ func (s *Sharded) Close() error {
 		return nil
 	}
 	s.closed = true
-	for _, r := range s.rings {
-		r.close() // workers drain remaining messages, then exit
+	for _, q := range s.queues {
+		close(q) // workers drain remaining messages, then exit
 	}
 	// Wait while still holding the write lock: a barrier acquiring the
 	// read lock after us must find the workers already gone, or its

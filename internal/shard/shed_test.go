@@ -1,8 +1,8 @@
 package shard
 
-// shed_test.go — the load-shedding surface: bounded-wait ring pushes,
-// InsertBatchBounded returning ErrSaturated instead of blocking, the
-// accepted-items rollback, and the SpareCapacity probe.
+// shed_test.go — the load-shedding surface: InsertBatchBounded
+// returning ErrSaturated instead of blocking, the accepted-items
+// rollback, and the clean path that matches InsertBatch.
 
 import (
 	"errors"
@@ -10,50 +10,8 @@ import (
 	"time"
 )
 
-func TestRingPushWaitTimesOutWhenFull(t *testing.T) {
-	r := newRing(2)
-	for i := 0; r.tryPush(msg{}); i++ {
-		if i > 64 {
-			t.Fatal("ring never filled")
-		}
-	}
-	start := time.Now()
-	ok, timedOut := r.pushWait(msg{}, start.Add(20*time.Millisecond))
-	if ok || !timedOut {
-		t.Fatalf("pushWait on a full ring = (ok=%v, timedOut=%v), want (false, true)", ok, timedOut)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("pushWait held the producer %v past a 20ms deadline", elapsed)
-	}
-}
-
-func TestRingPushWaitSucceedsWhenDrained(t *testing.T) {
-	r := newRing(2)
-	for r.tryPush(msg{}) {
-	}
-	// Drain one slot from another goroutine while the producer waits.
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		if _, ok := r.pop(); !ok {
-			panic("pop from a full ring failed")
-		}
-	}()
-	ok, timedOut := r.pushWait(msg{}, time.Now().Add(5*time.Second))
-	if !ok || timedOut {
-		t.Fatalf("pushWait after a drain = (ok=%v, timedOut=%v), want (true, false)", ok, timedOut)
-	}
-}
-
-func TestRingPushWaitExpiredDeadlineStillTriesOnce(t *testing.T) {
-	r := newRing(2)
-	ok, _ := r.pushWait(msg{}, time.Now().Add(-time.Second))
-	if !ok {
-		t.Fatal("pushWait with room must succeed even with an expired deadline")
-	}
-}
-
 // stall parks shard i's worker inside a barrier op until the returned
-// release func is called, so the test controls exactly when its ring
+// release func is called, so the test controls exactly when its queue
 // starts draining again; the other workers run the op and go on.
 func stall(t *testing.T, s *Sharded, i int) (release func()) {
 	t.Helper()
@@ -81,7 +39,7 @@ func TestInsertBatchBoundedShedsInsteadOfHanging(t *testing.T) {
 	defer s.Close()
 	release := stall(t, s, 0)
 
-	// 3 batches of 4 against a depth-2 ring behind a stalled worker:
+	// 3 batches of 4 against a depth-2 queue behind a stalled worker:
 	// two enqueue, the third must shed within the bounded wait.
 	items := make([]uint64, 12)
 	for i := range items {
@@ -97,9 +55,20 @@ func TestInsertBatchBoundedShedsInsteadOfHanging(t *testing.T) {
 		t.Fatalf("InsertBatchBounded blocked %v; the whole point is a bounded wait", elapsed)
 	}
 
+	// A bounded call with budget left waits on the full queue and goes
+	// through once the worker drains. The pause only makes it likely
+	// that the call is already waiting when the worker resumes; it must
+	// succeed either way.
+	waited := make(chan error, 1)
+	go func() { waited <- s.InsertBatchBounded(items[:4], 5*time.Second) }()
+	time.Sleep(10 * time.Millisecond)
+	release()
+	if err := <-waited; err != nil {
+		t.Fatalf("InsertBatchBounded waiting on a draining queue = %v, want nil", err)
+	}
+
 	// The accepted-items counter must cover only what was enqueued:
 	// after the worker drains, Items() and the engine's count agree.
-	release()
 	s.Flush()
 	if items, applied := s.Items(), s.Len(); items != applied {
 		t.Fatalf("Items() = %d but engines applied %d: the saturated remainder was not rolled back", items, applied)
@@ -116,15 +85,15 @@ func TestInsertBatchBoundedShedsInsteadOfHanging(t *testing.T) {
 }
 
 // TestInsertBatchBoundedShedsPartwayAcrossShards: a chunk goes to
-// every ring in turn, so a bounded call can time out after reaching
-// some rings of a chunk. With the middle of three workers stalled
-// behind a two-slot ring, the third chunk reaches ring 0 and times out
-// on ring 1: the call gives back the references of rings 1 and 2 and
-// rolls Items back by the items they own. Once the worker drains,
-// Items must equal what the engines applied, and a retry must deliver
-// in full. Three rounds recycle the chunks through the pool; under
-// -race a chunk released twice shows as a panic in release or as a
-// race on its refill.
+// every queue in turn, so a bounded call can time out after reaching
+// some queues of a chunk. With the middle of three workers stalled
+// behind a two-slot queue, the third chunk reaches queue 0 and times
+// out on queue 1: the call gives back the references of queues 1 and
+// 2 and rolls Items back by the items they own. Once the worker
+// drains, Items must equal what the engines applied, and a retry must
+// deliver in full. Three rounds recycle the chunks through the pool;
+// under -race a chunk released twice shows as a panic in release or as
+// a race on its refill.
 func TestInsertBatchBoundedShedsPartwayAcrossShards(t *testing.T) {
 	s, err := New(fakeFactory, Options{Shards: 3, QueueDepth: 2, MaxBatch: 4, Seed: 3})
 	if err != nil {
@@ -135,10 +104,10 @@ func TestInsertBatchBoundedShedsPartwayAcrossShards(t *testing.T) {
 	for i := range items {
 		items[i] = uint64(i)
 	}
-	var ownedByRing0 uint64
+	var ownedByQueue0 uint64
 	for _, x := range items[2*s.chunkLen : 3*s.chunkLen] {
 		if s.ShardOf(x) == 0 {
-			ownedByRing0++
+			ownedByQueue0++
 		}
 	}
 	for round := 0; round < 3; round++ {
@@ -147,8 +116,8 @@ func TestInsertBatchBoundedShedsPartwayAcrossShards(t *testing.T) {
 		if err := s.InsertBatchBounded(items, 500*time.Millisecond); !errors.Is(err, ErrSaturated) {
 			t.Fatalf("round %d: InsertBatchBounded behind a stalled worker = %v, want ErrSaturated", round, err)
 		}
-		if got, want := s.Items()-before, 2*uint64(s.chunkLen)+ownedByRing0; got != want {
-			t.Fatalf("round %d: a saturated call kept %d items accepted, want two chunks and ring 0's part of the third, %d", round, got, want)
+		if got, want := s.Items()-before, 2*uint64(s.chunkLen)+ownedByQueue0; got != want {
+			t.Fatalf("round %d: a saturated call kept %d items accepted, want two chunks and queue 0's part of the third, %d", round, got, want)
 		}
 		release()
 		s.Flush()
@@ -165,57 +134,38 @@ func TestInsertBatchBoundedShedsPartwayAcrossShards(t *testing.T) {
 	}
 }
 
+// TestInsertBatchBoundedCleanPathMatchesInsertBatch: on a container
+// with room a bounded call delivers exactly what InsertBatch does,
+// whatever its wait — a zero or negative wait too, because the send is
+// tried once before the deadline is consulted.
 func TestInsertBatchBoundedCleanPathMatchesInsertBatch(t *testing.T) {
-	bounded, err := New(fakeFactory, Options{Shards: 4, QueueDepth: 8})
-	if err != nil {
-		t.Fatal(err)
+	items := make([]uint64, 10000)
+	for i := range items {
+		items[i] = uint64(i % 97)
 	}
-	defer bounded.Close()
 	plain, err := New(fakeFactory, Options{Shards: 4, QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-
-	items := make([]uint64, 10000)
-	for i := range items {
-		items[i] = uint64(i % 97)
-	}
-	if err := bounded.InsertBatchBounded(items, time.Second); err != nil {
-		t.Fatal(err)
-	}
 	if err := plain.InsertBatch(items); err != nil {
 		t.Fatal(err)
 	}
-	bounded.Flush()
-	plain.Flush()
-	if b, p := bounded.Report(), plain.Report(); len(b) != len(p) {
-		t.Fatalf("bounded and plain ingest disagree: %d vs %d reported items", len(b), len(p))
-	}
-	if bounded.Items() != plain.Items() {
-		t.Fatalf("Items(): bounded %d, plain %d", bounded.Items(), plain.Items())
-	}
-}
-
-func TestSpareCapacity(t *testing.T) {
-	s, err := New(fakeFactory, Options{Shards: 1, QueueDepth: 4, MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if free := s.SpareCapacity(); free < 1 {
-		t.Fatalf("idle SpareCapacity = %d, want the full ring", free)
-	}
-	release := stall(t, s, 0)
-	defer release()
-	// Fill the ring behind the stalled worker; capacity must hit zero.
-	items := make([]uint64, 64)
-	for s.SpareCapacity() > 0 {
-		if err := s.InsertBatchBounded(items, 10*time.Millisecond); err != nil {
-			break // saturated: ring is full, which is what we're driving at
+	want := plain.Report()
+	for _, wait := range []time.Duration{time.Second, 0, -time.Second} {
+		bounded, err := New(fakeFactory, Options{Shards: 4, QueueDepth: 8})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if free := s.SpareCapacity(); free != 0 {
-		t.Fatalf("saturated SpareCapacity = %d, want 0", free)
+		if err := bounded.InsertBatchBounded(items, wait); err != nil {
+			t.Fatalf("wait %v: InsertBatchBounded with room = %v, want nil", wait, err)
+		}
+		if b := bounded.Report(); len(b) != len(want) {
+			t.Fatalf("wait %v: bounded and plain ingest disagree: %d vs %d reported items", wait, len(b), len(want))
+		}
+		if bounded.Items() != plain.Items() {
+			t.Fatalf("wait %v: Items(): bounded %d, plain %d", wait, bounded.Items(), plain.Items())
+		}
+		bounded.Close()
 	}
 }

@@ -48,10 +48,11 @@ type config struct {
 	Universe uint64
 	// Algorithm selects the engine for the heavy hitters solvers.
 	Algorithm Algorithm
-	// PacedBudget, when positive, bounds the worst-case table work per
-	// Insert to this many units by deferring sampled-item processing (the
-	// paper's §3.1 de-amortization; 1 realizes the strict O(1) worst
-	// case). Zero keeps the amortized fast path. Known stream length
+	// PacedBudget, when positive, bounds the number of sampled items
+	// one Insert processes to this many by queueing sampled items (after
+	// the paper's §3.1 de-amortization). One sampled item can still cost
+	// O(1/ε) table work, so this is not an O(1) worst case (ROADMAP.md
+	// item 7). Zero keeps the amortized fast path. Known stream length
 	// only.
 	PacedBudget int
 	// Seed makes every random choice reproducible.

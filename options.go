@@ -140,10 +140,12 @@ func WithSeed(seed uint64) Option {
 	return func(st *settings) { st.cfg.Seed = seed; st.mark(optSeed) }
 }
 
-// WithPacedBudget bounds the worst-case table work per Insert to budget
-// units by deferring sampled-item processing (the paper's §3.1
-// de-amortization; 1 realizes the strict O(1) worst case). Known stream
-// length only. On Unmarshal it re-applies pacing to a restored serial
+// WithPacedBudget bounds the number of sampled items one Insert
+// processes to budget by queueing sampled items (after the paper's §3.1
+// de-amortization). It does not bound an Insert's worst-case time: one
+// sampled item can sweep a full Misra-Gries table, O(1/ε) work, and
+// ROADMAP.md item 7 measured a p99.99 insert time of 5–13 µs under
+// WithPacedBudget(1), growing with 1/ε. Known stream length only. On Unmarshal it re-applies pacing to a restored serial
 // solver (pacing is runtime tuning, not serialized state).
 func WithPacedBudget(budget int) Option {
 	return func(st *settings) {
@@ -171,9 +173,9 @@ func WithShards(k int) Option {
 	}
 }
 
-// WithQueueDepth sets the per-shard ingest ring capacity in batches
-// (default 64, at most 2¹⁶), rounded up to a power of two with a floor
-// of 2; full rings block producers — that is the backpressure.
+// WithQueueDepth sets the exact per-shard ingest queue capacity in
+// batches (default 64, at most 2¹⁶); full queues block producers — that
+// is the backpressure.
 // Runtime tuning: valid on New with WithShards and on Unmarshal of
 // sharded checkpoints.
 func WithQueueDepth(depth int) Option {

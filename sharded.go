@@ -120,12 +120,6 @@ func (h *shardedSolver) InsertBatchBounded(items []Item, wait time.Duration) err
 	return nil
 }
 
-// SpareCapacity reports the smallest spare ingest-queue capacity across
-// the shards, in batches: 0 means at least one queue is full and an
-// unbounded InsertBatch would block. A racy monitoring probe, not a
-// reservation.
-func (h *shardedSolver) SpareCapacity() int { return h.s.SpareCapacity() }
-
 // shareMinSample is the smallest per-shard covered mass the
 // rate-extrapolated fold trusts for a traffic-share estimate. Below it
 // the measured share cᵢ = Mᵢ/Sᵢ is sampling noise, so the fold applies

@@ -87,9 +87,6 @@ func TestShedderSaturationRegression(t *testing.T) {
 	if st := h.Stats(); st.Items != h.Len() {
 		t.Fatalf("Stats().Items = %d but engines applied %d after a shed", st.Items, h.Len())
 	}
-	if free := sh.SpareCapacity(); free < 1 {
-		t.Fatalf("drained SpareCapacity = %d, want > 0", free)
-	}
 }
 
 func TestShedderCleanPathMatchesInsertBatch(t *testing.T) {

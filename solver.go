@@ -155,12 +155,14 @@ type Flusher interface {
 	Flush()
 }
 
-// Pacable is the capability of bounded per-insert work: the solver runs
-// the paper's §3.1 de-amortization, so no single Insert performs more
-// than the configured budget of table operations.
+// Pacable is the capability of paced inserts: the solver queues sampled
+// items, after the paper's §3.1 de-amortization, so no single Insert
+// processes more than the configured budget of them. One sampled item
+// can still cost O(1/ε) table work, so this bounds the count of samples
+// per Insert, not its worst-case time (ROADMAP.md item 7).
 type Pacable interface {
-	// PacedBudget returns the per-insert work budget the solver was
-	// built with (WithPacedBudget).
+	// PacedBudget returns the number of sampled items one Insert may
+	// process, as built with WithPacedBudget.
 	PacedBudget() int
 }
 
@@ -188,10 +190,6 @@ type Shedder interface {
 	// ErrSaturated instead of blocking once a shard queue stays full
 	// past wait (the budget covers the whole call).
 	InsertBatchBounded(items []Item, wait time.Duration) error
-	// SpareCapacity reports the smallest spare ingest-queue capacity
-	// across the shards, in batches; 0 means a queue is full. Racy —
-	// a monitoring probe, not a reservation.
-	SpareCapacity() int
 }
 
 // New builds a heavy hitters solver from functional options — the one
@@ -199,7 +197,7 @@ type Shedder interface {
 //
 //	l1hh.New(l1hh.WithEps(0.01), l1hh.WithPhi(0.05))                    // serial, unknown length
 //	l1hh.New(..., l1hh.WithStreamLength(1e8))                           // serial, known length (mergeable, serializable)
-//	l1hh.New(..., l1hh.WithStreamLength(1e8), l1hh.WithPacedBudget(1))  // strict O(1) worst-case inserts
+//	l1hh.New(..., l1hh.WithStreamLength(1e8), l1hh.WithPacedBudget(1))  // one sampled item processed per insert
 //	l1hh.New(..., l1hh.WithShards(8))                                   // concurrent sharded ingest
 //	l1hh.New(..., l1hh.WithCountWindow(1e6, 64))                        // heavy hitters of the last 10⁶ items
 //	l1hh.New(..., l1hh.WithShards(8), l1hh.WithCountWindow(1e6, 64))    // both

@@ -425,8 +425,8 @@ func TestNewValidation(t *testing.T) {
 		{"clock without window", append(base, WithClock(time.Now))},
 		{"queue depth without shards", append(base, WithQueueDepth(8))},
 		{"max batch without shards", append(base, WithMaxBatch(8))},
-		// The dispatch knobs' maxima: past 2⁶² the ring sizer overflowed
-		// and never returned, and near 2⁴⁰ it asked for 64 TiB.
+		// The dispatch knobs' maxima: a depth near 2⁴⁰ would size a
+		// 24 TiB queue buffer, and past about 2⁴³ make panics.
 		{"queue depth above 2^16", append(base, WithShards(2), WithQueueDepth(1<<16+1))},
 		{"queue depth above 2^62", append(base, WithShards(2), WithQueueDepth(1<<62+1))},
 		{"max batch above 2^20", append(base, WithShards(2), WithMaxBatch(1<<20+1))},
