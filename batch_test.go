@@ -56,7 +56,6 @@ func TestInsertBatchSameBytes(t *testing.T) {
 			extra []Option
 		}{
 			{"serial", []Option{WithStreamLength(long)}},
-			{"paced", []Option{WithStreamLength(long), WithPacedBudget(1)}},
 			{"sharded", []Option{WithStreamLength(long), WithShards(2)}},
 			{"windowed", []Option{WithCountWindow(long, 128), WithClock(goldenClock)}},
 		} {

@@ -15,8 +15,12 @@ package l1hh
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/commlower"
 	"repro/internal/core"
@@ -145,21 +149,94 @@ func BenchmarkE1cUpdateScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkE1cPacedInsert measures the paced variant: the §3.1
-// de-amortization queue, processing at most one sampled item per insert
-// (a mean, so it shows nothing of the worst case; ROADMAP.md item 7).
-func BenchmarkE1cPacedInsert(b *testing.B) {
-	hh, err := buildSerial(config{
-		Eps: 0.01, Phi: 0.1, Delta: 0.1,
-		StreamLength: 1 << 24, Universe: 1 << 32,
-		Algorithm: AlgorithmOptimal, PacedBudget: 1, Seed: 3,
-	})
-	if err != nil {
-		b.Fatal(err)
+// tailStream is the workload of the E1c tail rows: 2²¹ ids uniform over
+// 2⁴⁰, so nearly every sampled id is new and the Misra-Gries tables
+// fill and decrement as often as any stream makes them. Lazy so plain
+// test runs don't pay the generation cost.
+var tailStream = sync.OnceValue(func() []Item {
+	return Generate(NewUniformStream(3, 1<<40), 1<<21)
+})
+
+// latencies records durations exactly: one count per nanosecond below
+// 2¹⁶ ns, and the rare longer samples whole.
+type latencies struct {
+	n    int
+	ns   [1 << 16]uint32
+	long []time.Duration
+}
+
+func (l *latencies) add(d time.Duration) {
+	l.n++
+	if d < time.Duration(len(l.ns)) {
+		l.ns[d]++
+	} else {
+		l.long = append(l.long, d)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hh.Insert(benchStream[i&(1<<20-1)])
+}
+
+// quantile returns the q-quantile in ns: the smallest sample with at
+// least q·n samples at or below it.
+func (l *latencies) quantile(q float64) float64 {
+	rank := max(int(math.Ceil(q*float64(l.n))), 1)
+	seen := 0
+	for d, c := range l.ns {
+		if seen += int(c); seen >= rank {
+			return float64(d)
+		}
+	}
+	slices.Sort(l.long)
+	return float64(l.long[rank-seen-1])
+}
+
+// over returns the number of samples longer than d.
+func (l *latencies) over(d time.Duration) int {
+	n := len(l.long)
+	for _, c := range l.ns[min(d+1, time.Duration(len(l.ns))):] {
+		n += int(c)
+	}
+	return n
+}
+
+// BenchmarkE1cInsertTail measures the worst case of a plain per-item
+// Insert, which the mean rows cannot show. An Insert processes at most
+// one sampled item, but that item's Misra-Gries update can sweep a whole
+// table, so the tail grows with 1/ε (ROADMAP.md item 7). Every Insert is
+// timed alone, on a fresh engine per 2²¹-item pass, the model-bits pass
+// included, so even a short run times one whole stream. The row reports
+// the p99.9 and p99.99 ns per Insert and the inserts over 2 µs per pass;
+// ns/op includes the two clock reads around each Insert.
+func BenchmarkE1cInsertTail(b *testing.B) {
+	xs := tailStream()
+	for _, algo := range []struct {
+		name string
+		a    Algorithm
+	}{{"algo1", AlgorithmSimple}, {"algo2", AlgorithmOptimal}} {
+		for _, eps := range []float64{0.01, 0.002} {
+			b.Run(fmt.Sprintf("%s/eps=%g", algo.name, eps), func(b *testing.B) {
+				lat := new(latencies)
+				benchPasses(b, len(xs), func() (func(int), func() int64) {
+					hh, err := buildSerial(config{
+						Eps: eps, Phi: 0.05,
+						StreamLength: uint64(len(xs)), Universe: 1 << 40,
+						Algorithm: algo.a, Seed: 3,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					runtime.GC() // start each pass without the last one's garbage
+					return func(k int) {
+						for _, x := range xs[:k] {
+							t0 := time.Now()
+							hh.Insert(x)
+							lat.add(time.Since(t0))
+						}
+					}, hh.ModelBits
+				})
+				b.ReportMetric(lat.quantile(0.999), "p99.9-ns")
+				b.ReportMetric(lat.quantile(0.9999), "p99.99-ns")
+				b.ReportMetric(float64(lat.over(2*time.Microsecond))*float64(len(xs))/float64(lat.n), "over-2us/pass")
+			})
+		}
 	}
 }
 

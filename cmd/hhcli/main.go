@@ -56,7 +56,6 @@ var (
 	deltaFlag      = flag.Float64("delta", 0.05, "failure probability δ")
 	mFlag          = flag.Uint64("m", 0, "stream length if known (0 = unknown; with -window-duration: expected items per window)")
 	algoFlag       = flag.String("algo", "optimal", "engine: optimal or simple (known m only)")
-	pacedFlag      = flag.Int("paced", 0, "per-insert work budget (0 = amortized; known m only)")
 	seedFlag       = flag.Uint64("seed", 1, "RNG seed")
 	shardsFlag     = flag.Int("shards", -1, "hash-partition the stream across N concurrent solver shards (-1 = serial, 0 = GOMAXPROCS)")
 	windowFlag     = flag.Uint64("window", 0, "count-based sliding window: report the heavy hitters of (at least) the last N tokens (0 = whole stream)")
@@ -126,7 +125,7 @@ func buildProblemOptions(problem l1hh.Problem) ([]l1hh.Option, error) {
 func validateStrays(problem l1hh.Problem) error {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, name := range []string{"shards", "algo", "paced", "window", "window-duration", "window-buckets", "timings"} {
+	for _, name := range []string{"shards", "algo", "window", "window-duration", "window-buckets", "timings"} {
 		if set[name] {
 			return fmt.Errorf("-%s does not apply to -problem %s: the problem engines are serial, unsharded and unwindowed", name, problem)
 		}
@@ -164,9 +163,6 @@ func buildOptions() ([]l1hh.Option, error) {
 	}
 	if *mFlag > 0 {
 		opts = append(opts, l1hh.WithStreamLength(*mFlag))
-	}
-	if *pacedFlag > 0 {
-		opts = append(opts, l1hh.WithPacedBudget(*pacedFlag))
 	}
 	if *shardsFlag >= 0 {
 		opts = append(opts, l1hh.WithShards(*shardsFlag))

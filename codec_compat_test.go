@@ -265,7 +265,43 @@ func TestGoldenCheckpoints(t *testing.T) {
 				t.Fatalf("restored Stats incoherent: %+v", st)
 			}
 			checkGoldenRestore(t, gc, hh)
+			if gc.tag == tagWindowed {
+				checkRetiredBudget(t, blob)
+			}
 		})
+	}
+}
+
+// checkRetiredBudget pins the tag 4 frame's retired per-insert budget, the
+// varint at byte 31 right after the algorithm. Windows built with a budget
+// wrote it there; the decoder ignores it, so such a frame reports what the
+// golden reports and re-marshals to the golden's bytes, with 0 there.
+func checkRetiredBudget(t *testing.T, golden []byte) {
+	t.Helper()
+	if golden[31] != 0 {
+		t.Fatalf("byte 31 of the tag 4 golden is %d, not the zero budget field", golden[31])
+	}
+	budgeted := slices.Clone(golden)
+	budgeted[31] = 1
+	want, err := Unmarshal(golden, WithClock(goldenClock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Close()
+	got, err := Unmarshal(budgeted, WithClock(goldenClock))
+	if err != nil {
+		t.Fatalf("Unmarshal with budget 1: %v", err)
+	}
+	defer got.Close()
+	if fmt.Sprint(got.Report()) != fmt.Sprint(want.Report()) {
+		t.Fatalf("budget 1 restores a different report:\n%v\n%v", got.Report(), want.Report())
+	}
+	again, err := got.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, golden) {
+		t.Fatal("a frame with budget 1 does not re-marshal to the golden bytes")
 	}
 }
 

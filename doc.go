@@ -27,7 +27,6 @@
 //
 //	l1hh.New(l1hh.WithEps(ε), l1hh.WithPhi(ϕ))                          // unknown stream length (Theorem 7)
 //	l1hh.New(..., l1hh.WithStreamLength(m))                             // known length (serializable, mergeable)
-//	l1hh.New(..., l1hh.WithStreamLength(m), l1hh.WithPacedBudget(1))    // at most one sampled item processed per insert (§3.1)
 //	l1hh.New(..., l1hh.WithShards(8))                                   // concurrent sharded ingest (DESIGN.md §3)
 //	l1hh.New(..., l1hh.WithCountWindow(1e6, 64))                        // heavy hitters of the last 10⁶ items (§8)
 //	l1hh.New(..., l1hh.WithShards(8), l1hh.WithCountWindow(1e6, 64))    // concurrent windowed ingest
@@ -39,7 +38,6 @@
 //	if w, ok := hh.(l1hh.Windower); ok { w.WindowStats() }        // sliding-window coverage
 //	if f, ok := hh.(l1hh.Flusher); ok { f.Flush() }               // drain buffered work
 //	if s, ok := hh.(l1hh.Sharder); ok { _ = s.Shards() }          // concurrent-ingest marker
-//	if p, ok := hh.(l1hh.Pacable); ok { _ = p.PacedBudget() }     // sampled items processed per insert
 //
 // Checkpoints restore through the universal Unmarshal, whatever
 // container produced them (serial, sharded, windowed, both):

@@ -88,7 +88,6 @@ func buildSerial(cfg config) (*serialSolver, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.applyPacing(cfg.PacedBudget)
 	return h, nil
 }
 
@@ -315,7 +314,7 @@ func parseWindowed(data []byte) (windowConfig, []byte, error) {
 	cfg.StreamLength = r.U64()
 	cfg.Universe = r.U64()
 	algo := r.U64()
-	paced := r.U64()
+	r.U64() // the retired per-insert budget, ignored
 	cfg.Seed = r.U64()
 	cfg.Window = r.U64()
 	cfg.WindowDuration = time.Duration(r.I64())
@@ -331,7 +330,6 @@ func parseWindowed(data []byte) (windowConfig, []byte, error) {
 		return cfg, nil, fmt.Errorf("l1hh: unknown algorithm %d in windowed encoding", algo)
 	}
 	cfg.Algorithm = Algorithm(algo)
-	cfg.PacedBudget = int(paced)
 	return cfg, blob, nil
 }
 
@@ -485,13 +483,10 @@ func buildSharded(cfg shardedConfig, clock func() time.Time, hooks shard.Hooks) 
 // encoding; the restored solver continues the stream exactly where the
 // original stopped, with identical routing. QueueDepth and MaxBatch are
 // runtime tuning, not serialized state — pass zero for the defaults.
-// clock overrides restored shard windows' clocks (tag 5 only);
-// pacedBudget re-applies per-shard insert pacing (tag 3 only — windowed
-// frames serialize their own budget), because pacing is runtime tuning
-// the per-shard tag-1/2 blobs do not record; hooks re-install the
-// ingest stage-timing callbacks (WithIngestObserver), runtime
-// instrumentation that is never serialized.
-func unmarshalSharded(data []byte, queueDepth, maxBatch int, clock func() time.Time, pacedBudget int, hooks shard.Hooks) (*shardedSolver, error) {
+// clock overrides restored shard windows' clocks (tag 5 only); hooks
+// re-install the ingest stage-timing callbacks (WithIngestObserver),
+// runtime instrumentation that is never serialized.
+func unmarshalSharded(data []byte, queueDepth, maxBatch int, clock func() time.Time, hooks shard.Hooks) (*shardedSolver, error) {
 	h, snap, err := parseSharded(data)
 	if err != nil {
 		return nil, err
@@ -524,12 +519,7 @@ func unmarshalSharded(data []byte, queueDepth, maxBatch int, clock func() time.T
 		if h.Windowed() {
 			return nil, errors.New("l1hh: plain shard engine inside a windowed container")
 		}
-		e, err := unmarshalSerial(blob)
-		if err != nil {
-			return nil, err
-		}
-		e.applyPacing(pacedBudget)
-		return e, nil
+		return unmarshalSerial(blob)
 	}, shard.Options{QueueDepth: queueDepth, MaxBatch: maxBatch, Hooks: hooks})
 	if err != nil {
 		return nil, err

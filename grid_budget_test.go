@@ -274,7 +274,7 @@ func rewindow(t *testing.T, frame []byte, eps, phi float64, b uint64) []byte {
 	w.U64(cfg.StreamLength)
 	w.U64(cfg.Universe)
 	w.U64(uint64(cfg.Algorithm))
-	w.U64(uint64(cfg.PacedBudget))
+	w.U64(0) // the retired per-insert budget
 	w.U64(cfg.Seed)
 	w.U64(cfg.Window)
 	w.I64(0)

@@ -39,7 +39,8 @@ func newHashedMG(src *rng.Source, cfg Config, tableLen int) hashedMG {
 	}
 }
 
-// advance implements the Pacable seam for SimpleList and Maximum.
+// advance implements sampledEngine's admission step for SimpleList and
+// Maximum.
 func (c *hashedMG) advance(n int) int {
 	k := c.sampler.Advance(n)
 	c.offered += uint64(min(k+1, n)) // through the sample, or all n
@@ -106,11 +107,11 @@ func NewSimpleList(src *rng.Source, cfg Config) (*SimpleList, error) {
 	}, nil
 }
 
-// Insert processes one stream item in O(1) amortized time (one sampler
-// decrement on the non-sampled fast path). NewPaced bounds the number of
-// sampled items one Insert processes — the §3.1 de-amortization's queue
-// — but not its worst case: one sample's Misra-Gries decrement can
-// sweep the whole table, O(1/ε) (ROADMAP.md item 7).
+// Insert processes one stream item in O(1) amortized time: one sampler
+// decrement on the non-sampled fast path, and at most one sampled item
+// per call. That one sample is not O(1) worst case: a Misra-Gries
+// decrement sweeps the whole O(1/ε) table, and a T2 eviction scans its
+// O(1/ϕ) entries.
 func (a *SimpleList) Insert(x uint64) {
 	if a.advance(1) == 0 {
 		a.process(x)

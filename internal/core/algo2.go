@@ -240,13 +240,13 @@ func (o *Optimal) epoch(t2 uint32) int {
 }
 
 // Insert processes one stream item in O(1) amortized time: one sampler
-// decrement on the non-sampled path, O(reps) = O(log ϕ⁻¹) when sampled,
-// which amortizes because samples are Θ(ε²)-rare (§3.1). NewPaced bounds
-// the number of sampled items one Insert processes, not its worst-case
-// time (ROADMAP.md item 7).
+// decrement on the non-sampled path, and at most one sampled item per
+// call, which amortizes because samples are Θ(ε²)-rare (§3.1). That one
+// sample costs O(reps) = O(log ϕ⁻¹) counter steps, plus a sweep of the
+// whole O(1/ϕ) table when its Misra-Gries update decrements.
 func (o *Optimal) Insert(x uint64) {
 	if o.advance(1) == 0 {
-		o.processSample(x)
+		o.process(x)
 	}
 }
 
@@ -254,11 +254,18 @@ func (o *Optimal) Insert(x uint64) {
 // with O(1) work per sampled item rather than per item.
 func (o *Optimal) InsertBatch(items []uint64) { insertBatch(o, items) }
 
-// processSample performs the per-sample work: the T1 Misra-Gries update
-// and one accelerated-counter step per repetition, after hashing x into
-// all R buckets at once. Only an escaped T2 cell reads the escape table,
-// and only a coin landing on an unwritten page allocates.
-func (o *Optimal) processSample(x uint64) {
+// advance implements sampledEngine's admission step.
+func (o *Optimal) advance(n int) int {
+	k := o.sampler.Advance(n)
+	o.offered += uint64(min(k+1, n)) // through the sample, or all n
+	return k
+}
+
+// process performs the per-sample work: the T1 Misra-Gries update and
+// one accelerated-counter step per repetition, after hashing x into all
+// R buckets at once. Only an escaped T2 cell reads the escape table, and
+// only a coin landing on an unwritten page allocates.
+func (o *Optimal) process(x uint64) {
 	o.s++
 	o.t1.Insert(x)
 	hash.HashAll(o.hashes, x, o.buckets)

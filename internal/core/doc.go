@@ -22,11 +22,14 @@
 //   - Maximum is the ε-Maximum solver (§3.2, Theorem 3): Algorithm 1 with
 //     the T2 table replaced by a single running-argmax id.
 //
-// All three process an Insert in O(1) time (one sampler decrement on the
-// common non-sampled path; per-sample work amortizes per §3.1 of the
-// paper), an InsertBatch in O(1) time per sampled item (the unsampled
-// runs between samples are skipped whole), and report in time linear in
-// the output.
+// All three process an Insert in O(1) amortized time: one sampler
+// decrement on the common non-sampled path, and at most one sampled item
+// per call. A sampled item is not O(1) worst case: its Misra-Gries update
+// can sweep the whole table, O(1/ε) for Algorithm 1, and the paper's
+// §3.1 spreading of that sweep over later inserts is not implemented.
+// An InsertBatch costs one sampled item's work per sample (the unsampled
+// runs between samples are skipped whole), and a report takes time
+// linear in the output.
 //
 // The numerical constants live in Tuning; PaperTuning carries the literal
 // constants from the pseudocode, DefaultTuning the smaller values the test

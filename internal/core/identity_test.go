@@ -120,14 +120,12 @@ func TestOptimalIdentityDigests(t *testing.T) {
 			modelBits: 1247163,
 		},
 		{
-			name: "paced perInsert=1",
+			name: "half the declared length",
 			build: func(t *testing.T) *Optimal {
 				o := newOpt(t, sampled, 10)
-				p := NewPaced(o, 1)
 				for _, x := range identityStream(48, 1<<20) {
-					p.Insert(x)
+					o.Insert(x)
 				}
-				p.Flush()
 				return o
 			},
 			ckpt:      "70f15370605fc51faacaec66635c8b022d1e9367338415e444c76682bf4dec3e",

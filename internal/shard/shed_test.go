@@ -6,17 +6,23 @@ package shard
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
 
 // stall parks shard i's worker inside a barrier op until the returned
 // release func is called, so the test controls exactly when its queue
-// starts draining again; the other workers run the op and go on.
+// starts draining again; the other workers run the op and go on. The
+// release is also a cleanup, so a test that fails while the worker is
+// parked still frees it: register the container's Close with t.Cleanup
+// before stalling, and the cleanups release first, then close.
 func stall(t *testing.T, s *Sharded, i int) (release func()) {
 	t.Helper()
 	started := make(chan struct{})
 	gate := make(chan struct{})
+	release = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
 	go s.Do(func(shard int, _ Engine) {
 		if shard == i {
 			close(started)
@@ -28,7 +34,7 @@ func stall(t *testing.T, s *Sharded, i int) (release func()) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker never picked up the stall op")
 	}
-	return func() { close(gate) }
+	return release
 }
 
 func TestInsertBatchBoundedShedsInsteadOfHanging(t *testing.T) {
@@ -36,7 +42,7 @@ func TestInsertBatchBoundedShedsInsteadOfHanging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	t.Cleanup(func() { s.Close() })
 	release := stall(t, s, 0)
 
 	// 3 batches of 4 against a depth-2 queue behind a stalled worker:
@@ -99,7 +105,7 @@ func TestInsertBatchBoundedShedsPartwayAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	t.Cleanup(func() { s.Close() })
 	items := make([]uint64, 4*s.chunkLen) // four chunks
 	for i := range items {
 		items[i] = uint64(i)

@@ -48,13 +48,6 @@ type config struct {
 	Universe uint64
 	// Algorithm selects the engine for the heavy hitters solvers.
 	Algorithm Algorithm
-	// PacedBudget, when positive, bounds the number of sampled items
-	// one Insert processes to this many by queueing sampled items (after
-	// the paper's §3.1 de-amortization). One sampled item can still cost
-	// O(1/ε) table work, so this is not an O(1) worst case (ROADMAP.md
-	// item 7). Zero keeps the amortized fast path. Known stream length
-	// only.
-	PacedBudget int
 	// Seed makes every random choice reproducible.
 	Seed uint64
 }
@@ -77,9 +70,6 @@ type serialSolver struct {
 	// marks the unknown-length engine, which neither serializes nor
 	// merges.
 	tag byte
-	// paced is non-nil when inserts are routed through a de-amortization
-	// queue; every read flushes it first, so results are unchanged.
-	paced *core.Paced
 
 	// eps and phi are the problem parameters the solver was built with,
 	// recovered from the engine state on restore.
@@ -91,23 +81,6 @@ type serialSolver struct {
 // the shard layer's engine contract.
 type hhEngine = shard.Engine
 
-// applyPacing routes inserts through a core.Paced queue of budget units
-// per insert; a non-positive budget, or an engine without the pacing
-// seam (unknown length), leaves the solver unpaced.
-func (h *serialSolver) applyPacing(budget int) {
-	if p, ok := h.e.(core.Pacable); ok && budget > 0 {
-		h.paced = core.NewPaced(p, budget)
-	}
-}
-
-// flush drains deferred paced work so the engine reflects every accepted
-// item.
-func (h *serialSolver) flush() {
-	if h.paced != nil {
-		h.paced.Flush()
-	}
-}
-
 // MarshalBinary serializes the solver's complete state (tables, hash
 // seeds, sampler position) as a tag 1–2 checkpoint. Only
 // known-stream-length solvers are serializable.
@@ -115,40 +88,22 @@ func (h *serialSolver) MarshalBinary() ([]byte, error) {
 	if h.tag == 0 {
 		return nil, errNotSerializable
 	}
-	h.flush()
 	return taggedMarshal(h.tag, h.e.(encoding.BinaryMarshaler))
 }
 
-// Insert processes one stream item in O(1) time.
-func (h *serialSolver) Insert(x Item) {
-	if h.paced != nil {
-		h.paced.Insert(x)
-		return
-	}
-	h.e.Insert(x)
-}
+// Insert processes one stream item in O(1) amortized time, at most one
+// sampled item per call.
+func (h *serialSolver) Insert(x Item) { h.e.Insert(x) }
 
 // InsertBatch processes items in order, as one Insert per item would.
-// The engine's batch path jumps from one sampled item to the next; a
-// paced solver keeps its per-item queue, whose work bound is per item.
-func (h *serialSolver) InsertBatch(items []Item) {
-	if h.paced != nil {
-		for _, x := range items {
-			h.paced.Insert(x)
-		}
-		return
-	}
-	h.e.InsertBatch(items)
-}
+// The engine's batch path jumps from one sampled item to the next.
+func (h *serialSolver) InsertBatch(items []Item) { h.e.InsertBatch(items) }
 
 // Report returns the heavy hitters with frequency estimates, in
 // decreasing-estimate order. With probability ≥ 1−δ: every item with
 // f ≥ ϕ·m appears, no item with f ≤ (ϕ−ε)·m appears, and every estimate
 // is within ε·m.
-func (h *serialSolver) Report() []ItemEstimate {
-	h.flush()
-	return h.e.Report()
-}
+func (h *serialSolver) Report() []ItemEstimate { return h.e.Report() }
 
 // ModelBits reports the sketch size under the paper's accounting.
 func (h *serialSolver) ModelBits() int64 { return h.e.ModelBits() }
@@ -167,12 +122,8 @@ func (h *serialSolver) Phi() float64 { return h.phi }
 // Estimate returns the frequency estimate for x over the whole stream,
 // within ε·m for ϕ-heavy items whp (the §3 point-query bound). Only the
 // known-length engines answer; the adapters that expose PointQuerier
-// wrap nothing else. Paced work is flushed first so the answer covers
-// every accepted item.
-func (h *serialSolver) Estimate(x Item) float64 {
-	h.flush()
-	return h.e.(PointQuerier).Estimate(x)
-}
+// wrap nothing else.
+func (h *serialSolver) Estimate(x Item) float64 { return h.e.(PointQuerier).Estimate(x) }
 
 // Stats returns the unified operational snapshot (see Stats).
 func (h *serialSolver) Stats() Stats {

@@ -93,15 +93,11 @@ func (h *serialSolver) canMergeFrom(other *serialSolver) error {
 // mergeFrom folds other's state into h so that h summarizes the
 // concatenation of both solvers' streams; other is left untouched. Both
 // solvers must have been created with the same config (same seed
-// included) and must be known-stream-length engines. If either solver
-// uses paced inserts, outstanding deferred work is flushed first, so the
-// merged state matches the unpaced semantics.
+// included) and must be known-stream-length engines.
 func (h *serialSolver) mergeFrom(other *serialSolver) error {
 	if err := h.canMergeFrom(other); err != nil {
 		return err
 	}
-	h.flush()
-	other.flush()
 	if a, ok := h.e.(*core.Optimal); ok {
 		return a.Merge(other.e.(*core.Optimal))
 	}

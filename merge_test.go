@@ -266,30 +266,6 @@ func TestListMergeFromErrors(t *testing.T) {
 	}
 }
 
-// TestMergeFromPaced: solvers with a de-amortization budget flush before
-// merging, so the merged report equals the unpaced one.
-func TestMergeFromPaced(t *testing.T) {
-	const m = 100_000
-	stream := GeneratePlantedStream(81, m, shardedTestWeights, 100, 1<<30, OrderShuffled)
-	run := func(extra ...Option) []ItemEstimate {
-		a := newMergeNode(t, mergeTestOpts(83, m, extra...)...)
-		b := newMergeNode(t, mergeTestOpts(83, m, extra...)...)
-		if err := a.InsertBatch(stream[:m/2]); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.InsertBatch(stream[m/2:]); err != nil {
-			t.Fatal(err)
-		}
-		if err := mergeInto(t, a, b); err != nil {
-			t.Fatal(err)
-		}
-		return a.Report()
-	}
-	if fmt.Sprint(run(WithPacedBudget(1))) != fmt.Sprint(run()) {
-		t.Fatal("paced and unpaced merges report differently")
-	}
-}
-
 // TestMergeTagClassification: every Merger — serial, sharded, Borda —
 // reads a checkpoint's container tag the same way. Empty input and an
 // unassigned tag are decode errors; a known tag of another container

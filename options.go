@@ -2,7 +2,7 @@ package l1hh
 
 // options.go — the functional-options half of the unified front door.
 // Every construction scenario the package supports (serial known-m,
-// unknown-m, paced, sharded, windowed, sharded+windowed) is expressed as
+// unknown-m, sharded, windowed, sharded+windowed) is expressed as
 // a combination of the Options below, resolved by New into one decorator
 // stack (DESIGN.md §9). Unmarshal accepts the runtime subset of the same
 // options, so checkpoint restores are tuned with the same vocabulary.
@@ -32,7 +32,6 @@ const (
 	optUniverse
 	optAlgorithm
 	optSeed
-	optPaced
 	optShards
 	optQueueDepth
 	optMaxBatch
@@ -51,7 +50,7 @@ const (
 // changes nothing the checkpoint records; WithAccuracySentinel does not
 // (a restored solver's history was never sampled, so its shadow would
 // report bogus violations).
-const runtimeOpts = optPaced | optQueueDepth | optMaxBatch | optClock | optObserver
+const runtimeOpts = optQueueDepth | optMaxBatch | optClock | optObserver
 
 // settings is the resolved option set New and Unmarshal dispatch on.
 type settings struct {
@@ -138,24 +137,6 @@ func WithAlgorithm(a Algorithm) Option {
 // different nodes are what the merge tier folds. Default 0.
 func WithSeed(seed uint64) Option {
 	return func(st *settings) { st.cfg.Seed = seed; st.mark(optSeed) }
-}
-
-// WithPacedBudget bounds the number of sampled items one Insert
-// processes to budget by queueing sampled items (after the paper's §3.1
-// de-amortization). It does not bound an Insert's worst-case time: one
-// sampled item can sweep a full Misra-Gries table, O(1/ε) work, and
-// ROADMAP.md item 7 measured a p99.99 insert time of 5–13 µs under
-// WithPacedBudget(1), growing with 1/ε. Known stream length only. On Unmarshal it re-applies pacing to a restored serial
-// solver (pacing is runtime tuning, not serialized state).
-func WithPacedBudget(budget int) Option {
-	return func(st *settings) {
-		if budget <= 0 {
-			st.failf("l1hh: WithPacedBudget needs a positive budget, got %d", budget)
-			return
-		}
-		st.cfg.PacedBudget = budget
-		st.mark(optPaced)
-	}
 }
 
 // WithShards requests the concurrent sharded container: the universe is
@@ -375,7 +356,7 @@ func (st *settings) validateNew() error {
 }
 
 // validateHeavyHitters is the HeavyHittersProblem validator: the full
-// option vocabulary (shards, windows, pacing, sentinel, observer).
+// option vocabulary (shards, windows, sentinel, observer).
 func (st *settings) validateHeavyHitters() error {
 	if !st.has(optEps) {
 		return errors.New("l1hh: WithEps is required")
@@ -403,9 +384,6 @@ func (st *settings) validateHeavyHitters() error {
 	}
 	if st.has(optSentinel) && st.windowed() {
 		return errors.New("l1hh: WithAccuracySentinel does not support windowed solvers (the shadow covers the whole stream, not the window)")
-	}
-	if st.has(optPaced) && !st.has(optStreamLength) && !st.has(optCountWindow) {
-		return errors.New("l1hh: WithPacedBudget needs a known stream length (WithStreamLength or a count window)")
 	}
 	if !st.has(optUniverse) {
 		st.cfg.Universe = 1 << 62

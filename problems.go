@@ -52,7 +52,7 @@ type Problem int
 const (
 	// HeavyHittersProblem is the default (ε,ϕ)-heavy hitters problem
 	// (Theorems 1–2, 7–8): item streams, the full option vocabulary
-	// (shards, windows, pacing, sentinel), reports of every ϕ-heavy item.
+	// (shards, windows, sentinel), reports of every ϕ-heavy item.
 	HeavyHittersProblem Problem = iota
 	// BordaProblem tracks every candidate's Borda score over a stream of
 	// ranking votes (Theorem 5). The engine satisfies Voter; with a known
@@ -191,7 +191,7 @@ var problemSpecs = [...]problemSpec{
 // votingOpts is the option vocabulary of the voting problems: the
 // problem statement (ε, ϕ, δ, candidates), reproducibility (seed), and
 // the known/unknown stream length switch. Everything else — shards,
-// windows, pacing, universe, sentinel, observer — is heavy-hitters
+// windows, universe, sentinel, observer — is heavy-hitters
 // machinery with no sound meaning over ranking streams.
 const votingOpts = optProblem | optEps | optPhi | optDelta | optStreamLength | optSeed | optCandidates
 
@@ -208,7 +208,7 @@ func (st *settings) validateVoting() error {
 		return fmt.Errorf("l1hh: %s needs WithCandidates", st.problem)
 	}
 	if st.set&^votingOpts != 0 {
-		return fmt.Errorf("l1hh: %s supports WithEps, WithPhi, WithDelta, WithStreamLength, WithSeed and WithCandidates only — sharding, windows, pacing, universe and the sentinel are heavy-hitters machinery", st.problem)
+		return fmt.Errorf("l1hh: %s supports WithEps, WithPhi, WithDelta, WithStreamLength, WithSeed and WithCandidates only — sharding, windows, universe and the sentinel are heavy-hitters machinery", st.problem)
 	}
 	if !(st.cfg.Eps > 0 && st.cfg.Eps < 1) {
 		return fmt.Errorf("l1hh: eps = %v out of (0,1)", st.cfg.Eps)
@@ -222,8 +222,7 @@ func (st *settings) validateVoting() error {
 // extremesOpts is the option vocabulary of the frequency-extreme
 // problems: the problem statement (ε, δ, universe), reproducibility
 // (seed), and the stream length switch. No ϕ — an extremes solver has
-// no heaviness threshold — and no candidates, shards, windows or
-// pacing.
+// no heaviness threshold — and no candidates, shards or windows.
 const extremesOpts = optProblem | optEps | optDelta | optStreamLength | optUniverse | optSeed
 
 // validateExtremes checks the option combination for
@@ -236,7 +235,7 @@ func (st *settings) validateExtremes() error {
 		return fmt.Errorf("l1hh: WithPhi does not apply to %s (an extremes solver has no heaviness threshold; Phi() reports 0)", st.problem)
 	}
 	if st.set&^extremesOpts != 0 {
-		return fmt.Errorf("l1hh: %s supports WithEps, WithDelta, WithStreamLength, WithUniverse and WithSeed only — sharding, windows, pacing, candidates and the sentinel are heavy-hitters machinery", st.problem)
+		return fmt.Errorf("l1hh: %s supports WithEps, WithDelta, WithStreamLength, WithUniverse and WithSeed only — sharding, windows, candidates and the sentinel are heavy-hitters machinery", st.problem)
 	}
 	if !st.has(optUniverse) {
 		st.cfg.Universe = 1 << 62

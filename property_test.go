@@ -283,74 +283,6 @@ func TestSingleVoteElection(t *testing.T) {
 	}
 }
 
-// TestPacedFacadeEqualsUnpaced: the PacedBudget option defers work but
-// never changes answers.
-func TestPacedFacadeEqualsUnpaced(t *testing.T) {
-	const m = 100000
-	st := GeneratePlantedStream(31, m, []float64{0.3, 0.12}, 100, 10000, OrderShuffled)
-	mk := func(budget int) []ItemEstimate {
-		hh, err := buildSerial(config{
-			Eps: 0.05, Phi: 0.1, Delta: 0.1,
-			StreamLength: m, Universe: 1 << 20,
-			PacedBudget: budget, Seed: 17,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, x := range st {
-			hh.Insert(x)
-		}
-		return hh.Report()
-	}
-	plain, paced := mk(0), mk(1)
-	if len(plain) != len(paced) {
-		t.Fatal("paced facade changed the report length")
-	}
-	for i := range plain {
-		if plain[i] != paced[i] {
-			t.Fatal("paced facade changed the report")
-		}
-	}
-}
-
-// TestPacedFacadeSerializes: checkpointing a paced solver flushes first,
-// so restore is exact.
-func TestPacedFacadeSerializes(t *testing.T) {
-	const m = 50000
-	hh, err := buildSerial(config{
-		Eps: 0.1, Phi: 0.3, Delta: 0.1,
-		StreamLength: m, Universe: 1 << 16, PacedBudget: 1, Seed: 18,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := GeneratePlantedStream(19, m, []float64{0.5}, 100, 1000, OrderShuffled)
-	for _, x := range st[:m/2] {
-		hh.Insert(x)
-	}
-	blob, err := hh.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := unmarshalSerial(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range st[m/2:] {
-		hh.Insert(x)
-		restored.Insert(x)
-	}
-	a, b := hh.Report(), restored.Report()
-	if len(a) != len(b) {
-		t.Fatal("restored paced solver diverged")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("restored paced solver diverged")
-		}
-	}
-}
-
 func TestUnknownLengthNotSerializable(t *testing.T) {
 	hh, err := buildSerial(config{
 		Eps: 0.1, Phi: 0.3, Delta: 0.1, Universe: 100, Seed: 6,

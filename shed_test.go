@@ -7,6 +7,7 @@ package l1hh
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,10 +40,15 @@ func newShedder(t *testing.T, extra ...Option) (HeavyHitters, Shedder, *shard.Sh
 }
 
 // stallWorker parks the single shard worker until release is called.
+// The release is also a cleanup, registered after newShedder's Close, so
+// a test that fails while the worker is parked frees it before the
+// engine closes instead of hanging in Close.
 func stallWorker(t *testing.T, s *shard.Sharded) (release func()) {
 	t.Helper()
 	started := make(chan struct{})
 	gate := make(chan struct{})
+	release = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
 	go s.Do(func(int, shard.Engine) {
 		close(started)
 		<-gate
@@ -52,7 +58,7 @@ func stallWorker(t *testing.T, s *shard.Sharded) (release func()) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("shard worker never picked up the stall op")
 	}
-	return func() { close(gate) }
+	return release
 }
 
 func TestShedderSaturationRegression(t *testing.T) {

@@ -6,7 +6,7 @@ package l1hh
 // problems.go) behind the HeavyHitters interface; Unmarshal restores
 // any checkpoint container (tags 1–5 heavy hitters, 7–10 problem
 // engines) behind the same interface. Optional behaviours are small
-// capability interfaces (Merger, Windower, Flusher, Pacable, Sharder,
+// capability interfaces (Merger, Windower, Flusher, Sharder,
 // Voter, Extremes, PointQuerier) discovered by type assertion, never by
 // switching on concrete types — DESIGN.md §9 and §14 document the
 // contract.
@@ -34,9 +34,9 @@ var ErrSaturated = shard.ErrSaturated
 
 // HeavyHitters is the one interface every (ε,ϕ)-heavy hitters solver in
 // this package presents, regardless of how New composed it (serial,
-// paced, windowed, sharded, or sharded+windowed). Construction scenarios
-// differ only in the capability interfaces the returned value additionally
-// satisfies — Merger, Windower, Flusher, Pacable, Sharder.
+// windowed, sharded, or sharded+windowed). Construction scenarios differ
+// only in the capability interfaces the returned value additionally
+// satisfies — Merger, Windower, Flusher, Sharder.
 //
 // Concurrency: only solvers that satisfy Sharder accept Insert and
 // InsertBatch from multiple goroutines; all other methods of those
@@ -147,23 +147,12 @@ type Windower interface {
 }
 
 // Flusher is the capability of forcing buffered work through: Flush
-// blocks until every accepted item has reached its engine (shard ingest
-// queues, paced-insert queues). Report and MarshalBinary flush
-// implicitly; Flush exists for callers that want the barrier alone.
+// blocks until every accepted item has reached its engine through the
+// shard ingest queues. Report and MarshalBinary flush implicitly; Flush
+// exists for callers that want the barrier alone.
 type Flusher interface {
 	// Flush blocks until every accepted item has been applied.
 	Flush()
-}
-
-// Pacable is the capability of paced inserts: the solver queues sampled
-// items, after the paper's §3.1 de-amortization, so no single Insert
-// processes more than the configured budget of them. One sampled item
-// can still cost O(1/ε) table work, so this bounds the count of samples
-// per Insert, not its worst-case time (ROADMAP.md item 7).
-type Pacable interface {
-	// PacedBudget returns the number of sampled items one Insert may
-	// process, as built with WithPacedBudget.
-	PacedBudget() int
 }
 
 // Sharder is the capability marker for concurrent ingest: solvers that
@@ -197,7 +186,6 @@ type Shedder interface {
 //
 //	l1hh.New(l1hh.WithEps(0.01), l1hh.WithPhi(0.05))                    // serial, unknown length
 //	l1hh.New(..., l1hh.WithStreamLength(1e8))                           // serial, known length (mergeable, serializable)
-//	l1hh.New(..., l1hh.WithStreamLength(1e8), l1hh.WithPacedBudget(1))  // one sampled item processed per insert
 //	l1hh.New(..., l1hh.WithShards(8))                                   // concurrent sharded ingest
 //	l1hh.New(..., l1hh.WithCountWindow(1e6, 64))                        // heavy hitters of the last 10⁶ items
 //	l1hh.New(..., l1hh.WithShards(8), l1hh.WithCountWindow(1e6, 64))    // both
@@ -305,10 +293,6 @@ func (st *settings) newSentinel() *sentinel {
 // engines take none):
 //
 //	WithQueueDepth, WithMaxBatch — sharded containers (3, 5)
-//	WithPacedBudget             — serial solvers (1, 2) and plain
-//	                              sharded containers (3), whose per-shard
-//	                              engines are re-paced; windowed frames
-//	                              (4, 5) serialize their own budget
 //	WithClock                   — windowed containers (4, 5)
 //	WithIngestObserver          — sharded containers (3, 5);
 //	                              instrumentation is never serialized
@@ -322,7 +306,7 @@ func Unmarshal(data []byte, opts ...Option) (HeavyHitters, error) {
 		return nil, err
 	}
 	if st.set&^runtimeOpts != 0 {
-		return nil, errors.New("l1hh: Unmarshal accepts runtime options only (WithPacedBudget, WithQueueDepth, WithMaxBatch, WithClock, WithIngestObserver) — problem parameters come from the checkpoint")
+		return nil, errors.New("l1hh: Unmarshal accepts runtime options only (WithQueueDepth, WithMaxBatch, WithClock, WithIngestObserver) — problem parameters come from the checkpoint")
 	}
 	if len(data) < 2 {
 		return nil, errors.New("l1hh: truncated solver encoding")
@@ -339,28 +323,24 @@ func Unmarshal(data []byte, opts ...Option) (HeavyHitters, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng.applyPacing(st.cfg.PacedBudget)
 		return wrapSerial(eng, nil), nil
 	case tagSharded:
 		if err := st.rejectOpts(optClock, "a sharded checkpoint"); err != nil {
 			return nil, err
 		}
-		eng, err := unmarshalSharded(data, st.queueDepth, st.maxBatch, nil, st.cfg.PacedBudget, st.shardHooks())
+		eng, err := unmarshalSharded(data, st.queueDepth, st.maxBatch, nil, st.shardHooks())
 		if err != nil {
 			return nil, err
 		}
 		return wrapSharded(eng, true), nil
 	case tagShardedWindowed:
-		if err := st.rejectOpts(optPaced, "a sharded windowed checkpoint (the windowed frames serialize their own budget)"); err != nil {
-			return nil, err
-		}
-		eng, err := unmarshalSharded(data, st.queueDepth, st.maxBatch, st.clock, 0, st.shardHooks())
+		eng, err := unmarshalSharded(data, st.queueDepth, st.maxBatch, st.clock, st.shardHooks())
 		if err != nil {
 			return nil, err
 		}
 		return wrapSharded(eng, true), nil
 	case tagWindowed:
-		if err := st.rejectOpts(optQueueDepth|optMaxBatch|optPaced|optObserver, "a windowed checkpoint"); err != nil {
+		if err := st.rejectOpts(optQueueDepth|optMaxBatch|optObserver, "a windowed checkpoint"); err != nil {
 			return nil, err
 		}
 		eng, err := unmarshalWindowed(data, st.clock)
@@ -391,19 +371,14 @@ func (st *settings) rejectOpts(bits uint32, kind string) error {
 
 // wrapSerial picks the adapter whose capability set matches a serial
 // engine: unknown-length solvers are served by the bare base (no
-// extras), every known-length solver is a Merger and PointQuerier, and
-// paced solvers add Flusher and Pacable. sen is the optional accuracy
-// sentinel (nil when not requested).
+// extras), and every known-length solver is a Merger and PointQuerier.
+// sen is the optional accuracy sentinel (nil when not requested).
 func wrapSerial(eng *serialSolver, sen *sentinel) HeavyHitters {
 	base := singleOwnerBase[*serialSolver]{e: eng, sen: sen}
-	switch {
-	case eng.tag == 0:
+	if eng.tag == 0 {
 		return &base
-	case eng.paced != nil:
-		return &pacedSerialHH{serialHH{base}}
-	default:
-		return &serialHH{base}
 	}
+	return &serialHH{base}
 }
 
 // wrapSharded picks the adapter whose capability set matches a sharded
@@ -536,24 +511,6 @@ func decodeSerialPeer(checkpoint []byte) (*serialSolver, error) {
 		return nil, err
 	}
 	return unmarshalSerial(checkpoint)
-}
-
-// pacedSerialHH is the adapter for paced serial solvers; it adds Flusher
-// and Pacable on top of the Merger capability.
-type pacedSerialHH struct{ serialHH }
-
-// Flush implements Flusher: it drains the deferred-work queue so the
-// inner tables reflect every accepted item.
-func (s *pacedSerialHH) Flush() { s.e.paced.Flush() }
-
-// PacedBudget implements Pacable.
-func (s *pacedSerialHH) PacedBudget() int { return s.e.paced.PerInsert() }
-
-// Close additionally flushes deferred paced work so the final state
-// covers every accepted item.
-func (s *pacedSerialHH) Close() error {
-	s.Flush()
-	return s.serialHH.Close()
 }
 
 // windowedHH adapts a single-owner *windowedSolver; it adds the

@@ -20,7 +20,6 @@ type frontDoorScenario struct {
 	merger   bool
 	windower bool
 	flusher  bool
-	pacable  bool
 	sharder  bool
 	// unknownLen marks the Theorem 7 scenarios (no WithStreamLength),
 	// which do not serialize.
@@ -36,8 +35,6 @@ func frontDoorScenarios() []frontDoorScenario {
 	return []frontDoorScenario{
 		{name: "serial known-m", opts: with(WithStreamLength(4000)), merger: true},
 		{name: "serial unknown-m", opts: with(), unknownLen: true},
-		{name: "paced", opts: with(WithStreamLength(4000), WithPacedBudget(1)),
-			merger: true, flusher: true, pacable: true},
 		{name: "sharded", opts: with(WithStreamLength(4000), WithShards(2)),
 			merger: true, flusher: true, sharder: true},
 		{name: "sharded unknown-m", opts: with(WithShards(2)),
@@ -78,9 +75,6 @@ func TestNewScenarioCapabilities(t *testing.T) {
 			}
 			if _, ok := hh.(Flusher); ok != sc.flusher {
 				t.Errorf("Flusher capability = %v, want %v", ok, sc.flusher)
-			}
-			if _, ok := hh.(Pacable); ok != sc.pacable {
-				t.Errorf("Pacable capability = %v, want %v", ok, sc.pacable)
 			}
 			if _, ok := hh.(Sharder); ok != sc.sharder {
 				t.Errorf("Sharder capability = %v, want %v", ok, sc.sharder)
@@ -209,28 +203,6 @@ func TestStatsSnapshot(t *testing.T) {
 				t.Errorf("unwindowed Stats carries Window: %+v", st.Window)
 			}
 		})
-	}
-}
-
-// TestPacableBudget: the paced adapter echoes its budget and flushes on
-// demand.
-func TestPacableBudget(t *testing.T) {
-	hh, err := New(
-		WithEps(0.05), WithPhi(0.2), WithStreamLength(4000),
-		WithUniverse(1<<20), WithAlgorithm(AlgorithmSimple), WithSeed(7),
-		WithPacedBudget(3),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := hh.(Pacable)
-	if p.PacedBudget() != 3 {
-		t.Fatalf("PacedBudget = %d, want 3", p.PacedBudget())
-	}
-	feedScenario(t, hh, 2000)
-	hh.(Flusher).Flush()
-	if len(hh.Report()) == 0 {
-		t.Fatal("paced solver reports nothing")
 	}
 }
 
@@ -430,7 +402,6 @@ func TestNewValidation(t *testing.T) {
 		{"queue depth above 2^16", append(base, WithShards(2), WithQueueDepth(1<<16+1))},
 		{"queue depth above 2^62", append(base, WithShards(2), WithQueueDepth(1<<62+1))},
 		{"max batch above 2^20", append(base, WithShards(2), WithMaxBatch(1<<20+1))},
-		{"paced without length", append(base, WithPacedBudget(1))},
 		{"time window without length", append(base, WithTimeWindow(time.Second, 0))},
 		{"zero count window", append(base, WithCountWindow(0, 0))},
 		{"negative shards", append(base, WithShards(-1))},
@@ -486,56 +457,12 @@ func TestUnmarshalOptionValidation(t *testing.T) {
 		t.Fatal("Unmarshal accepted a max batch above 2^20")
 	}
 
-	// A paced sharded engine's checkpoint (tag 3, pacing not serialized)
-	// re-applies per-shard pacing via the same runtime option serial
-	// restores use; reports must match the unpaced restore exactly.
-	pacedSharded, err := Unmarshal(shardedCP, WithPacedBudget(1))
-	if err != nil {
-		t.Fatalf("Unmarshal(sharded, paced): %v", err)
-	}
-	defer pacedSharded.Close()
-	plainSharded, err := Unmarshal(shardedCP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plainSharded.Close()
-	for i := 0; i < 500; i++ {
-		pacedSharded.Insert(uint64(i % 13))
-		plainSharded.Insert(uint64(i % 13))
-	}
-	if fmt.Sprint(pacedSharded.Report()) != fmt.Sprint(plainSharded.Report()) {
-		t.Fatal("paced sharded restore diverges from unpaced restore")
-	}
-
-	// Windowed sharded frames serialize their own budget: the runtime
-	// option stays rejected there.
-	shardedWin, err := New(WithEps(0.05), WithPhi(0.2), WithUniverse(1<<20),
-		WithAlgorithm(AlgorithmSimple), WithSeed(7), WithShards(2), WithCountWindow(128, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shardedWin.Close()
-	winCP, err := shardedWin.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Unmarshal(winCP, WithPacedBudget(1)); err == nil {
-		t.Fatal("Unmarshal accepted WithPacedBudget on a windowed sharded checkpoint")
-	}
-
-	// The valid runtime pairings work.
+	// The valid runtime pairing works.
 	hh, err := Unmarshal(shardedCP, WithQueueDepth(4), WithMaxBatch(128))
 	if err != nil {
 		t.Fatalf("Unmarshal(sharded, queue opts): %v", err)
 	}
 	hh.Close()
-	paced, err := Unmarshal(serialCP, WithPacedBudget(2))
-	if err != nil {
-		t.Fatalf("Unmarshal(serial, paced): %v", err)
-	}
-	if p, ok := paced.(Pacable); !ok || p.PacedBudget() != 2 {
-		t.Fatal("restored serial solver did not re-apply pacing")
-	}
 }
 
 // TestUnmarshalScenarios: every serializable construction scenario
@@ -578,13 +505,8 @@ func TestUnmarshalScenarios(t *testing.T) {
 			if _, ok := restored.(Sharder); ok != sc.sharder {
 				t.Errorf("restored Sharder = %v, want %v", ok, sc.sharder)
 			}
-			// Pacing is runtime tuning: restored solvers are unpaced unless
-			// WithPacedBudget is passed, so Merger is the only capability
-			// that must survive serialization by itself.
-			if sc.name != "paced" {
-				if _, ok := restored.(Merger); ok != sc.merger {
-					t.Errorf("restored Merger = %v, want %v", ok, sc.merger)
-				}
+			if _, ok := restored.(Merger); ok != sc.merger {
+				t.Errorf("restored Merger = %v, want %v", ok, sc.merger)
 			}
 		})
 	}

@@ -139,7 +139,7 @@ func (h *windowedSolver) MarshalBinary() ([]byte, error) {
 	w.U64(h.cfg.StreamLength)
 	w.U64(h.cfg.Universe)
 	w.U64(uint64(h.cfg.Algorithm))
-	w.U64(uint64(h.cfg.PacedBudget))
+	w.U64(0) // the retired per-insert budget: always 0, kept for the layout
 	w.U64(h.cfg.Seed)
 	w.U64(h.cfg.Window)
 	w.I64(int64(h.cfg.WindowDuration))

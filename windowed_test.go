@@ -783,10 +783,6 @@ func TestWindowIdentityDigests(t *testing.T) {
 			ckpt:      "e255ed733455f223c0a469ff286454fc23eec4d9c546228c310fb21ea3acec61",
 			report:    "0915d48faa141e65045c96a3c30262c5b9aecc8b889364601208e941d5e41c07",
 			modelBits: 924575},
-		{name: "algo2 paced", opts: []Option{WithAlgorithm(AlgorithmOptimal), WithCountWindow(1<<14, 8), WithPacedBudget(1)},
-			ckpt:      "8690cde8d6f6bf29676ff7a244b5cb038bbd809a703d0359d63af21c03af1e44",
-			report:    "1ef8c22bf0a4865c6a8392a15789b58560f685e9ba47f2b1c758b707303d2fe3",
-			modelBits: 464006},
 		{name: "algo1 serial", opts: []Option{WithAlgorithm(AlgorithmSimple), WithCountWindow(1<<14, 8)},
 			ckpt:      "dc25811af7583661d65307e4b45b846fdb9cd24fa06221933b0ad0dedbddf89f",
 			report:    "eaab26ffbe47fa12004374df3a8e324ad5e7c974afc6ad013683d312a84cc601",
