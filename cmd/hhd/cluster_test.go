@@ -10,37 +10,19 @@ import (
 	"time"
 
 	l1hh "repro"
+	"repro/internal/exact"
 )
 
-// checkClusterGuarantees asserts the (ε,ϕ) contract of a merged report
-// against the exact counts of the full stream.
-func checkClusterGuarantees(t *testing.T, rep reportResponse, stream []uint64, eps, phi float64) {
+// auditReport holds a /report body to the (ε,ϕ) contract against the
+// exact counts of stream.
+func auditReport(t *testing.T, rep reportResponse, stream []uint64, eps, phi float64) {
 	t.Helper()
-	m := float64(len(stream))
-	truth := map[uint64]float64{}
-	for _, x := range stream {
-		truth[x]++
+	ests := make([]exact.Estimate, len(rep.HeavyHitters))
+	for i, h := range rep.HeavyHitters {
+		ests[i] = exact.Estimate{Item: h.Item, F: h.Estimate}
 	}
-	reported := map[uint64]float64{}
-	for _, h := range rep.HeavyHitters {
-		reported[h.Item] = h.Estimate
-	}
-	for x, f := range truth {
-		if f >= phi*m {
-			est, ok := reported[x]
-			if !ok {
-				t.Errorf("ϕ-heavy item %d (f=%.0f) missing from merged report", x, f)
-				continue
-			}
-			if est < f-eps*m || est > f+eps*m {
-				t.Errorf("item %d estimate %.0f outside %.0f ± %.0f", x, est, f, eps*m)
-			}
-		}
-	}
-	for x := range reported {
-		if truth[x] <= (phi-eps)*m {
-			t.Errorf("light item %d (f=%.0f) falsely reported", x, truth[x])
-		}
+	if err := exact.Audit(exact.Count(stream), ests, eps, phi).Err(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -75,7 +57,7 @@ func TestClusterMergeEndpoint(t *testing.T) {
 	if rep.Len != m {
 		t.Fatalf("merged Len = %d, want %d", rep.Len, m)
 	}
-	checkClusterGuarantees(t, rep, stream, 0.02, 0.05)
+	auditReport(t, rep, stream, 0.02, 0.05)
 }
 
 // TestClusterMergeRejects: garbage gets 400, a configuration mismatch
@@ -227,7 +209,7 @@ func TestClusterAggregatorLoop(t *testing.T) {
 		t.Fatalf("aggregator never converged to Len=%d", m)
 	}
 	rep := decodeReport(t, do(t, agg, "GET", "/report", "", nil))
-	checkClusterGuarantees(t, rep, stream, 0.02, 0.05)
+	auditReport(t, rep, stream, 0.02, 0.05)
 
 	// Metrics reflect the merges.
 	w := do(t, agg, "GET", "/metrics", "", nil)

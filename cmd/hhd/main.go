@@ -303,7 +303,7 @@ func engineOptions(algo l1hh.Algorithm, problem l1hh.Problem) []l1hh.Option {
 // unified front door understands, for the default engine (without
 // -tenants).
 func specFromFlags(algo l1hh.Algorithm, problem l1hh.Problem) engineSpec {
-	spec := engineSpec{build: engineOptions(algo, problem), problem: problem, m: *mFlag}
+	spec := engineSpec{build: engineOptions(algo, problem), problem: problem}
 	if problem != l1hh.HeavyHittersProblem {
 		return spec
 	}
@@ -652,7 +652,7 @@ func newTenantServer(algo l1hh.Algorithm, problem l1hh.Problem, resume []byte, s
 	if resume != nil && !l1hh.IsPoolCheckpoint(resume) {
 		return nil, fmt.Errorf("%s holds single-solver snapshots; resume them without -tenants", *ckptDirFlag)
 	}
-	srv := newShell(engineSpec{problem: problem, m: *mFlag})
+	srv := newShell(engineSpec{problem: problem})
 	popts := []l1hh.PoolOption{
 		l1hh.WithTenantDefaults(engineOptions(algo, problem)...),
 		l1hh.WithPoolObserver(srv.obs.poolTimings()),

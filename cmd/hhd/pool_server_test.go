@@ -46,7 +46,7 @@ func newTestTenantServer(t *testing.T, spec engineSpec, popts ...l1hh.PoolOption
 // tenantDefaults, with popts applied after them.
 func newTestPoolServer(t *testing.T, popts ...l1hh.PoolOption) *server {
 	t.Helper()
-	return newTestTenantServer(t, engineSpec{m: 1000}, append([]l1hh.PoolOption{tenantDefaults()}, popts...)...)
+	return newTestTenantServer(t, engineSpec{}, append([]l1hh.PoolOption{tenantDefaults()}, popts...)...)
 }
 
 // tenantStream is one tenant's planted stream: heavy eight times plus

@@ -27,7 +27,7 @@ func problemSpecFor(problem l1hh.Problem, m uint64) engineSpec {
 	default:
 		opts = append(opts, l1hh.WithUniverse(64))
 	}
-	return engineSpec{build: opts, problem: problem, m: m}
+	return engineSpec{build: opts, problem: problem}
 }
 
 func newProblemServer(t *testing.T, problem l1hh.Problem) *server {

@@ -21,7 +21,7 @@ import (
 // engineSpec is how the daemon remembers what it serves: the full option
 // set that builds a fresh default engine (aggregator rebuilds, startup)
 // and the runtime subset that tunes a restored checkpoint; a tenant
-// server (-tenants) uses only problem and m. The daemon never
+// server (-tenants) uses only problem. The daemon never
 // touches concrete solver types — everything behind l1hh.New and
 // l1hh.Unmarshal is driven through l1hh.HeavyHitters plus the capability
 // interfaces (Merger, Windower, Sharder).
@@ -34,11 +34,6 @@ type engineSpec struct {
 	// observer (their option vocabulary has no runtime tuning) and every
 	// handler serializes engine access through withEngine.
 	problem l1hh.Problem
-
-	// m is the configured stream length (-m; 0 = unknown). /point quotes
-	// its error bar against it — the engine's sampler is tuned for m, so
-	// ε·len would understate the bound mid-stream.
-	m uint64
 }
 
 // server wires one engine family to HTTP: either the default engine at
@@ -1172,26 +1167,16 @@ type pointResponse struct {
 	Eps      float64 `json:"eps"`
 }
 
-// pointFor builds the /point body when eng answers point queries. m is
-// the configured stream length the engine's sampler was tuned for; the
-// bound is quoted against max(m, len) so a mid-stream query does not
-// understate the error bar.
-func pointFor(eng l1hh.HeavyHitters, x, m uint64) (*pointResponse, bool) {
+// pointFor builds the /point body when eng answers point queries. The
+// bound is the engine's own: ε·max(m, len) for the stream length m it
+// was declared at, which a /restore may have changed.
+func pointFor(eng l1hh.HeavyHitters, x uint64) (*pointResponse, bool) {
 	pq, ok := eng.(l1hh.PointQuerier)
 	if !ok {
 		return nil, false
 	}
-	n := eng.Len()
-	if m > n {
-		n = m
-	}
-	return &pointResponse{
-		Item:     x,
-		Estimate: pq.Estimate(x),
-		Bound:    eng.Eps() * float64(n),
-		Len:      eng.Len(),
-		Eps:      eng.Eps(),
-	}, true
+	est, bound := pq.Estimate(x)
+	return &pointResponse{Item: x, Estimate: est, Bound: bound, Len: eng.Len(), Eps: eng.Eps()}, true
 }
 
 func (s *server) handlePoint(w http.ResponseWriter, r *http.Request) {
@@ -1210,7 +1195,7 @@ func (s *server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		out *pointResponse
 		ok  bool
 	)
-	if err := t.view(func(eng l1hh.HeavyHitters) { out, ok = pointFor(eng, x, s.spec.m) }); err != nil {
+	if err := t.view(func(eng l1hh.HeavyHitters) { out, ok = pointFor(eng, x) }); err != nil {
 		tenantError(w, t.tenant, err)
 		return
 	}

@@ -29,7 +29,7 @@ func testSpec(m, seed uint64) engineSpec {
 	if m > 0 {
 		build = append(build, l1hh.WithStreamLength(m))
 	}
-	return engineSpec{build: build, m: m}
+	return engineSpec{build: build}
 }
 
 func newTestServer(t *testing.T, m uint64) *server {
@@ -237,6 +237,37 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	s := newTestServer(t, 1000)
 	if w := do(t, s, "POST", "/restore", "application/octet-stream", []byte("garbage")); w.Code != http.StatusBadRequest {
 		t.Fatalf("garbage restore: status %d, want 400", w.Code)
+	}
+}
+
+// TestPointBoundFollowsRestore: /point quotes the serving engine's error
+// bar, not the startup -m. A checkpoint declared at m = 2²⁴ restored
+// into a server started for 100,000 items answers with ε·2²⁴.
+func TestPointBoundFollowsRestore(t *testing.T) {
+	const big = 1 << 24
+	src, err := l1hh.New(testSpec(big, 7).build...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { src.Close() })
+	if err := src.InsertBatch(plantedStream(10_000)); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, 100_000)
+	if w := do(t, s, "POST", "/restore", "application/octet-stream", blob); w.Code != http.StatusOK {
+		t.Fatalf("restore status %d: %s", w.Code, w.Body)
+	}
+	w := do(t, s, "GET", "/point?item=0", "", nil)
+	var pt pointResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &pt); err != nil {
+		t.Fatal(err)
+	}
+	if want := 0.02 * big; pt.Bound != want {
+		t.Fatalf("/point bound %g after restoring an m = 2^24 checkpoint, want ε·2^24 = %g", pt.Bound, want)
 	}
 }
 

@@ -71,8 +71,14 @@
 //	est, bound, _ := min.MinItem()           // estimate within bound = ε·m
 //
 //	if q, ok := hh.(l1hh.PointQuerier); ok { // heavy hitters with a known stream length
-//		_ = q.Estimate(17)                   // any item's frequency ± ε·m
+//		est, bound := q.Estimate(17)         // any item's frequency, within bound = ε·m
 //	}
+//
+// PointQuerier.Estimate returns the error bar beside the estimate, as
+// Extremes does: ε·max(m, Len()) for the stream length m the engine was
+// declared at, which a restored checkpoint carries with it. Callers of
+// the old one-value Estimate drop the bound or use it in place of their
+// own ε·m.
 //
 // Currency errors are sentinels: Insert on a voting engine returns
 // ErrNotItems, Vote on an items engine returns ErrNotRankings. The

@@ -22,40 +22,6 @@ func plantedHH(seed uint64, m int, order stream.Order) []uint64 {
 		[]float64{0.15, 0.11, 0.03, 0.02}, 1000, 100000, order)
 }
 
-// checkListOutput verifies the three (ε,ϕ)-List guarantees against ground
-// truth. Returns false on violation (callers vote across seeds).
-func checkListOutput(t *testing.T, got []ItemEstimate, ex *exact.Counter, eps, phi float64) bool {
-	t.Helper()
-	m := float64(ex.Total())
-	reported := map[uint64]float64{}
-	for _, r := range got {
-		reported[r.Item] = r.F
-	}
-	ok := true
-	// Completeness: every f ≥ ϕm item is present.
-	for _, x := range ex.HeavyHitters(uint64(math.Ceil(phi * m))) {
-		if _, here := reported[x]; !here {
-			t.Logf("missing ϕ-heavy item %d (f=%d)", x, ex.Freq(x))
-			ok = false
-		}
-	}
-	// Soundness: nothing at or below (ϕ−ε)m.
-	for x := range reported {
-		if float64(ex.Freq(x)) <= (phi-eps)*m {
-			t.Logf("spurious item %d (f=%d ≤ (ϕ−ε)m)", x, ex.Freq(x))
-			ok = false
-		}
-	}
-	// Accuracy: |f̃ − f| ≤ ε·m for each reported item.
-	for x, f := range reported {
-		if math.Abs(f-float64(ex.Freq(x))) > eps*m {
-			t.Logf("item %d estimate %v vs true %d beyond ε·m=%v", x, f, ex.Freq(x), eps*m)
-			ok = false
-		}
-	}
-	return ok
-}
-
 func TestSimpleListGuarantees(t *testing.T) {
 	const m = 400000
 	failures := 0
@@ -71,7 +37,8 @@ func TestSimpleListGuarantees(t *testing.T) {
 			a.Insert(x)
 			ex.Insert(x)
 		}
-		if !checkListOutput(t, a.Report(), ex, 0.05, 0.1) {
+		if err := exact.Audit(ex, a.Report(), 0.05, 0.1).Err(); err != nil {
+			t.Log(err)
 			failures++
 		}
 	}
@@ -94,8 +61,8 @@ func TestSimpleListAdversarialOrders(t *testing.T) {
 			a.Insert(x)
 			ex.Insert(x)
 		}
-		if !checkListOutput(t, a.Report(), ex, 0.05, 0.1) {
-			t.Fatalf("order %d violated guarantees", order)
+		if err := exact.Audit(ex, a.Report(), 0.05, 0.1).Err(); err != nil {
+			t.Fatalf("order %d violated guarantees: %v", order, err)
 		}
 	}
 }

@@ -56,8 +56,8 @@ func TestSimpleListMergeConformance(t *testing.T) {
 			if nodes[0].Len() != m {
 				t.Fatalf("merged Len = %d, want %d", nodes[0].Len(), m)
 			}
-			if !checkListOutput(t, nodes[0].Report(), truth, cfg.Eps, cfg.Phi) {
-				t.Error("merged report violates the (ε,ϕ) guarantees")
+			if err := exact.Audit(truth, nodes[0].Report(), cfg.Eps, cfg.Phi).Err(); err != nil {
+				t.Errorf("merged report violates the (ε,ϕ) guarantees: %v", err)
 			}
 		})
 	}
@@ -86,8 +86,8 @@ func TestOptimalMergeConformance(t *testing.T) {
 			if nodes[0].Len() != m {
 				t.Fatalf("merged Len = %d, want %d", nodes[0].Len(), m)
 			}
-			if !checkListOutput(t, nodes[0].Report(), truth, cfg.Eps, cfg.Phi) {
-				t.Error("merged report violates the (ε,ϕ) guarantees")
+			if err := exact.Audit(truth, nodes[0].Report(), cfg.Eps, cfg.Phi).Err(); err != nil {
+				t.Errorf("merged report violates the (ε,ϕ) guarantees: %v", err)
 			}
 		})
 	}

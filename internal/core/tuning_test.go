@@ -34,8 +34,8 @@ func TestOptimalTuningVariants(t *testing.T) {
 			a.Insert(x)
 			ex.Insert(x)
 		}
-		if !checkListOutput(t, a.Report(), ex, cfg.Eps, cfg.Phi) {
-			t.Fatalf("variant %d violated guarantees", vi)
+		if err := exact.Audit(ex, a.Report(), cfg.Eps, cfg.Phi).Err(); err != nil {
+			t.Fatalf("variant %d violated guarantees: %v", vi, err)
 		}
 	}
 }
@@ -62,8 +62,8 @@ func TestSimpleListTuningVariants(t *testing.T) {
 			a.Insert(x)
 			ex.Insert(x)
 		}
-		if !checkListOutput(t, a.Report(), ex, cfg.Eps, cfg.Phi) {
-			t.Fatalf("variant %d violated guarantees", vi)
+		if err := exact.Audit(ex, a.Report(), cfg.Eps, cfg.Phi).Err(); err != nil {
+			t.Fatalf("variant %d violated guarantees: %v", vi, err)
 		}
 	}
 }

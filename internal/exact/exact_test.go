@@ -1,6 +1,8 @@
 package exact
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -116,6 +118,59 @@ func TestTotalMatchesSumQuick(t *testing.T) {
 		return sum == c.Total() && c.Total() == uint64(len(xs))
 	}, nil)
 	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestAudit(t *testing.T) {
+	// m = 100 at ε = 0.05, ϕ = 0.1: ϕ·m = 10 and (ϕ−ε)·m = ε·m = 5. Items
+	// 1 and 2 are ϕ-heavy, item 3 sits between the two lines, where either
+	// decision is allowed, and ids 100–141 are singletons.
+	stream := slices.Repeat([]uint64{1}, 40)
+	stream = append(stream, slices.Repeat([]uint64{2}, 12)...)
+	stream = append(stream, slices.Repeat([]uint64{3}, 6)...)
+	for x := uint64(100); len(stream) < 100; x++ {
+		stream = append(stream, x)
+	}
+	truth := Count(stream)
+	for _, tc := range []struct {
+		name            string
+		rep             []Estimate
+		missed, off, fp []uint64
+		worst           float64
+	}{
+		{"clean", []Estimate{{1, 41}, {2, 12}, {3, 6}}, nil, nil, nil, 0.2},
+		{"missed", []Estimate{{1, 40}}, []uint64{2}, nil, nil, 0},
+		{"off", []Estimate{{1, 46}, {2, 12}, {3, 12}}, nil, []uint64{1, 3}, nil, 1.2},
+		{"false", []Estimate{{1, 40}, {2, 12}, {100, 1}}, nil, nil, []uint64{100}, 0},
+	} {
+		v := Audit(truth, tc.rep, 0.05, 0.1)
+		if !slices.Equal(v.Missed, tc.missed) || !slices.Equal(v.Off, tc.off) ||
+			!slices.Equal(v.False, tc.fp) || math.Abs(v.Worst-tc.worst) > 1e-9 {
+			t.Errorf("%s: verdict %+v", tc.name, v)
+		}
+		if (v.Err() == nil) != (tc.missed == nil && tc.off == nil && tc.fp == nil) {
+			t.Errorf("%s: Err() = %v", tc.name, v.Err())
+		}
+	}
+}
+
+func TestAuditWindow(t *testing.T) {
+	// The last W = 10 items are 8×5 and 9×5; the covered suffix M = 12
+	// adds two copies of 7. At ε = 0.25, ϕ = 0.5: ϕ·W = 5, (ϕ−ε)·M = 3
+	// and ε·M = 3.
+	stream := slices.Concat(slices.Repeat([]uint64{7}, 10),
+		slices.Repeat([]uint64{8}, 5), slices.Repeat([]uint64{9}, 5))
+	v := AuditWindow(stream, []Estimate{{8, 5}, {7, 2}}, 10, 12, 0.25, 0.5)
+	if !slices.Equal(v.Missed, []uint64{9}) || !slices.Equal(v.False, []uint64{7}) || v.Off != nil {
+		t.Fatalf("verdict %+v", v)
+	}
+	// Estimates are held to the covered suffix, not to the whole stream.
+	if v := AuditWindow(stream, []Estimate{{8, 5}, {9, 5}, {7, 6}}, 10, 12, 0.25, 0.5); !slices.Equal(v.Off, []uint64{7}) {
+		t.Fatalf("verdict %+v", v)
+	}
+	// W and M beyond the stream clamp to it.
+	if err := AuditWindow(stream, []Estimate{{7, 10}}, 100, 100, 0.25, 0.5).Err(); err != nil {
 		t.Fatal(err)
 	}
 }

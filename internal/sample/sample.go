@@ -13,9 +13,6 @@
 //     spreads across the following updates for its O(1) worst case
 //     ("the time ... can be spread out across the next O(1/ε) stream
 //     updates", §3.1).
-//   - Reservoir: classic size-k reservoir sampling, used by tests as an
-//     independent check on Lemma 3 (frequencies are preserved to ±ε by a
-//     Θ(ε⁻²) sample).
 package sample
 
 import (
@@ -189,42 +186,6 @@ func (s *Skip) Advance(n int) int {
 
 // Probability returns the effective sampling probability.
 func (s *Skip) Probability() float64 { return s.p }
-
-// Reservoir maintains a uniform sample of fixed capacity k over a stream of
-// unknown length (Vitter's Algorithm R).
-type Reservoir struct {
-	items []uint64
-	seen  uint64
-	src   *rng.Source
-}
-
-// NewReservoir returns a reservoir of capacity k.
-func NewReservoir(src *rng.Source, k int) *Reservoir {
-	if k <= 0 {
-		panic("sample: reservoir capacity must be positive")
-	}
-	return &Reservoir{items: make([]uint64, 0, k), src: src}
-}
-
-// Offer presents x to the reservoir.
-func (r *Reservoir) Offer(x uint64) {
-	r.seen++
-	if len(r.items) < cap(r.items) {
-		r.items = append(r.items, x)
-		return
-	}
-	j := r.src.Uint64n(r.seen)
-	if j < uint64(cap(r.items)) {
-		r.items[j] = x
-	}
-}
-
-// Sample returns the current sample (shared backing array; callers must not
-// mutate it).
-func (r *Reservoir) Sample() []uint64 { return r.items }
-
-// Seen returns the number of items offered.
-func (r *Reservoir) Seen() uint64 { return r.seen }
 
 // bitsFor returns ⌈log₂(v+1)⌉, the width of a variable-length register
 // holding v.

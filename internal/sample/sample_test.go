@@ -156,8 +156,9 @@ func TestSkipMatchesBernoulliRate(t *testing.T) {
 	}
 }
 
-// TestLemma3FrequencyPreservation reproduces Lemma 3: an r ≥ 2ε⁻²·log(2/δ)
-// sample preserves every relative frequency to ±ε.
+// TestLemma3FrequencyPreservation reproduces Lemma 3 on the sampler the
+// engines use: a Bernoulli sample of expected size at least
+// r = 2ε⁻²·log(2/δ) preserves every relative frequency to ±ε.
 func TestLemma3FrequencyPreservation(t *testing.T) {
 	const eps = 0.05
 	const m = 200000
@@ -174,76 +175,29 @@ func TestLemma3FrequencyPreservation(t *testing.T) {
 			stream[i] = 2 + src.Uint64n(100)
 		}
 	}
-	r := int(2 / (eps * eps) * math.Log(2/0.05))
-	res := NewReservoir(rng.New(6), r)
-	for _, x := range stream {
-		res.Offer(x)
-	}
+	r := 2 / (eps * eps) * math.Log(2/0.05)
+	// The rate rounds down to a power of two, so ask for twice r/m.
+	sk := NewSkip(rng.New(6), 2*r/m)
 	exactFreq := make(map[uint64]int)
+	sampFreq := make(map[uint64]int)
+	sampled := 0
 	for _, x := range stream {
 		exactFreq[x]++
+		if sk.Next() {
+			sampFreq[x]++
+			sampled++
+		}
 	}
-	sampFreq := make(map[uint64]int)
-	for _, x := range res.Sample() {
-		sampFreq[x]++
+	if float64(sampled) < r {
+		t.Fatalf("sample of %d items, want at least r = %.0f", sampled, r)
 	}
 	for _, item := range []uint64{0, 1, 2} {
 		fm := float64(exactFreq[item]) / m
-		fr := float64(sampFreq[item]) / float64(len(res.Sample()))
+		fr := float64(sampFreq[item]) / float64(sampled)
 		if math.Abs(fm-fr) > eps {
 			t.Fatalf("item %d: sample freq %v vs true %v differs by more than ε", item, fr, fm)
 		}
 	}
-}
-
-func TestReservoirFillsToCapacity(t *testing.T) {
-	r := NewReservoir(rng.New(7), 10)
-	for i := uint64(0); i < 5; i++ {
-		r.Offer(i)
-	}
-	if len(r.Sample()) != 5 {
-		t.Fatalf("short stream: sample size %d, want 5", len(r.Sample()))
-	}
-	for i := uint64(5); i < 100; i++ {
-		r.Offer(i)
-	}
-	if len(r.Sample()) != 10 {
-		t.Fatalf("sample size %d, want 10", len(r.Sample()))
-	}
-	if r.Seen() != 100 {
-		t.Fatalf("seen %d, want 100", r.Seen())
-	}
-}
-
-func TestReservoirUniform(t *testing.T) {
-	// Each of 20 items should appear in a size-5 reservoir with prob 1/4.
-	const trials = 20000
-	counts := make([]int, 20)
-	src := rng.New(8)
-	for tr := 0; tr < trials; tr++ {
-		r := NewReservoir(src.Split(), 5)
-		for i := uint64(0); i < 20; i++ {
-			r.Offer(i)
-		}
-		for _, x := range r.Sample() {
-			counts[x]++
-		}
-	}
-	want := float64(trials) * 5 / 20
-	for i, c := range counts {
-		if math.Abs(float64(c)-want) > 8*math.Sqrt(want) {
-			t.Fatalf("item %d in reservoir %d times, want ≈%v", i, c, want)
-		}
-	}
-}
-
-func TestReservoirPanicsOnZeroCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewReservoir(rng.New(1), 0)
 }
 
 func TestBernoulliModelBitsGrowSlowly(t *testing.T) {

@@ -29,29 +29,8 @@ func TestListHHMatchesKnownLengthGuarantees(t *testing.T) {
 			l.Insert(x)
 			ex.Insert(x)
 		}
-		rep := l.Report()
-		got := map[uint64]float64{}
-		for _, r := range rep {
-			got[r.Item] = r.F
-		}
-		bad := false
-		for _, heavy := range []uint64{0, 1} { // 0.4, 0.3 ≥ ϕ
-			if _, ok := got[heavy]; !ok {
-				t.Logf("seed %d: heavy item %d missing", seed, heavy)
-				bad = true
-			}
-		}
-		for x := range got {
-			if float64(ex.Freq(x)) <= (phi-eps)*float64(m) {
-				t.Logf("seed %d: spurious item %d (f=%d)", seed, x, ex.Freq(x))
-				bad = true
-			}
-			if math.Abs(got[x]-float64(ex.Freq(x))) > eps*float64(m) {
-				t.Logf("seed %d: item %d estimate %v vs %d", seed, x, got[x], ex.Freq(x))
-				bad = true
-			}
-		}
-		if bad {
+		if err := exact.Audit(ex, l.Report(), eps, phi).Err(); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			failures++
 		}
 	}

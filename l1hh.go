@@ -119,11 +119,17 @@ func (h *serialSolver) Eps() float64 { return h.eps }
 // (preserved across checkpoint restores).
 func (h *serialSolver) Phi() float64 { return h.phi }
 
-// Estimate returns the frequency estimate for x over the whole stream,
-// within ε·m for ϕ-heavy items whp (the §3 point-query bound). Only the
-// known-length engines answer; the adapters that expose PointQuerier
-// wrap nothing else.
-func (h *serialSolver) Estimate(x Item) float64 { return h.e.(PointQuerier).Estimate(x) }
+// Estimate returns the frequency estimate for x over the whole stream
+// and its §3 point-query bound ε·max(m, Len()), m being the declared
+// stream length. Only the known-length engines answer; the adapters
+// that expose PointQuerier wrap nothing else.
+func (h *serialSolver) Estimate(x Item) (est, bound float64) {
+	e := h.e.(interface {
+		Estimate(x uint64) float64
+		Params() core.Config
+	})
+	return e.Estimate(x), h.eps * float64(max(e.Params().M, h.Len()))
+}
 
 // Stats returns the unified operational snapshot (see Stats).
 func (h *serialSolver) Stats() Stats {

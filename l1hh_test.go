@@ -1,87 +1,9 @@
 package l1hh
 
 import (
-	"bytes"
-	"fmt"
 	"math"
-	"slices"
 	"testing"
-
-	"repro/internal/exact"
 )
-
-// TestPublicListHeavyHittersBothAlgorithms holds both algorithms to the
-// (ε,ϕ) guarantee over universes from 2¹⁶ to 2⁶², with the noise drawn
-// from [1000, u/2). At every size a checkpoint must restore to the same
-// state, and the model bits may grow only through the id-bearing terms:
-// they stay below 1.5× their value at u = 2¹⁶.
-func TestPublicListHeavyHittersBothAlgorithms(t *testing.T) {
-	const m = 300000
-	for _, algo := range []Algorithm{AlgorithmOptimal, AlgorithmSimple} {
-		t.Run(fmt.Sprintf("algo=%d", algo), func(t *testing.T) {
-			var bits16 int64
-			for _, lg := range []int{16, 32, 48, 62} {
-				u := uint64(1) << lg
-				st := GeneratePlantedStream(1, m, []float64{0.2, 0.12, 0.02}, 1000, u/2, OrderShuffled)
-				ex := exact.New()
-				for _, x := range st {
-					ex.Insert(x)
-				}
-				hh, err := New(WithEps(0.05), WithPhi(0.1), WithDelta(0.1),
-					WithStreamLength(m), WithUniverse(u), WithAlgorithm(algo), WithSeed(7))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := hh.InsertBatch(st); err != nil {
-					t.Fatal(err)
-				}
-				rep := hh.Report()
-				got := map[Item]float64{}
-				for _, r := range rep {
-					got[r.Item] = r.F
-				}
-				for _, heavy := range []Item{0, 1} {
-					if _, ok := got[heavy]; !ok {
-						t.Fatalf("u=2^%d: heavy item %d missing", lg, heavy)
-					}
-				}
-				if _, ok := got[2]; ok {
-					t.Fatalf("u=2^%d: light item 2 reported", lg)
-				}
-				for x, f := range got {
-					if math.Abs(f-float64(ex.Freq(x))) > 0.05*m {
-						t.Fatalf("u=2^%d: item %d estimate %v vs %d", lg, x, f, ex.Freq(x))
-					}
-				}
-				bits := hh.ModelBits()
-				if bits <= 0 || hh.Len() != m {
-					t.Fatalf("u=2^%d: bits=%d len=%d", lg, bits, hh.Len())
-				}
-				if lg == 16 {
-					bits16 = bits
-				} else if float64(bits) >= 1.5*float64(bits16) {
-					t.Fatalf("u=2^%d: %d model bits, 1.5× or more the %d at u=2^16", lg, bits, bits16)
-				}
-
-				blob, err := hh.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				back, err := Unmarshal(blob)
-				if err != nil {
-					t.Fatalf("u=2^%d: %v", lg, err)
-				}
-				again, err := back.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(again, blob) || !slices.Equal(back.Report(), rep) || back.ModelBits() != bits {
-					t.Fatalf("u=2^%d: the restored solver differs from the checkpointed one", lg)
-				}
-			}
-		})
-	}
-}
 
 func TestPublicUnknownLength(t *testing.T) {
 	hh, err := New(WithEps(0.1), WithPhi(0.3), WithDelta(0.1), WithUniverse(1<<20), WithSeed(3))

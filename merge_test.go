@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/wire"
 )
 
@@ -17,8 +18,8 @@ func mergeTestOpts(seed uint64, m int, extra ...Option) []Option {
 	}, extra...)
 }
 
-// newMergeNode builds a node through New and closes it at cleanup.
-func newMergeNode(t *testing.T, opts ...Option) HeavyHitters {
+// newNode builds an engine through New and closes it at cleanup.
+func newNode(t *testing.T, opts ...Option) HeavyHitters {
 	t.Helper()
 	hh, err := New(opts...)
 	if err != nil {
@@ -44,8 +45,8 @@ func mergeInto(t *testing.T, dst, src HeavyHitters) error {
 func mergeTestPair(t *testing.T, seed uint64, m int) (a, b HeavyHitters, stream []Item) {
 	t.Helper()
 	stream = GeneratePlantedStream(seed+500, m, shardedTestWeights, 100, 1<<30, OrderShuffled)
-	a = newMergeNode(t, mergeTestOpts(seed, m, WithShards(4))...)
-	b = newMergeNode(t, mergeTestOpts(seed, m, WithShards(4))...)
+	a = newNode(t, mergeTestOpts(seed, m, WithShards(4))...)
+	b = newNode(t, mergeTestOpts(seed, m, WithShards(4))...)
 	if err := a.InsertBatch(stream[:m/2]); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,9 @@ func TestShardedMergeCommutative(t *testing.T) {
 	if fmt.Sprint(ra) != fmt.Sprint(rb) {
 		t.Fatalf("A←B and B←A reports differ:\n%v\n%v", ra, rb)
 	}
-	checkGuarantees(t, ra, stream, 0.02, 0.05)
+	if err := exact.Audit(exact.Count(stream), ra, 0.02, 0.05).Err(); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestMergedShardedRoundTrip: a merged engine round-trips through
@@ -132,7 +135,9 @@ func TestMergeCheckpointEqualsSerial(t *testing.T) {
 	if got := a.Stats().Items; got != m {
 		t.Fatalf("merged Items = %d, want %d", got, m)
 	}
-	checkGuarantees(t, a.Report(), stream, 0.02, 0.05)
+	if err := exact.Audit(exact.Count(stream), a.Report(), 0.02, 0.05).Err(); err != nil {
+		t.Error(err)
+	}
 	// The donor is untouched and keeps working.
 	if got := b.Len(); got != m/2 {
 		t.Fatalf("donor Len = %d, want %d", got, m/2)
@@ -170,7 +175,7 @@ func TestMergeCheckpointRejects(t *testing.T) {
 		"different seed":   mergeTestOpts(999, m, WithShards(4)),
 		"different shards": mergeTestOpts(73, m, WithShards(2)),
 	} {
-		if err := mergeInto(t, a, newMergeNode(t, opts...)); !errors.Is(err, ErrIncompatibleMerge) {
+		if err := mergeInto(t, a, newNode(t, opts...)); !errors.Is(err, ErrIncompatibleMerge) {
 			t.Errorf("%s: err = %v, want ErrIncompatibleMerge", name, err)
 		}
 	}
@@ -211,7 +216,7 @@ func TestMergeCheckpointMixedShardsAtomic(t *testing.T) {
 		t.Fatal("could not disassemble a checkpoint this package produced")
 	}
 	// A solver from a different problem (different ε) in shard 1's slot.
-	alien := newMergeNode(t, append(mergeTestOpts(89, m), WithEps(0.03))...)
+	alien := newNode(t, append(mergeTestOpts(89, m), WithEps(0.03))...)
 	alienBlob, err := alien.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -252,15 +257,15 @@ func TestListMergeFromErrors(t *testing.T) {
 		return append([]Option{WithEps(0.05), WithPhi(0.1), WithDelta(0.05),
 			WithUniverse(1 << 20), WithSeed(3)}, extra...)
 	}
-	unknown := newMergeNode(t, opts()...)
+	unknown := newNode(t, opts()...)
 	if _, ok := unknown.(Merger); ok {
 		t.Fatal("unknown-length solver claims Merger")
 	}
 	if _, err := unknown.MarshalBinary(); err == nil {
 		t.Fatal("unknown-length solver wrote a checkpoint to merge from")
 	}
-	optimal := newMergeNode(t, opts(WithStreamLength(10_000), WithAlgorithm(AlgorithmOptimal))...)
-	simple := newMergeNode(t, opts(WithStreamLength(10_000), WithAlgorithm(AlgorithmSimple))...)
+	optimal := newNode(t, opts(WithStreamLength(10_000), WithAlgorithm(AlgorithmOptimal))...)
+	simple := newNode(t, opts(WithStreamLength(10_000), WithAlgorithm(AlgorithmSimple))...)
 	if err := mergeInto(t, optimal, simple); !errors.Is(err, ErrIncompatibleMerge) {
 		t.Fatalf("mixed-algorithm merge: err = %v, want ErrIncompatibleMerge", err)
 	}
@@ -297,7 +302,7 @@ func TestMergeTagClassification(t *testing.T) {
 						}
 					}
 				}
-				m := newMergeNode(t, rc.opts...).(Merger)
+				m := newNode(t, rc.opts...).(Merger)
 				check("CheckMerge", m.CheckMerge(blob))
 				check("Merge", m.Merge(blob))
 			})

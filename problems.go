@@ -165,9 +165,12 @@ type Extremes interface {
 // do not compose into a per-item bound).
 type PointQuerier interface {
 	// Estimate returns the frequency estimate for x over the whole
-	// stream: within ε·m for ϕ-heavy items whp, an undercount for items
-	// the table never tracked.
-	Estimate(x Item) float64
+	// stream, within bound of the truth for ϕ-heavy items whp and an
+	// undercount for items the table never tracked. bound is
+	// ε·max(m, Len()), where m is the stream length the engine was
+	// declared at, restored checkpoints included: a sampler tuned for m
+	// is not more accurate mid-stream.
+	Estimate(x Item) (est, bound float64)
 }
 
 // problemSpec is one row of the problem-keyed builder table: how to

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/shard"
 )
 
@@ -39,74 +40,6 @@ func newShardedForTest(t *testing.T, shards int, seed uint64, m int) (*shardedSo
 		t.Fatal(err)
 	}
 	return hh, stream
-}
-
-// checkGuarantees asserts the (ε,ϕ) contract against the planted truth:
-// every ϕ-heavy planted item present with estimate within ε·m; nothing
-// reported whose true frequency is ≤ (ϕ−ε)·m.
-func checkGuarantees(t *testing.T, rep []ItemEstimate, stream []Item, eps, phi float64) {
-	t.Helper()
-	m := float64(len(stream))
-	truth := map[Item]float64{}
-	for _, x := range stream {
-		truth[x]++
-	}
-	reported := map[Item]float64{}
-	for _, r := range rep {
-		reported[r.Item] = r.F
-	}
-	for x, f := range truth {
-		if f >= phi*m {
-			est, ok := reported[x]
-			if !ok {
-				t.Errorf("ϕ-heavy item %d (f=%.0f ≥ %.0f) missing from report", x, f, phi*m)
-				continue
-			}
-			if est < f-eps*m || est > f+eps*m {
-				t.Errorf("item %d estimate %.0f outside %.0f ± %.0f", x, est, f, eps*m)
-			}
-		}
-	}
-	for x := range reported {
-		if truth[x] <= (phi-eps)*m {
-			t.Errorf("light item %d (f=%.0f ≤ %.0f) falsely reported", x, truth[x], (phi-eps)*m)
-		}
-	}
-}
-
-// TestShardedGuarantees: the sharded solver satisfies the same (ε,ϕ)
-// contract as the serial one, across shard counts and both engines.
-func TestShardedGuarantees(t *testing.T) {
-	const m = 200_000
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, algo := range []Algorithm{AlgorithmOptimal, AlgorithmSimple} {
-			t.Run(fmt.Sprintf("shards=%d/algo=%d", shards, algo), func(t *testing.T) {
-				stream := GeneratePlantedStream(31, m, shardedTestWeights, 100, 1<<30, OrderShuffled)
-				hh, err := newShardedSolver(shardedConfig{
-					config: config{
-						Eps: 0.02, Phi: 0.05, Delta: 0.05,
-						StreamLength: m, Universe: 1 << 32,
-						Algorithm: algo, Seed: uint64(7 + shards),
-					},
-					Shards: shards,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer hh.Close()
-				for off := 0; off < m; off += 10_000 {
-					end := min(off+10_000, m)
-					if err := hh.InsertBatch(stream[off:end]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				checkGuarantees(t, hh.Report(), stream, 0.02, 0.05)
-				if got := hh.Len(); got != m {
-					t.Fatalf("Len() = %d, want %d", got, m)
-				}
-			})
-		}
-	}
 }
 
 // TestShardedConcurrentProducers drives many goroutines through
@@ -147,7 +80,9 @@ func TestShardedConcurrentProducers(t *testing.T) {
 	if got := hh.Len(); got != m {
 		t.Fatalf("Len() = %d, want %d (items lost or duplicated)", got, m)
 	}
-	checkGuarantees(t, hh.Report(), stream, 0.02, 0.05)
+	if err := exact.Audit(exact.Count(stream), hh.Report(), 0.02, 0.05).Err(); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestShardedCheckpointRoundTrip: checkpoint mid-stream, restore, feed
@@ -237,7 +172,9 @@ func TestShardedCloseThenReport(t *testing.T) {
 	if err := hh.InsertBatch(stream[:1]); err != shard.ErrClosed {
 		t.Fatalf("InsertBatch after Close = %v, want shard.ErrClosed", err)
 	}
-	checkGuarantees(t, hh.Report(), stream, 0.02, 0.05)
+	if err := exact.Audit(exact.Count(stream), hh.Report(), 0.02, 0.05).Err(); err != nil {
+		t.Error(err)
+	}
 	if _, err := hh.MarshalBinary(); err != nil {
 		t.Fatal("checkpoint after Close:", err)
 	}
@@ -311,8 +248,41 @@ func TestShardedUnknownLengthIngest(t *testing.T) {
 	if err := hh.InsertBatch(stream); err != nil {
 		t.Fatal(err)
 	}
-	checkGuarantees(t, hh.Report(), stream, 0.05, 0.12)
+	if err := exact.Audit(exact.Count(stream), hh.Report(), 0.05, 0.12).Err(); err != nil {
+		t.Error(err)
+	}
 	if _, err := hh.MarshalBinary(); err == nil {
 		t.Fatal("unknown-length checkpoint must fail")
+	}
+}
+
+// TestShareSampleClamp pins the conservative clamp of the
+// rate-extrapolated window fold (DESIGN.md §8): one row per condition
+// under which a shard's share is not trusted, each with the other two
+// conditions passing, and one trusted row, whose weight is M/S.
+func TestShareSampleClamp(t *testing.T) {
+	const now, m = 10_000, 3_000
+	// oldest = 6000 prices the covered suffix at a span of 4000 arrivals.
+	sample := func(covered, gap uint64, ok bool) shareSample {
+		return shareSample{covered: covered, oldest: 6_000, latest: now, gap: gap, ok: ok}
+	}
+	for _, tc := range []struct {
+		name    string
+		s       shareSample
+		trusted bool
+		weight  float64
+	}{
+		{"no arrival accounting", sample(1_000, 10, false), false, 1},
+		{"covered below shareMinSample", sample(shareMinSample-1, 10, true), false, 1},
+		{"stamp gap over half the span", sample(1_000, 2_001, true), false, 1},
+		{"trusted", sample(1_000, 2_000, true), true, m / 4_000.0},
+	} {
+		span, ok := tc.s.trustedSpan(now)
+		if ok != tc.trusted || (ok && span != 4_000) {
+			t.Errorf("%s: trustedSpan = %d, %v; want trusted %v", tc.name, span, ok, tc.trusted)
+		}
+		if w := tc.s.weight(m, now); w != tc.weight {
+			t.Errorf("%s: weight = %g, want %g", tc.name, w, tc.weight)
+		}
 	}
 }

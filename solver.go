@@ -477,7 +477,7 @@ func (s *singleOwnerBase[E]) Close() error {
 type serialHH struct{ singleOwnerBase[*serialSolver] }
 
 // Estimate implements PointQuerier with the §3 per-item ε·m bound.
-func (s *serialHH) Estimate(x Item) float64 { return s.e.Estimate(x) }
+func (s *serialHH) Estimate(x Item) (est, bound float64) { return s.e.Estimate(x) }
 
 // CheckMerge implements Merger without mutating either solver.
 func (s *serialHH) CheckMerge(checkpoint []byte) error {
@@ -533,16 +533,23 @@ type shardedHH struct{ *shardedSolver }
 // Estimate implements PointQuerier: hash partitioning routes every
 // occurrence of x to one shard, so the owning shard's whole-stream
 // estimate is the global one — no cross-shard combination is needed.
-// A barrier, like Report.
-func (s *shardedHH) Estimate(x Item) float64 {
+// Every shard is declared at the global m (shardEngineConfig), so the
+// owning shard's bound is ε·max(m, its own length), and the container's
+// is ε·max(m, the summed length). A barrier, like Report.
+func (s *shardedHH) Estimate(x Item) (est, bound float64) {
 	target := s.s.ShardOf(x)
-	var est float64
+	lens := make([]uint64, s.s.Shards())
 	s.s.Do(func(i int, e shard.Engine) {
+		lens[i] = e.Len()
 		if i == target {
-			est = e.(*serialSolver).Estimate(x)
+			est, bound = e.(*serialSolver).Estimate(x)
 		}
 	})
-	return est
+	var n uint64
+	for _, l := range lens {
+		n += l
+	}
+	return est, max(bound, s.eps*float64(n))
 }
 
 // shardedWindowedHH is the adapter for sharded containers whose shards

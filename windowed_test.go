@@ -1,13 +1,8 @@
 package l1hh
 
-// Windowed conformance suite: windowedSolver (serially and
-// through the sharded path) must answer (ε,ϕ)-heavy hitters for the
-// sliding window — every item with window-frequency ≥ ϕ·W reported,
-// nothing reported below (ϕ−ε)·M over the covered mass M, estimates
-// within ε·M — across zipf, uniform and adversarial regime-shift
-// streams, for W ∈ {10³, 10⁵}, with checkpoint round-trips preserving
-// reports bit-identically. Count-mode windows cover an exact stream
-// suffix, so the serial assertions run against exact suffix counts.
+// Sliding-window tests: the sharded fold under skew and stale shards,
+// edge cases, time windows, merge refusal, concurrency and identity
+// digests. The (ε,ϕ) window conformance rows live in conformance_test.go.
 
 import (
 	"bytes"
@@ -26,254 +21,6 @@ import (
 	"repro/internal/shard"
 )
 
-// Window conformance parameters.
-const (
-	winEps = 0.05
-	winPhi = 0.1
-)
-
-// windowAlgos returns the engines whose valid regime covers per-bucket
-// streams of window length w. Algorithm 2's accelerated counters carry
-// an O(1/ε) additive error that must stay below ε·W, so it needs
-// W ≫ ε⁻²; small windows are Algorithm 1 territory — it counts exactly
-// at that scale (DESIGN.md §8).
-func windowAlgos(w uint64) map[Algorithm]string {
-	if w <= 10_000 {
-		return map[Algorithm]string{AlgorithmSimple: "simple"}
-	}
-	return map[Algorithm]string{AlgorithmOptimal: "optimal", AlgorithmSimple: "simple"}
-}
-
-// windowStreams materializes the fixed windowed test streams for window
-// length w: 1.5·w of one regime followed by 1.25·w of another, so the
-// window covers only the tail regime and the whole-stream answer
-// differs from the window answer.
-func windowStreams(w uint64) map[string][]Item {
-	n := int(w)
-	shift := func(seedA, seedB uint64, wa, wb []float64) []Item {
-		a := GeneratePlantedStream(seedA, 3*n/2, wa, 1<<20, 1<<30, OrderShuffled)
-		b := GeneratePlantedStream(seedB, 5*n/4, wb, 1<<20, 1<<30, OrderShuffled)
-		return append(a, b...)
-	}
-	return map[string][]Item{
-		// Stationary zipf: the same ids are heavy in every window.
-		"zipf": Generate(NewZipfStream(211, 1<<20, 1.3), 11*n/4),
-		// Stationary uniform over 8 ids: all of them 0.125 ≥ ϕ heavy.
-		"uniform": Generate(NewUniformStream(223, 8), 11*n/4),
-		// Adversarial regime shift: items 1–3 carry the first phase,
-		// items 11–13 the second; the window must report the second
-		// family and have fully forgotten the first.
-		"regime-shift": shift(227, 229,
-			[]float64{0, 0.20, 0.12, 0.06},                                // phase 1: ids 1,2,3 heavy
-			[]float64{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.20, 0.12, 0.06}), // phase 2: ids 11,12,13
-	}
-}
-
-// plantedWeights returns the planted heavy ids of each windowStreams
-// phase relevant to the window (the tail regime).
-var windowHeavy = map[string][]Item{
-	"regime-shift": {11, 12, 13},
-}
-var windowStale = map[string][]Item{
-	"regime-shift": {1, 2, 3},
-}
-
-// suffixCounts counts the last n items of stream exactly.
-func suffixCounts(stream []Item, n uint64) *exact.Counter {
-	c := exact.New()
-	for _, x := range stream[uint64(len(stream))-n:] {
-		c.Insert(x)
-	}
-	return c
-}
-
-// assertWindowReport checks the (ε,ϕ) window contract for a report over
-// a count window of length w whose covered mass is m (so the report's
-// exact coverage is the last m items of stream).
-func assertWindowReport(t *testing.T, stream []Item, rep []ItemEstimate, w, m uint64) {
-	t.Helper()
-	cap := (w + 7) / 8 // default WindowBuckets = 8
-	if m < min(w, uint64(len(stream))) || (uint64(len(stream)) >= w+cap && m >= w+cap) {
-		t.Fatalf("covered mass %d outside [min(W,len), W+cap) for W=%d", m, w)
-	}
-	covered := suffixCounts(stream, m)
-	window := suffixCounts(stream, min(w, uint64(len(stream))))
-	got := make(map[Item]float64, len(rep))
-	for _, r := range rep {
-		got[r.Item] = r.F
-	}
-	// Inclusion: window-frequency ≥ ϕ·W ⇒ reported.
-	phiW := winPhi * float64(min(w, uint64(len(stream))))
-	for _, x := range window.Items() {
-		if float64(window.Freq(x)) >= phiW {
-			if _, ok := got[x]; !ok {
-				t.Errorf("item %d has window frequency %d ≥ ϕW=%.0f but is not reported",
-					x, window.Freq(x), phiW)
-			}
-		}
-	}
-	// Exclusion and estimates, against the exact covered suffix.
-	for x, f := range got {
-		truth := float64(covered.Freq(x))
-		if truth <= (winPhi-winEps)*float64(m) {
-			t.Errorf("item %d reported with covered frequency %.0f ≤ (ϕ−ε)M=%.0f",
-				x, truth, (winPhi-winEps)*float64(m))
-		}
-		if diff := f - truth; diff < -winEps*float64(m) || diff > winEps*float64(m) {
-			t.Errorf("item %d estimate %.0f vs covered frequency %.0f exceeds εM=%.0f",
-				x, f, truth, winEps*float64(m))
-		}
-	}
-}
-
-// TestWindowedConformanceSerial: both engines, all stream shapes,
-// W ∈ {10³, 10⁵}, with a checkpoint round-trip mid-stream and a
-// bit-identical report check at the end.
-func TestWindowedConformanceSerial(t *testing.T) {
-	for _, w := range []uint64{1_000, 100_000} {
-		for name, stream := range windowStreams(w) {
-			for algo, algoName := range windowAlgos(w) {
-				t.Run(fmt.Sprintf("%s/W=%d/%s", name, w, algoName), func(t *testing.T) {
-					hh, err := buildWindowed(windowConfig{
-						config: config{
-							Eps: winEps, Phi: winPhi, Delta: 0.05,
-							Universe: 1 << 31, Algorithm: algo, Seed: 7,
-						},
-						Window: w,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					// First half, checkpoint, restore, second half on the
-					// restored solver: the window must survive the trip.
-					half := len(stream) / 2
-					for _, x := range stream[:half] {
-						hh.Insert(x)
-					}
-					blob, err := hh.MarshalBinary()
-					if err != nil {
-						t.Fatal(err)
-					}
-					restored, err := unmarshalWindowed(blob, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, x := range stream[half:] {
-						restored.Insert(x)
-					}
-					m := restored.Len()
-					rep := restored.Report()
-					assertWindowReport(t, stream, rep, w, m)
-					for _, x := range windowStale[name] {
-						for _, r := range rep {
-							if r.Item == x {
-								t.Errorf("stale heavy item %d still reported with %.0f", x, r.F)
-							}
-						}
-					}
-					// Round-trip at the end: reports must be bit-identical.
-					blob2, err := restored.MarshalBinary()
-					if err != nil {
-						t.Fatal(err)
-					}
-					twin, err := unmarshalWindowed(blob2, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(rep, twin.Report()) {
-						t.Error("checkpoint round-trip changed the report")
-					}
-					blob3, err := twin.MarshalBinary()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(blob2, blob3) {
-						t.Error("re-marshalling a restored solver changed the encoding")
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestWindowedConformanceSharded: the same streams through the sharded
-// path. Per-shard windows cover per-substream suffixes, which union to
-// approximately the global suffix; the assertions use the planted
-// margins rather than exact suffix counts.
-func TestWindowedConformanceSharded(t *testing.T) {
-	for _, w := range []uint64{1_000, 100_000} {
-		for name, stream := range windowStreams(w) {
-			algo := AlgorithmOptimal
-			if w <= 10_000 {
-				algo = AlgorithmSimple // per-shard windows are W/4: small-window regime
-			}
-			t.Run(fmt.Sprintf("%s/W=%d", name, w), func(t *testing.T) {
-				sh, err := newShardedSolver(shardedConfig{
-					config: config{
-						Eps: winEps, Phi: winPhi, Delta: 0.05,
-						Universe: 1 << 31, Algorithm: algo, Seed: 7,
-					},
-					Shards: 4,
-					Window: w,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sh.Close()
-				if err := sh.InsertBatch(stream); err != nil {
-					t.Fatal(err)
-				}
-				rep := sh.Report()
-				m := sh.Len()
-				if m < w/2 || m > 2*w {
-					t.Fatalf("global covered mass %d implausible for W=%d", m, w)
-				}
-				got := make(map[Item]float64, len(rep))
-				for _, r := range rep {
-					got[r.Item] = r.F
-				}
-				// The tail regime's planted heavies are ≥ 0.06 ≥ ϕ+ε of
-				// any window; they must be reported. Stale heavies must
-				// be gone.
-				window := suffixCounts(stream, min(w, uint64(len(stream))))
-				phiW := winPhi * float64(min(w, uint64(len(stream))))
-				for _, x := range window.Items() {
-					if float64(window.Freq(x)) >= phiW*1.5 { // generous margin for shard skew
-						if _, ok := got[x]; !ok {
-							t.Errorf("item %d window frequency %d well above ϕW=%.0f but unreported",
-								x, window.Freq(x), phiW)
-						}
-					}
-				}
-				for _, x := range windowStale[name] {
-					if f, ok := got[x]; ok {
-						t.Errorf("stale heavy item %d still reported with %.0f", x, f)
-					}
-				}
-				// Checkpoint round-trip: report must be bit-identical.
-				blob, err := sh.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				restored, err := restoreSharded(blob)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer restored.Close()
-				if !restored.Windowed() {
-					t.Fatal("restored solver lost its window")
-				}
-				if !reflect.DeepEqual(rep, restored.Report()) {
-					t.Error("sharded checkpoint round-trip changed the report")
-				}
-				if st, ok := restored.WindowStats(); !ok || st.Covered != m {
-					t.Errorf("restored WindowStats covered %d ok=%v, want %d", st.Covered, ok, m)
-				}
-			})
-		}
-	}
-}
-
 // Skew conformance parameters: the DESIGN.md §8 counterexample regime —
 // ϕ large enough that a dominant item's self-inflated shard share can
 // push it under the raw fold's global threshold.
@@ -291,19 +38,10 @@ func skewStream(seed uint64, n int, r float64) []Item {
 	return GeneratePlantedStream(seed, n, weights, 1<<20, 1<<30, OrderShuffled)
 }
 
-// feedChunks streams items through InsertBatch in moderate chunks, the
-// way real producers do. Chunked calls also keep the global-arrival
-// stamps batch-accurate, which is what the share measurement rides on.
-func feedChunks(t *testing.T, sh *shardedSolver, items []Item) {
-	t.Helper()
-	const chunk = 1024
-	for off := 0; off < len(items); off += chunk {
-		end := min(off+chunk, len(items))
-		if err := sh.InsertBatch(items[off:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
+// skewChunk is the skew tests' InsertBatch size: moderate calls, the way
+// real producers make them, which keep the global-arrival stamps
+// batch-accurate; the share measurement rides on them.
+const skewChunk = 1024
 
 // newSkewSharded builds the skew-regime solver.
 func newSkewSharded(t *testing.T, shards int) *shardedSolver {
@@ -367,38 +105,22 @@ func TestWindowedShardedSkew(t *testing.T) {
 			t.Run(fmt.Sprintf("r=%.1f/K=%d", r, shards), func(t *testing.T) {
 				stream := skewStream(307+uint64(shards)+uint64(r*10), 11*winSkewW/4, r)
 				sh := newSkewSharded(t, shards)
-				feedChunks(t, sh, stream)
+				insertChunks(t, sh, stream, skewChunk)
 
 				rep := sh.Report()
 				m := sh.Len()
 				if m < winSkewW || m > 2*winSkewW {
 					t.Fatalf("covered mass %d implausible for W=%d", m, winSkewW)
 				}
-				window := suffixCounts(stream, winSkewW)
-				got := make(map[Item]float64, len(rep))
-				for _, it := range rep {
-					got[it.Item] = it.F
+				// The window form of the (ε,ϕ) contract, inclusion over the
+				// last W items above all: it is exactly what the raw fold
+				// loses under skew.
+				if err := exact.AuditWindow(stream, rep, winSkewW, m, winSkewEps, winSkewPhi).Err(); err != nil {
+					t.Error(err)
 				}
-				// Inclusion: window frequency ≥ ϕ·W ⇒ reported — the one
-				// guarantee the paper's (ε,ϕ) contract exists to give,
-				// and exactly what the raw fold loses under skew.
-				for _, x := range window.Items() {
-					if float64(window.Freq(x)) >= winSkewPhi*float64(winSkewW) {
-						if _, ok := got[x]; !ok {
-							t.Errorf("item %d window frequency %d ≥ ϕW=%.0f missed by extrapolated fold",
-								x, window.Freq(x), winSkewPhi*float64(winSkewW))
-						}
-					}
-				}
+				got := reportedSet(rep)
 				if _, ok := got[1]; !ok {
 					t.Errorf("dominant item (rate %.1f) missing from extrapolated report", r)
-				}
-				// Exclusion: nothing under (ϕ−ε)·M is reported.
-				for x := range got {
-					if float64(window.Freq(x)) <= (winSkewPhi-winSkewEps)*float64(m) {
-						t.Errorf("item %d window frequency %d ≤ (ϕ−ε)M=%.0f but reported",
-							x, window.Freq(x), (winSkewPhi-winSkewEps)*float64(m))
-					}
 				}
 				// The dominant item's estimate must be extrapolated back
 				// to ≈ r·M, not the deflated per-shard count r·M/(Kc).
@@ -491,8 +213,8 @@ func TestWindowedShardedStaleShard(t *testing.T) {
 		next = pick(next + 1)
 		phase2 = append(phase2, next)
 	}
-	feedChunks(t, sh, phase1)
-	feedChunks(t, sh, phase2)
+	insertChunks(t, sh, phase1, skewChunk)
+	insertChunks(t, sh, phase2, skewChunk)
 
 	got := reportedSet(sh.Report())
 	if f, ok := got[1]; ok {
